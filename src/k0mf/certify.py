@@ -28,7 +28,20 @@ element/word sets realizing that test for a discovered witness.
 Searches scan the (target stage, source stage, word length) grid in
 lexicographic order and break remaining ties by least height, then
 earliest leading support, then lexicographic order, so results are
-deterministic and certificates byte-reproducible.
+deterministic and certificates byte-reproducible. Two shortcuts keep
+that order and every result while building fewer lattices:
+
+* On a stationary system the stage ranks, connecting maps and letter
+  maps repeat from stage P = max(last declared stage, longest declared
+  action family) on, so a cell whose source stage exceeds P is the
+  translate of the cell one stage earlier in both coordinates. It has
+  the same lattice and the same dedup key, and that cell was decided
+  one target stage earlier, so it is skipped unbuilt.
+* Once a (source, length) cell has a lattice at some target stage, the
+  lattice one target stage later is the Hermite basis of its basis
+  pushed through one connecting map: the image of a subgroup is
+  generated by the image of any of its bases, and the Hermite form of
+  a lattice is unique. Only the previous target's bases are kept.
 """
 
 from __future__ import annotations
@@ -53,6 +66,7 @@ from .exactlinalg import (
     enumerate_lattice_points,
     integer_kernel,
     lp_feasible,
+    row_basis,
     solve_in_lattice,
 )
 from .kaction import K0Action, Word, apply_word, coboundary, coboundary_stage_lattice
@@ -336,6 +350,54 @@ def _build_witness(
     return witness
 
 
+def _repeat_stage(system: InductiveSystem, action: K0Action) -> int | None:
+    """Stage from which ranks, connecting maps and letter maps repeat
+    (None without a stationary tail)."""
+    if not system.is_stationary:
+        return None
+    return max(
+        [system.last_declared_stage]
+        + [len(f) for f in action.forward]
+        + [len(f) for f in action.inverse]
+    )
+
+
+def _stage_lattices(
+    system: InductiveSystem, action: K0Action, params: SearchParams
+) -> Iterator[tuple[int, int, int, list[tuple[int, ...]]]]:
+    """(target, source, word length, Hermite basis rows) for the box's
+    coboundary lattices, in the search's visiting order.
+
+    Yields the same bases as ``coboundary_stage_lattice`` would, but
+    skips cells translated from a decided one and pushes the previous
+    target's basis when there is one (see the module docstring). Cells
+    whose target stage cannot receive every word image are not yielded.
+    """
+    repeat = _repeat_stage(system, action)
+    previous: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for target in range(params.stage_max + 1):
+        if not system.has_stage(target):
+            break
+        current: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for source in range(target + 1):
+            if repeat is not None and source > repeat:
+                break
+            for length in range(1, params.word_length + 1):
+                pushed = previous.get((source, length))
+                if pushed is not None:
+                    step = system.connecting(target - 1)
+                    basis_rows = row_basis([step.apply(b) for b in pushed], system.rank_at(target))
+                else:
+                    try:
+                        lattice = coboundary_stage_lattice(action, system, source, target, length)
+                    except StageRangeError:
+                        continue
+                    basis_rows = [lattice.column(j) for j in range(lattice.cols)]
+                current[(source, length)] = basis_rows
+                yield target, source, length, basis_rows
+        previous = current
+
+
 def find_positive_coboundary(
     system: InductiveSystem, action: K0Action, params: SearchParams
 ) -> WitnessSearch:
@@ -347,40 +409,40 @@ def find_positive_coboundary(
     vectors enumerated by increasing height up to the height bound. A
     None result means no witness exists in the box searched (it is not a
     proof that none exists at all).
+
+    Cell lattices come from ``_stage_lattices``. On a stationary system a
+    cell with source stage past the repeat stage is the translate of one
+    decided a target earlier, with the same lattice and dedup key, so it
+    is not built. Every other cell after the first of its (source,
+    length) row pushes the previous basis through one connecting map,
+    which gives the same Hermite basis as a rebuild because the image of
+    a lattice is generated by the image of any basis and Hermite bases
+    are unique.
     """
     exhausted: list[tuple[int, int, int]] = []
     decided_empty: set[tuple] = set()
-    for target in range(params.stage_max + 1):
-        if not system.has_stage(target):
-            break
-        for source in range(target + 1):
-            for length in range(1, params.word_length + 1):
-                try:
-                    lattice = coboundary_stage_lattice(action, system, source, target, length)
-                except StageRangeError:
-                    continue
-                basis_rows = [lattice.column(j) for j in range(lattice.cols)]
-                if not basis_rows:
-                    continue
-                # cells with the same lattice and an identical future
-                # (stationary tail stages collapse) are decided once
-                key_stage = (
-                    min(target, system.last_declared_stage)
-                    if system.is_stationary
-                    else target
-                )
-                key = (key_stage, tuple(basis_rows))
-                if key in decided_empty:
-                    continue
-                if not _span_meets_cone(basis_rows):
-                    decided_empty.add(key)
-                    continue
-                for cand in _positive_candidates(basis_rows, params.height_bound):
-                    witness = _build_witness(system, action, cand, source, target, length, params)
-                    if witness is not None:
-                        return WitnessSearch(witness, tuple(exhausted))
-                exhausted.append((target, source, length))
-                decided_empty.add(key)
+    for target, source, length, basis_rows in _stage_lattices(system, action, params):
+        if not basis_rows:
+            continue
+        # cells with the same lattice and an identical future
+        # (stationary tail stages collapse) are decided once
+        key_stage = (
+            min(target, system.last_declared_stage)
+            if system.is_stationary
+            else target
+        )
+        key = (key_stage, tuple(basis_rows))
+        if key in decided_empty:
+            continue
+        if not _span_meets_cone(basis_rows):
+            decided_empty.add(key)
+            continue
+        for cand in _positive_candidates(basis_rows, params.height_bound):
+            witness = _build_witness(system, action, cand, source, target, length, params)
+            if witness is not None:
+                return WitnessSearch(witness, tuple(exhausted))
+        exhausted.append((target, source, length))
+        decided_empty.add(key)
     return WitnessSearch(None, tuple(exhausted))
 
 

@@ -25,6 +25,11 @@ from .bratteli import (
     FiniteSystem,
     Metadata,
     SystemDocument,
+    _expect_int,
+    _expect_list,
+    _expect_object,
+    _int_vector,
+    _reject_float,
     canonical_json_bytes,
     document_payload,
     finite_system_to_k0,
@@ -226,27 +231,29 @@ def _parse_sets_file(path: str, system: InductiveSystem, action: K0Action) -> tu
 
     try:
         with open(path, "rb") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_float=_reject_float, parse_constant=_reject_float)
+    except (OSError, json.JSONDecodeError, DocumentError) as exc:
         raise DocumentError(path, f"cannot read request sets: {exc}") from None
     if not isinstance(raw, dict) or "requests" not in raw or not isinstance(raw["requests"], list):
         raise DocumentError(path, 'expected an object with a "requests" array')
     out = []
     for i, req in enumerate(raw["requests"]):
-        if not isinstance(req, dict):
-            raise DocumentError(f"{path}:requests[{i}]", "expected an object")
+        where = f"{path}:requests[{i}]"
+        req = _expect_object(req, where)
         elements = []
-        for j, el in enumerate(req.get("elements", [])):
+        for j, el in enumerate(_expect_list(req.get("elements", []), f"{where}.elements")):
+            at = f"{where}.elements[{j}]"
             if not isinstance(el, dict) or "stage" not in el or "vector" not in el:
-                raise DocumentError(f"{path}:requests[{i}].elements[{j}]", "expected {stage, vector}")
-            elements.append(LimitElement(int(el["stage"]), tuple(int(x) for x in el["vector"])))
-        words = []
-        for j, w in enumerate(req.get("words", [])):
-            if not isinstance(w, list):
-                raise DocumentError(f"{path}:requests[{i}].words[{j}]", "expected a letter array")
-            words.append(Word.of(*(int(x) for x in w)))
+                raise DocumentError(at, "expected {stage, vector}")
+            elements.append(
+                LimitElement(_expect_int(el["stage"], f"{at}.stage"), _int_vector(el["vector"], f"{at}.vector"))
+            )
+        words = [
+            Word.of(*_int_vector(w, f"{where}.words[{j}]"))
+            for j, w in enumerate(_expect_list(req.get("words", []), f"{where}.words"))
+        ]
         if not elements:
-            raise DocumentError(f"{path}:requests[{i}]", "request needs at least one element")
+            raise DocumentError(where, "request needs at least one element")
         out.append(StateRequest(tuple(elements), tuple(words)))
     if not out:
         raise DocumentError(path, "no requests given")

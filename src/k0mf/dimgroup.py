@@ -99,8 +99,10 @@ class InductiveSystem:
         """The composite map from stage k to stage m >= k."""
         if m < k:
             raise StageRangeError("transfer target precedes source")
-        out = IntMatrix.identity(self.rank_at(k))
-        for t in range(k, m):
+        if m == k:
+            return IntMatrix.identity(self.rank_at(k))
+        out = self.connecting(k)
+        for t in range(k + 1, m):
             out = self.connecting(t) @ out
         return out
 

@@ -116,6 +116,51 @@ def test_check_mf_sets_file(tmp_path, capsys):
     assert payload["state_searches"][0]["certificate"]["functional"] == [1, 1, 1]
 
 
+def _check_mf_with_sets(tmp_path, capsys, text: str) -> tuple[int, str, str]:
+    sets_path = tmp_path / "sets.json"
+    sets_path.write_text(text)
+    return run_cli(capsys, "check-mf", str(golden_path("cycle3.json")), "--sets", str(sets_path))
+
+
+def test_check_mf_sets_rejects_float_entry(tmp_path, capsys):
+    text = '{"requests": [{"elements": [{"stage": 0, "vector": [1.9, 0, 0]}], "words": [[1]]}]}'
+    code, out, err = _check_mf_with_sets(tmp_path, capsys, text)
+    assert (code, out) == (2, "")
+    assert "floating-point" in err
+
+
+def test_check_mf_sets_rejects_bool_entry(tmp_path, capsys):
+    text = '{"requests": [{"elements": [{"stage": 0, "vector": [1, true, 0]}], "words": [[1]]}]}'
+    code, out, err = _check_mf_with_sets(tmp_path, capsys, text)
+    assert (code, out) == (2, "")
+    assert "requests[0].elements[0].vector[1]: expected an integer" in err
+
+
+def test_check_mf_sets_rejects_float_letter(tmp_path, capsys):
+    text = '{"requests": [{"elements": [{"stage": 0, "vector": [1, 0, 0]}], "words": [[1.2]]}]}'
+    code, out, err = _check_mf_with_sets(tmp_path, capsys, text)
+    assert (code, out) == (2, "")
+    assert "floating-point" in err
+
+
+def test_check_mf_sets_rejects_float_stage(tmp_path, capsys):
+    text = '{"requests": [{"elements": [{"stage": 0.0, "vector": [1, 0, 0]}], "words": [[1]]}]}'
+    code, out, err = _check_mf_with_sets(tmp_path, capsys, text)
+    assert (code, out) == (2, "")
+    assert "floating-point" in err
+
+
+def test_check_mf_sets_names_path_of_bad_letter_and_stage(tmp_path, capsys):
+    text = '{"requests": [{"elements": [{"stage": 0, "vector": [1, 0, 0]}], "words": [[1, "x"]]}]}'
+    code, _, err = _check_mf_with_sets(tmp_path, capsys, text)
+    assert code == 2
+    assert "requests[0].words[0][1]: not an integer" in err
+    text = '{"requests": [{"elements": [{"stage": false, "vector": [1, 0, 0]}], "words": [[1]]}]}'
+    code, _, err = _check_mf_with_sets(tmp_path, capsys, text)
+    assert code == 2
+    assert "requests[0].elements[0].stage: expected an integer" in err
+
+
 def test_check_mf_invalid_document(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
