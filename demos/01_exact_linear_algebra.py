@@ -1,7 +1,7 @@
 """Tour of the exact linear algebra substrate.
 
-Everything below is exact: integer matrices, unimodular transforms,
-rational simplex. Run with `python demos/01_exact_linear_algebra.py`.
+Everything below is exact: integer matrices, normal forms, lattice
+solving, rational simplex. Run with `python demos/01_exact_linear_algebra.py`.
 """
 
 import pathlib
@@ -23,11 +23,11 @@ from k0mf import (
 a = IntMatrix.from_rows([[2, 4], [6, 8]])
 print("A =", a.to_rows())
 
-# Hermite form: H = U @ A with U unimodular, echelon rows, positive pivots.
-h, u = hermite_normal_form(a)
+# Hermite form: echelon rows with positive pivots spanning the same
+# lattice as the rows of A; each row of A is an integer combination of H's.
+h = hermite_normal_form(a)
 print("H =", h.to_rows())
-print("U =", u.to_rows())
-print("U @ A == H:", u @ a == h)
+print("rows of A in the span of H:", all(solve_in_lattice(h.transpose(), a.row(i)) is not None for i in range(a.rows)))
 
 # Smith form: S = U @ A @ V, diagonal with a divisibility chain.
 s, us, vs = smith_normal_form(a)

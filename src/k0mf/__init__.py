@@ -29,7 +29,6 @@ from .certify import (
     Witness,
     WitnessSearch,
     check_k0_rfd_stationary,
-    compression_check_r1,
     exclusion_holds,
     exclusion_sets,
     find_invariant_state,

@@ -620,16 +620,6 @@ def check_k0_rfd_stationary(
     return state
 
 
-def compression_check_r1(
-    system: InductiveSystem, action: K0Action, params: SearchParams
-) -> WitnessSearch:
-    """Single-generator specialization: a witness is exactly an element
-    strictly compressed by the induced automorphism."""
-    if action.generators != 1:
-        raise ValueError("the compression check requires exactly one generator")
-    return find_positive_coboundary(system, action, params)
-
-
 def positive_parts(e: LimitElement) -> tuple[LimitElement, LimitElement]:
     """Entrywise positive and negative parts, both cone elements."""
     pos = tuple(max(x, 0) for x in e.vector)

@@ -3,8 +3,9 @@
 Subcommands: ``validate`` (parse a document and verify the action
 laws), ``check-mf`` (witness search, then invariant-state searches per
 requested element/word sets), ``chain-recurrence`` (the one-generator
-compression check), and ``convert`` (dualize a finite permutation
-system to a K0 document).
+compression check: ``run_check`` without state searches, a witness
+reported as COMPRESSION_FOUND and a miss as NONE_FOUND), and
+``convert`` (dualize a finite permutation system to a K0 document).
 
 Exit codes: 0 when a verdict was computed (whatever it says), 2 on
 invalid input. Human-readable summaries go to stderr; the canonical
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from .bratteli import (
@@ -40,7 +41,6 @@ from .certify import (
     SearchParams,
     StateCertificate,
     Witness,
-    compression_check_r1,
     exclusion_holds,
     find_invariant_state,
     find_positive_coboundary,
@@ -119,28 +119,6 @@ def run_check(
         requests=reqs,
         exhausted_cells=search.exhausted_cells,
         mutual_exclusion_ok=None,
-        elapsed=time.monotonic() - start,
-    )
-
-
-def run_chain_recurrence(
-    system: InductiveSystem, action: K0Action, params: SearchParams
-) -> Verdict:
-    start = time.monotonic()
-    search = compression_check_r1(system, action, params)
-    found = search.witness is not None
-    exclusion = None
-    if found:
-        assert search.witness is not None
-        exclusion = exclusion_holds(system, action, search.witness, params.stage_max)
-    return Verdict(
-        kind=COMPRESSION_FOUND if found else NONE_FOUND,
-        params=params,
-        witness=search.witness,
-        certificates=(),
-        requests=(),
-        exhausted_cells=search.exhausted_cells,
-        mutual_exclusion_ok=exclusion,
         elapsed=time.monotonic() - start,
     )
 
@@ -245,13 +223,24 @@ def _parse_sets_file(path: str, system: InductiveSystem, action: K0Action) -> tu
             at = f"{where}.elements[{j}]"
             if not isinstance(el, dict) or "stage" not in el or "vector" not in el:
                 raise DocumentError(at, "expected {stage, vector}")
-            elements.append(
-                LimitElement(_expect_int(el["stage"], f"{at}.stage"), _int_vector(el["vector"], f"{at}.vector"))
-            )
-        words = [
-            Word.of(*_int_vector(w, f"{where}.words[{j}]"))
-            for j, w in enumerate(_expect_list(req.get("words", []), f"{where}.words"))
-        ]
+            stage = _expect_int(el["stage"], f"{at}.stage")
+            if not system.has_stage(stage):
+                raise DocumentError(f"{at}.stage", f"stage {stage} is outside the document's stages")
+            vector = _int_vector(el["vector"], f"{at}.vector")
+            if len(vector) != system.rank_at(stage):
+                raise DocumentError(
+                    f"{at}.vector", f"length {len(vector)}, stage {stage} has rank {system.rank_at(stage)}"
+                )
+            elements.append(LimitElement(stage, vector))
+        words = []
+        for j, w in enumerate(_expect_list(req.get("words", []), f"{where}.words")):
+            letters = _int_vector(w, f"{where}.words[{j}]")
+            for k, x in enumerate(letters):
+                if not 1 <= abs(x) <= action.generators:
+                    raise DocumentError(
+                        f"{where}.words[{j}][{k}]", f"letter {x} is not a signed generator index 1..{action.generators}"
+                    )
+            words.append(Word.of(*letters))
         if not elements:
             raise DocumentError(where, "request needs at least one element")
         out.append(StateRequest(tuple(elements), tuple(words)))
@@ -316,7 +305,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_mf(args: argparse.Namespace) -> int:
+def _verified_input(args: argparse.Namespace) -> tuple[SystemDocument, InductiveSystem, K0Action] | None:
+    """Read and resolve the document and verify the action laws up to
+    --max-stage; on a failure, report it on stderr and return None."""
     doc = _read_document(args.path)
     system, action = doc.resolve()
     report = verify_action(action, system, args.max_stage)
@@ -326,7 +317,15 @@ def _cmd_check_mf(args: argparse.Namespace) -> int:
                 f"invalid action: {item.check} generator {item.generator} stage {item.stage}: {item.detail}",
                 file=sys.stderr,
             )
+        return None
+    return doc, system, action
+
+
+def _cmd_check_mf(args: argparse.Namespace) -> int:
+    verified = _verified_input(args)
+    if verified is None:
         return 2
+    doc, system, action = verified
     params = _params_from(args)
     requests = None
     if args.sets:
@@ -339,20 +338,15 @@ def _cmd_check_mf(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain_recurrence(args: argparse.Namespace) -> int:
-    doc = _read_document(args.path)
-    system, action = doc.resolve()
+    verified = _verified_input(args)
+    if verified is None:
+        return 2
+    doc, system, action = verified
     if action.generators != 1:
         print("chain-recurrence requires a single-generator document", file=sys.stderr)
         return 2
-    report = verify_action(action, system, args.max_stage)
-    if not report.ok:
-        for item in report.failures():
-            print(
-                f"invalid action: {item.check} generator {item.generator} stage {item.stage}: {item.detail}",
-                file=sys.stderr,
-            )
-        return 2
-    verdict = run_chain_recurrence(system, action, _params_from(args))
+    verdict = run_check(system, action, _params_from(args), requests=())
+    verdict = replace(verdict, kind=COMPRESSION_FOUND if verdict.kind == VIOLATION else NONE_FOUND)
     payload = verdict_payload("chain-recurrence", doc.metadata.name, verdict)
     _emit(payload, args.json_out)
     print(f"{verdict.kind} in {verdict.elapsed:.3f}s", file=sys.stderr)

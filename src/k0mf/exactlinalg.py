@@ -1,7 +1,8 @@
 """Exact integer and rational linear algebra substrate.
 
-Integer matrices with Hermite and Smith normal forms (including the
-unimodular transforms that witness them), integer linear solving with
+Integer matrices with Hermite and Smith normal forms (the Smith form
+with the unimodular transforms that witness it; the Hermite form alone,
+as callers only read its rows), integer linear solving with
 canonical kernel bases, bounded enumeration of lattice points, and an
 exact rational feasibility solver: a two-phase simplex over
 ``fractions.Fraction`` with Bland's pivoting rule, returning either an
@@ -158,29 +159,25 @@ def is_unimodular(u: IntMatrix) -> bool:
     return u.rows == u.cols and abs(determinant(u)) == 1
 
 
-def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite form: returns (H, U) with U @ a == H and U unimodular.
+def hermite_normal_form(a: IntMatrix) -> IntMatrix:
+    """Row Hermite form H of ``a``: H has the same row lattice as ``a``.
 
     H is in row echelon form with positive pivots; every entry above a
     pivot is reduced into [0, pivot). This convention is fixed so that
-    certificates derived from H are byte-reproducible.
+    certificates derived from H are byte-reproducible. The unimodular
+    transform is not kept; a caller that needs it can reduce [a | I].
     """
     m, n = a.rows, a.cols
     h = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
 
     def row_combine(r1: int, r2: int, x: int, y: int, z: int, w: int) -> None:
         # (row r1, row r2) <- (x*r1 + y*r2, z*r1 + w*r2), det [[x,y],[z,w]] = +-1
-        for mat in (h, u):
-            a1, a2 = mat[r1], mat[r2]
-            for j in range(len(a1)):
-                a1[j], a2[j] = x * a1[j] + y * a2[j], z * a1[j] + w * a2[j]
+        a1, a2 = h[r1], h[r2]
+        h[r1] = [x * s + y * t for s, t in zip(a1, a2)]
+        h[r2] = [z * s + w * t for s, t in zip(a1, a2)]
 
     def row_sub(dst: int, src: int, q: int) -> None:
-        for mat in (h, u):
-            d, s = mat[dst], mat[src]
-            for j in range(len(d)):
-                d[j] -= q * s[j]
+        h[dst] = [d - q * s for d, s in zip(h[dst], h[src])]
 
     r = 0
     for c in range(n):
@@ -189,7 +186,6 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             continue
         if pivot_row != r:
             h[r], h[pivot_row] = h[pivot_row], h[r]
-            u[r], u[pivot_row] = u[pivot_row], u[r]
         for i in range(r + 1, m):
             if h[i][c] == 0:
                 continue
@@ -201,7 +197,6 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 row_combine(r, i, x, y, -(bb // g), aa // g)
         if h[r][c] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
         piv = h[r][c]
         for i in range(r):
             q = h[i][c] // piv
@@ -210,12 +205,12 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         r += 1
         if r == m:
             break
-    return IntMatrix.from_rows(h) if m else IntMatrix.zeros(0, n), IntMatrix.from_rows(u) if m else IntMatrix.identity(0)
+    return IntMatrix.from_rows(h) if m else IntMatrix.zeros(0, n)
 
 
 def rank(a: IntMatrix) -> int:
     """Rank over the rationals, read off the Hermite form."""
-    h, _ = hermite_normal_form(a)
+    h = hermite_normal_form(a)
     return sum(1 for i in range(h.rows) if any(h.row(i)))
 
 
@@ -358,7 +353,7 @@ def row_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[int, .
             raise ValueError("vector width mismatch")
     if not vecs:
         return []
-    h, _ = hermite_normal_form(IntMatrix.from_rows(vecs))
+    h = hermite_normal_form(IntMatrix.from_rows(vecs))
     return [h.row(i) for i in range(h.rows) if any(h.row(i))]
 
 
@@ -414,16 +409,11 @@ def _frac_row(coeffs: Sequence[Rational], n: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Exact rational program: equalities a.x == b, inequalities a.x >= b.
-
-    The optional objective row is carried for callers that extend the
-    solver; the feasibility decision below does not use it.
-    """
+    """Exact rational program: equalities a.x == b, inequalities a.x >= b."""
 
     num_vars: int
     equalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     inequalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    objective: tuple[Fraction, ...] | None = None
 
     @classmethod
     def build(
@@ -431,12 +421,10 @@ class LinearProgram:
         num_vars: int,
         equalities: Iterable[tuple[Sequence[Rational], Rational]] = (),
         inequalities: Iterable[tuple[Sequence[Rational], Rational]] = (),
-        objective: Sequence[Rational] | None = None,
     ) -> "LinearProgram":
         eqs = tuple((_frac_row(a, num_vars), Fraction(b)) for a, b in equalities)
         ins = tuple((_frac_row(a, num_vars), Fraction(b)) for a, b in inequalities)
-        obj = _frac_row(objective, num_vars) if objective is not None else None
-        return cls(num_vars, eqs, ins, obj)
+        return cls(num_vars, eqs, ins)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from k0mf.certify import (
     GlobalState,
     SearchParams,
     check_k0_rfd_stationary,
-    compression_check_r1,
     exclusion_holds,
     exclusion_sets,
     find_invariant_state,
@@ -217,25 +216,23 @@ def test_rfd_rejects_non_stationary(shift_pair):
     assert "find_invariant_state" in str(err.value)
 
 
-def test_compression_check_requires_one_generator():
-    system, action = shift_with_identity_generator()
-    with pytest.raises(ValueError):
-        compression_check_r1(system, action, SHIFT_PARAMS)
+# The one-generator compression check is the witness search itself;
+# the CLI's generator-count guard is tested in test_cli.
 
 
 def test_compression_check_finite_model_none(cycle3_pair):
     system, action = cycle3_pair
-    assert compression_check_r1(system, action, SearchParams()).witness is None
+    assert find_positive_coboundary(system, action, SearchParams()).witness is None
 
 
 def test_compression_check_identity_none():
     system, action = load_golden("minimal.json").resolve()
-    assert compression_check_r1(system, action, SearchParams()).witness is None
+    assert find_positive_coboundary(system, action, SearchParams()).witness is None
 
 
 def test_compression_check_shift_witness(shift_pair):
     system, action = shift_pair
-    w = compression_check_r1(system, action, SHIFT_PARAMS).witness
+    w = find_positive_coboundary(system, action, SHIFT_PARAMS).witness
     assert w is not None and w.preimages == (LimitElement(1, (1, 0, 0)),)
 
 

@@ -116,10 +116,10 @@ def test_check_mf_sets_file(tmp_path, capsys):
     assert payload["state_searches"][0]["certificate"]["functional"] == [1, 1, 1]
 
 
-def _check_mf_with_sets(tmp_path, capsys, text: str) -> tuple[int, str, str]:
+def _check_mf_with_sets(tmp_path, capsys, text: str, doc: str = "cycle3.json") -> tuple[int, str, str]:
     sets_path = tmp_path / "sets.json"
     sets_path.write_text(text)
-    return run_cli(capsys, "check-mf", str(golden_path("cycle3.json")), "--sets", str(sets_path))
+    return run_cli(capsys, "check-mf", str(golden_path(doc)), "--sets", str(sets_path))
 
 
 def test_check_mf_sets_rejects_float_entry(tmp_path, capsys):
@@ -159,6 +159,35 @@ def test_check_mf_sets_names_path_of_bad_letter_and_stage(tmp_path, capsys):
     code, _, err = _check_mf_with_sets(tmp_path, capsys, text)
     assert code == 2
     assert "requests[0].elements[0].stage: expected an integer" in err
+
+
+# Stage 0 has rank 1 on the shift and rank 3 on cycle3; both have one generator.
+MISFIT_SETS = '{"requests":[{"elements":[{"stage":0,"vector":[1,0,0,0,0,0,0]}],"words":[[7]]}]}'
+
+
+def test_check_mf_sets_vector_must_match_stage_rank(tmp_path, capsys):
+    for doc in ("compactified_shift.json", "cycle3.json"):
+        code, out, err = _check_mf_with_sets(tmp_path, capsys, MISFIT_SETS, doc)
+        assert (code, out) == (2, ""), doc
+        assert "requests[0].elements[0].vector: length 7" in err, doc
+
+
+def test_check_mf_sets_letter_must_name_a_generator(tmp_path, capsys):
+    for doc, vector in (("compactified_shift.json", [1]), ("cycle3.json", [1, 0, 0])):
+        for letter in (7, -2, 0):
+            text = json.dumps({"requests": [{"elements": [{"stage": 0, "vector": vector}], "words": [[1, letter]]}]})
+            code, out, err = _check_mf_with_sets(tmp_path, capsys, text, doc)
+            assert (code, out) == (2, ""), (doc, letter)
+            assert f"requests[0].words[0][1]: letter {letter}" in err, (doc, letter)
+
+
+def test_check_mf_sets_stage_must_exist(tmp_path, capsys):
+    # the shift declares stages 0..3; cycle3 is stationary, so only a negative stage is missing
+    for doc, stage in (("compactified_shift.json", 4), ("compactified_shift.json", -1), ("cycle3.json", -1)):
+        text = json.dumps({"requests": [{"elements": [{"stage": stage, "vector": [1]}], "words": [[1]]}]})
+        code, out, err = _check_mf_with_sets(tmp_path, capsys, text, doc)
+        assert (code, out) == (2, ""), (doc, stage)
+        assert f"requests[0].elements[0].stage: stage {stage}" in err, (doc, stage)
 
 
 def test_check_mf_invalid_document(tmp_path, capsys):

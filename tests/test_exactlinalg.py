@@ -44,11 +44,23 @@ def is_row_hermite(h: IntMatrix) -> bool:
     return True
 
 
+def rows_in_span(rows: IntMatrix, basis: IntMatrix) -> bool:
+    """Every row of ``rows`` is an integer combination of the rows of
+    ``basis``, decided by the Smith-form solver, not by Hermite form."""
+    bt = basis.transpose()
+    return all(solve_in_lattice(bt, rows.row(i)) is not None for i in range(rows.rows))
+
+
 def check_hnf(a: IntMatrix) -> None:
-    h, u = hermite_normal_form(a)
-    assert u @ a == h
-    assert is_unimodular(u)
+    """H is Hermite, has the row lattice of ``a`` and one nonzero row
+    per unit of rank: what a unimodular U with U @ a == H certifies."""
+    h = hermite_normal_form(a)
+    assert (h.rows, h.cols) == (a.rows, a.cols)
     assert is_row_hermite(h)
+    assert rows_in_span(a, h) and rows_in_span(h, a)
+    s, _, _ = smith_normal_form(a)
+    smith_rank = sum(1 for i in range(min(s.rows, s.cols)) if s.at(i, i))
+    assert sum(1 for i in range(h.rows) if any(h.row(i))) == rank(a) == smith_rank
 
 
 def check_snf(a: IntMatrix) -> None:
@@ -80,22 +92,20 @@ def test_xgcd_basics():
 
 def test_hnf_identity():
     ident = IntMatrix.identity(3)
-    h, u = hermite_normal_form(ident)
-    assert h == ident
-    assert u == ident
+    check_hnf(ident)
+    assert hermite_normal_form(ident) == ident
 
 
 def test_hnf_zero():
     z = IntMatrix.zeros(2, 2)
-    h, u = hermite_normal_form(z)
-    assert h == z
-    assert u == IntMatrix.identity(2)
+    check_hnf(z)
+    assert hermite_normal_form(z) == z
 
 
 def test_hnf_small_example():
     a = IntMatrix.from_rows([[2, 4], [6, 8]])
     check_hnf(a)
-    h, _ = hermite_normal_form(a)
+    h = hermite_normal_form(a)
     # gcd of column 0 is 2; |det| = 8 is preserved up to the pivot product
     assert h.at(0, 0) == 2
     assert h.at(0, 0) * h.at(1, 1) == abs(determinant(a))

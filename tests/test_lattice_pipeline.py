@@ -184,6 +184,18 @@ def seeded_finite_systems(count: int):
     return out
 
 
+def seeded_three_generator_system():
+    """Three permutations of 5 points: a fresh lattice for words of
+    length 3 stacks 186 words times 5 points into one Hermite form."""
+    rng = random.Random(20261019)
+    perms = []
+    for _ in range(3):
+        p = list(range(1, 6))
+        rng.shuffle(p)
+        perms.append(tuple(p))
+    return finite_system_to_k0(FiniteSystem(5, tuple(perms)))
+
+
 CASES = (
     [(name, lambda name=name: load_golden(name).resolve()) for name in GOLDEN_NAMES]
     + [
@@ -191,6 +203,7 @@ CASES = (
         for i in range(6)
     ]
     + [
+        ("finite-3-generators", seeded_three_generator_system),
         ("shift-7-[2]", lambda: compactified_shift(7, [2])),
         ("shift-7-[1,-3]", lambda: compactified_shift(7, [1, -3])),
         ("swap-long-prefix", swap_with_long_prefix),
