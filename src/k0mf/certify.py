@@ -41,7 +41,9 @@ that order and every result while building fewer lattices:
   lattice one target stage later is the Hermite basis of its basis
   pushed through one connecting map: the image of a subgroup is
   generated by the image of any of its bases, and the Hermite form of
-  a lattice is unique. Only the previous target's bases are kept.
+  a lattice is unique. Only the previous target's bases are kept, and
+  an identity connecting map (every finite system's tail) passes a
+  basis on unchanged without reducing it again.
 """
 
 from __future__ import annotations
@@ -386,7 +388,10 @@ def _stage_lattices(
                 pushed = previous.get((source, length))
                 if pushed is not None:
                     step = system.connecting(target - 1)
-                    basis_rows = row_basis([step.apply(b) for b in pushed], system.rank_at(target))
+                    if step == IntMatrix.identity(step.rows):
+                        basis_rows = pushed
+                    else:
+                        basis_rows = row_basis([step.apply(b) for b in pushed], system.rank_at(target))
                 else:
                     try:
                         lattice = coboundary_stage_lattice(action, system, source, target, length)

@@ -8,9 +8,12 @@ reported as COMPRESSION_FOUND and a miss as NONE_FOUND), and
 ``convert`` (dualize a finite permutation system to a K0 document).
 
 Exit codes: 0 when a verdict was computed (whatever it says), 2 on
-invalid input. Human-readable summaries go to stderr; the canonical
-JSON payload goes to stdout or --json-out and is byte-identical across
-runs on identical inputs (timings are reported on stderr only).
+invalid input, 3 when a soundness check failed (a witness was found
+but an invariant state faithful on its exclusion sets exists too, so
+``mutual_exclusion_ok`` would be false); then no payload is written.
+Human-readable summaries go to stderr; the canonical JSON payload goes
+to stdout or --json-out and is byte-identical across runs on identical
+inputs (timings are reported on stderr only).
 """
 
 from __future__ import annotations
@@ -321,6 +324,18 @@ def _verified_input(args: argparse.Namespace) -> tuple[SystemDocument, Inductive
     return doc, system, action
 
 
+def _unsound(verdict: Verdict) -> bool:
+    """Report a failed mutual-exclusion check on stderr; True if it failed."""
+    if verdict.mutual_exclusion_ok is False:
+        print(
+            "error: soundness check failed: an invariant state is faithful on the "
+            "witness's exclusion sets, which the witness rules out",
+            file=sys.stderr,
+        )
+        return True
+    return False
+
+
 def _cmd_check_mf(args: argparse.Namespace) -> int:
     verified = _verified_input(args)
     if verified is None:
@@ -331,6 +346,8 @@ def _cmd_check_mf(args: argparse.Namespace) -> int:
     if args.sets:
         requests = _parse_sets_file(args.sets, system, action)
     verdict = run_check(system, action, params, requests)
+    if _unsound(verdict):
+        return 3
     payload = verdict_payload("check-mf", doc.metadata.name, verdict)
     _emit(payload, args.json_out)
     print(f"{verdict.kind} in {verdict.elapsed:.3f}s (params: {params})", file=sys.stderr)
@@ -346,6 +363,8 @@ def _cmd_chain_recurrence(args: argparse.Namespace) -> int:
         print("chain-recurrence requires a single-generator document", file=sys.stderr)
         return 2
     verdict = run_check(system, action, _params_from(args), requests=())
+    if _unsound(verdict):
+        return 3
     verdict = replace(verdict, kind=COMPRESSION_FOUND if verdict.kind == VIOLATION else NONE_FOUND)
     payload = verdict_payload("chain-recurrence", doc.metadata.name, verdict)
     _emit(payload, args.json_out)

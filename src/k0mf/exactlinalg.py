@@ -4,20 +4,22 @@ Integer matrices with Hermite and Smith normal forms (the Smith form
 with the unimodular transforms that witness it; the Hermite form alone,
 as callers only read its rows), integer linear solving with
 canonical kernel bases, bounded enumeration of lattice points, and an
-exact rational feasibility solver: a two-phase simplex over
-``fractions.Fraction`` with Bland's pivoting rule, returning either an
-exact feasible point or an exact Farkas certificate of infeasibility.
+exact rational feasibility solver: a phase-one simplex with Bland's
+pivoting rule on a fraction-free integer tableau (rows scaled to
+integers, one common denominator), returning either an exact feasible
+point or an exact Farkas certificate of infeasibility.
 
-Everything runs on Python ints and Fractions; there is no floating
-point on any verdict path. All outputs are deterministic functions of
-their inputs, so certificates built on top of this module are
-byte-reproducible.
+Everything runs on Python ints, with Fractions only in rational inputs
+and results; there is no floating point on any verdict path. All
+outputs are deterministic functions of their inputs, so certificates
+built on top of this module are byte-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 
@@ -443,66 +445,73 @@ class Infeasible:
     ineq_multipliers: tuple[Fraction, ...]
 
 
-def _pivot(tab: list[list[Fraction]], z: list[Fraction], basis: list[int], row: int, col: int) -> None:
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col]:
-            f = tab[i][col]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
-    if z[col]:
-        f = z[col]
-        for j in range(len(z)):
-            z[j] -= f * tab[row][j]
+def _pivot(tab: list[list[int]], z: list[int], basis: list[int], d: int, row: int, col: int) -> int:
+    """Fraction-free pivot on (row, col) of the tableau tab / d with
+    objective row z / d; returns the new common denominator.
+
+    Every entry stays an integer (a minor of the initial tableau), so
+    the floor divisions are exact, and the pivot row is left as it is
+    because the new denominator is its pivot entry.
+    """
+    prow = tab[row]
+    p = prow[col]
+    for i, r in enumerate(tab):
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            tab[i] = [(x * p - f * y) // d for x, y in zip(r, prow)]
+        elif p != d:
+            tab[i] = [x * p // d for x in r]
+    f = z[col]
+    z[:] = [(x * p - f * y) // d for x, y in zip(z, prow)]
     basis[row] = col
+    return p
 
 
 def _phase_one(
-    rows: list[list[Fraction]], rhs: list[Fraction], width: int
+    rows: list[list[int]], rhs: list[int], width: int
 ) -> tuple[bool, list[Fraction] | None, list[Fraction] | None]:
     """Minimise the sum of artificial variables over rows @ x == rhs, x >= 0.
 
-    rhs must be >= 0. Returns (feasible, structural point, phase-1 duals).
-    Bland's rule (smallest entering index; smallest basis index on ratio
-    ties) guarantees termination.
+    rows and rhs are integers and rhs must be >= 0. The tableau is kept
+    all-integer under one positive common denominator d (the true
+    tableau is tab / d; Bareiss/Edmonds integer pivoting), which makes
+    the same pivots as a rational tableau: ratios are compared by
+    cross-multiplication and d > 0 keeps every sign. Returns (feasible,
+    structural point, phase-1 duals). Bland's rule (smallest entering
+    index; smallest basis index on ratio ties) guarantees termination.
     """
     m = len(rows)
     ncols = width + m
-    tab = [
-        [Fraction(x) for x in rows[i]]
-        + [Fraction(1 if t == i else 0) for t in range(m)]
-        + [Fraction(rhs[i])]
-        for i in range(m)
-    ]
+    tab = [rows[i] + [1 if t == i else 0 for t in range(m)] + [rhs[i]] for i in range(m)]
     basis = [width + i for i in range(m)]
-    z = [Fraction(0)] * (ncols + 1)
-    for j in range(ncols + 1):
-        cj = Fraction(1) if width <= j < ncols else Fraction(0)
-        z[j] = cj - sum(tab[i][j] for i in range(m))
+    z = [(1 if width <= j < ncols else 0) - sum(r[j] for r in tab) for j in range(ncols + 1)]
+    d = 1
     while True:
         enter = next((j for j in range(ncols) if z[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(m):
-            aij = tab[i][enter]
-            if aij > 0:
-                ratio = tab[i][ncols] / aij
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+        for i, r in enumerate(tab):
+            if r[enter] > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                here = r[ncols] * tab[leave][enter]
+                best = tab[leave][ncols] * r[enter]
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise RuntimeError("phase-1 objective unbounded; input corrupted")
-        _pivot(tab, z, basis, leave, enter)
-    objective = -z[ncols]
-    if objective > 0:
-        duals = [Fraction(1) - z[width + i] for i in range(m)]
+        d = _pivot(tab, z, basis, d, leave, enter)
+    if z[ncols] < 0:  # the objective -z[ncols] / d is positive
+        duals = [Fraction(d - z[width + i], d) for i in range(m)]
         return False, None, duals
     point = [Fraction(0)] * width
     for i, b in enumerate(basis):
         if b < width:
-            point[b] = tab[i][ncols]
+            point[b] = Fraction(tab[i][ncols], d)
     return True, point, None
 
 
@@ -541,26 +550,24 @@ def lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
     re-verifies exactly. Both are checked before returning.
     """
     n = program.num_vars
+    n_eq = len(program.equalities)
     n_ineq = len(program.inequalities)
     width = 2 * n + n_ineq  # x+ | x- | surplus
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    signs: list[int] = []
-    for coeffs, b in program.equalities:
-        row = list(coeffs) + [-c for c in coeffs] + [Fraction(0)] * n_ineq
-        sign = 1 if b >= 0 else -1
-        rows.append([sign * c for c in row])
-        rhs.append(sign * b)
-        signs.append(sign)
-    for idx, (coeffs, b) in enumerate(program.inequalities):
-        row = list(coeffs) + [-c for c in coeffs] + [Fraction(0)] * n_ineq
-        row[2 * n + idx] = Fraction(-1)
-        sign = 1 if b >= 0 else -1
-        rows.append([sign * c for c in row])
-        rhs.append(sign * b)
-        signs.append(sign)
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    scales: list[int] = []  # tableau row k is scales[k] * constraint k (before its surplus)
+    for k, (coeffs, b) in enumerate(program.equalities + program.inequalities):
+        scale = lcm(b.denominator, *(c.denominator for c in coeffs))
+        if b < 0:
+            scale = -scale
+        a = [c.numerator * (scale // c.denominator) for c in coeffs]
+        row = a + [-x for x in a] + [0] * n_ineq
+        if k >= n_eq:
+            row[2 * n + k - n_eq] = -1 if b >= 0 else 1
+        rows.append(row)
+        rhs.append(b.numerator * (scale // b.denominator))
+        scales.append(scale)
     feasible, point, duals = _phase_one(rows, rhs, width)
-    n_eq = len(program.equalities)
     if feasible:
         assert point is not None
         x = tuple(point[j] - point[n + j] for j in range(n))
@@ -568,8 +575,8 @@ def lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
             raise AssertionError("simplex returned a non-feasible point")
         return Feasible(x)
     assert duals is not None
-    eq_mult = tuple(signs[i] * duals[i] for i in range(n_eq))
-    ineq_mult = tuple(signs[n_eq + i] * duals[n_eq + i] for i in range(n_ineq))
+    eq_mult = tuple(scales[i] * duals[i] for i in range(n_eq))
+    ineq_mult = tuple(scales[n_eq + i] * duals[n_eq + i] for i in range(n_ineq))
     cert = Infeasible(eq_mult, ineq_mult)
     if not verify_farkas(program, cert):
         raise AssertionError("simplex returned an invalid Farkas certificate")
