@@ -10,10 +10,11 @@ JSON is the single source format. A document carries exactly one of
 
 plus an ``action`` block for the first two kinds (a finite system
 induces its own action by dualization). Integers may be written as JSON
-numbers or as decimal strings (for very large values); floats are
-rejected everywhere. Serialization is canonical: sorted keys, two-space
-indent, plain integers, trailing newline, so golden files and
-certificates are byte-stable.
+numbers or as ASCII decimal strings (``-?[0-9]+``, for very large
+values); floats, NaN and infinities are rejected with the JSON path of
+the field. Serialization is canonical: sorted keys, two-space indent,
+plain integers, trailing newline, so golden files and certificates are
+byte-stable.
 
 Validation errors carry the JSON path of the offending field.
 """
@@ -21,6 +22,7 @@ Validation errors carry the JSON path of the offending field.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Any
 
@@ -29,6 +31,8 @@ from .exactlinalg import IntMatrix
 from .kaction import K0Action, StageMap, StationaryRule
 
 SCHEMA_VERSION = 1
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class DocumentError(ValueError):
@@ -195,10 +199,6 @@ def finite_system_to_k0(fs: FiniteSystem) -> tuple[InductiveSystem, K0Action]:
 # ---------------------------------------------------------------------------
 
 
-def _reject_float(_: str) -> Any:
-    raise DocumentError("$", "floating-point numbers are not allowed")
-
-
 def _expect_object(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise DocumentError(path, "expected an object")
@@ -216,11 +216,15 @@ def _expect_int(value: Any, path: str) -> int:
         raise DocumentError(path, "expected an integer")
     if isinstance(value, int):
         return value
+    if isinstance(value, float):
+        raise DocumentError(path, "floating-point numbers are not allowed")
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise DocumentError(path, f"not an integer: {value!r}") from None
+        if _DECIMAL.fullmatch(value):
+            try:
+                return int(value, 10)
+            except ValueError:  # past the interpreter's digit limit
+                pass
+        raise DocumentError(path, f"not an integer: {value!r}")
     raise DocumentError(path, "expected an integer (number or decimal string)")
 
 
@@ -400,11 +404,7 @@ def parse(data: bytes | str) -> SystemDocument:
         except UnicodeDecodeError as exc:
             raise DocumentError("$", f"not UTF-8: {exc}") from None
     try:
-        raw = json.loads(
-            data,
-            parse_float=_reject_float,
-            parse_constant=lambda name: _reject_float(name),
-        )
+        raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"invalid JSON: {exc}") from None
     raw = _expect_object(raw, "$")

@@ -32,11 +32,13 @@ deterministic and certificates byte-reproducible. Two shortcuts keep
 that order and every result while building fewer lattices:
 
 * On a stationary system the stage ranks, connecting maps and letter
-  maps repeat from stage P = max(last declared stage, longest declared
-  action family) on, so a cell whose source stage exceeds P is the
-  translate of the cell one stage earlier in both coordinates. It has
-  the same lattice and the same dedup key, and that cell was decided
-  one target stage earlier, so it is skipped unbuilt.
+  maps repeat from stage P = ``kaction.repeat_stage`` on (the last
+  declared stage or the longest declared action family, whichever is
+  later; the action verifier stops at the same P), so a cell whose
+  source stage exceeds P is the translate of the cell one stage
+  earlier in both coordinates. It has the same lattice and the same
+  dedup key, and that cell was decided one target stage earlier, so it
+  is skipped unbuilt.
 * Once a (source, length) cell has a lattice at some target stage, the
   lattice one target stage later is the Hermite basis of its basis
   pushed through one connecting map: the image of a subgroup is
@@ -71,7 +73,7 @@ from .exactlinalg import (
     row_basis,
     solve_in_lattice,
 )
-from .kaction import K0Action, Word, apply_word, coboundary, coboundary_stage_lattice
+from .kaction import K0Action, Word, apply_word, coboundary, coboundary_stage_lattice, repeat_stage
 
 
 @dataclass(frozen=True)
@@ -352,18 +354,6 @@ def _build_witness(
     return witness
 
 
-def _repeat_stage(system: InductiveSystem, action: K0Action) -> int | None:
-    """Stage from which ranks, connecting maps and letter maps repeat
-    (None without a stationary tail)."""
-    if not system.is_stationary:
-        return None
-    return max(
-        [system.last_declared_stage]
-        + [len(f) for f in action.forward]
-        + [len(f) for f in action.inverse]
-    )
-
-
 def _stage_lattices(
     system: InductiveSystem, action: K0Action, params: SearchParams
 ) -> Iterator[tuple[int, int, int, list[tuple[int, ...]]]]:
@@ -375,7 +365,7 @@ def _stage_lattices(
     target's basis when there is one (see the module docstring). Cells
     whose target stage cannot receive every word image are not yielded.
     """
-    repeat = _repeat_stage(system, action)
+    repeat = repeat_stage(action, system)
     previous: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for target in range(params.stage_max + 1):
         if not system.has_stage(target):

@@ -33,7 +33,6 @@ from .bratteli import (
     _expect_list,
     _expect_object,
     _int_vector,
-    _reject_float,
     canonical_json_bytes,
     document_payload,
     finite_system_to_k0,
@@ -212,8 +211,8 @@ def _parse_sets_file(path: str, system: InductiveSystem, action: K0Action) -> tu
 
     try:
         with open(path, "rb") as fh:
-            raw = json.load(fh, parse_float=_reject_float, parse_constant=_reject_float)
-    except (OSError, json.JSONDecodeError, DocumentError) as exc:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
         raise DocumentError(path, f"cannot read request sets: {exc}") from None
     if not isinstance(raw, dict) or "requests" not in raw or not isinstance(raw["requests"], list):
         raise DocumentError(path, 'expected an object with a "requests" array')

@@ -11,12 +11,15 @@ This module provides word application, the coboundary combination
 sum_j (g_j - a_j(g_j)) over the generators, finite-stage lattices
 approximating the group generated by all word differences, and an
 itemised verifier for the order-automorphism laws (positivity,
-commuting squares, unit preservation, inverse laws).
+commuting squares, unit preservation, inverse laws). ``repeat_stage``
+says from which stage stationary data repeats, for the verifier and
+the witness search alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
 from .dimgroup import InductiveSystem, LimitElement, StageRangeError, push
@@ -248,14 +251,16 @@ class ActionReport:
         return [item for item in self.items if not item.ok]
 
 
-def _interesting_horizon(action: K0Action, system: InductiveSystem, horizon: int) -> int:
-    """Stationary data repeats, so cap the verified stages past the prefixes."""
-    prefix = max(
-        [len(system.stage_ranks)]
+def repeat_stage(action: K0Action, system: InductiveSystem) -> int | None:
+    """Stage from which ranks, connecting maps and letter maps repeat
+    (None without a stationary tail)."""
+    if not system.is_stationary:
+        return None
+    return max(
+        [system.last_declared_stage]
         + [len(f) for f in action.forward]
         + [len(f) for f in action.inverse]
     )
-    return min(horizon, prefix + 1)
 
 
 def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> ActionReport:
@@ -265,17 +270,31 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
     shape agreement with the stage ranks, unit preservation, commuting
     squares with the connecting maps, and both inverse laws (forward
     then inverse, and inverse then forward, each equal to the plain
-    pushforward). Failures are report items, never exceptions.
-    """
-    items: list[CheckItem] = []
-    top = _interesting_horizon(action, system, horizon)
+    pushforward). Failures are report items, never exceptions; a
+    negative horizon is a ValueError.
 
-    def resolve(j: int, k: int, inv: bool) -> StageMap | None:
+    Stages 0..horizon are checked, but none past ``repeat_stage``: from
+    there on ranks, connecting maps and letter maps are the tail's, so
+    every shape, positivity, commuting-square and inverse-law check is
+    the one at the repeat stage, and unit preservation at k + 1 follows
+    from the square and unit preservation at k.
+    """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    repeat = repeat_stage(action, system)
+    top = horizon if repeat is None else min(horizon, repeat)
+    items: list[CheckItem] = []
+
+    @cache
+    def resolve(j: int, k: int, inv: bool) -> tuple[StageMap | None, bool]:
+        """Generator j's map out of stage k and whether its shape fits the
+        stage ranks; (None, False) without a map into a declared stage."""
         try:
             sm = action.inverse_map(j, k) if inv else action.forward_map(j, k)
-        except StageRangeError:
-            return None
-        return sm if system.has_stage(sm.to_stage) else None
+            shape = (system.rank_at(sm.to_stage), system.rank_at(k))
+        except StageRangeError:  # no map, or one into an undeclared stage
+            return None, False
+        return sm, (sm.matrix.rows, sm.matrix.cols) == shape
 
     for j in range(action.generators):
         gen = j + 1
@@ -283,15 +302,14 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
             if not system.has_stage(k):
                 break
             for inv, tag in ((False, "forward"), (True, "inverse")):
-                sm = resolve(j, k, inv)
+                sm, fits = resolve(j, k, inv)
                 if sm is None:
                     continue
-                expected = (system.rank_at(sm.to_stage), system.rank_at(k))
-                if (sm.matrix.rows, sm.matrix.cols) != expected:
+                if not fits:
                     items.append(
                         CheckItem(
                             "shape", gen, k, False,
-                            f"{tag} map is {sm.matrix.rows}x{sm.matrix.cols}, expected {expected[0]}x{expected[1]}",
+                            f"{tag} map is {sm.matrix.rows}x{sm.matrix.cols}, expected {system.rank_at(sm.to_stage)}x{system.rank_at(k)}",
                         )
                     )
                     continue
@@ -324,13 +342,8 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                 )
             # commuting squares per direction
             for inv, tag in ((False, "forward"), (True, "inverse")):
-                sm_k = resolve(j, k, inv)
-                sm_k1 = resolve(j, k + 1, inv)
-                if sm_k is None or sm_k1 is None or not system.has_stage(k + 1):
-                    continue
-                if (sm_k.matrix.rows, sm_k.matrix.cols) != (system.rank_at(sm_k.to_stage), system.rank_at(k)):
-                    continue
-                if (sm_k1.matrix.rows, sm_k1.matrix.cols) != (system.rank_at(sm_k1.to_stage), system.rank_at(k + 1)):
+                (sm_k, fits_k), (sm_k1, fits_k1) = resolve(j, k, inv), resolve(j, k + 1, inv)
+                if not (fits_k and fits_k1):
                     continue
                 lhs = sm_k1.matrix @ system.transfer(k, k + 1)
                 rhs = system.transfer(sm_k.to_stage, sm_k1.to_stage) @ sm_k.matrix
@@ -342,17 +355,11 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                 )
             # inverse laws: each composite must equal the pushforward
             for first_inv, tag in ((False, "forward-then-inverse"), (True, "inverse-then-forward")):
-                sm1 = resolve(j, k, first_inv)
-                if sm1 is None:
+                sm1, fits1 = resolve(j, k, first_inv)
+                if not fits1:
                     continue
-                sm2 = resolve(j, sm1.to_stage, not first_inv)
-                if sm2 is None:
-                    continue
-                shapes_ok = (
-                    (sm1.matrix.rows, sm1.matrix.cols) == (system.rank_at(sm1.to_stage), system.rank_at(k))
-                    and (sm2.matrix.rows, sm2.matrix.cols) == (system.rank_at(sm2.to_stage), system.rank_at(sm1.to_stage))
-                )
-                if not shapes_ok:
+                sm2, fits2 = resolve(j, sm1.to_stage, not first_inv)
+                if not fits2:
                     continue
                 lhs = sm2.matrix @ sm1.matrix
                 rhs = system.transfer(k, sm2.to_stage)

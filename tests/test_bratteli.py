@@ -11,6 +11,7 @@ from k0mf.bratteli import (
     FiniteSystem,
     Metadata,
     SystemDocument,
+    _expect_int,
     diagram_to_system,
     finite_system_to_k0,
     parse,
@@ -56,8 +57,49 @@ def test_parse_error_names_field():
 
 
 def test_parse_rejects_floats():
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError) as err:
         parse('{"schema_version": 1.0}')
+    assert str(err.value) == "$.schema_version: floating-point numbers are not allowed"
+    for text, path in (
+        ('{"schema_version": 1, "finite_system": {"points": NaN, "permutations": [[1]]}}', "$.finite_system.points"),
+        ('{"schema_version": 1, "finite_system": {"points": 1, "permutations": [[1e0]]}}', "$.finite_system.permutations[0][0]"),
+        ('{"schema_version": 1, "finite_system": {"points": 1, "permutations": [[-Infinity]]}}', "$.finite_system.permutations[0][0]"),
+    ):
+        with pytest.raises(DocumentError) as err:
+            parse(text)
+        assert err.value.path == path and "floating-point" in err.value.reason
+    # a float where no integer belongs gets that leaf's type error and path
+    with pytest.raises(DocumentError) as err:
+        parse('{"schema_version": 1, "metadata": {"name": 2.5}, "finite_system": {"points": 1, "permutations": [[1]]}}')
+    assert err.value.path == "$.metadata.name"
+
+
+@pytest.mark.parametrize(
+    "field, path",
+    [
+        ({"schema_version": "0_1"}, "$.schema_version"),
+        ({"points": " 3\n"}, "$.finite_system.points"),
+        ({"first": "\u0662"}, "$.finite_system.permutations[0][0]"),
+        ({"last": "+1"}, "$.finite_system.permutations[0][2]"),
+    ],
+    ids=["underscore", "whitespace", "arabic-indic-digit", "plus-sign"],
+)
+def test_parse_rejects_integer_strings_outside_ascii_decimal(field, path):
+    """Only -?[0-9]+ is an integer string; int() alone would accept all four."""
+    perm = [field.get("first", 2), 3, field.get("last", 1)]
+    doc = {
+        "schema_version": field.get("schema_version", 1),
+        "finite_system": {"points": field.get("points", 3), "permutations": [perm]},
+    }
+    with pytest.raises(DocumentError) as err:
+        parse(json.dumps(doc))
+    assert err.value.path == path and "not an integer" in err.value.reason
+
+
+def test_parse_keeps_ascii_decimal_strings():
+    doc = parse('{"schema_version": "1", "finite_system": {"points": "3", "permutations": [["2", "03", "1"]]}}')
+    assert doc.finite_system == FiniteSystem(3, ((2, 3, 1),))
+    assert [_expect_int(text, "$") for text in ("-12", "007", "-0")] == [-12, 7, 0]
 
 
 def test_parse_rejects_unknown_version():

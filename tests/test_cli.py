@@ -48,22 +48,33 @@ def test_validate_negative_entry_names_field(tmp_path, capsys):
     assert "edge_matrices[0][1][0]" in err
 
 
+UNIT_BREAKING_DOC = {
+    "schema_version": 1,
+    "system": {"stage_ranks": [2], "connecting_maps": [], "unit": [1, 1], "stationary": [[1, 0], [0, 1]]},
+    "action": {
+        "generators": 1,
+        "forward": [[]],
+        "inverse": [[]],
+        "stationary": [{"shift": 0, "forward": [[2, 0], [0, 1]], "inverse": [[2, 0], [0, 1]]}],
+    },
+}
+
+
 def test_validate_unit_preservation_failure_names_generator_and_stage(tmp_path, capsys):
-    doc = {
-        "schema_version": 1,
-        "system": {"stage_ranks": [2], "connecting_maps": [], "unit": [1, 1], "stationary": [[1, 0], [0, 1]]},
-        "action": {
-            "generators": 1,
-            "forward": [[]],
-            "inverse": [[]],
-            "stationary": [{"shift": 0, "forward": [[2, 0], [0, 1]], "inverse": [[2, 0], [0, 1]]}],
-        },
-    }
     path = tmp_path / "unit.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(UNIT_BREAKING_DOC))
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 2
     assert "unit_preserved" in err and "generator 1" in err and "stage 0" in err
+
+
+def test_negative_max_stage_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(UNIT_BREAKING_DOC))
+    for command in ("validate", "check-mf", "chain-recurrence"):
+        code, out, err = run_cli(capsys, command, str(path), "--max-stage", "-1")
+        assert (code, out) == (2, "")
+        assert "horizon must be >= 0" in err
 
 
 def test_check_mf_shift_violation(capsys):
@@ -126,7 +137,7 @@ def test_check_mf_sets_rejects_float_entry(tmp_path, capsys):
     text = '{"requests": [{"elements": [{"stage": 0, "vector": [1.9, 0, 0]}], "words": [[1]]}]}'
     code, out, err = _check_mf_with_sets(tmp_path, capsys, text)
     assert (code, out) == (2, "")
-    assert "floating-point" in err
+    assert "requests[0].elements[0].vector[0]: floating-point numbers are not allowed" in err
 
 
 def test_check_mf_sets_rejects_bool_entry(tmp_path, capsys):
@@ -140,14 +151,14 @@ def test_check_mf_sets_rejects_float_letter(tmp_path, capsys):
     text = '{"requests": [{"elements": [{"stage": 0, "vector": [1, 0, 0]}], "words": [[1.2]]}]}'
     code, out, err = _check_mf_with_sets(tmp_path, capsys, text)
     assert (code, out) == (2, "")
-    assert "floating-point" in err
+    assert "requests[0].words[0][0]: floating-point numbers are not allowed" in err
 
 
 def test_check_mf_sets_rejects_float_stage(tmp_path, capsys):
     text = '{"requests": [{"elements": [{"stage": 0.0, "vector": [1, 0, 0]}], "words": [[1]]}]}'
     code, out, err = _check_mf_with_sets(tmp_path, capsys, text)
     assert (code, out) == (2, "")
-    assert "floating-point" in err
+    assert "requests[0].elements[0].stage: floating-point numbers are not allowed" in err
 
 
 def test_check_mf_sets_names_path_of_bad_letter_and_stage(tmp_path, capsys):

@@ -20,14 +20,20 @@ from k0mf.certify import (
     WitnessSearch,
     _build_witness,
     _positive_candidates,
-    _repeat_stage,
     _span_meets_cone,
     _stage_lattices,
     find_positive_coboundary,
 )
 from k0mf.dimgroup import InductiveSystem, StageRangeError
 from k0mf.exactlinalg import IntMatrix
-from k0mf.kaction import K0Action, StageMap, StationaryRule, coboundary_stage_lattice, verify_action
+from k0mf.kaction import (
+    K0Action,
+    StageMap,
+    StationaryRule,
+    coboundary_stage_lattice,
+    repeat_stage,
+    verify_action,
+)
 
 M = IntMatrix.from_rows
 
@@ -227,12 +233,12 @@ def box(request):
 
 def test_long_prefix_cases_repeat_past_the_system_prefix():
     for system, action in (swap_with_long_prefix(), unipotent_with_long_prefix()):
-        assert _repeat_stage(system, action) == 3 > system.last_declared_stage
+        assert repeat_stage(action, system) == 3 > system.last_declared_stage
 
 
 def test_pipeline_bases_equal_fresh_lattices(case, box):
     system, action = case
-    repeat = _repeat_stage(system, action)
+    repeat = repeat_stage(action, system)
     yielded = [(t, s, n, basis) for t, s, n, basis in _stage_lattices(system, action, box)]
     expected = []
     for target in range(box.stage_max + 1):

@@ -1,10 +1,13 @@
-"""Pinned stdout bytes and exit codes of ``check-mf`` and ``chain-recurrence``.
+"""Pinned stdout bytes and exit codes of ``check-mf``, ``chain-recurrence``
+and ``validate``.
 
-The digests were recorded from the fraction-based simplex, before the
-exact LP moved to an integer tableau, on every bundled document at the
-default box and at ``--max-stage 6 --word-length 3``. Any change to a
-verdict, a witness, a certificate or the canonical JSON encoding shows
-here; a change that is meant must name itself and renew the digests.
+The ``check-mf`` and ``chain-recurrence`` digests were recorded from the
+fraction-based simplex, before the exact LP moved to an integer tableau,
+on every bundled document at the default box and at ``--max-stage 6
+--word-length 3``. The ``validate`` digests were recorded once the action
+verifier stopped at the repeat stage. Any change to a verdict, a witness,
+a certificate, a check item or the canonical JSON encoding shows here; a
+change that is meant must name itself and renew the digests.
 """
 
 import hashlib
@@ -52,6 +55,18 @@ STDOUT_SHA256 = {
     ("two_transpositions", "check-mf", "default"): "1c061557315f6a8a08cce1243bbaf189d1840881e516e2e11f8b843f7fa0611f",
 }
 
+# document -> sha256 of ``validate`` stdout, the same at both boxes: both
+# reach past every bundled document's repeat stage or last declared stage
+VALIDATE_SHA256 = {
+    "car_identity": "9cd0ba6b5053ebfda79bbf028faa9c870b626b91eb99b2a0f8f1e03c8213d233",
+    "compactified_shift": "df75b0553f4e6493689d331563c2890b1689c40b2605372be8a717b67ebb3053",
+    "cycle3": "9b08be89f493c45b59e4d017ef02dc3efb2e14560cb84f2a98000933c1b7f8e6",
+    "diamond": "a3a08bddd03b4f31384c6b5d57fea2b1c5077f1ec49ba47e934a7736d9318072",
+    "fibonacci_identity": "14c8055963fe874b3a4bda92004706c39efd0a68fd62b26e6b3aaa40db85de94",
+    "minimal": "fcc3efb64e67e4d138d0cbefbc528174a984fad181c3fed9038b252b0dbad68f",
+    "two_transpositions": "e1340a7648f62a53eff32d13448628b6384184ccd2cce52e8c5d9db04f03fd26",
+}
+
 
 def run_bytes(capsysbinary, *argv) -> tuple[int, bytes, bytes]:
     code = cli.main(list(argv))
@@ -68,6 +83,14 @@ def test_stdout_bytes_pinned(capsysbinary, name, command, box):
     expected = STDOUT_SHA256[(doc, command, box)]
     assert code == (2 if expected == EMPTY else 0)
     assert hashlib.sha256(out).hexdigest() == expected
+
+
+@pytest.mark.parametrize("box", sorted(BOXES))
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_validate_bytes_pinned(capsysbinary, name, box):
+    code, out, _ = run_bytes(capsysbinary, "validate", str(golden_path(name)), *BOXES[box])
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == VALIDATE_SHA256[name.removesuffix(".json")]
 
 
 @pytest.mark.parametrize("command", ["check-mf", "chain-recurrence"])
