@@ -10,11 +10,12 @@ JSON is the single source format. A document carries exactly one of
 
 plus an ``action`` block for the first two kinds (a finite system
 induces its own action by dualization). Integers may be written as JSON
-numbers or as ASCII decimal strings (``-?[0-9]+``, for very large
-values); floats, NaN and infinities are rejected with the JSON path of
-the field. Serialization is canonical: sorted keys, two-space indent,
-plain integers, trailing newline, so golden files and certificates are
-byte-stable.
+numbers or as ASCII decimal strings (``-?[0-9]+``), either of any
+length: past the interpreter's integer-string digit limit they are
+converted in chunks. Floats, NaN and infinities are rejected with the
+JSON path of the field. Serialization is canonical: sorted keys,
+two-space indent, plain integers, trailing newline, so golden files and
+certificates are byte-stable.
 
 Validation errors carry the JSON path of the offending field.
 """
@@ -33,6 +34,44 @@ from .kaction import K0Action, StageMap, StationaryRule
 SCHEMA_VERSION = 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+
+# Decimal conversions split their digits into chunks of at most this
+# many, the least digit limit an interpreter can be set to, so no
+# integer of any length ever meets the interpreter's limit.
+_CHUNK_DIGITS = 640
+
+
+def _decimal_int(text: str) -> int:
+    """The integer an ASCII decimal string ``-?[0-9]+`` of any length
+    denotes (halves converted recursively, then joined)."""
+    if text.startswith("-"):
+        return -_decimal_int(text[1:])
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    half = len(text) // 2
+    return _decimal_int(text[:half]) * 10 ** (len(text) - half) + _decimal_int(text[half:])
+
+
+def _decimal_str(n: int, width: int = 0) -> str:
+    """``str(n)`` for an integer of any length, zero-padded to ``width``."""
+    if n < 0:
+        return "-" + _decimal_str(-n)
+    if n.bit_length() <= 3 * _CHUNK_DIGITS:  # then n has under 580 digits
+        return str(n).zfill(width)
+    low = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, rest = divmod(n, 10**low)
+    return _decimal_str(high, width - low) + _decimal_str(rest, low)
+
+
+def _load_json(data: str | bytes) -> Any:
+    """``json.loads``; only when an integer literal exceeds the
+    interpreter's digit limit, decode again with ``_decimal_int``."""
+    try:
+        return json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError:  # an integer literal past the digit limit
+        return json.loads(data, parse_int=_decimal_int)
 
 
 class DocumentError(ValueError):
@@ -106,8 +145,9 @@ class FiniteSystem:
         if not self.permutations:
             raise ValueError("need at least one generator permutation")
         for i, perm in enumerate(self.permutations):
-            if sorted(perm) != list(range(1, self.points + 1)):
-                raise ValueError(f"permutation {i} is not a bijection of 1..{self.points}")
+            # the length check first: ``points`` may be far too large for a range
+            if len(perm) != self.points or sorted(perm) != list(range(1, self.points + 1)):
+                raise ValueError(f"permutation {i} is not a bijection of 1..{_decimal_str(self.points)}")
 
 
 @dataclass(frozen=True)
@@ -220,16 +260,16 @@ def _expect_int(value: Any, path: str) -> int:
         raise DocumentError(path, "floating-point numbers are not allowed")
     if isinstance(value, str):
         if _DECIMAL.fullmatch(value):
-            try:
-                return int(value, 10)
-            except ValueError:  # past the interpreter's digit limit
-                pass
+            return _decimal_int(value)
         raise DocumentError(path, f"not an integer: {value!r}")
     raise DocumentError(path, "expected an integer (number or decimal string)")
 
 
 def _int_vector(value: Any, path: str) -> tuple[int, ...]:
-    return tuple(_expect_int(x, f"{path}[{i}]") for i, x in enumerate(_expect_list(value, path)))
+    items = _expect_list(value, path)
+    if all(type(x) is int for x in items):  # plain ints (not bools) need no check
+        return tuple(items)
+    return tuple(_expect_int(x, f"{path}[{i}]") for i, x in enumerate(items))
 
 
 def _int_matrix(value: Any, path: str) -> IntMatrix:
@@ -404,7 +444,7 @@ def parse(data: bytes | str) -> SystemDocument:
         except UnicodeDecodeError as exc:
             raise DocumentError("$", f"not UTF-8: {exc}") from None
     try:
-        raw = json.loads(data)
+        raw = _load_json(data)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"invalid JSON: {exc}") from None
     raw = _expect_object(raw, "$")
@@ -413,7 +453,7 @@ def parse(data: bytes | str) -> SystemDocument:
         raise DocumentError("$.schema_version", "missing field")
     version = _expect_int(raw["schema_version"], "$.schema_version")
     if version != SCHEMA_VERSION:
-        raise DocumentError("$.schema_version", f"unsupported version {version}")
+        raise DocumentError("$.schema_version", f"unsupported version {_decimal_str(version)}")
     metadata = _parse_metadata(raw.get("metadata"), "$.metadata")
     kinds = [k for k in ("system", "diagram", "finite_system") if k in raw]
     if len(kinds) != 1:

@@ -29,10 +29,12 @@ from .bratteli import (
     FiniteSystem,
     Metadata,
     SystemDocument,
+    _decimal_str,
     _expect_int,
     _expect_list,
     _expect_object,
     _int_vector,
+    _load_json,
     canonical_json_bytes,
     document_payload,
     finite_system_to_k0,
@@ -211,7 +213,7 @@ def _parse_sets_file(path: str, system: InductiveSystem, action: K0Action) -> tu
 
     try:
         with open(path, "rb") as fh:
-            raw = json.load(fh)
+            raw = _load_json(fh.read())
     except (OSError, json.JSONDecodeError) as exc:
         raise DocumentError(path, f"cannot read request sets: {exc}") from None
     if not isinstance(raw, dict) or "requests" not in raw or not isinstance(raw["requests"], list):
@@ -227,7 +229,7 @@ def _parse_sets_file(path: str, system: InductiveSystem, action: K0Action) -> tu
                 raise DocumentError(at, "expected {stage, vector}")
             stage = _expect_int(el["stage"], f"{at}.stage")
             if not system.has_stage(stage):
-                raise DocumentError(f"{at}.stage", f"stage {stage} is outside the document's stages")
+                raise DocumentError(f"{at}.stage", f"stage {_decimal_str(stage)} is outside the document's stages")
             vector = _int_vector(el["vector"], f"{at}.vector")
             if len(vector) != system.rank_at(stage):
                 raise DocumentError(
@@ -240,7 +242,8 @@ def _parse_sets_file(path: str, system: InductiveSystem, action: K0Action) -> tu
             for k, x in enumerate(letters):
                 if not 1 <= abs(x) <= action.generators:
                     raise DocumentError(
-                        f"{where}.words[{j}][{k}]", f"letter {x} is not a signed generator index 1..{action.generators}"
+                        f"{where}.words[{j}][{k}]",
+                        f"letter {_decimal_str(x)} is not a signed generator index 1..{action.generators}",
                     )
             words.append(Word.of(*letters))
         if not elements:

@@ -67,6 +67,8 @@ class InductiveSystem:
                 raise ValueError(f"propagated unit degenerates at stage {k + 1}")
         # eagerly propagated units: certificates reference them per stage
         object.__setattr__(self, "_prefix_units", tuple(units))
+        # k -> [transfer(k, k + 1), transfer(k, k + 2), ...], grown on demand
+        object.__setattr__(self, "_transfers", {})
 
     # -- stage bookkeeping -------------------------------------------------
 
@@ -96,15 +98,23 @@ class InductiveSystem:
         return self.stationary_tail
 
     def transfer(self, k: int, m: int) -> IntMatrix:
-        """The composite map from stage k to stage m >= k."""
+        """The composite map from stage k to stage m >= k.
+
+        Cached per system: transfer(k, m) is built from transfer(k, m - 1)
+        and one connecting map, and so on down to the longest one already
+        cached. An out-of-range pair raises StageRangeError on every call.
+        """
         if m < k:
             raise StageRangeError("transfer target precedes source")
         if m == k:
             return IntMatrix.identity(self.rank_at(k))
-        out = self.connecting(k)
-        for t in range(k + 1, m):
-            out = self.connecting(t) @ out
-        return out
+        chains: dict[int, list[IntMatrix]] = self._transfers  # type: ignore[attr-defined]
+        chain = chains.get(k)
+        if chain is None:
+            chain = chains[k] = [self.connecting(k)]
+        while len(chain) < m - k:
+            chain.append(self.connecting(k + len(chain)) @ chain[-1])
+        return chain[m - k - 1]
 
     def unit_at(self, k: int) -> tuple[int, ...]:
         if not self.has_stage(k):

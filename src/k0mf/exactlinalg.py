@@ -1,13 +1,17 @@
 """Exact integer and rational linear algebra substrate.
 
-Integer matrices with Hermite and Smith normal forms (the Smith form
-with the unimodular transforms that witness it; the Hermite form alone,
-as callers only read its rows), integer linear solving with
-canonical kernel bases, bounded enumeration of lattice points, and an
-exact rational feasibility solver: a phase-one simplex with Bland's
-pivoting rule on a fraction-free integer tableau (rows scaled to
-integers, one common denominator), returning either an exact feasible
-point or an exact Farkas certificate of infeasibility.
+Integer matrices, dense and row-major, whose products and
+matrix-vector products run over each row's nonzeros (Gustavson's
+row-by-row sparse product), so the 0/1 inclusion and permutation maps
+of Bratteli diagrams cost in proportion to their nonzeros. Hermite and
+Smith normal forms (the Smith form with the unimodular transforms that
+witness it; the Hermite form alone, as callers only read its rows),
+integer linear solving with canonical kernel bases, bounded
+enumeration of lattice points, and an exact rational feasibility
+solver: a phase-one simplex with Bland's pivoting rule on a
+fraction-free integer tableau (rows scaled to integers, one common
+denominator), returning either an exact feasible point or an exact
+Farkas certificate of infeasibility.
 
 Everything runs on Python ints, with Fractions only in rational inputs
 and results; there is no floating point on any verdict path. All
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -40,7 +45,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix, row-major, immutable."""
+    """Integer matrix, immutable: dense, row-major; products run over
+    each row's nonzeros.
+
+    ``entries`` is the only stored representation. The per-row view of
+    nonzeros is derived from it on first use and cached on the instance;
+    equality and hashing read the fields alone, so they do not depend on
+    whether that view has been built.
+    """
 
     rows: int
     cols: int
@@ -89,38 +101,39 @@ class IntMatrix:
             tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
+    @cached_property
+    def _row_nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per row, the (column, value) pairs of its nonzero entries."""
+        e, n = self.entries, self.cols
+        return tuple(
+            tuple((j, x) for j, x in enumerate(e[i * n : (i + 1) * n]) if x) for i in range(self.rows)
+        )
+
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Gustavson's row-by-row product over the nonzeros of both factors."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        a, b = self.entries, other.entries
-        p, q = self.cols, other.cols
-        out = []
-        for i in range(self.rows):
-            arow = a[i * p : (i + 1) * p]
-            for j in range(q):
-                acc = 0
-                for k, x in enumerate(arow):
-                    if x:
-                        acc += x * b[k * q + j]
-                out.append(acc)
+        q = other.cols
+        brows = other._row_nonzeros
+        out = [0] * (self.rows * q)
+        base = 0
+        for arow in self._row_nonzeros:
+            for k, x in arow:
+                for j, y in brows[k]:
+                    out[base + j] += x * y
+            base += q
         return IntMatrix(self.rows, q, tuple(out))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        e = self.entries
-        n = self.cols
         out = []
-        base = 0
-        for _ in range(self.rows):
+        for row in self._row_nonzeros:
             acc = 0
-            for k in range(n):
-                x = e[base + k]
-                if x:
-                    acc += x * vec[k]
+            for k, x in row:
+                acc += x * vec[k]
             out.append(acc)
-            base += n
         return tuple(out)
 
     def is_nonnegative(self) -> bool:

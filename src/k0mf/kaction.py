@@ -314,16 +314,13 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                     )
                     continue
                 items.append(CheckItem("shape", gen, k, True, tag))
-                bad = next(
-                    (
+                if not sm.matrix.is_nonnegative():
+                    bad = next(
                         (r, c)
                         for r in range(sm.matrix.rows)
                         for c in range(sm.matrix.cols)
                         if sm.matrix.at(r, c) < 0
-                    ),
-                    None,
-                )
-                if bad is not None:
+                    )
                     items.append(
                         CheckItem(
                             "positivity", gen, k, False,

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,8 @@ from k0mf.bratteli import (
     FiniteSystem,
     Metadata,
     SystemDocument,
+    _decimal_int,
+    _decimal_str,
     _expect_int,
     diagram_to_system,
     finite_system_to_k0,
@@ -344,3 +347,65 @@ def test_diagram_conversion_always_valid():
 def test_permutation_matrix_shape():
     m = permutation_matrix((2, 1))
     assert m == M([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [("true", "expected an integer"), ("2.0", "floating-point numbers are not allowed"), ('"x"', "not an integer: 'x'")],
+    ids=["bool", "float", "string"],
+)
+def test_int_vector_names_the_bad_entry(bad, reason):
+    """A vector that is not all plain ints is checked entry by entry."""
+    for text, path in (
+        (
+            '{"schema_version": 1, "finite_system": {"points": 2, "permutations": [[1, %s]]}}' % bad,
+            "$.finite_system.permutations[0][1]",
+        ),
+        (
+            '{"schema_version": 1, "system": {"stage_ranks": [1, %s], "connecting_maps": [], "unit": [1]},'
+            ' "action": {"generators": 1, "forward": [[]], "inverse": [[]]}}' % bad,
+            "$.system.stage_ranks[1]",
+        ),
+    ):
+        with pytest.raises(DocumentError) as err:
+            parse(text)
+        assert (err.value.path, err.value.reason) == (path, reason)
+
+
+def test_finite_system_huge_points_is_no_bijection():
+    """The length check comes first, so no range of 10**30 points is built."""
+    with pytest.raises(ValueError) as err:
+        FiniteSystem(10**30, ((1,),))
+    assert str(err.value) == f"permutation 0 is not a bijection of 1..{10**30}"
+
+
+def test_decimal_conversions_of_any_length():
+    rng = random.Random(4300)
+    limit = sys.get_int_max_str_digits()
+    for digits in (1, 639, 640, 641, 1281, 4300, 4301, 5000, 9001):
+        text = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(digits - 1))
+        n = _decimal_int(text)
+        assert _decimal_int("-" + text) == -n
+        assert _decimal_int("00" + text) == n
+        assert _decimal_str(n) == text and _decimal_str(-n) == "-" + text
+        head = min(digits, 600)  # each end of n, read below any digit limit
+        assert n // 10 ** (digits - head) == int(text[:head])
+        assert n % 10**head == int(text[-head:])
+    assert _decimal_str(0) == "0" and _decimal_str(10**700) == "1" + "0" * 700
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_parse_long_integer_literal_keeps_its_path():
+    limit = sys.get_int_max_str_digits()
+    big = "7" * 5000
+    for points in (big, f'"{big}"'):
+        text = '{"schema_version": 1, "finite_system": {"points": %s, "permutations": [[1]]}}' % points
+        with pytest.raises(DocumentError) as err:
+            parse(text)
+        assert err.value.path == "$.finite_system"
+        assert err.value.reason == f"permutation 0 is not a bijection of 1..{big}"
+        assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(DocumentError) as err:
+        parse('{"schema_version": -%s, "finite_system": {"points": 1, "permutations": [[1]]}}' % big)
+    assert str(err.value) == f"$.schema_version: unsupported version -{big}"
+    assert sys.get_int_max_str_digits() == limit

@@ -313,3 +313,49 @@ def test_exit_code_zero_for_every_verdict(capsys):
     ]:
         code, out, _ = run_cli(capsys, "check-mf", str(golden_path(name)), *args)
         assert code == 0
+
+
+def _write(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_validate_huge_points_is_invalid_input(tmp_path, capsys):
+    """10**30 points used to overflow building range(1, points + 1)."""
+    doc = _write(
+        tmp_path, "huge.json",
+        '{"schema_version": 1, "finite_system": {"points": 1000000000000000000000000000000, "permutations": [[1]]}}',
+    )
+    code, out, err = run_cli(capsys, "validate", doc)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: $.finite_system: permutation 0 is not a bijection of 1..{10**30}\n"
+
+
+def test_long_integer_literals_keep_their_path(tmp_path, capsys):
+    """Past the interpreter's 4300-digit limit, as a literal or a string."""
+    limit = sys.get_int_max_str_digits()
+    big = "3" * 5000
+    for name, points in (("literal.json", big), ("string.json", f'"{big}"')):
+        doc = _write(tmp_path, name, '{"schema_version": 1, "finite_system": {"points": %s, "permutations": [[1]]}}' % points)
+        code, out, err = run_cli(capsys, "validate", doc)
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: $.finite_system: permutation 0 is not a bijection of 1..{big}\n"
+        assert sys.get_int_max_str_digits() == limit
+    doc = _write(tmp_path, "version.json", '{"schema_version": %s, "finite_system": {"points": 1, "permutations": [[1]]}}' % big)
+    code, out, err = run_cli(capsys, "validate", doc)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: $.schema_version: unsupported version {big}\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_check_mf_sets_long_integer_literal_keeps_its_path(tmp_path, capsys):
+    big = "9" * 5000
+    sets = _write(tmp_path, "sets.json", '{"requests": [{"elements": [{"stage": %s, "vector": [1]}]}]}' % big)
+    code, out, err = run_cli(capsys, "check-mf", str(golden_path("compactified_shift.json")), "--sets", sets)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {sets}:requests[0].elements[0].stage: stage {big} is outside the document's stages\n"
+    sets = _write(tmp_path, "words.json", '{"requests": [{"elements": [{"stage": 0, "vector": [1]}], "words": [[-%s]]}]}' % big)
+    code, out, err = run_cli(capsys, "check-mf", str(golden_path("compactified_shift.json")), "--sets", sets)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {sets}:requests[0].words[0][0]: letter -{big} is not a signed generator index 1..1\n"
