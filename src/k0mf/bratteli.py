@@ -28,17 +28,12 @@ from dataclasses import dataclass
 from typing import Any
 
 from .dimgroup import InductiveSystem
-from .exactlinalg import IntMatrix
+from .exactlinalg import _CHUNK_DIGITS, IntMatrix, _decimal_str
 from .kaction import K0Action, StageMap, StationaryRule
 
 SCHEMA_VERSION = 1
 
 _DECIMAL = re.compile(r"-?[0-9]+")
-
-# Decimal conversions split their digits into chunks of at most this
-# many, the least digit limit an interpreter can be set to, so no
-# integer of any length ever meets the interpreter's limit.
-_CHUNK_DIGITS = 640
 
 
 def _decimal_int(text: str) -> int:
@@ -50,17 +45,6 @@ def _decimal_int(text: str) -> int:
         return int(text)
     half = len(text) // 2
     return _decimal_int(text[:half]) * 10 ** (len(text) - half) + _decimal_int(text[half:])
-
-
-def _decimal_str(n: int, width: int = 0) -> str:
-    """``str(n)`` for an integer of any length, zero-padded to ``width``."""
-    if n < 0:
-        return "-" + _decimal_str(-n)
-    if n.bit_length() <= 3 * _CHUNK_DIGITS:  # then n has under 580 digits
-        return str(n).zfill(width)
-    low = n.bit_length() * 3 // 20  # about half of n's decimal digits
-    high, rest = divmod(n, 10**low)
-    return _decimal_str(high, width - low) + _decimal_str(rest, low)
 
 
 def _load_json(data: str | bytes) -> Any:

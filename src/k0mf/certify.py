@@ -173,11 +173,7 @@ def _positive_candidates(basis_rows: list[tuple[int, ...]], height_bound: int) -
     """Nonzero nonnegative lattice vectors by increasing height, then
     earliest leading support, then lexicographic order."""
     for h in range(1, height_bound + 1):
-        found = [
-            v
-            for v in enumerate_lattice_points(basis_rows, h)
-            if any(v) and all(x >= 0 for x in v) and max(v) == h
-        ]
+        found = [v for v in enumerate_lattice_points(basis_rows, h, nonnegative=True) if max(v) == h]
         found.sort(key=lambda v: (_first_nonzero(v), v))
         yield from found
 
@@ -478,6 +474,11 @@ def find_invariant_state(
     exist without extending to a stage, which is why a miss at one stage
     triggers retries at every later stage up to ``stage_max``. "None" is
     therefore parameter-relative, never a refutation.
+
+    The elements and their word images are pushed to the first stage
+    that holds them all, once, and then stepped through one connecting
+    map per later stage; the pushed elements also give the positivity
+    constraints and the certificate's element values.
     """
     if not elements:
         raise ValueError("the element set must be nonempty")
@@ -497,14 +498,22 @@ def find_invariant_state(
         [g.stage for g in elements] + [img.stage for _, img in images],
         default=0,
     )
+    element_vecs: list[tuple[int, ...]] = []
+    image_vecs: list[tuple[int, ...]] = []
     for m in range(first, stage_max + 1):
         if not system.has_stage(m):
             break
-        diffs = []
-        for gi, img in images:
-            gv = push(system, elements[gi], m).vector
-            iv = push(system, img, m).vector
-            diffs.append(tuple(a - b for a, b in zip(gv, iv)))
+        if m == first:
+            element_vecs = [push(system, g, m).vector for g in elements]
+            image_vecs = [push(system, img, m).vector for _, img in images]
+        else:
+            step = system.connecting(m - 1)
+            element_vecs = [step.apply(v) for v in element_vecs]
+            image_vecs = [step.apply(v) for v in image_vecs]
+        diffs = [
+            tuple(a - b for a, b in zip(element_vecs[gi], iv))
+            for (gi, _), iv in zip(images, image_vecs)
+        ]
         p = system.rank_at(m)
         if diffs:
             kernel_rows = integer_kernel(IntMatrix.from_rows(diffs))
@@ -512,11 +521,8 @@ def find_invariant_state(
             kernel_rows = [tuple(1 if j == i else 0 for j in range(p)) for i in range(p)]
         if not kernel_rows:
             continue
-        positives = [tuple(system.unit_at(m))]
-        for g in elements:
-            gv = push(system, g, m).vector
-            if any(gv):
-                positives.append(gv)
+        unit = system.unit_at(m)
+        positives = [tuple(unit)] + [gv for gv in element_vecs if any(gv)]
         best = _canonical_functional(kernel_rows, positives, require_nonnegative=False)
         if best is None:
             continue
@@ -525,8 +531,8 @@ def find_invariant_state(
             functional=tuple(best),
             elements=tuple(elements),
             words=tuple(words),
-            unit_value=_dot(best, system.unit_at(m)),
-            element_values=tuple(_dot(best, push(system, g, m).vector) for g in elements),
+            unit_value=_dot(best, unit),
+            element_values=tuple(_dot(best, gv) for gv in element_vecs),
         )
         verify_state_certificate(system, action, cert)
         return cert

@@ -69,6 +69,8 @@ class InductiveSystem:
         object.__setattr__(self, "_prefix_units", tuple(units))
         # k -> [transfer(k, k + 1), transfer(k, k + 2), ...], grown on demand
         object.__setattr__(self, "_transfers", {})
+        # declared map index (None for the tail) -> has full column rank
+        object.__setattr__(self, "_injective", {})
 
     # -- stage bookkeeping -------------------------------------------------
 
@@ -115,6 +117,17 @@ class InductiveSystem:
         while len(chain) < m - k:
             chain.append(self.connecting(k + len(chain)) @ chain[-1])
         return chain[m - k - 1]
+
+    def map_injective(self, k: int | None) -> bool:
+        """Whether declared connecting map k (the stationary tail for
+        None) has full column rank; ranked once per system."""
+        flags: dict[int | None, bool] = self._injective  # type: ignore[attr-defined]
+        flag = flags.get(k)
+        if flag is None:
+            a = self.stationary_tail if k is None else self.connecting_maps[k]
+            assert a is not None
+            flag = flags[k] = rank(a) == a.cols
+        return flag
 
     def unit_at(self, k: int) -> tuple[int, ...]:
         if not self.has_stage(k):
@@ -201,17 +214,9 @@ def injective_from(system: InductiveSystem, stage: int) -> bool:
     Only stationary systems can certify this: a bare prefix says nothing
     about its continuation.
     """
-    if not system.is_stationary:
+    if not system.is_stationary or not system.map_injective(None):
         return False
-    tail = system.stationary_tail
-    assert tail is not None
-    if rank(tail) != tail.cols:
-        return False
-    for k in range(stage, len(system.connecting_maps)):
-        a = system.connecting_maps[k]
-        if rank(a) != a.cols:
-            return False
-    return True
+    return all(system.map_injective(k) for k in range(stage, len(system.connecting_maps)))
 
 
 def _walk(system: InductiveSystem, e: LimitElement, horizon: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -285,14 +290,7 @@ class InjectivityReport:
 
 
 def injectivity_report(system: InductiveSystem, horizon: int) -> InjectivityReport:
-    flags = []
-    for k, a in enumerate(system.connecting_maps):
-        if k >= horizon:
-            break
-        flags.append((k, rank(a) == a.cols))
-    tail_flag = None
-    if system.is_stationary:
-        tail = system.stationary_tail
-        assert tail is not None
-        tail_flag = rank(tail) == tail.cols
-    return InjectivityReport(tuple(flags), tail_flag)
+    declared = range(min(horizon, len(system.connecting_maps)))
+    flags = tuple((k, system.map_injective(k)) for k in declared)
+    tail_flag = system.map_injective(None) if system.is_stationary else None
+    return InjectivityReport(flags, tail_flag)

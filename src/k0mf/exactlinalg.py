@@ -6,12 +6,16 @@ row-by-row sparse product), so the 0/1 inclusion and permutation maps
 of Bratteli diagrams cost in proportion to their nonzeros. Hermite and
 Smith normal forms (the Smith form with the unimodular transforms that
 witness it; the Hermite form alone, as callers only read its rows),
-integer linear solving with canonical kernel bases, bounded
-enumeration of lattice points, and an exact rational feasibility
-solver: a phase-one simplex with Bland's pivoting rule on a
-fraction-free integer tableau (rows scaled to integers, one common
-denominator), returning either an exact feasible point or an exact
-Farkas certificate of infeasibility.
+integer linear solving with canonical kernel bases, enumeration of the
+lattice points in a box (the sup-norm ball, or its nonnegative corner)
+that prunes a branch as soon as a coordinate it has fixed leaves the
+box, and an exact rational feasibility solver: a phase-one simplex with
+Bland's pivoting rule on a fraction-free integer tableau (rows scaled
+to integers, one common denominator), returning either an exact
+feasible point or an exact Farkas certificate of infeasibility. Both
+results are re-checked before they are returned, in integers: each
+constraint scaled by the lcm of its denominators, the point or the
+multipliers by one common denominator.
 
 Everything runs on Python ints, with Fractions only in rational inputs
 and results; there is no floating point on any verdict path. All
@@ -24,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 
@@ -41,6 +47,23 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
+
+
+# Decimal conversions split their digits into chunks of at most this
+# many, the least digit limit an interpreter can be set to, so no
+# integer of any length ever meets the interpreter's limit.
+_CHUNK_DIGITS = 640
+
+
+def _decimal_str(n: int, width: int = 0) -> str:
+    """``str(n)`` for an integer of any length, zero-padded to ``width``."""
+    if n < 0:
+        return "-" + _decimal_str(-n)
+    if n.bit_length() <= 3 * _CHUNK_DIGITS:  # then n has under 580 digits
+        return str(n).zfill(width)
+    low = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, rest = divmod(n, 10**low)
+    return _decimal_str(high, width - low) + _decimal_str(rest, low)
 
 
 @dataclass(frozen=True)
@@ -66,13 +89,11 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
-        data = [list(row) for row in data]
         m = len(data)
         n = len(data[0]) if m else 0
-        for row in data:
-            if len(row) != n:
-                raise ValueError("ragged rows")
-        return cls(m, n, tuple(x for row in data for x in row))
+        if any(len(row) != n for row in data):
+            raise ValueError("ragged rows")
+        return cls(m, n, tuple(chain.from_iterable(data)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -137,10 +158,10 @@ class IntMatrix:
         return tuple(out)
 
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for x in self.entries)
+        return min(self.entries, default=0) >= 0
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.entries)
 
 
 def determinant(a: IntMatrix) -> int:
@@ -376,37 +397,53 @@ def enumerate_lattice_points(
     basis_rows: Sequence[Sequence[int]],
     radius: int,
     offset: Sequence[int] | None = None,
+    *,
+    nonnegative: bool = False,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every vector offset + sum(c_i * b_i) with max |coordinate| <= radius.
+    """Yield every vector offset + sum(c_i * b_i) whose coordinates all lie
+    in [-radius, radius], or in [0, radius] when ``nonnegative``.
 
-    ``basis_rows`` must be Hermite rows (echelon, positive pivots): the
-    echelon structure turns the sup-norm ball into exact per-coefficient
-    integer ranges, pruned on pivot columns and filtered exactly at the
-    leaves. Enumeration order is deterministic.
+    ``basis_rows`` must be Hermite rows (echelon, positive pivots p_0 <
+    p_1 < ...). Rows after row i vanish before p_{i+1}, so once c_i is
+    chosen the coordinates from p_i up to p_{i+1} are final: the box
+    turns coordinate p_i into an exact integer range for c_i, and the
+    coordinates strictly between the two pivots are checked at that
+    level, pruning the branch when one leaves the box (exact per-level
+    bounds on an echelon basis, as in Fincke-Pohst). Coordinates before
+    p_0 are the offset's and are checked first. Points come in
+    lexicographic order of (c_0, c_1, ...); the nonnegative box yields
+    exactly the ball's nonnegative points, in the ball's order.
     """
     rows = [tuple(r) for r in basis_rows]
     if offset is None:
         if not rows:
             return
         offset = (0,) * len(rows[0])
-    off = tuple(offset)
+    start = list(offset)
+    low = 0 if nonnegative else -radius
     pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    ends = pivots[1:] + [len(start)]
+    tails = [r[p:] for r, p in zip(rows, pivots)]
+    head = start[: pivots[0]] if rows else start
+    if head and (min(head) < low or max(head) > radius):
+        return
 
     def rec(i: int, current: list[int]) -> Iterator[tuple[int, ...]]:
         if i == len(rows):
-            if all(abs(x) <= radius for x in current):
-                yield tuple(current)
+            yield tuple(current)
             return
-        p = pivots[i]
-        piv = rows[i][p]
+        p, end, tail = pivots[i], ends[i], tails[i]
+        piv = tail[0]
         cur = current[p]
-        lo = -((radius + cur) // piv)
-        hi = (radius - cur) // piv
-        for c in range(lo, hi + 1):
-            nxt = [x + c * y for x, y in zip(current, rows[i])]
+        prefix, rest = current[:p], current[p:]
+        for c in range(-((cur - low) // piv), (radius - cur) // piv + 1):
+            nxt = prefix + [x + c * y for x, y in zip(rest, tail)]
+            fixed = nxt[p + 1 : end]
+            if fixed and (min(fixed) < low or max(fixed) > radius):
+                continue
             yield from rec(i + 1, nxt)
 
-    yield from rec(0, list(off))
+    yield from rec(0, start)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +477,17 @@ class LinearProgram:
         eqs = tuple((_frac_row(a, num_vars), Fraction(b)) for a, b in equalities)
         ins = tuple((_frac_row(a, num_vars), Fraction(b)) for a, b in inequalities)
         return cls(num_vars, eqs, ins)
+
+    @cached_property
+    def _integer_rows(self) -> tuple[tuple[int, list[int], int], ...]:
+        """Per constraint, equalities first: (s, s * coefficients, s * b)
+        for s > 0 the lcm of the constraint's denominators."""
+        out = []
+        for coeffs, b in self.equalities + self.inequalities:
+            s = lcm(b.denominator, *(c.denominator for c in coeffs))
+            a = [c.numerator * (s // c.denominator) for c in coeffs]
+            out.append((s, a, b.numerator * (s // b.denominator)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -529,11 +577,12 @@ def _phase_one(
 
 
 def _point_satisfies(program: LinearProgram, x: Sequence[Fraction]) -> bool:
-    for coeffs, b in program.equalities:
-        if sum(c * v for c, v in zip(coeffs, x)) != b:
-            return False
-    for coeffs, b in program.inequalities:
-        if sum(c * v for c, v in zip(coeffs, x)) < b:
+    d = lcm(*(t.denominator for t in x))
+    scaled = [t.numerator * (d // t.denominator) for t in x]  # d * x
+    n_eq = len(program.equalities)
+    for k, (_, a, b) in enumerate(program._integer_rows):
+        lhs, rhs = sum(map(mul, a, scaled)), b * d
+        if (lhs != rhs) if k < n_eq else (lhs < rhs):
             return False
     return True
 
@@ -542,17 +591,21 @@ def verify_farkas(program: LinearProgram, cert: Infeasible) -> bool:
     """Exactly re-check a Farkas certificate by substitution."""
     if any(t < 0 for t in cert.ineq_multipliers):
         return False
-    combo = [Fraction(0)] * program.num_vars
-    total = Fraction(0)
-    for mult, (coeffs, b) in zip(cert.eq_multipliers, program.equalities):
-        for j, c in enumerate(coeffs):
-            combo[j] += mult * c
-        total += mult * b
-    for mult, (coeffs, b) in zip(cert.ineq_multipliers, program.inequalities):
-        for j, c in enumerate(coeffs):
-            combo[j] += mult * c
-        total += mult * b
-    return all(c == 0 for c in combo) and total > 0
+    rows = program._integer_rows
+    n_eq = len(program.equalities)
+    used = [*zip(cert.eq_multipliers, rows[:n_eq]), *zip(cert.ineq_multipliers, rows[n_eq:])]
+    # t times a constraint is t / s times its integer row (a, b); d > 0
+    # clears every t / s, so d * combination is integral with the same signs
+    d = lcm(*(t.denominator * s for t, (s, _, _) in used))
+    combo = [0] * program.num_vars
+    total = 0
+    for t, (s, a, b) in used:
+        f = t.numerator * (d // (t.denominator * s))
+        if f:
+            for j, c in enumerate(a):
+                combo[j] += f * c
+            total += f * b
+    return not any(combo) and total > 0
 
 
 def lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
@@ -569,16 +622,14 @@ def lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
     rows: list[list[int]] = []
     rhs: list[int] = []
     scales: list[int] = []  # tableau row k is scales[k] * constraint k (before its surplus)
-    for k, (coeffs, b) in enumerate(program.equalities + program.inequalities):
-        scale = lcm(b.denominator, *(c.denominator for c in coeffs))
+    for k, (scale, a, b) in enumerate(program._integer_rows):
         if b < 0:
-            scale = -scale
-        a = [c.numerator * (scale // c.denominator) for c in coeffs]
+            scale, a, b = -scale, [-x for x in a], -b
         row = a + [-x for x in a] + [0] * n_ineq
         if k >= n_eq:
-            row[2 * n + k - n_eq] = -1 if b >= 0 else 1
+            row[2 * n + k - n_eq] = -1 if scale > 0 else 1
         rows.append(row)
-        rhs.append(b.numerator * (scale // b.denominator))
+        rhs.append(b)
         scales.append(scale)
     feasible, point, duals = _phase_one(rows, rhs, width)
     if feasible:

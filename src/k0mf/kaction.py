@@ -23,7 +23,7 @@ from functools import cache
 from typing import Iterator, Sequence
 
 from .dimgroup import InductiveSystem, LimitElement, StageRangeError, push
-from .exactlinalg import IntMatrix, row_basis
+from .exactlinalg import IntMatrix, _decimal_str, row_basis
 
 
 @dataclass(frozen=True)
@@ -251,6 +251,12 @@ class ActionReport:
         return [item for item in self.items if not item.ok]
 
 
+def _vector_str(v: tuple[int, ...]) -> str:
+    """``str(v)`` for a tuple of integers of any length."""
+    body = ", ".join(map(_decimal_str, v))
+    return f"({body},)" if len(v) == 1 else f"({body})"
+
+
 def repeat_stage(action: K0Action, system: InductiveSystem) -> int | None:
     """Stage from which ranks, connecting maps and letter maps repeat
     (None without a stationary tail)."""
@@ -324,7 +330,7 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                     items.append(
                         CheckItem(
                             "positivity", gen, k, False,
-                            f"{tag} map entry {bad} = {sm.matrix.at(*bad)} is negative",
+                            f"{tag} map entry {bad} = {_decimal_str(sm.matrix.at(*bad))} is negative",
                         )
                     )
                 else:
@@ -334,7 +340,7 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                 items.append(
                     CheckItem(
                         "unit_preserved", gen, k, got == want,
-                        "" if got == want else f"{tag} map sends the stage-{k} unit to {got}, expected {want}",
+                        "" if got == want else f"{tag} map sends the stage-{k} unit to {_vector_str(got)}, expected {_vector_str(want)}",
                     )
                 )
             # commuting squares per direction

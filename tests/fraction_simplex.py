@@ -6,9 +6,15 @@ to fraction-free integer pivoting. It builds the same phase-one program
 right-hand side is >= 0, one artificial per row) and pivots by Bland's
 rule, so on an integer program it must make the same pivots and return
 the same point or the same Farkas multipliers.
+
+``fraction_point_satisfies`` and ``fraction_verify_farkas`` are the
+re-checks ``lp_feasible`` ran before they moved to integers: they
+accumulate ``Fraction`` sums, and the integer re-checks must give the
+same answer on every input.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from k0mf.exactlinalg import Feasible, Infeasible, LinearProgram
 
@@ -104,3 +110,29 @@ def fraction_lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
     eq_mult = tuple(signs[i] * duals[i] for i in range(n_eq))
     ineq_mult = tuple(signs[n_eq + i] * duals[n_eq + i] for i in range(n_ineq))
     return Infeasible(eq_mult, ineq_mult)
+
+
+def fraction_point_satisfies(program: LinearProgram, x: Sequence[Fraction]) -> bool:
+    for coeffs, b in program.equalities:
+        if sum(c * v for c, v in zip(coeffs, x)) != b:
+            return False
+    for coeffs, b in program.inequalities:
+        if sum(c * v for c, v in zip(coeffs, x)) < b:
+            return False
+    return True
+
+
+def fraction_verify_farkas(program: LinearProgram, cert: Infeasible) -> bool:
+    if any(t < 0 for t in cert.ineq_multipliers):
+        return False
+    combo = [Fraction(0)] * program.num_vars
+    total = Fraction(0)
+    for mult, (coeffs, b) in zip(cert.eq_multipliers, program.equalities):
+        for j, c in enumerate(coeffs):
+            combo[j] += mult * c
+        total += mult * b
+    for mult, (coeffs, b) in zip(cert.ineq_multipliers, program.inequalities):
+        for j, c in enumerate(coeffs):
+            combo[j] += mult * c
+        total += mult * b
+    return all(c == 0 for c in combo) and total > 0

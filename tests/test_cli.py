@@ -359,3 +359,28 @@ def test_check_mf_sets_long_integer_literal_keeps_its_path(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check-mf", str(golden_path("compactified_shift.json")), "--sets", sets)
     assert (code, out) == (2, "")
     assert err == f"invalid input: {sets}:requests[0].words[0][0]: letter -{big} is not a signed generator index 1..1\n"
+
+
+def test_long_integer_in_an_action_detail_is_a_failing_check(tmp_path, capsys):
+    """A generator matrix entry past the 4300-digit limit is reported as a
+    failing check item, not as the interpreter's conversion error."""
+    limit = sys.get_int_max_str_digits()
+    big = "5" * 5000
+    action = '{"generators": 1, "forward": [[]], "inverse": [[]], "stationary": [{"shift": 0, "forward": [[%s]], "inverse": [[1]]}]}'
+    system = '{"stage_ranks": [1], "connecting_maps": [], "unit": [1], "stationary": [[1]]}'
+    for entry, check, detail in (
+        (big, "unit_preserved", f"forward map sends the stage-0 unit to ({big},), expected (1,)"),
+        (f"-{big}", "positivity", f"forward map entry (0, 0) = -{big} is negative"),
+    ):
+        doc = _write(tmp_path, "big.json", '{"schema_version": 1, "system": %s, "action": %s}' % (system, action % entry))
+        code, out, err = run_cli(capsys, "validate", doc)
+        assert code == 2
+        failing = [c for c in json.loads(out)["checks"] if not c["ok"]]
+        assert {"check": check, "generator": 1, "stage": 0, "detail": detail} in [
+            {k: c[k] for k in ("check", "generator", "stage", "detail")} for c in failing
+        ]
+        assert f"FAIL {check} generator 1 stage 0: {detail}\n" in err
+        code, out, err = run_cli(capsys, "check-mf", doc)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"invalid action: {check} generator 1 stage 0: {detail}")
+        assert sys.get_int_max_str_digits() == limit

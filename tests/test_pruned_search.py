@@ -1,0 +1,356 @@
+"""The pruned lattice walk, the integer LP re-checks, stage-by-stage
+pushes and the per-system injectivity cache against their references.
+
+* ``enumerate_lattice_points`` must yield exactly the points of the
+  unpruned walk kept in ``ball_walk``, in its order, and with
+  ``nonnegative=True`` exactly its nonnegative points, in its order.
+* ``_point_satisfies`` and ``verify_farkas`` re-check in integers; they
+  must agree with the ``Fraction`` re-checks kept in ``fraction_simplex``
+  on seeded programs, points and certificates, and reject mutated
+  certificates.
+* ``find_invariant_state`` pushes each element and word image once and
+  steps them a stage at a time; on seeded requests it must return what
+  pushing everything again at every stage returns.
+* ``InductiveSystem`` caches each map's full-column-rank flag; every
+  ``is_zero`` and ``is_positive`` answer must be the uncached one, with
+  each map ranked at most once.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from ball_walk import ball_walk
+from fraction_simplex import fraction_point_satisfies, fraction_verify_farkas
+from test_exactlinalg import random_program
+from test_lattice_pipeline import CASES
+from test_lp_integer import cone_program, rational_program, state_program
+
+from k0mf import dimgroup
+from k0mf.certify import StateCertificate, _canonical_functional, _dot, find_invariant_state
+from k0mf.dimgroup import InductiveSystem, LimitElement, StageRangeError, is_positive, is_zero, push
+from k0mf.exactlinalg import (
+    Infeasible,
+    IntMatrix,
+    LinearProgram,
+    _point_satisfies,
+    enumerate_lattice_points,
+    integer_kernel,
+    lp_feasible,
+    rank,
+    row_basis,
+    verify_farkas,
+)
+from k0mf.kaction import K0Action, StageMap, Word, apply_word, identity_action
+
+
+# ---------------------------------------------------------------------------
+# pruned lattice walk
+# ---------------------------------------------------------------------------
+
+
+def _hermite_bases(seed: int, count: int):
+    """Seeded Hermite bases of every shape: full and deficient rank,
+    leading zero columns, non-pivot columns and pivots above 1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        width = rng.randint(1, 5)
+        height = rng.randint(1, width + 1)
+        spread = rng.choice([1, 2, 3])
+        vectors = [[rng.randint(-spread, spread) for _ in range(width)] for _ in range(height)]
+        for j in range(rng.randint(0, 1)):  # sometimes a zero leading column
+            for v in vectors:
+                v[j] = 0
+        rows = row_basis(vectors, width)
+        if rows:
+            out.append((rows, width))
+    return out
+
+
+BASES = _hermite_bases(20261018, 160)
+
+
+def test_seeded_bases_cover_every_shape():
+    pivots = [[next(j for j, x in enumerate(r) if x) for r in rows] for rows, _ in BASES]
+    assert any(len(p) < w for p, (_, w) in zip(pivots, BASES))  # non-pivot columns
+    assert any(p[0] > 0 for p in pivots)  # coordinates before the first pivot
+    assert any(any(rows[i][j] > 1 for i, j in enumerate(p)) for p, (rows, _) in zip(pivots, BASES))
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_pruned_walk_yields_the_ball_walk(radius):
+    rng = random.Random(radius)
+    for rows, width in BASES:
+        for offset in (None, tuple(rng.randint(-4, 4) for _ in range(width))):
+            want = list(ball_walk(rows, radius, offset))
+            assert list(enumerate_lattice_points(rows, radius, offset)) == want
+            nonneg = [v for v in want if min(v) >= 0]
+            assert list(enumerate_lattice_points(rows, radius, offset, nonnegative=True)) == nonneg
+
+
+def test_empty_basis_yields_the_offset_when_it_is_in_the_box():
+    for radius in (0, 1, 3):
+        for offset in ((0, 0), (1, -1), (-1, 2), (3, 3), (2, 4)):
+            want = list(ball_walk([], radius, offset))
+            assert list(enumerate_lattice_points([], radius, offset)) == want
+            assert list(enumerate_lattice_points([], radius, offset, nonnegative=True)) == [
+                v for v in want if min(v) >= 0
+            ]
+    assert list(enumerate_lattice_points([], 2)) == []
+    assert list(enumerate_lattice_points([], 0, (0, 0, 0))) == [(0, 0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# integer re-checks of LP results
+# ---------------------------------------------------------------------------
+
+
+def _programs(seed: int, count: int):
+    rng = random.Random(seed)
+    makers = [random_program, cone_program, state_program, rational_program]
+    return [makers[i % len(makers)](rng) for i in range(count)], rng
+
+
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def test_point_check_agrees_with_the_fraction_oracle():
+    programs, rng = _programs(11, 240)
+    feasible = 0
+    for p in programs:
+        res = lp_feasible(p)
+        points = [tuple(_random_rational(rng) for _ in range(p.num_vars)) for _ in range(3)]
+        if not isinstance(res, Infeasible):
+            feasible += 1
+            points.append(res.point)
+            for j in range(p.num_vars):  # one coordinate nudged
+                x = list(res.point)
+                x[j] += Fraction(1, 3)
+                points.append(tuple(x))
+        for x in points:
+            assert _point_satisfies(p, x) == fraction_point_satisfies(p, x)
+        if not isinstance(res, Infeasible):
+            assert _point_satisfies(p, res.point)
+    assert 20 < feasible < len(programs) - 20
+
+
+def _rows(p: LinearProgram):
+    return list(p.equalities) + list(p.inequalities)
+
+
+def _with_multipliers(p: LinearProgram, mults: list[Fraction]) -> Infeasible:
+    n_eq = len(p.equalities)
+    return Infeasible(tuple(mults[:n_eq]), tuple(mults[n_eq:]))
+
+
+def test_farkas_check_agrees_with_the_fraction_oracle():
+    programs, rng = _programs(12, 240)
+    infeasible = 0
+    for p in programs:
+        res = lp_feasible(p)
+        n_eq, n_ineq = len(p.equalities), len(p.inequalities)
+        certs = [
+            Infeasible(
+                tuple(_random_rational(rng) for _ in range(n_eq)),
+                tuple(abs(_random_rational(rng)) for _ in range(n_ineq)),
+            )
+            for _ in range(3)
+        ]
+        if isinstance(res, Infeasible):
+            infeasible += 1
+            certs.append(res)
+            certs.append(Infeasible(res.eq_multipliers[:-1], res.ineq_multipliers))  # truncated
+            certs.append(Infeasible(res.eq_multipliers, res.ineq_multipliers[:-1]))
+            certs.append(Infeasible(tuple(2 * t for t in res.eq_multipliers), tuple(2 * t for t in res.ineq_multipliers)))
+        for cert in certs:
+            assert verify_farkas(p, cert) == fraction_verify_farkas(p, cert)
+    assert 20 < infeasible < len(programs) - 20
+
+
+def test_mutated_farkas_certificates_are_rejected():
+    programs, rng = _programs(13, 400)
+    mutated = Counter()
+    for p in programs:
+        res = lp_feasible(p)
+        if not isinstance(res, Infeasible):
+            continue
+        mults = list(res.eq_multipliers + res.ineq_multipliers)
+        rows = _rows(p)
+        # rows whose multiplier and coefficients are both nonzero: changing
+        # the multiplier of one, or dropping it, leaves a nonzero combination
+        live = [i for i, t in enumerate(mults) if t and any(rows[i][0])]
+        if not live:
+            continue
+        i = rng.choice(live)
+        flipped = mults[:]
+        flipped[i] = -flipped[i]
+        nudged = mults[:]
+        nudged[i] += Fraction(rng.choice([-1, 1]), rng.randint(1, 5))
+        n_eq = len(p.equalities)
+        dropped_program = LinearProgram(
+            p.num_vars,
+            tuple(r for k, r in enumerate(p.equalities) if k != i),
+            tuple(r for k, r in enumerate(p.inequalities) if k + n_eq != i),
+        )
+        dropped = Infeasible(
+            tuple(t for k, t in enumerate(res.eq_multipliers) if k != i),
+            tuple(t for k, t in enumerate(res.ineq_multipliers) if k + n_eq != i),
+        )
+        for name, program, cert in (
+            ("flipped", p, _with_multipliers(p, flipped)),
+            ("nudged", p, _with_multipliers(p, nudged)),
+            ("dropped", dropped_program, dropped),
+        ):
+            assert not verify_farkas(program, cert), name
+            assert not fraction_verify_farkas(program, cert), name
+            mutated[name] += 1
+    assert min(mutated.values()) > 20
+
+
+def test_integer_checks_accept_int_entries():
+    """Programs and results built directly from ints, not Fractions."""
+    p = LinearProgram(2, (((1, 1), 2),), (((1, 0), 1),))
+    assert _point_satisfies(p, (1, 1)) and not _point_satisfies(p, (0, 2))
+    q = LinearProgram(1, (), (((1,), 1), ((-1,), 0)))
+    assert verify_farkas(q, Infeasible((), (1, 1)))
+    assert not verify_farkas(q, Infeasible((), (1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# stage-by-stage pushes
+# ---------------------------------------------------------------------------
+
+
+def push_every_stage(system, action, elements, words, stage_max):
+    """The state search as it was before: every element and word image
+    pushed again from its own stage at every stage tried."""
+    for g in elements:
+        if not is_positive(system, g, max(stage_max, g.stage)).is_yes:
+            raise ValueError("not positive")
+    try:
+        images = [(gi, apply_word(action, system, w, g)) for gi, g in enumerate(elements) for w in words]
+    except StageRangeError:
+        return None
+    first = max([g.stage for g in elements] + [img.stage for _, img in images])
+    for m in range(first, stage_max + 1):
+        if not system.has_stage(m):
+            break
+        diffs = []
+        for gi, img in images:
+            gv = push(system, elements[gi], m).vector
+            iv = push(system, img, m).vector
+            diffs.append(tuple(a - b for a, b in zip(gv, iv)))
+        p = system.rank_at(m)
+        if diffs:
+            kernel_rows = integer_kernel(IntMatrix.from_rows(diffs))
+        else:
+            kernel_rows = [tuple(1 if j == i else 0 for j in range(p)) for i in range(p)]
+        if not kernel_rows:
+            continue
+        positives = [tuple(system.unit_at(m))]
+        for g in elements:
+            gv = push(system, g, m).vector
+            if any(gv):
+                positives.append(gv)
+        best = _canonical_functional(kernel_rows, positives, require_nonnegative=False)
+        if best is None:
+            continue
+        return StateCertificate(
+            stage=m,
+            functional=tuple(best),
+            elements=tuple(elements),
+            words=tuple(words),
+            unit_value=_dot(best, system.unit_at(m)),
+            element_values=tuple(_dot(best, push(system, g, m).vector) for g in elements),
+        )
+    return None
+
+
+@pytest.mark.parametrize("name,make", CASES, ids=[name for name, _ in CASES])
+def test_state_search_matches_pushing_every_stage(name, make):
+    """Seeded requests; some certificates land past the first stage."""
+    system, action = make()
+    rng = random.Random(name)
+    letters = [s * j for j in range(1, action.generators + 1) for s in (1, -1)]
+    for _ in range(30):
+        elements = []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(0, 3) if system.has_stage(3) else 0
+            elements.append(LimitElement(k, tuple(rng.randint(0, 2) for _ in range(system.rank_at(k)))))
+        words = [Word.of(*(rng.choice(letters) for _ in range(rng.randint(1, 2)))) for _ in range(rng.randint(0, 2))]
+        stage_max = rng.randint(0, 5)
+        assert find_invariant_state(system, action, elements, words, stage_max) == push_every_stage(
+            system, action, elements, words, stage_max
+        )
+
+
+def test_a_certificate_past_the_first_stage():
+    """The connecting map kills e2, which the action's invariance forces
+    every functional to vanish on: stage 0 misses, stage 1 hits."""
+    system = InductiveSystem((2, 2), (IntMatrix.from_rows([[1, 0], [1, 0]]),), (1, 1))
+    a0 = StageMap(0, 0, IntMatrix.from_rows([[1, 0], [2, 1]]))
+    a1 = StageMap(1, 1, IntMatrix.identity(2))
+    action = K0Action(1, ((a0, a1),), ((a0, a1),))
+    elements = [LimitElement(0, (1, 0)), LimitElement(0, (0, 1))]
+    cert = find_invariant_state(system, action, elements, [Word.of(1)], 1)
+    assert cert == push_every_stage(system, action, elements, [Word.of(1)], 1)
+    assert (cert.stage, cert.functional, cert.element_values) == (1, (1, 1), (2, 0))
+    assert find_invariant_state(system, action, elements, [Word.of(1)], 0) is None
+
+
+def test_state_search_past_the_declared_stages_is_a_miss():
+    """No word images, an element one stage past a finite prefix: the
+    search stops at the first stage without pushing anything."""
+    system = InductiveSystem((1, 1), (IntMatrix.from_rows([[1]]),), (1,))
+    action = identity_action(system)
+    assert find_invariant_state(system, action, [LimitElement(2, (1,))], [], 4) is None
+
+
+# ---------------------------------------------------------------------------
+# per-system injectivity cache
+# ---------------------------------------------------------------------------
+
+
+def _queries(system):
+    top = 5
+    stages = [k for k in range(top + 1) if system.has_stage(k)]
+    for k in stages:
+        p = system.rank_at(k)
+        basis = [tuple(1 if j == i else 0 for j in range(p)) for i in range(p)]
+        vectors = basis + [tuple(-x for x in v) for v in basis] + [(0,) * p, system.unit_at(k)]
+        if p > 1:
+            vectors.append((1, -1) + (0,) * (p - 2))
+            vectors.append((-1,) + (2,) * (p - 1))
+        for v in vectors:
+            for horizon in range(k, top + 1):
+                yield LimitElement(k, v), horizon
+
+
+def _answers(system):
+    return [
+        (is_zero(system, e, h), is_positive(system, e, h)) for e, h in _queries(system)
+    ]
+
+
+@pytest.mark.parametrize("make", [m for _, m in CASES], ids=[name for name, _ in CASES])
+def test_injectivity_cache_keeps_every_answer(make, monkeypatch):
+    def uncached(self, k):
+        a = self.stationary_tail if k is None else self.connecting_maps[k]
+        return rank(a) == a.cols
+
+    with monkeypatch.context() as m:
+        m.setattr(InductiveSystem, "map_injective", uncached)
+        want = _answers(make()[0])
+    ranked = []
+    monkeypatch.setattr(dimgroup, "rank", lambda a: ranked.append(a) or rank(a))
+    system = make()[0]
+    assert _answers(system) == want
+    assert _answers(system) == want  # warm
+    assert bool(ranked) == system.is_stationary  # only a tail can certify injectivity
+    maps = list(system.connecting_maps) + [system.stationary_tail]
+    for a, calls in Counter(map(id, ranked)).items():
+        assert calls <= sum(1 for b in maps if id(b) == a)
