@@ -1,7 +1,8 @@
 """Tour of the exact linear algebra substrate.
 
 Everything below is exact: integer matrices, normal forms, lattice
-solving, rational simplex. Run with `python demos/01_exact_linear_algebra.py`.
+solving, and a simplex over integer inequality rows with rational
+answers. Run with `python demos/01_exact_linear_algebra.py`.
 """
 
 import pathlib
@@ -40,11 +41,13 @@ solved = solve_in_lattice(line, (0,))
 print("x + y = 0 over Z:", solved)
 print("3 in 2Z?", solve_in_lattice(IntMatrix.from_rows([[2]]), (3,)))
 
-# Exact LP feasibility. A feasible program returns an exact point.
-program = LinearProgram.build(1, equalities=[([1], 1)], inequalities=[([1], 0)])
+# Exact LP feasibility over integer inequality rows (a, b), each read as
+# a.x >= b; an equality is two rows. A feasible program returns an exact
+# rational point.
+program = LinearProgram.build(1, inequalities=[([1], 1), ([-1], -1), ([1], 0)])
 result = lp_feasible(program)
 assert isinstance(result, Feasible)
-print("{x = 1, x >= 0}:", result)
+print("{x >= 1, -x >= -1, x >= 0}:", result)
 
 # An infeasible program returns a Farkas certificate: nonnegative
 # multipliers combining the constraints into 0 >= positive.
@@ -54,10 +57,8 @@ assert isinstance(result, Infeasible)
 print("{x >= 1, -x >= 0}: infeasible, multipliers", result.ineq_multipliers)
 
 # The cone-section program behind the witness search: does the span of
-# (1,-1) meet the nonnegative orthant away from the origin? Never.
-program = LinearProgram.build(
-    3,
-    equalities=[([1, 0, -1], 0), ([0, 1, 1], 0)],
-    inequalities=[([1, 0, 0], 0), ([0, 1, 0], 0), ([1, 1, 0], 1)],
-)
+# (1,-1) meet the nonnegative orthant away from the origin? Over the
+# coefficient c of v = c * (1,-1): each coordinate of v >= 0, and the
+# coordinate sum of v >= 1. Never.
+program = LinearProgram.build(1, inequalities=[([1], 0), ([-1], 0), ([0], 1)])
 print("span{(1,-1)} meets the open cone:", isinstance(lp_feasible(program), Feasible))

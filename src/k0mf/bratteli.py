@@ -88,10 +88,6 @@ class BratteliDiagram:
     edge_matrices: tuple[IntMatrix, ...]
     stationary: bool = False
 
-    @property
-    def levels(self) -> int:
-        return len(self.vertex_counts)
-
     def __post_init__(self) -> None:
         counts = self.vertex_counts
         mats = self.edge_matrices
@@ -470,18 +466,14 @@ def parse(data: bytes | str) -> SystemDocument:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_payload(m: IntMatrix) -> list[list[int]]:
-    return m.to_rows()
-
-
 def _system_payload(system: InductiveSystem) -> dict:
     payload: dict[str, Any] = {
         "stage_ranks": list(system.stage_ranks),
-        "connecting_maps": [_matrix_payload(m) for m in system.connecting_maps],
+        "connecting_maps": [m.to_rows() for m in system.connecting_maps],
         "unit": list(system.unit),
     }
     if system.stationary_tail is not None:
-        payload["stationary"] = _matrix_payload(system.stationary_tail)
+        payload["stationary"] = system.stationary_tail.to_rows()
     return payload
 
 
@@ -489,7 +481,7 @@ def _action_payload(action: K0Action) -> dict:
     def families(fams: tuple[tuple[StageMap, ...], ...]) -> list:
         return [
             [
-                {"from_stage": sm.from_stage, "to_stage": sm.to_stage, "matrix": _matrix_payload(sm.matrix)}
+                {"from_stage": sm.from_stage, "to_stage": sm.to_stage, "matrix": sm.matrix.to_rows()}
                 for sm in fam
             ]
             for fam in fams
@@ -502,7 +494,7 @@ def _action_payload(action: K0Action) -> dict:
     }
     if action.stationary is not None:
         payload["stationary"] = [
-            {"shift": rule.shift, "forward": _matrix_payload(rule.forward), "inverse": _matrix_payload(rule.inverse)}
+            {"shift": rule.shift, "forward": rule.forward.to_rows(), "inverse": rule.inverse.to_rows()}
             for rule in action.stationary
         ]
     return payload
@@ -524,7 +516,7 @@ def document_payload(doc: SystemDocument) -> dict:
         assert doc.diagram is not None
         payload["diagram"] = {
             "vertex_counts": list(doc.diagram.vertex_counts),
-            "edge_matrices": [_matrix_payload(m) for m in doc.diagram.edge_matrices],
+            "edge_matrices": [m.to_rows() for m in doc.diagram.edge_matrices],
             "stationary": doc.diagram.stationary,
         }
     else:
@@ -538,9 +530,32 @@ def document_payload(doc: SystemDocument) -> dict:
     return payload
 
 
+def _json_text(value: Any, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, writing integers
+    of any length in chunks."""
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            parts, ends = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())], "{}"
+        else:
+            parts, ends = [_json_text(v, inner) for v in value], "[]"
+        return f"{ends[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}{ends[1]}"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _decimal_str(value)
+    return json.dumps(value)
+
+
 def canonical_json_bytes(payload: Any) -> bytes:
-    """Canonical encoding: sorted keys, two-space indent, trailing newline."""
-    return (json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
+    """Canonical encoding: sorted keys, two-space indent, trailing newline.
+
+    ``json.dumps`` writes it; only when an integer exceeds the
+    interpreter's digit limit does ``_json_text`` write it again.
+    """
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)
+    except ValueError:  # an integer past the digit limit
+        text = _json_text(payload)
+    return (text + "\n").encode("utf-8")
 
 
 def serialize(doc: SystemDocument) -> bytes:

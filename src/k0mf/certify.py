@@ -151,6 +151,16 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _coefficient_program(
+    basis_rows: Sequence[Sequence[int]], positives: Sequence[Sequence[int]], nonnegative: bool
+) -> LinearProgram:
+    """Program over the coefficients c of v = sum(c_i * basis_rows[i]): each
+    coordinate of v >= 0 when ``nonnegative``, then v . p >= 1 per p in ``positives``."""
+    ineqs = [([row[i] for row in basis_rows], 0) for i in range(len(basis_rows[0]))] if nonnegative else []
+    ineqs.extend(([_dot(row, pos) for row in basis_rows], 1) for pos in positives)
+    return LinearProgram.build(len(basis_rows), inequalities=ineqs)
+
+
 def _span_meets_cone(basis_rows: list[tuple[int, ...]]) -> bool:
     """Does the rational span of the lattice meet the cone nontrivially?
 
@@ -160,12 +170,7 @@ def _span_meets_cone(basis_rows: list[tuple[int, ...]]) -> bool:
     """
     if not basis_rows:
         return False
-    width = len(basis_rows[0])
-    ineqs: list[tuple[list[int], int]] = []
-    for i in range(width):
-        ineqs.append(([row[i] for row in basis_rows], 0))
-    ineqs.append(([sum(row) for row in basis_rows], 1))
-    program = LinearProgram.build(len(basis_rows), inequalities=ineqs)
+    program = _coefficient_program(basis_rows, [(1,) * len(basis_rows[0])], nonnegative=True)
     return isinstance(lp_feasible(program), Feasible)
 
 
@@ -226,12 +231,7 @@ def _canonical_functional(
     greatest coordinate sum, then lexicographic.
     """
     width = len(kernel_rows[0])
-    ineqs: list[tuple[list[int], int]] = []
-    if require_nonnegative:
-        ineqs.extend(([row[i] for row in kernel_rows], 0) for i in range(width))
-    ineqs.extend(([_dot(row, pos) for row in kernel_rows], 1) for pos in positives)
-    program = LinearProgram.build(len(kernel_rows), inequalities=ineqs)
-    res = lp_feasible(program)
+    res = lp_feasible(_coefficient_program(kernel_rows, positives, require_nonnegative))
     if isinstance(res, Infeasible):
         return None
     scale = lcm(*(t.denominator for t in res.point))

@@ -35,6 +35,7 @@ from .bratteli import (
     _expect_object,
     _int_vector,
     _load_json,
+    _no_extra_keys,
     canonical_json_bytes,
     document_payload,
     finite_system_to_k0,
@@ -218,15 +219,18 @@ def _parse_sets_file(path: str, system: InductiveSystem, action: K0Action) -> tu
         raise DocumentError(path, f"cannot read request sets: {exc}") from None
     if not isinstance(raw, dict) or "requests" not in raw or not isinstance(raw["requests"], list):
         raise DocumentError(path, 'expected an object with a "requests" array')
+    _no_extra_keys(raw, {"requests"}, f"{path}:$")
     out = []
     for i, req in enumerate(raw["requests"]):
         where = f"{path}:requests[{i}]"
         req = _expect_object(req, where)
+        _no_extra_keys(req, {"elements", "words"}, where)
         elements = []
         for j, el in enumerate(_expect_list(req.get("elements", []), f"{where}.elements")):
             at = f"{where}.elements[{j}]"
             if not isinstance(el, dict) or "stage" not in el or "vector" not in el:
                 raise DocumentError(at, "expected {stage, vector}")
+            _no_extra_keys(el, {"stage", "vector"}, at)
             stage = _expect_int(el["stage"], f"{at}.stage")
             if not system.has_stage(stage):
                 raise DocumentError(f"{at}.stage", f"stage {_decimal_str(stage)} is outside the document's stages")

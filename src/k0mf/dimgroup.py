@@ -281,13 +281,6 @@ class InjectivityReport:
     stage_flags: tuple[tuple[int, bool], ...]
     tail_injective: bool | None
 
-    @property
-    def all_injective(self) -> bool:
-        flags = [ok for _, ok in self.stage_flags]
-        if self.tail_injective is not None:
-            flags.append(self.tail_injective)
-        return all(flags)
-
 
 def injectivity_report(system: InductiveSystem, horizon: int) -> InjectivityReport:
     declared = range(min(horizon, len(system.connecting_maps)))

@@ -9,16 +9,16 @@ witness it; the Hermite form alone, as callers only read its rows),
 integer linear solving with canonical kernel bases, enumeration of the
 lattice points in a box (the sup-norm ball, or its nonnegative corner)
 that prunes a branch as soon as a coordinate it has fixed leaves the
-box, and an exact rational feasibility solver: a phase-one simplex with
-Bland's pivoting rule on a fraction-free integer tableau (rows scaled
-to integers, one common denominator), returning either an exact
-feasible point or an exact Farkas certificate of infeasibility. Both
-results are re-checked before they are returned, in integers: each
-constraint scaled by the lcm of its denominators, the point or the
-multipliers by one common denominator.
+box, and an exact feasibility solver for integer inequality rows
+a.x >= b: a phase-one simplex with Bland's pivoting rule on a
+fraction-free integer tableau (one common denominator), returning
+either an exact rational feasible point or an exact rational Farkas
+certificate of infeasibility. Both results are re-checked in integers
+before they are returned, the point or the multipliers scaled by one
+common denominator.
 
-Everything runs on Python ints, with Fractions only in rational inputs
-and results; there is no floating point on any verdict path. All
+Everything runs on Python ints, with Fractions only in the LP's
+rational answers; there is no floating point on any verdict path. All
 outputs are deterministic functions of their inputs, so certificates
 built on top of this module are byte-reproducible.
 """
@@ -343,7 +343,8 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if d[k][k] < 0:
             d[k] = [-x for x in d[k]]
             u[k] = [-x for x in u[k]]
-    return IntMatrix.from_rows(d), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+    s = IntMatrix.from_rows(d) if m else IntMatrix.zeros(0, n)
+    return s, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
 
 
 def solve_in_lattice(
@@ -447,47 +448,29 @@ def enumerate_lattice_points(
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear programming (feasibility with certificates)
+# Exact feasibility of integer inequality rows, with certificates
 # ---------------------------------------------------------------------------
-
-Rational = Fraction | int
-
-def _frac_row(coeffs: Sequence[Rational], n: int) -> tuple[Fraction, ...]:
-    row = tuple(Fraction(c) for c in coeffs)
-    if len(row) != n:
-        raise ValueError("constraint row length mismatch")
-    return row
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Exact rational program: equalities a.x == b, inequalities a.x >= b."""
+    """Exact program over integer inequality rows: each (a, b) reads a.x >= b."""
 
     num_vars: int
-    equalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    inequalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    inequalities: tuple[tuple[tuple[int, ...], int], ...]
 
     @classmethod
-    def build(
-        cls,
-        num_vars: int,
-        equalities: Iterable[tuple[Sequence[Rational], Rational]] = (),
-        inequalities: Iterable[tuple[Sequence[Rational], Rational]] = (),
-    ) -> "LinearProgram":
-        eqs = tuple((_frac_row(a, num_vars), Fraction(b)) for a, b in equalities)
-        ins = tuple((_frac_row(a, num_vars), Fraction(b)) for a, b in inequalities)
-        return cls(num_vars, eqs, ins)
-
-    @cached_property
-    def _integer_rows(self) -> tuple[tuple[int, list[int], int], ...]:
-        """Per constraint, equalities first: (s, s * coefficients, s * b)
-        for s > 0 the lcm of the constraint's denominators."""
-        out = []
-        for coeffs, b in self.equalities + self.inequalities:
-            s = lcm(b.denominator, *(c.denominator for c in coeffs))
-            a = [c.numerator * (s // c.denominator) for c in coeffs]
-            out.append((s, a, b.numerator * (s // b.denominator)))
-        return tuple(out)
+    def build(cls, num_vars: int, inequalities: Iterable[tuple[Sequence[int], int]] = ()) -> "LinearProgram":
+        """Rows of ``num_vars`` ints: the tableau floor-divides, so no Fraction, float or bool."""
+        rows = []
+        for a, b in inequalities:
+            a = tuple(a)
+            if len(a) != num_vars:
+                raise ValueError("constraint row length mismatch")
+            if type(b) is not int or not all(type(c) is int for c in a):
+                raise ValueError("constraint coefficients and right-hand sides must be ints")
+            rows.append((a, b))
+        return cls(num_vars, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -497,12 +480,10 @@ class Feasible:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Farkas certificate: the multipliers combine the constraints into
-    0 == sum(eq_multipliers * eq_rows) + sum(ineq_multipliers * ineq_rows)
-    coefficient-wise while the combined right-hand side is positive, so
-    no point can satisfy the system. Inequality multipliers are >= 0."""
+    """Farkas certificate: multipliers t_k >= 0, one per inequality, with
+    sum(t_k * a_k) == 0 coefficient-wise while sum(t_k * b_k) > 0, so no
+    point can satisfy every row."""
 
-    eq_multipliers: tuple[Fraction, ...]
     ineq_multipliers: tuple[Fraction, ...]
 
 
@@ -579,28 +560,20 @@ def _phase_one(
 def _point_satisfies(program: LinearProgram, x: Sequence[Fraction]) -> bool:
     d = lcm(*(t.denominator for t in x))
     scaled = [t.numerator * (d // t.denominator) for t in x]  # d * x
-    n_eq = len(program.equalities)
-    for k, (_, a, b) in enumerate(program._integer_rows):
-        lhs, rhs = sum(map(mul, a, scaled)), b * d
-        if (lhs != rhs) if k < n_eq else (lhs < rhs):
-            return False
-    return True
+    return all(sum(map(mul, a, scaled)) >= b * d for a, b in program.inequalities)
 
 
 def verify_farkas(program: LinearProgram, cert: Infeasible) -> bool:
     """Exactly re-check a Farkas certificate by substitution."""
     if any(t < 0 for t in cert.ineq_multipliers):
         return False
-    rows = program._integer_rows
-    n_eq = len(program.equalities)
-    used = [*zip(cert.eq_multipliers, rows[:n_eq]), *zip(cert.ineq_multipliers, rows[n_eq:])]
-    # t times a constraint is t / s times its integer row (a, b); d > 0
-    # clears every t / s, so d * combination is integral with the same signs
-    d = lcm(*(t.denominator * s for t, (s, _, _) in used))
+    used = list(zip(cert.ineq_multipliers, program.inequalities))
+    # d > 0 clears every multiplier's denominator: d * combination is integral, same signs
+    d = lcm(*(t.denominator for t, _ in used))
     combo = [0] * program.num_vars
     total = 0
-    for t, (s, a, b) in used:
-        f = t.numerator * (d // (t.denominator * s))
+    for t, (a, b) in used:
+        f = t.numerator * (d // t.denominator)
         if f:
             for j, c in enumerate(a):
                 combo[j] += f * c
@@ -609,28 +582,22 @@ def verify_farkas(program: LinearProgram, cert: Infeasible) -> bool:
 
 
 def lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
-    """Exact feasibility verdict for an equality/inequality system.
+    """Exact feasibility verdict for a system of integer inequalities.
 
     A Feasible result carries a point satisfying every constraint
     exactly; an Infeasible result carries a Farkas certificate that
     re-verifies exactly. Both are checked before returning.
     """
     n = program.num_vars
-    n_eq = len(program.equalities)
-    n_ineq = len(program.inequalities)
-    width = 2 * n + n_ineq  # x+ | x- | surplus
+    m = len(program.inequalities)
+    width = 2 * n + m  # x+ | x- | surplus
     rows: list[list[int]] = []
     rhs: list[int] = []
-    scales: list[int] = []  # tableau row k is scales[k] * constraint k (before its surplus)
-    for k, (scale, a, b) in enumerate(program._integer_rows):
-        if b < 0:
-            scale, a, b = -scale, [-x for x in a], -b
-        row = a + [-x for x in a] + [0] * n_ineq
-        if k >= n_eq:
-            row[2 * n + k - n_eq] = -1 if scale > 0 else 1
-        rows.append(row)
-        rhs.append(b)
-        scales.append(scale)
+    for k, (a, b) in enumerate(program.inequalities):
+        s = -1 if b < 0 else 1  # tableau row k is s * row k, so its rhs is >= 0
+        row = [s * c for c in a]
+        rows.append(row + [-c for c in row] + [0] * k + [-s] + [0] * (m - 1 - k))
+        rhs.append(s * b)
     feasible, point, duals = _phase_one(rows, rhs, width)
     if feasible:
         assert point is not None
@@ -639,9 +606,7 @@ def lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
             raise AssertionError("simplex returned a non-feasible point")
         return Feasible(x)
     assert duals is not None
-    eq_mult = tuple(scales[i] * duals[i] for i in range(n_eq))
-    ineq_mult = tuple(scales[n_eq + i] * duals[n_eq + i] for i in range(n_ineq))
-    cert = Infeasible(eq_mult, ineq_mult)
+    cert = Infeasible(tuple(-t if b < 0 else t for t, (_, b) in zip(duals, program.inequalities)))
     if not verify_farkas(program, cert):
         raise AssertionError("simplex returned an invalid Farkas certificate")
     return cert

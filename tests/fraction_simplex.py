@@ -88,12 +88,6 @@ def fraction_lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     signs: list[int] = []
-    for coeffs, b in program.equalities:
-        row = list(coeffs) + [-c for c in coeffs] + [Fraction(0)] * n_ineq
-        sign = 1 if b >= 0 else -1
-        rows.append([sign * c for c in row])
-        rhs.append(sign * b)
-        signs.append(sign)
     for idx, (coeffs, b) in enumerate(program.inequalities):
         row = list(coeffs) + [-c for c in coeffs] + [Fraction(0)] * n_ineq
         row[2 * n + idx] = Fraction(-1)
@@ -102,20 +96,14 @@ def fraction_lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
         rhs.append(sign * b)
         signs.append(sign)
     feasible, point, duals = _phase_one(rows, rhs, width)
-    n_eq = len(program.equalities)
     if feasible:
         assert point is not None
         return Feasible(tuple(point[j] - point[n + j] for j in range(n)))
     assert duals is not None
-    eq_mult = tuple(signs[i] * duals[i] for i in range(n_eq))
-    ineq_mult = tuple(signs[n_eq + i] * duals[n_eq + i] for i in range(n_ineq))
-    return Infeasible(eq_mult, ineq_mult)
+    return Infeasible(tuple(signs[i] * duals[i] for i in range(n_ineq)))
 
 
 def fraction_point_satisfies(program: LinearProgram, x: Sequence[Fraction]) -> bool:
-    for coeffs, b in program.equalities:
-        if sum(c * v for c, v in zip(coeffs, x)) != b:
-            return False
     for coeffs, b in program.inequalities:
         if sum(c * v for c, v in zip(coeffs, x)) < b:
             return False
@@ -127,10 +115,6 @@ def fraction_verify_farkas(program: LinearProgram, cert: Infeasible) -> bool:
         return False
     combo = [Fraction(0)] * program.num_vars
     total = Fraction(0)
-    for mult, (coeffs, b) in zip(cert.eq_multipliers, program.equalities):
-        for j, c in enumerate(coeffs):
-            combo[j] += mult * c
-        total += mult * b
     for mult, (coeffs, b) in zip(cert.ineq_multipliers, program.inequalities):
         for j, c in enumerate(coeffs):
             combo[j] += mult * c

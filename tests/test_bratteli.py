@@ -15,6 +15,8 @@ from k0mf.bratteli import (
     _decimal_int,
     _decimal_str,
     _expect_int,
+    _json_text,
+    canonical_json_bytes,
     diagram_to_system,
     finite_system_to_k0,
     parse,
@@ -408,4 +410,24 @@ def test_parse_long_integer_literal_keeps_its_path():
     with pytest.raises(DocumentError) as err:
         parse('{"schema_version": -%s, "finite_system": {"points": 1, "permutations": [[1]]}}' % big)
     assert str(err.value) == f"$.schema_version: unsupported version -{big}"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_long_integer_writer_matches_json_dumps():
+    """The writer used past the digit limit gives json's bytes on every
+    payload json can write."""
+    payloads = [json.loads(golden_path(name).read_bytes()) for name in GOLDEN_NAMES]
+    payloads.append(
+        {"b": [True, False, None, -3, 0, 2.5], "a": {}, "c": [[], {}, [[]]], "\u00e9\n": "caf\u00e9 \"x\"\t"}
+    )
+    payloads += [[], {}, (), (1, [2, ()]), 7, "s", None]
+    for payload in payloads:
+        assert (_json_text(payload) + "\n").encode() == canonical_json_bytes(payload)
+
+
+def test_canonical_bytes_write_integers_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    big = "-" + "8" * 5000
+    blob = canonical_json_bytes({"z": [_decimal_int(big), 1], "a": "x"})
+    assert blob == ('{\n  "a": "x",\n  "z": [\n    %s,\n    1\n  ]\n}\n' % big).encode()
     assert sys.get_int_max_str_digits() == limit

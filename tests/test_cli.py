@@ -6,6 +6,7 @@ from pathlib import Path
 
 from conftest import golden_path
 
+from k0mf.bratteli import _decimal_int, _load_json
 from k0mf.cli import main
 
 
@@ -170,6 +171,19 @@ def test_check_mf_sets_names_path_of_bad_letter_and_stage(tmp_path, capsys):
     code, _, err = _check_mf_with_sets(tmp_path, capsys, text)
     assert code == 2
     assert "requests[0].elements[0].stage: expected an integer" in err
+
+
+def test_check_mf_sets_rejects_unknown_fields(tmp_path, capsys):
+    """A misspelled key would drop its data and certify less than asked."""
+    element = {"stage": 0, "vector": [1, 0, 0]}
+    for sets, where in (
+        ({"requests": [{"elements": [element], "wrods": [[1]]}]}, "requests[0].wrods"),
+        ({"requests": [{"elements": [dict(element, weight=2)], "words": [[1]]}]}, "requests[0].elements[0].weight"),
+        ({"requests": [{"elements": [element]}], "request": []}, "$.request"),
+    ):
+        code, out, err = _check_mf_with_sets(tmp_path, capsys, json.dumps(sets))
+        assert (code, out) == (2, ""), where
+        assert err == f"invalid input: {tmp_path / 'sets.json'}:{where}: unknown field\n"
 
 
 # Stage 0 has rank 1 on the shift and rank 3 on cycle3; both have one generator.
@@ -359,6 +373,22 @@ def test_check_mf_sets_long_integer_literal_keeps_its_path(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check-mf", str(golden_path("compactified_shift.json")), "--sets", sets)
     assert (code, out) == (2, "")
     assert err == f"invalid input: {sets}:requests[0].words[0][0]: letter -{big} is not a signed generator index 1..1\n"
+
+
+def test_check_mf_writes_payload_integers_past_the_digit_limit(tmp_path, capsys):
+    """A unit entry of 5000 digits reaches the certificate's unit_value."""
+    limit = sys.get_int_max_str_digits()
+    big = "7" * 5000
+    system = '{"stage_ranks": [1], "connecting_maps": [], "unit": [%s], "stationary": [[1]]}' % big
+    action = '{"generators": 1, "forward": [[]], "inverse": [[]], "stationary": [{"shift": 0, "forward": [[1]], "inverse": [[1]]}]}'
+    doc = _write(tmp_path, "big.json", '{"schema_version": 1, "system": %s, "action": %s}' % (system, action))
+    code, out, err = run_cli(capsys, "check-mf", doc)
+    assert code == 0, err
+    payload = _load_json(out)
+    assert payload["verdict"] == "CONSISTENT"
+    assert payload["state_searches"][0]["certificate"]["unit_value"] == _decimal_int(big)
+    assert f'"unit_value": {big},' in out
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_long_integer_in_an_action_detail_is_a_failing_check(tmp_path, capsys):

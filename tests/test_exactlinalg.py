@@ -65,6 +65,7 @@ def check_hnf(a: IntMatrix) -> None:
 
 def check_snf(a: IntMatrix) -> None:
     s, u, v = smith_normal_form(a)
+    assert (s.rows, s.cols) == (a.rows, a.cols)
     assert u @ a @ v == s
     assert is_unimodular(u)
     assert is_unimodular(v)
@@ -109,6 +110,12 @@ def test_hnf_small_example():
     # gcd of column 0 is 2; |det| = 8 is preserved up to the pivot product
     assert h.at(0, 0) == 2
     assert h.at(0, 0) * h.at(1, 1) == abs(determinant(a))
+
+
+def test_normal_forms_without_rows_or_columns():
+    for m, n in [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)]:
+        check_snf(IntMatrix.zeros(m, n))
+        check_hnf(IntMatrix.zeros(m, n))
 
 
 def test_snf_identity_and_zero():
@@ -199,7 +206,8 @@ def test_enumerate_lattice_points_offset():
 
 
 def test_lp_trivial_feasible():
-    p = LinearProgram.build(1, equalities=[([1], 1)], inequalities=[([1], 0)])
+    # x == 1 is written as x >= 1 and -x >= -1
+    p = LinearProgram.build(1, inequalities=[([1], 1), ([-1], -1), ([1], 0)])
     res = lp_feasible(p)
     assert isinstance(res, Feasible)
     assert res.point == (Fraction(1),)
@@ -211,19 +219,39 @@ def test_lp_trivial_infeasible():
     res = lp_feasible(p)
     assert isinstance(res, Infeasible)
     assert verify_farkas(p, res)
+    assert res.ineq_multipliers == (1, 1)
 
 
 def test_lp_cone_section_infeasible():
     # v in span{(1,-1)}, v >= 0, v1 + v2 >= 1: the span meets the
-    # nonnegative orthant only at the origin.
+    # nonnegative orthant only at the origin. v = (x0, x1) and x0 == x2,
+    # x1 == -x2 are each written as two inequalities.
     p = LinearProgram.build(
         3,
-        equalities=[([1, 0, -1], 0), ([0, 1, 1], 0)],
-        inequalities=[([1, 0, 0], 0), ([0, 1, 0], 0), ([1, 1, 0], 1)],
+        inequalities=[
+            ([1, 0, -1], 0), ([-1, 0, 1], 0), ([0, 1, 1], 0), ([0, -1, -1], 0),
+            ([1, 0, 0], 0), ([0, 1, 0], 0), ([1, 1, 0], 1),
+        ],
     )
     res = lp_feasible(p)
     assert isinstance(res, Infeasible)
     assert verify_farkas(p, res)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 0.5, 1.0, True, False])
+def test_lp_build_takes_only_int_rows(bad):
+    with pytest.raises(ValueError, match="must be ints"):
+        LinearProgram.build(2, inequalities=[([1, bad], 0)])
+    with pytest.raises(ValueError, match="must be ints"):
+        LinearProgram.build(2, inequalities=[([1, 1], 0), ([1, 1], bad)])
+
+
+def test_lp_build_checks_row_length():
+    for row in ([1], [1, 2, 3], []):
+        with pytest.raises(ValueError, match="length"):
+            LinearProgram.build(2, inequalities=[([1, 1], 0), (row, 0)])
+    p = LinearProgram.build(2, inequalities=[((1, -1), 0), ([0, 2], -3)])
+    assert p.inequalities == (((1, -1), 0), ((0, 2), -3))
 
 
 def random_matrix(rng: random.Random, max_dim: int = 5, lo: int = -9, hi: int = 9) -> IntMatrix:
@@ -265,16 +293,14 @@ def brute_force_feasible(p: LinearProgram, box: int = 10**4) -> bool:
     from itertools import combinations
 
     n = p.num_vars
-    cons: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    cons.extend(p.equalities)
-    cons.extend(p.inequalities)
+    cons = list(p.inequalities)
     for j in range(n):
-        row = tuple(Fraction(1 if t == j else 0) for t in range(n))
-        cons.append((row, Fraction(-box)))
-        cons.append((tuple(-c for c in row), Fraction(-box)))
+        row = tuple(1 if t == j else 0 for t in range(n))
+        cons.append((row, -box))
+        cons.append((tuple(-c for c in row), -box))
 
     def solve_square(rows):
-        mat = [list(cons[i][0]) + [cons[i][1]] for i in rows]
+        mat = [[Fraction(c) for c in cons[i][0]] + [Fraction(cons[i][1])] for i in rows]
         cols = n
         piv = []
         r = 0
@@ -304,16 +330,10 @@ def brute_force_feasible(p: LinearProgram, box: int = 10**4) -> bool:
         return x
 
     def satisfied(x) -> bool:
-        for coeffs, b in p.equalities:
-            if sum(c * v for c, v in zip(coeffs, x)) != b:
-                return False
-        for coeffs, b in p.inequalities:
-            if sum(c * v for c, v in zip(coeffs, x)) < b:
-                return False
-        return True
+        return all(sum(c * v for c, v in zip(coeffs, x)) >= b for coeffs, b in p.inequalities)
 
     if n == 0:
-        return all(b <= 0 for _, b in p.inequalities) and all(b == 0 for _, b in p.equalities)
+        return all(b <= 0 for _, b in p.inequalities)
     idx = list(range(len(cons)))
     for rows in combinations(idx, n):
         x = solve_square(rows)
@@ -323,18 +343,17 @@ def brute_force_feasible(p: LinearProgram, box: int = 10**4) -> bool:
 
 
 def random_program(rng: random.Random) -> LinearProgram:
+    """Integer inequality rows; each of up to two equalities a.x == b is
+    written as its two inequalities a.x >= b and -a.x >= -b."""
     n = rng.randint(1, 4)
     n_eq = rng.randint(0, 2)
     n_in = rng.randint(0, 4)
-    eqs = [
-        ([rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3))
-        for _ in range(n_eq)
-    ]
-    ins = [
-        ([rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3))
-        for _ in range(n_in)
-    ]
-    return LinearProgram.build(n, equalities=eqs, inequalities=ins)
+    rows = []
+    for _ in range(n_eq):
+        a, b = [rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3)
+        rows += [(a, b), ([-c for c in a], -b)]
+    rows += [([rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3)) for _ in range(n_in)]
+    return LinearProgram.build(n, inequalities=rows)
 
 
 def test_lp_matches_vertex_oracle():

@@ -1,21 +1,23 @@
 """The integer-tableau ``lp_feasible`` against the Fraction tableau it replaced.
 
-On integer programs the two tableaux are the same up to one common
-denominator, so Bland's rule makes the same pivots and the results must
-be identical: the same ``Feasible.point`` or the same ``Infeasible``
-multipliers. On programs with non-integral coefficients the integer
-solver first scales each row by the lcm of its denominators, which can
-change the entering column; there only the verdict (against the vertex
-oracle) and the exactness of the certificate are required.
+The program is integer inequality rows, so the two tableaux are the
+same up to one common denominator, Bland's rule makes the same pivots,
+and the results must be identical: the same ``Feasible.point`` or the
+same ``Infeasible`` multipliers. ``certify`` builds its cone and state
+programs with one helper, ``_coefficient_program``.
 """
 
 import random
-from fractions import Fraction
+
+import pytest
 
 from fraction_simplex import fraction_lp_feasible
-from test_exactlinalg import brute_force_feasible, random_program
+from test_exactlinalg import random_program
+from test_lattice_pipeline import CASES
 
-from k0mf.exactlinalg import Feasible, Infeasible, LinearProgram, lp_feasible, verify_farkas
+from k0mf import certify
+from k0mf.certify import SearchParams, _coefficient_program, _span_meets_cone, _stage_lattices
+from k0mf.exactlinalg import Feasible, Infeasible, LinearProgram, lp_feasible
 
 
 def _dot(a, b):
@@ -55,18 +57,6 @@ def state_program(rng: random.Random) -> LinearProgram:
     return LinearProgram.build(k, inequalities=ineqs)
 
 
-def rational_program(rng: random.Random) -> LinearProgram:
-    """Like ``random_program``, with coefficients over denominators 2-6."""
-
-    def q() -> Fraction:
-        return Fraction(rng.randint(-12, 12), rng.randint(2, 6))
-
-    n = rng.randint(1, 4)
-    eqs = [([q() for _ in range(n)], q()) for _ in range(rng.randint(0, 2))]
-    ins = [([q() for _ in range(n)], q()) for _ in range(rng.randint(1, 4))]
-    return LinearProgram.build(n, equalities=eqs, inequalities=ins)
-
-
 def test_integer_programs_match_fraction_tableau():
     rng = random.Random(20261018)
     programs = [cone_program(rng) for _ in range(25)]
@@ -90,31 +80,20 @@ def test_state_shapes_cover_both_verdicts():
     assert seen == {(v, nonneg) for v in (Feasible, Infeasible) for nonneg in (False, True)}
 
 
-def test_rational_programs_match_vertex_oracle():
-    rng = random.Random(31337)
-    verdicts = {Feasible: 0, Infeasible: 0}
-    scaled = 0
-    for _ in range(200):
-        p = rational_program(rng)
-        scaled += any(c.denominator > 1 for row, _ in p.equalities + p.inequalities for c in row)
-        res = lp_feasible(p)
-        assert isinstance(res, Feasible) == brute_force_feasible(p)
-        if isinstance(res, Infeasible):
-            assert verify_farkas(p, res)
-        else:
-            assert all(_dot(a, res.point) == b for a, b in p.equalities)
-            assert all(_dot(a, res.point) >= b for a, b in p.inequalities)
-        verdicts[type(res)] += 1
-    assert min(verdicts.values()) >= 30, verdicts
-    assert scaled >= 190
-
-
-def test_rational_multipliers_are_scaled_back():
-    # x/2 >= 1/3 and -x/3 >= 0 scale by 6 and 3 to 3x >= 2 and -x >= 0,
-    # whose multipliers (1/3, 1) map back to (2, 3)
-    p = LinearProgram.build(1, inequalities=[([Fraction(1, 2)], Fraction(1, 3)), ([Fraction(-1, 3)], 0)])
-    res = lp_feasible(p)
-    assert isinstance(res, Infeasible)
-    assert verify_farkas(p, res)
-    # the scaled program's multipliers (2, 3) times the row scales (1/3, 1/3)
-    assert res.ineq_multipliers == (2, 3)
+@pytest.mark.parametrize("name,make", CASES, ids=[name for name, _ in CASES])
+def test_cone_program_is_the_shared_helper(name, make, monkeypatch):
+    """``_span_meets_cone`` asks the LP for the rows it always built:
+    each coordinate >= 0, then the coordinate sum >= 1."""
+    system, action = make()
+    seen = []
+    monkeypatch.setattr(certify, "lp_feasible", lambda p: seen.append(p) or lp_feasible(p))
+    for *_, basis in _stage_lattices(system, action, SearchParams()):
+        _span_meets_cone(basis)
+        if not basis:
+            assert not seen  # an empty basis spans only zero; no program is built
+            continue
+        width = len(basis[0])
+        rows = [([row[i] for row in basis], 0) for i in range(width)]
+        rows.append(([sum(row) for row in basis], 1))
+        expected = LinearProgram.build(len(basis), inequalities=rows)
+        assert seen.pop() == expected == _coefficient_program(basis, [(1,) * width], nonnegative=True)

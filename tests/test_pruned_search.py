@@ -26,7 +26,7 @@ from ball_walk import ball_walk
 from fraction_simplex import fraction_point_satisfies, fraction_verify_farkas
 from test_exactlinalg import random_program
 from test_lattice_pipeline import CASES
-from test_lp_integer import cone_program, rational_program, state_program
+from test_lp_integer import cone_program, state_program
 
 from k0mf import dimgroup
 from k0mf.certify import StateCertificate, _canonical_functional, _dot, find_invariant_state
@@ -110,7 +110,7 @@ def test_empty_basis_yields_the_offset_when_it_is_in_the_box():
 
 def _programs(seed: int, count: int):
     rng = random.Random(seed)
-    makers = [random_program, cone_program, state_program, rational_program]
+    makers = [random_program, cone_program, state_program]
     return [makers[i % len(makers)](rng) for i in range(count)], rng
 
 
@@ -138,34 +138,18 @@ def test_point_check_agrees_with_the_fraction_oracle():
     assert 20 < feasible < len(programs) - 20
 
 
-def _rows(p: LinearProgram):
-    return list(p.equalities) + list(p.inequalities)
-
-
-def _with_multipliers(p: LinearProgram, mults: list[Fraction]) -> Infeasible:
-    n_eq = len(p.equalities)
-    return Infeasible(tuple(mults[:n_eq]), tuple(mults[n_eq:]))
-
-
 def test_farkas_check_agrees_with_the_fraction_oracle():
     programs, rng = _programs(12, 240)
     infeasible = 0
     for p in programs:
         res = lp_feasible(p)
-        n_eq, n_ineq = len(p.equalities), len(p.inequalities)
-        certs = [
-            Infeasible(
-                tuple(_random_rational(rng) for _ in range(n_eq)),
-                tuple(abs(_random_rational(rng)) for _ in range(n_ineq)),
-            )
-            for _ in range(3)
-        ]
+        n_ineq = len(p.inequalities)
+        certs = [Infeasible(tuple(abs(_random_rational(rng)) for _ in range(n_ineq))) for _ in range(3)]
         if isinstance(res, Infeasible):
             infeasible += 1
             certs.append(res)
-            certs.append(Infeasible(res.eq_multipliers[:-1], res.ineq_multipliers))  # truncated
-            certs.append(Infeasible(res.eq_multipliers, res.ineq_multipliers[:-1]))
-            certs.append(Infeasible(tuple(2 * t for t in res.eq_multipliers), tuple(2 * t for t in res.ineq_multipliers)))
+            certs.append(Infeasible(res.ineq_multipliers[:-1]))  # truncated
+            certs.append(Infeasible(tuple(2 * t for t in res.ineq_multipliers)))
         for cert in certs:
             assert verify_farkas(p, cert) == fraction_verify_farkas(p, cert)
     assert 20 < infeasible < len(programs) - 20
@@ -178,8 +162,8 @@ def test_mutated_farkas_certificates_are_rejected():
         res = lp_feasible(p)
         if not isinstance(res, Infeasible):
             continue
-        mults = list(res.eq_multipliers + res.ineq_multipliers)
-        rows = _rows(p)
+        mults = list(res.ineq_multipliers)
+        rows = p.inequalities
         # rows whose multiplier and coefficients are both nonzero: changing
         # the multiplier of one, or dropping it, leaves a nonzero combination
         live = [i for i, t in enumerate(mults) if t and any(rows[i][0])]
@@ -190,19 +174,11 @@ def test_mutated_farkas_certificates_are_rejected():
         flipped[i] = -flipped[i]
         nudged = mults[:]
         nudged[i] += Fraction(rng.choice([-1, 1]), rng.randint(1, 5))
-        n_eq = len(p.equalities)
-        dropped_program = LinearProgram(
-            p.num_vars,
-            tuple(r for k, r in enumerate(p.equalities) if k != i),
-            tuple(r for k, r in enumerate(p.inequalities) if k + n_eq != i),
-        )
-        dropped = Infeasible(
-            tuple(t for k, t in enumerate(res.eq_multipliers) if k != i),
-            tuple(t for k, t in enumerate(res.ineq_multipliers) if k + n_eq != i),
-        )
+        dropped_program = LinearProgram(p.num_vars, rows[:i] + rows[i + 1 :])
+        dropped = Infeasible(tuple(mults[:i] + mults[i + 1 :]))
         for name, program, cert in (
-            ("flipped", p, _with_multipliers(p, flipped)),
-            ("nudged", p, _with_multipliers(p, nudged)),
+            ("flipped", p, Infeasible(tuple(flipped))),
+            ("nudged", p, Infeasible(tuple(nudged))),
             ("dropped", dropped_program, dropped),
         ):
             assert not verify_farkas(program, cert), name
@@ -213,11 +189,11 @@ def test_mutated_farkas_certificates_are_rejected():
 
 def test_integer_checks_accept_int_entries():
     """Programs and results built directly from ints, not Fractions."""
-    p = LinearProgram(2, (((1, 1), 2),), (((1, 0), 1),))
+    p = LinearProgram(2, (((1, 1), 2), ((-1, -1), -2), ((1, 0), 1)))
     assert _point_satisfies(p, (1, 1)) and not _point_satisfies(p, (0, 2))
-    q = LinearProgram(1, (), (((1,), 1), ((-1,), 0)))
-    assert verify_farkas(q, Infeasible((), (1, 1)))
-    assert not verify_farkas(q, Infeasible((), (1, 2)))
+    q = LinearProgram(1, (((1,), 1), ((-1,), 0)))
+    assert verify_farkas(q, Infeasible((1, 1)))
+    assert not verify_farkas(q, Infeasible((1, 2)))
 
 
 # ---------------------------------------------------------------------------
