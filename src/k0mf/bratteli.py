@@ -25,10 +25,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from .dimgroup import InductiveSystem
-from .exactlinalg import _CHUNK_DIGITS, IntMatrix, _decimal_str
+from .exactlinalg import _CHUNK_DIGITS, IntMatrix, _decimal_str, _message_int
 from .kaction import K0Action, StageMap, StationaryRule
 
 SCHEMA_VERSION = 1
@@ -127,7 +128,7 @@ class FiniteSystem:
         for i, perm in enumerate(self.permutations):
             # the length check first: ``points`` may be far too large for a range
             if len(perm) != self.points or sorted(perm) != list(range(1, self.points + 1)):
-                raise ValueError(f"permutation {i} is not a bijection of 1..{_decimal_str(self.points)}")
+                raise ValueError(f"permutation {i} is not a bijection of 1..{_message_int(self.points)}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,13 @@ class SystemDocument:
     action: K0Action | None = None
 
     def resolve(self) -> tuple[InductiveSystem, K0Action]:
-        """The inductive system and action the document denotes."""
+        """The inductive system and action the document denotes, built on
+        the first call and kept on the instance (equality and hashing read
+        the fields alone)."""
+        return self._resolved
+
+    @cached_property
+    def _resolved(self) -> tuple[InductiveSystem, K0Action]:
         if self.kind == "system":
             assert self.system is not None and self.action is not None
             return self.system, self.action
@@ -327,7 +334,7 @@ def _parse_diagram(obj: Any, path: str) -> BratteliDiagram:
             )
             raise DocumentError(
                 f"{path}.edge_matrices[{k}][{bad[0]}][{bad[1]}]",
-                f"negative edge multiplicity {mat.at(*bad)}",
+                f"negative edge multiplicity {_message_int(mat.at(*bad))}",
             )
         mats.append(mat)
     stationary = obj.get("stationary", False)
@@ -433,7 +440,7 @@ def parse(data: bytes | str) -> SystemDocument:
         raise DocumentError("$.schema_version", "missing field")
     version = _expect_int(raw["schema_version"], "$.schema_version")
     if version != SCHEMA_VERSION:
-        raise DocumentError("$.schema_version", f"unsupported version {_decimal_str(version)}")
+        raise DocumentError("$.schema_version", f"unsupported version {_message_int(version)}")
     metadata = _parse_metadata(raw.get("metadata"), "$.metadata")
     kinds = [k for k in ("system", "diagram", "finite_system") if k in raw]
     if len(kinds) != 1:

@@ -471,9 +471,20 @@ def find_invariant_state(
 
     The functional lives on a full stage lattice; an invariant
     functional defined only on the subgroup the data generates might
-    exist without extending to a stage, which is why a miss at one stage
-    triggers retries at every later stage up to ``stage_max``. "None" is
-    therefore parameter-relative, never a refutation.
+    exist without extending to a stage, so a miss at one stage is
+    retried at a later stage up to ``stage_max``, but only once a
+    requested element has vanished there. "None" is therefore
+    parameter-relative, never a refutation.
+
+    A retry with the same support cannot succeed. Stage m+1's data is
+    the push of stage m's by one connecting map T: each invariance
+    difference d, the unit and each element g step to Td, T.unit and
+    Tg. A rational solution b' at stage m+1 therefore pulls back to
+    b = T^t b' at stage m, with b.d = b'.Td = 0, b.unit = b'.(T.unit)
+    >= 1 and b.g = b'.Tg >= 1 for every g with Tg nonzero. When every
+    element nonzero at a missed stage is still nonzero, b solves the
+    missed stage's program, so that stage's kernel and program are not
+    built again until an element vanishes.
 
     The elements and their word images are pushed to the first stage
     that holds them all, once, and then stepped through one connecting
@@ -500,6 +511,7 @@ def find_invariant_state(
     )
     element_vecs: list[tuple[int, ...]] = []
     image_vecs: list[tuple[int, ...]] = []
+    missed_support: list[bool] | None = None  # nonzero elements at the last stage that missed
     for m in range(first, stage_max + 1):
         if not system.has_stage(m):
             break
@@ -510,6 +522,9 @@ def find_invariant_state(
             step = system.connecting(m - 1)
             element_vecs = [step.apply(v) for v in element_vecs]
             image_vecs = [step.apply(v) for v in image_vecs]
+        support = [any(gv) for gv in element_vecs]
+        if support == missed_support:
+            continue  # a solution here would pull back to the missed stage
         diffs = [
             tuple(a - b for a, b in zip(element_vecs[gi], iv))
             for (gi, _), iv in zip(images, image_vecs)
@@ -519,12 +534,11 @@ def find_invariant_state(
             kernel_rows = integer_kernel(IntMatrix.from_rows(diffs))
         else:
             kernel_rows = [tuple(1 if j == i else 0 for j in range(p)) for i in range(p)]
-        if not kernel_rows:
-            continue
         unit = system.unit_at(m)
-        positives = [tuple(unit)] + [gv for gv in element_vecs if any(gv)]
-        best = _canonical_functional(kernel_rows, positives, require_nonnegative=False)
+        positives = [tuple(unit)] + [gv for gv, nonzero in zip(element_vecs, support) if nonzero]
+        best = _canonical_functional(kernel_rows, positives, require_nonnegative=False) if kernel_rows else None
         if best is None:
+            missed_support = support
             continue
         cert = StateCertificate(
             stage=m,
@@ -648,6 +662,12 @@ def exclusion_holds(
     system: InductiveSystem, action: K0Action, witness: Witness, stage_max: int
 ) -> bool:
     """True when no invariant faithful functional exists for the
-    witness's exclusion sets at any stage up to ``stage_max``."""
+    witness's exclusion sets at any stage up to ``stage_max``.
+
+    A sound witness rules out such a functional at every stage, so the
+    first stage that holds the sets misses. Later stages are solved
+    again only where an element of the sets has vanished (see
+    ``find_invariant_state``); on an injective system none vanishes, and
+    one infeasible program decides every stage."""
     elements, words = exclusion_sets(witness, action.generators)
     return find_invariant_state(system, action, elements, words, stage_max) is None

@@ -22,6 +22,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Any, Sequence
 
 from .bratteli import (
@@ -29,12 +30,12 @@ from .bratteli import (
     FiniteSystem,
     Metadata,
     SystemDocument,
-    _decimal_str,
     _expect_int,
     _expect_list,
     _expect_object,
     _int_vector,
     _load_json,
+    _message_int,
     _no_extra_keys,
     canonical_json_bytes,
     document_payload,
@@ -233,7 +234,7 @@ def _parse_sets_file(path: str, system: InductiveSystem, action: K0Action) -> tu
             _no_extra_keys(el, {"stage", "vector"}, at)
             stage = _expect_int(el["stage"], f"{at}.stage")
             if not system.has_stage(stage):
-                raise DocumentError(f"{at}.stage", f"stage {_decimal_str(stage)} is outside the document's stages")
+                raise DocumentError(f"{at}.stage", f"stage {_message_int(stage)} is outside the document's stages")
             vector = _int_vector(el["vector"], f"{at}.vector")
             if len(vector) != system.rank_at(stage):
                 raise DocumentError(
@@ -247,7 +248,7 @@ def _parse_sets_file(path: str, system: InductiveSystem, action: K0Action) -> tu
                 if not 1 <= abs(x) <= action.generators:
                     raise DocumentError(
                         f"{where}.words[{j}][{k}]",
-                        f"letter {_decimal_str(x)} is not a signed generator index 1..{action.generators}",
+                        f"letter {_message_int(x)} is not a signed generator index 1..{action.generators}",
                     )
             words.append(Word.of(*letters))
         if not elements:
@@ -412,7 +413,10 @@ def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json-out", type=str, default=None, help="write the canonical JSON payload here instead of stdout")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged, so every call can share it."""
     parser = argparse.ArgumentParser(
         prog="k0mf",
         description="Exact K0 certificates: coboundary witnesses and locally invariant integer states.",

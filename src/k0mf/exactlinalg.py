@@ -66,6 +66,18 @@ def _decimal_str(n: int, width: int = 0) -> str:
     return _decimal_str(high, width - low) + _decimal_str(rest, low)
 
 
+_MESSAGE_INT_BOUND = 10**4300  # past the interpreter's default digit limit
+
+
+def _message_int(n: int) -> str:
+    """An integer as messages print it: its digits, or past 4300 digits
+    ``<integer of N bits>`` (``-<integer of N bits>`` when negative),
+    because converting a million digits takes seconds."""
+    if -_MESSAGE_INT_BOUND < n < _MESSAGE_INT_BOUND:
+        return _decimal_str(n)
+    return f"{'-' if n < 0 else ''}<integer of {n.bit_length()} bits>"
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Integer matrix, immutable: dense, row-major; products run over

@@ -23,7 +23,7 @@ from functools import cache
 from typing import Iterator, Sequence
 
 from .dimgroup import InductiveSystem, LimitElement, StageRangeError, push
-from .exactlinalg import IntMatrix, _decimal_str, row_basis
+from .exactlinalg import IntMatrix, _message_int, row_basis
 
 
 @dataclass(frozen=True)
@@ -252,8 +252,8 @@ class ActionReport:
 
 
 def _vector_str(v: tuple[int, ...]) -> str:
-    """``str(v)`` for a tuple of integers of any length."""
-    body = ", ".join(map(_decimal_str, v))
+    """``str(v)`` for a tuple of integers, each printed as ``_message_int`` does."""
+    body = ", ".join(map(_message_int, v))
     return f"({body},)" if len(v) == 1 else f"({body})"
 
 
@@ -330,7 +330,7 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                     items.append(
                         CheckItem(
                             "positivity", gen, k, False,
-                            f"{tag} map entry {bad} = {_decimal_str(sm.matrix.at(*bad))} is negative",
+                            f"{tag} map entry {bad} = {_message_int(sm.matrix.at(*bad))} is negative",
                         )
                     )
                 else:

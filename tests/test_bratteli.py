@@ -405,11 +405,11 @@ def test_parse_long_integer_literal_keeps_its_path():
         with pytest.raises(DocumentError) as err:
             parse(text)
         assert err.value.path == "$.finite_system"
-        assert err.value.reason == f"permutation 0 is not a bijection of 1..{big}"
+        assert err.value.reason == f"permutation 0 is not a bijection of 1..<integer of {_decimal_int(big).bit_length()} bits>"
         assert sys.get_int_max_str_digits() == limit
     with pytest.raises(DocumentError) as err:
         parse('{"schema_version": -%s, "finite_system": {"points": 1, "permutations": [[1]]}}' % big)
-    assert str(err.value) == f"$.schema_version: unsupported version -{big}"
+    assert str(err.value) == f"$.schema_version: unsupported version -<integer of {_decimal_int(big).bit_length()} bits>"
     assert sys.get_int_max_str_digits() == limit
 
 

@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from conftest import golden_path
 
+from k0mf import bratteli
 from k0mf.bratteli import _decimal_int, _load_json
-from k0mf.cli import main
+from k0mf.cli import build_parser, main
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -346,21 +350,56 @@ def test_validate_huge_points_is_invalid_input(tmp_path, capsys):
     assert err == f"invalid input: $.finite_system: permutation 0 is not a bijection of 1..{10**30}\n"
 
 
+def _bits(digits: str) -> int:
+    return _decimal_int(digits).bit_length()
+
+
 def test_long_integer_literals_keep_their_path(tmp_path, capsys):
-    """Past the interpreter's 4300-digit limit, as a literal or a string."""
+    """Past the interpreter's 4300-digit limit, as a literal or a string;
+    the message gives the integer's bit length, not its digits."""
     limit = sys.get_int_max_str_digits()
     big = "3" * 5000
+    shown = f"<integer of {_bits(big)} bits>"
     for name, points in (("literal.json", big), ("string.json", f'"{big}"')):
         doc = _write(tmp_path, name, '{"schema_version": 1, "finite_system": {"points": %s, "permutations": [[1]]}}' % points)
         code, out, err = run_cli(capsys, "validate", doc)
         assert (code, out) == (2, "")
-        assert err == f"invalid input: $.finite_system: permutation 0 is not a bijection of 1..{big}\n"
+        assert err == f"invalid input: $.finite_system: permutation 0 is not a bijection of 1..{shown}\n"
         assert sys.get_int_max_str_digits() == limit
     doc = _write(tmp_path, "version.json", '{"schema_version": %s, "finite_system": {"points": 1, "permutations": [[1]]}}' % big)
     code, out, err = run_cli(capsys, "validate", doc)
     assert (code, out) == (2, "")
-    assert err == f"invalid input: $.schema_version: unsupported version {big}\n"
+    assert err == f"invalid input: $.schema_version: unsupported version {shown}\n"
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_messages_print_digits_up_to_the_default_digit_limit(tmp_path, capsys):
+    """4300 digits are printed; 4301 digits are not."""
+    for digits, shown in (("9" * 4300, "9" * 4300), ("1" + "0" * 4300, f"<integer of {_bits('1' + '0' * 4300)} bits>")):
+        doc = _write(tmp_path, "points.json", '{"schema_version": 1, "finite_system": {"points": %s, "permutations": [[1]]}}' % digits)
+        code, _, err = run_cli(capsys, "validate", doc)
+        assert (code, err) == (2, f"invalid input: $.finite_system: permutation 0 is not a bijection of 1..{shown}\n")
+
+
+def test_a_long_negative_edge_multiplicity_keeps_its_path(tmp_path, capsys):
+    big = "4" * 5000
+    diagram = '{"vertex_counts": [1, 1], "edge_matrices": [[[-%s]]]}' % big
+    action = '{"generators": 1, "forward": [[]], "inverse": [[]]}'
+    doc = _write(tmp_path, "edge.json", '{"schema_version": 1, "diagram": %s, "action": %s}' % (diagram, action))
+    code, out, err = run_cli(capsys, "validate", doc)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: $.diagram.edge_matrices[0][0][0]: negative edge multiplicity -<integer of {_bits(big)} bits>\n"
+
+
+def test_a_million_digit_points_is_rejected_quickly(tmp_path, capsys):
+    """Printing a million digits took seconds; the message gives bits."""
+    doc = _write(tmp_path, "million.json", '{"schema_version": 1, "finite_system": {"points": 1%s, "permutations": [[1]]}}' % ("0" * 10**6))
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "validate", doc)
+    elapsed = time.process_time() - start
+    assert (code, out) == (2, "")
+    assert err == "invalid input: $.finite_system: permutation 0 is not a bijection of 1..<integer of 3321929 bits>\n"
+    assert elapsed < 5, elapsed
 
 
 def test_check_mf_sets_long_integer_literal_keeps_its_path(tmp_path, capsys):
@@ -368,11 +407,11 @@ def test_check_mf_sets_long_integer_literal_keeps_its_path(tmp_path, capsys):
     sets = _write(tmp_path, "sets.json", '{"requests": [{"elements": [{"stage": %s, "vector": [1]}]}]}' % big)
     code, out, err = run_cli(capsys, "check-mf", str(golden_path("compactified_shift.json")), "--sets", sets)
     assert (code, out) == (2, "")
-    assert err == f"invalid input: {sets}:requests[0].elements[0].stage: stage {big} is outside the document's stages\n"
+    assert err == f"invalid input: {sets}:requests[0].elements[0].stage: stage <integer of {_bits(big)} bits> is outside the document's stages\n"
     sets = _write(tmp_path, "words.json", '{"requests": [{"elements": [{"stage": 0, "vector": [1]}], "words": [[-%s]]}]}' % big)
     code, out, err = run_cli(capsys, "check-mf", str(golden_path("compactified_shift.json")), "--sets", sets)
     assert (code, out) == (2, "")
-    assert err == f"invalid input: {sets}:requests[0].words[0][0]: letter -{big} is not a signed generator index 1..1\n"
+    assert err == f"invalid input: {sets}:requests[0].words[0][0]: letter -<integer of {_bits(big)} bits> is not a signed generator index 1..1\n"
 
 
 def test_check_mf_writes_payload_integers_past_the_digit_limit(tmp_path, capsys):
@@ -393,14 +432,16 @@ def test_check_mf_writes_payload_integers_past_the_digit_limit(tmp_path, capsys)
 
 def test_long_integer_in_an_action_detail_is_a_failing_check(tmp_path, capsys):
     """A generator matrix entry past the 4300-digit limit is reported as a
-    failing check item, not as the interpreter's conversion error."""
+    failing check item, not as the interpreter's conversion error; the
+    detail gives its bit length."""
     limit = sys.get_int_max_str_digits()
     big = "5" * 5000
+    shown = f"<integer of {_bits(big)} bits>"
     action = '{"generators": 1, "forward": [[]], "inverse": [[]], "stationary": [{"shift": 0, "forward": [[%s]], "inverse": [[1]]}]}'
     system = '{"stage_ranks": [1], "connecting_maps": [], "unit": [1], "stationary": [[1]]}'
     for entry, check, detail in (
-        (big, "unit_preserved", f"forward map sends the stage-0 unit to ({big},), expected (1,)"),
-        (f"-{big}", "positivity", f"forward map entry (0, 0) = -{big} is negative"),
+        (big, "unit_preserved", f"forward map sends the stage-0 unit to ({shown},), expected (1,)"),
+        (f"-{big}", "positivity", f"forward map entry (0, 0) = -{shown} is negative"),
     ):
         doc = _write(tmp_path, "big.json", '{"schema_version": 1, "system": %s, "action": %s}' % (system, action % entry))
         code, out, err = run_cli(capsys, "validate", doc)
@@ -414,3 +455,39 @@ def test_long_integer_in_an_action_detail_is_a_failing_check(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err.startswith(f"invalid action: {check} generator 1 stage 0: {detail}")
         assert sys.get_int_max_str_digits() == limit
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once; one call's subcommand and options do not
+    reach the next call, and an argument error leaves it usable."""
+    assert build_parser() is build_parser()
+    doc = str(golden_path("compactified_shift.json"))
+    validate = run_cli(capsys, "validate", doc)
+    check = run_cli(capsys, "check-mf", doc, "--max-stage", "1", "--height", "2")
+    assert validate[0] == check[0] == 0
+    assert json.loads(check[1])["parameters"] == {"max_stage": 1, "word_length": 1, "height_bound": 2}
+    with pytest.raises(SystemExit) as exc:
+        main(["check-mf"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: path" in capsys.readouterr().err
+    assert run_cli(capsys, "validate", doc) == validate
+    assert run_cli(capsys, "check-mf", doc, "--max-stage", "1", "--height", "2")[:2] == check[:2]
+    default = json.loads(run_cli(capsys, "check-mf", doc)[1])["parameters"]
+    assert default == {"max_stage": 4, "word_length": 1, "height_bound": 16}
+
+
+def test_each_document_is_resolved_once(monkeypatch, capsys):
+    """``parse`` resolves a document to validate it; the commands reuse
+    that system and action rather than building them again."""
+    for name, convert in (("cycle3.json", "finite_system_to_k0"), ("diamond.json", "diagram_to_system")):
+        built = []
+        original = getattr(bratteli, convert)
+        monkeypatch.setattr(bratteli, convert, lambda x, original=original: built.append(x) or original(x))
+        for command in ("validate", "check-mf"):
+            built.clear()
+            code, _, err = run_cli(capsys, command, str(golden_path(name)))
+            assert code == 0, err
+            assert len(built) == 1, (name, command)
+        doc = bratteli.parse(golden_path(name).read_bytes())
+        assert doc.resolve() is doc.resolve()
+        assert doc == bratteli.parse(golden_path(name).read_bytes())

@@ -9,8 +9,10 @@ pushes and the per-system injectivity cache against their references.
   on seeded programs, points and certificates, and reject mutated
   certificates.
 * ``find_invariant_state`` pushes each element and word image once and
-  steps them a stage at a time; on seeded requests it must return what
-  pushing everything again at every stage returns.
+  steps them a stage at a time, and after a miss it solves again only
+  once a requested element has vanished; on seeded requests and on the
+  exclusion sets of witnesses it must return what pushing everything
+  again and solving at every stage returns.
 * ``InductiveSystem`` caches each map's full-column-rank flag; every
   ``is_zero`` and ``is_positive`` answer must be the uncached one, with
   each map ranked at most once.
@@ -23,13 +25,22 @@ from fractions import Fraction
 import pytest
 
 from ball_walk import ball_walk
+from conftest import GOLDEN_NAMES, load_golden
 from fraction_simplex import fraction_point_satisfies, fraction_verify_farkas
 from test_exactlinalg import random_program
-from test_lattice_pipeline import CASES
+from test_lattice_pipeline import BOXES, CASES, compactified_shift
 from test_lp_integer import cone_program, state_program
 
-from k0mf import dimgroup
-from k0mf.certify import StateCertificate, _canonical_functional, _dot, find_invariant_state
+from k0mf import certify, dimgroup
+from k0mf.certify import (
+    SearchParams,
+    StateCertificate,
+    _canonical_functional,
+    _dot,
+    exclusion_sets,
+    find_invariant_state,
+    find_positive_coboundary,
+)
 from k0mf.dimgroup import InductiveSystem, LimitElement, StageRangeError, is_positive, is_zero, push
 from k0mf.exactlinalg import (
     Infeasible,
@@ -276,6 +287,102 @@ def test_a_certificate_past_the_first_stage():
     assert cert == push_every_stage(system, action, elements, [Word.of(1)], 1)
     assert (cert.stage, cert.functional, cert.element_values) == (1, (1, 1), (2, 0))
     assert find_invariant_state(system, action, elements, [Word.of(1)], 0) is None
+
+
+def _exclusion_requests(system, action, params):
+    """The exclusion sets of the witness the search finds, or None."""
+    witness = find_positive_coboundary(system, action, params).witness
+    if witness is None:
+        return None
+    return exclusion_sets(witness, action.generators)
+
+
+def test_exclusion_searches_match_solving_every_stage():
+    """Every bundled VIOLATION document at both pinned boxes."""
+    checked = 0
+    for name in GOLDEN_NAMES:
+        system, action = load_golden(name).resolve()
+        for params in BOXES:
+            sets = _exclusion_requests(system, action, params)
+            if sets is None:
+                continue
+            elements, words = sets
+            got = find_invariant_state(system, action, elements, words, params.stage_max)
+            assert got is None  # the witness rules out an invariant faithful state
+            assert got == push_every_stage(system, action, elements, words, params.stage_max)
+            checked += 1
+    assert checked >= 2
+
+
+def _count_state_work(monkeypatch):
+    """Record each state LP's outcome and count the integer kernels."""
+    outcomes, kernels = [], []
+    lp, kernel = certify.lp_feasible, certify.integer_kernel
+    monkeypatch.setattr(certify, "lp_feasible", lambda p: outcomes.append(lp(p)) or outcomes[-1])
+    monkeypatch.setattr(certify, "integer_kernel", lambda a: kernels.append(a) or kernel(a))
+    return outcomes, kernels
+
+
+def test_seeded_injective_exclusion_searches(monkeypatch):
+    """Compactified shifts have injective connecting maps, so no element
+    of an exclusion set ever vanishes: the first stage that misses is the
+    only one solved, and every later stage agrees with solving it."""
+    outcomes, kernels = _count_state_work(monkeypatch)
+    rng = random.Random(20261018)
+    misses_before_the_last_stage = 0
+    for _ in range(12):
+        stages = rng.randint(4, 8)
+        speeds = [rng.choice([1, -1, 2, -2, 3]) for _ in range(rng.randint(1, 2))]
+        system, action = compactified_shift(stages, speeds)
+        assert all(system.map_injective(k) for k in range(stages - 1))
+        params = SearchParams(stage_max=rng.randint(stages - 2, stages + 1))
+        sets = _exclusion_requests(system, action, params)
+        if sets is None:
+            continue
+        elements, words = sets
+        outcomes.clear()
+        kernels.clear()
+        assert find_invariant_state(system, action, elements, words, params.stage_max) is None
+        assert len(outcomes) <= len(kernels) <= 1
+        assert all(isinstance(res, Infeasible) for res in outcomes)
+        if outcomes and system.has_stage(max(g.stage for g in elements) + 1):
+            misses_before_the_last_stage += 1
+        assert push_every_stage(system, action, elements, words, params.stage_max) is None
+    assert misses_before_the_last_stage >= 3
+
+
+def test_an_injective_first_miss_runs_one_state_program(monkeypatch):
+    """Eight stages, a miss at stage 2: stages 3 to 7 solve nothing."""
+    system, action = compactified_shift(8, [1])
+    assert all(system.map_injective(k) for k in range(7))
+    elements, words = _exclusion_requests(system, action, SearchParams(stage_max=7))
+    assert max(g.stage for g in elements) == 2
+    outcomes, kernels = _count_state_work(monkeypatch)
+    assert find_invariant_state(system, action, elements, words, 7) is None
+    assert len(outcomes) == 1 and isinstance(outcomes[0], Infeasible)
+    assert len(kernels) == 1
+
+
+def test_a_certificate_after_an_element_vanishes_two_stages_later(monkeypatch):
+    """As in ``test_a_certificate_past_the_first_stage``, but the map
+    killing e2 is the second one: stage 0 misses, stage 1 (an identity
+    step) is skipped, and the search solves again at stage 2, where e2
+    has vanished and a state exists."""
+    a = IntMatrix.from_rows([[1, 0], [2, 1]])
+    kill = IntMatrix.from_rows([[1, 0], [1, 0]])
+    system = InductiveSystem((2, 2, 2), (IntMatrix.identity(2), kill), (1, 1))
+    maps = (StageMap(0, 0, a), StageMap(1, 1, a), StageMap(2, 2, IntMatrix.identity(2)))
+    action = K0Action(1, (maps,), (maps,))
+    elements = [LimitElement(0, (1, 0)), LimitElement(0, (0, 1))]
+    words = [Word.of(1)]
+    outcomes, _ = _count_state_work(monkeypatch)
+    cert = find_invariant_state(system, action, elements, words, 2)
+    assert [isinstance(res, Infeasible) for res in outcomes] == [True, False]
+    assert (cert.stage, cert.functional, cert.element_values) == (2, (1, 1), (2, 0))
+    assert cert == push_every_stage(system, action, elements, words, 2)
+    outcomes.clear()
+    assert find_invariant_state(system, action, elements, words, 1) is None
+    assert len(outcomes) == 1
 
 
 def test_state_search_past_the_declared_stages_is_a_miss():
