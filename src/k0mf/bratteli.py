@@ -26,6 +26,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Any
 
 from .dimgroup import InductiveSystem
@@ -254,13 +255,21 @@ def _expect_int(value: Any, path: str) -> int:
 
 def _int_vector(value: Any, path: str) -> tuple[int, ...]:
     items = _expect_list(value, path)
-    if all(type(x) is int for x in items):  # plain ints (not bools) need no check
+    if set(map(type, items)) <= {int}:  # plain ints (not bools) need no check
         return tuple(items)
     return tuple(_expect_int(x, f"{path}[{i}]") for i, x in enumerate(items))
 
 
 def _int_matrix(value: Any, path: str) -> IntMatrix:
-    rows = [_int_vector(row, f"{path}[{i}]") for i, row in enumerate(_expect_list(value, path))]
+    """Whole-matrix checks first (every row a list, one width, every
+    entry a plain int); only when one fails are the rows walked one by
+    one, which finds the first bad field and its path."""
+    rows = _expect_list(value, path)
+    if rows and set(map(type, rows)) == {list} and len(widths := set(map(len, rows))) == 1:
+        flat = tuple(chain.from_iterable(rows))
+        if set(map(type, flat)) <= {int}:
+            return IntMatrix(len(rows), widths.pop(), flat)
+    rows = [_int_vector(row, f"{path}[{i}]") for i, row in enumerate(rows)]
     if not rows:
         raise DocumentError(path, "matrix needs at least one row")
     width = len(rows[0])
@@ -542,27 +551,28 @@ def _json_text(value: Any, indent: str = "") -> str:
     of any length in chunks."""
     if isinstance(value, (dict, list, tuple)) and value:
         inner = indent + "  "
+        sep = f",\n{inner}"
         if isinstance(value, dict):
-            parts, ends = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())], "{}"
+            parts = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+            return f"{{\n{inner}{sep.join(parts)}\n{indent}}}"
+        if set(map(type, value)) <= {int}:  # plain ints (not bools): one join
+            try:
+                body = sep.join(map(str, value))
+            except ValueError:  # an integer past the digit limit
+                body = sep.join(map(_decimal_str, value))
         else:
-            parts, ends = [_json_text(v, inner) for v in value], "[]"
-        return f"{ends[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}{ends[1]}"
+            body = sep.join([_json_text(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, int) and not isinstance(value, bool):
         return _decimal_str(value)
     return json.dumps(value)
 
 
 def canonical_json_bytes(payload: Any) -> bytes:
-    """Canonical encoding: sorted keys, two-space indent, trailing newline.
-
-    ``json.dumps`` writes it; only when an integer exceeds the
-    interpreter's digit limit does ``_json_text`` write it again.
-    """
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)
-    except ValueError:  # an integer past the digit limit
-        text = _json_text(payload)
-    return (text + "\n").encode("utf-8")
+    """Canonical encoding: sorted keys, two-space indent, trailing
+    newline, the bytes of ``json.dumps(payload, sort_keys=True,
+    indent=2)`` plus a newline, with integers of any length."""
+    return (_json_text(payload) + "\n").encode("utf-8")
 
 
 def serialize(doc: SystemDocument) -> bytes:

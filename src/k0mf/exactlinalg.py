@@ -6,11 +6,13 @@ row-by-row sparse product), so the 0/1 inclusion and permutation maps
 of Bratteli diagrams cost in proportion to their nonzeros. Hermite and
 Smith normal forms (the Smith form with the unimodular transforms that
 witness it; the Hermite form alone, as callers only read its rows),
-integer linear solving with canonical kernel bases, enumeration of the
-lattice points in a box (the sup-norm ball, or its nonnegative corner)
-that prunes a branch as soon as a coordinate it has fixed leaves the
-box, and an exact feasibility solver for integer inequality rows
-a.x >= b: a phase-one simplex with Bland's pivoting rule on a
+integer kernels in their canonical Hermite basis from one Hermite
+reduction of [a^t | I], integer linear solving (the Smith form gives
+only the particular solution; the kernel is that same Hermite basis),
+enumeration of the lattice points in a box (the sup-norm ball, or its
+nonnegative corner) that prunes a branch as soon as a coordinate it has
+fixed leaves the box, and an exact feasibility solver for integer
+inequality rows a.x >= b: a phase-one simplex with Bland's pivoting rule on a
 fraction-free integer tableau (one common denominator), returning
 either an exact rational feasible point or an exact rational Farkas
 certificate of infeasibility. Both results are re-checked in integers
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -136,11 +138,14 @@ class IntMatrix:
 
     @cached_property
     def _row_nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per row, the (column, value) pairs of its nonzero entries."""
+        """Per row, the (column, value) pairs of its nonzero entries,
+        found by one C-level scan over the entries."""
         e, n = self.entries, self.cols
-        return tuple(
-            tuple((j, x) for j, x in enumerate(e[i * n : (i + 1) * n]) if x) for i in range(self.rows)
-        )
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.rows)]
+        for k in compress(range(len(e)), e):
+            i, j = divmod(k, n)
+            rows[i].append((j, e[k]))
+        return tuple(map(tuple, rows))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Gustavson's row-by-row product over the nonzeros of both factors."""
@@ -174,37 +179,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.entries)
-
-
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def is_unimodular(u: IntMatrix) -> bool:
-    return u.rows == u.cols and abs(determinant(u)) == 1
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
@@ -364,9 +338,10 @@ def solve_in_lattice(
 ) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
     """Solve a @ x == b over the integers.
 
-    Returns (x0, kernel_basis) where kernel_basis is the canonical
-    (Hermite-reduced) basis of the integer kernel, or None when no
-    integer solution exists.
+    Returns (x0, kernel_basis), or None when no integer solution exists.
+    The Smith form gives only the particular solution x0 = V y (solve
+    the diagonal system S y = U b); kernel_basis is ``integer_kernel(a)``,
+    the canonical Hermite basis of the integer kernel.
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
@@ -382,16 +357,26 @@ def solve_in_lattice(
             y[i] = c[i] // di
         elif c[i]:
             return None
-    x0 = v.apply(y)
-    kernel = [v.column(j) for j in range(a.cols) if j >= r or s.at(j, j) == 0]
-    return tuple(x0), row_basis(kernel, a.cols)
+    return v.apply(y), integer_kernel(a)
 
 
 def integer_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Canonical basis of {x : a @ x == 0} over the integers."""
-    solved = solve_in_lattice(a, (0,) * a.rows)
-    assert solved is not None
-    return solved[1]
+    """Canonical basis (Hermite rows) of {x : a @ x == 0} over the
+    integers, from one Hermite reduction.
+
+    Reduce the n x (m+n) matrix [a^t | I]: a unimodular U turns it into
+    H = [U a^t | U], so a row of H whose first m entries vanish carries
+    in its last n entries a kernel vector. These rows are a basis of the
+    kernel, because U is unimodular and the other rows of U a^t, the
+    echelon rows, are independent. They are Hermite rows of their own
+    (echelon, positive pivots, reduced above each pivot), which is the
+    one canonical basis of the kernel lattice.
+    """
+    m, n = a.rows, a.cols
+    ident = IntMatrix.identity(n)
+    stacked = chain.from_iterable(a.entries[j::n] + ident.row(j) for j in range(n))
+    h = hermite_normal_form(IntMatrix(n, m + n, tuple(stacked)))
+    return [row[m:] for row in map(h.row, range(n)) if not any(row[:m])]
 
 
 def row_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:

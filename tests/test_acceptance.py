@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import GOLDEN_NAMES, golden_path, load_golden
+from determinant import is_unimodular
 
 from k0mf.bratteli import FiniteSystem, Metadata, SystemDocument, parse, serialize
 from k0mf.certify import (
@@ -22,7 +23,6 @@ from k0mf.exactlinalg import (
     Feasible,
     IntMatrix,
     enumerate_lattice_points,
-    is_unimodular,
     lp_feasible,
     smith_normal_form,
 )

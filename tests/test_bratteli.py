@@ -15,7 +15,8 @@ from k0mf.bratteli import (
     _decimal_int,
     _decimal_str,
     _expect_int,
-    _json_text,
+    _int_matrix,
+    _int_vector,
     canonical_json_bytes,
     diagram_to_system,
     finite_system_to_k0,
@@ -23,6 +24,8 @@ from k0mf.bratteli import (
     permutation_matrix,
     serialize,
 )
+from k0mf.certify import SearchParams
+from k0mf.cli import run_check, verdict_payload
 from k0mf.dimgroup import InductiveSystem
 from k0mf.exactlinalg import IntMatrix
 from k0mf.kaction import identity_action, verify_action
@@ -374,6 +377,74 @@ def test_int_vector_names_the_bad_entry(bad, reason):
         assert (err.value.path, err.value.reason) == (path, reason)
 
 
+_LONG = "9" * 5000
+
+
+def _diagram_text(matrix: str) -> str:
+    """A one-map diagram document whose edge matrix is written as ``matrix``."""
+    return (
+        '{"schema_version": 1, "diagram": {"vertex_counts": [2, 2], "edge_matrices": [%s]},'
+        ' "action": {"generators": 1, "forward": [[]], "inverse": [[]],'
+        ' "stationary": [{"shift": 0, "forward": [[1, 0], [0, 1]], "inverse": [[1, 0], [0, 1]]}]}}' % matrix
+    )
+
+
+@pytest.mark.parametrize(
+    "matrix, path, reason",
+    [
+        ("[[1, true], [0, 1]]", "$.diagram.edge_matrices[0][0][1]", "expected an integer"),
+        ("[[1, 1], [1.0, 1]]", "$.diagram.edge_matrices[0][1][0]", "floating-point numbers are not allowed"),
+        ("[[1, 1], [0]]", "$.diagram.edge_matrices[0][1]", "ragged matrix row"),
+        ("[[1, 1], 5]", "$.diagram.edge_matrices[0][1]", "expected an array"),
+        ('[[1, 1], {"a": 1}]', "$.diagram.edge_matrices[0][1]", "expected an array"),
+        ("[[1, 2.5], [0]]", "$.diagram.edge_matrices[0][0][1]", "floating-point numbers are not allowed"),
+        ("[]", "$.diagram.edge_matrices[0]", "matrix needs at least one row"),
+        ("[[]]", "$.diagram", "edge matrix 0 has shape 1x0, expected 2x2"),
+        ("[[1, -1], [0, 1]]", "$.diagram.edge_matrices[0][0][1]", "negative edge multiplicity -1"),
+    ],
+    ids=["bool", "float", "ragged", "non-list-row", "object-row", "float-before-ragged", "no-rows", "empty-row", "negative"],
+)
+def test_matrix_errors_keep_their_path(matrix, path, reason):
+    """A matrix that fails a whole-matrix check is walked row by row, so
+    the first bad field is named as before."""
+    with pytest.raises(DocumentError) as err:
+        parse(_diagram_text(matrix))
+    assert (err.value.path, err.value.reason) == (path, reason)
+
+
+@pytest.mark.parametrize(
+    "matrix, rows",
+    [
+        ('[[1, "1"], ["0", 1]]', [[1, 1], [0, 1]]),
+        ('[[1, "%s"], [0, 1]]' % _LONG, [[1, _decimal_int(_LONG)], [0, 1]]),
+        ("[[1, %s], [0, 1]]" % _LONG, [[1, _decimal_int(_LONG)], [0, 1]]),
+    ],
+    ids=["decimal-strings", "long-string", "long-literal"],
+)
+def test_matrix_integer_forms_parse_equal(matrix, rows):
+    limit = sys.get_int_max_str_digits()
+    assert parse(_diagram_text(matrix)).diagram.edge_matrices == (M(rows),)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_int_matrix_whole_and_per_row_paths_agree():
+    """A well-formed matrix gives the same IntMatrix whether it passes the
+    whole-matrix checks or, with one entry as a decimal string, is walked
+    row by row; ``[[]]`` is one row of width 0 on both."""
+    rng = random.Random(1010)
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(0, 6)
+        rows = [[rng.randint(-10**rng.randint(0, 30), 10**30) for _ in range(n)] for _ in range(m)]
+        whole = _int_matrix(rows, "$")
+        assert whole == M(rows) and (whole.rows, whole.cols) == (m, n)
+        if n:
+            i, j = rng.randrange(m), rng.randrange(n)
+            mixed = [list(r) for r in rows]
+            mixed[i][j] = str(rows[i][j])
+            assert _int_matrix(mixed, "$") == whole
+            assert _int_vector(mixed[i], "$") == _int_vector(rows[i], "$") == tuple(rows[i])
+
+
 def test_finite_system_huge_points_is_no_bijection():
     """The length check comes first, so no range of 10**30 points is built."""
     with pytest.raises(ValueError) as err:
@@ -414,15 +485,19 @@ def test_parse_long_integer_literal_keeps_its_path():
 
 
 def test_long_integer_writer_matches_json_dumps():
-    """The writer used past the digit limit gives json's bytes on every
-    payload json can write."""
+    """The one writer gives json's bytes on every payload json can write:
+    every bundled document, every check-mf payload of one, and edge cases."""
     payloads = [json.loads(golden_path(name).read_bytes()) for name in GOLDEN_NAMES]
+    for name in GOLDEN_NAMES:
+        system, action = load_golden(name).resolve()
+        payloads.append(verdict_payload("check-mf", name, run_check(system, action, SearchParams())))
     payloads.append(
         {"b": [True, False, None, -3, 0, 2.5], "a": {}, "c": [[], {}, [[]]], "\u00e9\n": "caf\u00e9 \"x\"\t"}
     )
-    payloads += [[], {}, (), (1, [2, ()]), 7, "s", None]
+    payloads += [[], {}, (), (1, [2, ()]), [1, -2, 10**40], [1, True], 7, "s", None]
     for payload in payloads:
-        assert (_json_text(payload) + "\n").encode() == canonical_json_bytes(payload)
+        oracle = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert canonical_json_bytes(payload) == oracle.encode()
 
 
 def test_canonical_bytes_write_integers_past_the_digit_limit():

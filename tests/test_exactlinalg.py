@@ -2,17 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from determinant import determinant, is_unimodular
 
 from k0mf.exactlinalg import (
     Feasible,
     Infeasible,
     IntMatrix,
     LinearProgram,
-    determinant,
     enumerate_lattice_points,
     hermite_normal_form,
     integer_kernel,
-    is_unimodular,
     lp_feasible,
     rank,
     row_basis,
