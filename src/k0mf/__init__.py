@@ -56,6 +56,7 @@ from .exactlinalg import (
     Infeasible,
     IntMatrix,
     LinearProgram,
+    WalkBudgetExceeded,
     hermite_normal_form,
     lp_feasible,
     smith_normal_form,

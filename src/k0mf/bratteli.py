@@ -415,16 +415,13 @@ def _parse_action(obj: Any, path: str) -> K0Action:
             for key in ("shift", "forward", "inverse"):
                 if key not in rule:
                     raise DocumentError(f"{path}.stationary[{j}].{key}", "missing field")
+            shift = _expect_int(rule["shift"], f"{path}.stationary[{j}].shift")
+            forward = _int_matrix(rule["forward"], f"{path}.stationary[{j}].forward")
+            inverse = _int_matrix(rule["inverse"], f"{path}.stationary[{j}].inverse")
             try:
-                rules.append(
-                    StationaryRule(
-                        _expect_int(rule["shift"], f"{path}.stationary[{j}].shift"),
-                        _int_matrix(rule["forward"], f"{path}.stationary[{j}].forward"),
-                        _int_matrix(rule["inverse"], f"{path}.stationary[{j}].inverse"),
-                    )
-                )
-            except ValueError as exc:
-                raise DocumentError(f"{path}.stationary[{j}]", str(exc)) from None
+                rules.append(StationaryRule(shift, forward, inverse))
+            except ValueError as exc:  # the shift is out of range
+                raise DocumentError(f"{path}.stationary[{j}].shift", str(exc)) from None
         stationary = tuple(rules)
     try:
         return K0Action(generators, families("forward"), families("inverse"), stationary)

@@ -28,8 +28,19 @@ element/word sets realizing that test for a discovered witness.
 Searches scan the (target stage, source stage, word length) grid in
 lexicographic order and break remaining ties by least height, then
 earliest leading support, then lexicographic order, so results are
-deterministic and certificates byte-reproducible. Two shortcuts keep
-that order and every result while building fewer lattices:
+deterministic and certificates byte-reproducible. The three canonical
+choices (witness candidates in that order, the preimages' coset
+representative of least height, mass, leading support and lex, and the
+state functional of least height, greatest sum and lex) are one bounded
+walk, ``exactlinalg.enumerate_lattice_points``: it goes up by height,
+prunes on the constraint rows and on the best key found so far, and
+leaves the tie-breaks to the caller. Positivity rows that coincide in
+the coefficients of the kernel basis (every basis vector of one orbit
+of a permutation system gives the same row) are kept once, for the exact
+program and the walk alike. A walk that runs out of its node budget is
+a non-answer: the state search gives no certificate, the witness cell
+is exhausted, the candidate is skipped. Two shortcuts keep the grid
+order and every result while building fewer lattices:
 
 * On a stationary system the stage ranks, connecting maps and letter
   maps repeat from stage P = ``kaction.repeat_stage`` on (the last
@@ -67,6 +78,7 @@ from .exactlinalg import (
     Infeasible,
     IntMatrix,
     LinearProgram,
+    WalkBudgetExceeded,
     enumerate_lattice_points,
     integer_kernel,
     lp_feasible,
@@ -151,6 +163,19 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _distinct_positives(
+    basis_rows: Sequence[Sequence[int]], positives: Sequence[Sequence[int]]
+) -> list[Sequence[int]]:
+    """The first of the ``positives`` with each row of v . p >= 1 in the
+    coefficients c of v = sum(c_i * basis_rows[i]). Positives that share
+    a row bound the same lattice vectors (on a finite system every basis
+    vector of one permutation orbit does), so one of them is enough."""
+    rows: dict[tuple[int, ...], Sequence[int]] = {}
+    for pos in positives:
+        rows.setdefault(tuple(_dot(row, pos) for row in basis_rows), pos)
+    return list(rows.values())
+
+
 def _coefficient_program(
     basis_rows: Sequence[Sequence[int]], positives: Sequence[Sequence[int]], nonnegative: bool
 ) -> LinearProgram:
@@ -176,11 +201,8 @@ def _span_meets_cone(basis_rows: list[tuple[int, ...]]) -> bool:
 
 def _positive_candidates(basis_rows: list[tuple[int, ...]], height_bound: int) -> Iterator[tuple[int, ...]]:
     """Nonzero nonnegative lattice vectors by increasing height, then
-    earliest leading support, then lexicographic order."""
-    for h in range(1, height_bound + 1):
-        found = [v for v in enumerate_lattice_points(basis_rows, h, nonnegative=True) if max(v) == h]
-        found.sort(key=lambda v: (_first_nonzero(v), v))
-        yield from found
+    earliest leading support, then lexicographic order, walked lazily."""
+    return enumerate_lattice_points(basis_rows, height_bound, nonnegative=True, key="support")
 
 
 def _reduce_by_rows(vec: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
@@ -205,15 +227,11 @@ def _canonical_coset_vector(
         return tuple(particular)
     reduced = _reduce_by_rows(particular, kernel_rows)
     radius = max(1, max(abs(x) for x in reduced))
-    for h in range(0, radius + 1):
-        found = [
-            v
-            for v in enumerate_lattice_points(kernel_rows, h, offset=reduced)
-            if max((abs(x) for x in v), default=0) == h
-        ]
-        if found:
-            return min(found, key=lambda v: (sum(abs(x) for x in v), _first_nonzero(v), v))
-    raise AssertionError("coset enumeration missed its own representative")
+    found = enumerate_lattice_points(kernel_rows, radius, reduced, key="mass")
+    best = min(found, key=lambda v: (sum(map(abs, v)), _first_nonzero(v), v), default=None)
+    if best is None:
+        raise AssertionError("coset enumeration missed its own representative")
+    return best
 
 
 def _canonical_functional(
@@ -227,10 +245,13 @@ def _canonical_functional(
     An exact rational feasibility check decides existence: the value
     constraints are homogeneous in the functional, so any rational
     solution scales to an integer one, and the scaled solution bounds the
-    exact least-height enumeration. Selection is least height, then
-    greatest coordinate sum, then lexicographic.
+    exact least-height walk. Selection is least height, then greatest
+    coordinate sum, then lexicographic. The program and the walk read
+    the same rows: one per distinct row in coefficient space (see
+    ``_distinct_positives``).
     """
     width = len(kernel_rows[0])
+    positives = _distinct_positives(kernel_rows, positives)
     res = lp_feasible(_coefficient_program(kernel_rows, positives, require_nonnegative))
     if isinstance(res, Infeasible):
         return None
@@ -241,17 +262,13 @@ def _canonical_functional(
         for i in range(width):
             scaled[i] += c * row[i]
     radius = max(1, max(abs(x) for x in scaled))
-    for h in range(1, radius + 1):
-        cands = [
-            v
-            for v in enumerate_lattice_points(kernel_rows, h)
-            if max(abs(x) for x in v) == h
-            and (not require_nonnegative or all(x >= 0 for x in v))
-            and all(_dot(v, pos) >= 1 for pos in positives)
-        ]
-        if cands:
-            return min(cands, key=lambda v: (-sum(v), v))
-    raise AssertionError("scaled rational solution escaped the enumeration radius")
+    found = enumerate_lattice_points(
+        kernel_rows, radius, nonnegative=require_nonnegative, rows=[(pos, 1) for pos in positives], key="sum"
+    )
+    best = min(found, key=lambda v: (-sum(v), v), default=None)
+    if best is None:
+        raise AssertionError("scaled rational solution escaped the enumeration radius")
+    return best
 
 
 def _recover_preimages(
@@ -293,7 +310,10 @@ def _recover_preimages(
         if solved is None:
             continue
         x0, kernel = solved
-        stacked = _canonical_coset_vector(x0, kernel)
+        try:
+            stacked = _canonical_coset_vector(x0, kernel)
+        except WalkBudgetExceeded:
+            return None  # the candidate is skipped
         return tuple(
             LimitElement(k, tuple(stacked[j * p_src : (j + 1) * p_src]))
             for j in range(r)
@@ -409,6 +429,9 @@ def find_positive_coboundary(
     which gives the same Hermite basis as a rebuild because the image of
     a lattice is generated by the image of any basis and Hermite bases
     are unique.
+
+    A cell whose candidate walk runs out of its node budget is exhausted;
+    a candidate whose preimages' coset walk runs out of it is skipped.
     """
     exhausted: list[tuple[int, int, int]] = []
     decided_empty: set[tuple] = set()
@@ -428,10 +451,13 @@ def find_positive_coboundary(
         if not _span_meets_cone(basis_rows):
             decided_empty.add(key)
             continue
-        for cand in _positive_candidates(basis_rows, params.height_bound):
-            witness = _build_witness(system, action, cand, source, target, length, params)
-            if witness is not None:
-                return WitnessSearch(witness, tuple(exhausted))
+        try:
+            for cand in _positive_candidates(basis_rows, params.height_bound):
+                witness = _build_witness(system, action, cand, source, target, length, params)
+                if witness is not None:
+                    return WitnessSearch(witness, tuple(exhausted))
+        except WalkBudgetExceeded:
+            pass  # the cell is exhausted like one whose candidates all failed
         exhausted.append((target, source, length))
         decided_empty.add(key)
     return WitnessSearch(None, tuple(exhausted))
@@ -490,6 +516,11 @@ def find_invariant_state(
     that holds them all, once, and then stepped through one connecting
     map per later stage; the pushed elements also give the positivity
     constraints and the certificate's element values.
+
+    Raises ``WalkBudgetExceeded`` when the walk for the canonical
+    functional of a stage runs out of its node budget; a functional
+    exists there then, since the walk runs only after the exact program
+    found one, but the search returns no certificate.
     """
     if not elements:
         raise ValueError("the element set must be nonempty")
@@ -670,4 +701,7 @@ def exclusion_holds(
     ``find_invariant_state``); on an injective system none vanishes, and
     one infeasible program decides every stage."""
     elements, words = exclusion_sets(witness, action.generators)
-    return find_invariant_state(system, action, elements, words, stage_max) is None
+    try:
+        return find_invariant_state(system, action, elements, words, stage_max) is None
+    except WalkBudgetExceeded:
+        return False  # the walk runs only after the program found a functional

@@ -13,7 +13,10 @@ but an invariant state faithful on its exclusion sets exists too, so
 ``mutual_exclusion_ok`` would be false); then no payload is written.
 Human-readable summaries go to stderr; the canonical JSON payload goes
 to stdout or --json-out and is byte-identical across runs on identical
-inputs (timings are reported on stderr only).
+inputs (timings are reported on stderr only). A state search whose
+lattice walk runs out of its node budget (``exactlinalg.WALK_NODE_BUDGET``)
+gives no certificate, so the verdict is UNKNOWN, and stderr names the
+budget.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .certify import (
     find_positive_coboundary,
 )
 from .dimgroup import InductiveSystem, LimitElement, injectivity_report
+from .exactlinalg import WalkBudgetExceeded
 from .kaction import K0Action, Word, verify_action
 
 VIOLATION = "VIOLATION"
@@ -77,6 +81,7 @@ class Verdict:
     exhausted_cells: tuple[tuple[int, int, int], ...]
     mutual_exclusion_ok: bool | None
     elapsed: float  # stderr reporting only; never serialized
+    reasons: tuple[str, ...] = ()  # why a state search gave no certificate; stderr only
 
 
 def default_requests(system: InductiveSystem, action: K0Action) -> tuple[StateRequest, ...]:
@@ -112,10 +117,14 @@ def run_check(
         )
     reqs = tuple(requests) if requests is not None else default_requests(system, action)
     certs: list[StateCertificate | None] = []
-    for req in reqs:
-        certs.append(
-            find_invariant_state(system, action, req.elements, req.words, params.stage_max)
-        )
+    reasons: list[str] = []
+    for i, req in enumerate(reqs):
+        try:
+            cert = find_invariant_state(system, action, req.elements, req.words, params.stage_max)
+        except WalkBudgetExceeded as exc:
+            cert = None
+            reasons.append(f"state search {i + 1}: no certificate: {exc}")
+        certs.append(cert)
     kind = CONSISTENT if all(c is not None for c in certs) else UNKNOWN
     return Verdict(
         kind=kind,
@@ -126,6 +135,7 @@ def run_check(
         exhausted_cells=search.exhausted_cells,
         mutual_exclusion_ok=None,
         elapsed=time.monotonic() - start,
+        reasons=tuple(reasons),
     )
 
 
@@ -357,6 +367,8 @@ def _cmd_check_mf(args: argparse.Namespace) -> int:
         return 3
     payload = verdict_payload("check-mf", doc.metadata.name, verdict)
     _emit(payload, args.json_out)
+    for reason in verdict.reasons:
+        print(reason, file=sys.stderr)
     print(f"{verdict.kind} in {verdict.elapsed:.3f}s (params: {params})", file=sys.stderr)
     return 0
 

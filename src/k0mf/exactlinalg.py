@@ -9,13 +9,15 @@ witness it; the Hermite form alone, as callers only read its rows),
 integer kernels in their canonical Hermite basis from one Hermite
 reduction of [a^t | I], integer linear solving (the Smith form gives
 only the particular solution; the kernel is that same Hermite basis),
-enumeration of the lattice points in a box (the sup-norm ball, or its
-nonnegative corner) that prunes a branch as soon as a coordinate it has
-fixed leaves the box, and an exact feasibility solver for integer
-inequality rows a.x >= b: a phase-one simplex with Bland's pivoting rule on a
-fraction-free integer tableau (one common denominator), returning
-either an exact rational feasible point or an exact rational Farkas
-certificate of infeasibility. Both results are re-checked in integers
+one bounded walk over the lattice points in a box (the sup-norm ball,
+or its nonnegative corner) that prunes a branch as soon as a coordinate
+it has fixed leaves the box or a constraint row can no longer be met,
+goes up by height and prunes on the running sum or mass when asked for
+a best point, and stops at ``WALK_NODE_BUDGET`` nodes, and an exact
+feasibility solver for integer inequality rows a.x >= b: a phase-one
+simplex with Bland's pivoting rule on a fraction-free integer tableau
+(one common denominator), returning either an exact rational feasible
+point or an exact rational Farkas certificate of infeasibility. Both results are re-checked in integers
 before they are returned, the point or the multipliers scaled by one
 common denominator.
 
@@ -391,57 +393,148 @@ def row_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[int, .
     return [h.row(i) for i in range(h.rows) if any(h.row(i))]
 
 
+# Lattice walks stop after visiting this many nodes (partial points,
+# one per coefficient tried), so no walk can run for hours; the
+# searches in ``certify`` turn the stop into their non-answer.
+WALK_NODE_BUDGET = 200_000
+
+
+class WalkBudgetExceeded(RuntimeError):
+    """A lattice walk visited ``WALK_NODE_BUDGET`` nodes before it finished."""
+
+
 def enumerate_lattice_points(
     basis_rows: Sequence[Sequence[int]],
     radius: int,
     offset: Sequence[int] | None = None,
     *,
     nonnegative: bool = False,
+    rows: Sequence[tuple[Sequence[int], int]] = (),
+    key: str | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every vector offset + sum(c_i * b_i) whose coordinates all lie
-    in [-radius, radius], or in [0, radius] when ``nonnegative``.
+    """Yield vectors v = offset + sum(c_i * b_i) whose coordinates all lie
+    in [-h, h], or in [0, h] when ``nonnegative``, and which satisfy
+    p . v >= b for every (p, b) in ``rows``.
 
     ``basis_rows`` must be Hermite rows (echelon, positive pivots p_0 <
     p_1 < ...). Rows after row i vanish before p_{i+1}, so once c_i is
     chosen the coordinates from p_i up to p_{i+1} are final: the box
     turns coordinate p_i into an exact integer range for c_i, and the
     coordinates strictly between the two pivots are checked at that
-    level, pruning the branch when one leaves the box (exact per-level
-    bounds on an echelon basis, as in Fincke-Pohst). Coordinates before
-    p_0 are the offset's and are checked first. Points come in
-    lexicographic order of (c_0, c_1, ...); the nonnegative box yields
-    exactly the ball's nonnegative points, in the ball's order.
+    level (exact per-level bounds on an echelon basis, as in
+    Fincke-Pohst). Coordinates before p_0 are the offset's and are
+    checked first. A branch is pruned as soon as a final coordinate
+    leaves the box, or a row's part over the final coordinates plus the
+    most the unfixed ones can add (h * |p_j| each, h * max(p_j, 0) in
+    the nonnegative box) falls short of its bound.
+
+    ``key`` picks what is yielded (a branch-and-bound in the manner of
+    Land-Doig, with the walk's own running sums as bounds):
+
+    * None: every such point of the box h = ``radius``, in lexicographic
+      order (the order of (c_0, c_1, ...), since coordinate p_i grows
+      with c_i).
+    * "sum" and "mass": the box h = 0, 1, ..., ``radius`` that first
+      holds a point, and in it only points whose coordinate sum is at
+      least (for "sum"), or whose mass sum |v_j| is at most (for
+      "mass"), that of every point yielded before; a branch that cannot
+      reach the best point found so far is pruned. The greatest-sum or
+      least-mass points of the least sup-norm are among those yielded
+      (the last one yielded is one of them), and ties are left to the
+      caller.
+    * "support": every nonzero point by increasing sup-norm h = 1, ...,
+      ``radius``, then earliest leading support (first nonzero
+      coordinate), then lexicographic order; each box h yields only its
+      points of sup-norm h.
+
+    Each call visits at most ``WALK_NODE_BUDGET`` nodes and raises
+    ``WalkBudgetExceeded`` past it.
     """
-    rows = [tuple(r) for r in basis_rows]
+    basis = [tuple(r) for r in basis_rows]
     if offset is None:
-        if not rows:
+        if not basis:
             return
-        offset = (0,) * len(rows[0])
+        offset = (0,) * len(basis[0])
     start = list(offset)
-    low = 0 if nonnegative else -radius
-    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
-    ends = pivots[1:] + [len(start)]
-    tails = [r[p:] for r, p in zip(rows, pivots)]
-    head = start[: pivots[0]] if rows else start
-    if head and (min(head) < low or max(head) > radius):
-        return
+    n = len(start)
+    depth = len(basis)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in basis]
+    ends = pivots[1:] + [n]
+    tails = [r[p:] for r, p in zip(basis, pivots)]
+    first = pivots[0] if basis else n
+    head = start[:first]
+    vecs = [tuple(p) for p, _ in rows]
+    bounds = [b for _, b in rows]
+    seg_rows = [[v[p:end] for v in vecs] for p, end in zip(pivots, ends)]
+    top = max(map(abs, head), default=0)
+    nodes = 0
 
-    def rec(i: int, current: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == len(rows):
-            yield tuple(current)
+    if key is None:
+        levels: Iterable[int] = (radius,)
+    else:  # no point is shorter than the offset's fixed head
+        levels = range(max(top, 1 if key == "support" else 0), radius + 1)
+    for h in levels:
+        low = 0 if nonnegative else -h
+        if head and (min(head) < low or max(head) > h):
+            return  # then it leaves every box
+        # reach[i][r]: the most row r can gain from the coordinates the
+        # first i levels leave unfixed
+        reach = [[sum(max(x * h, x * low) for x in v[end:]) for v in vecs] for end in [first] + ends]
+        parts = [sum(map(mul, v[:first], head)) for v in vecs]
+        if any(f + g < b for f, g, b in zip(parts, reach[0], bounds)):
+            continue
+        best = n * low if key == "sum" else n * h
+        score = sum(head) if key == "sum" else sum(map(abs, head))
+
+        def rec(i: int, current: list[int], parts: list[int], score: int, top: int) -> Iterator[tuple[int, ...]]:
+            nonlocal nodes, best
+            if i == depth:
+                if key != "support" or top == h:
+                    best = score
+                    yield tuple(current)
+                return
+            p, end, tail = pivots[i], ends[i], tails[i]
+            piv = tail[0]
+            cur = current[p]
+            prefix, rest = current[:p], current[p:]
+            cs = range(-((cur - low) // piv), (h - cur) // piv + 1)
+            if key == "sum":
+                cs = reversed(cs)  # a larger pivot coordinate first
+            elif key == "mass":
+                cs = sorted(cs, key=lambda c: abs(cur + c * piv))
+            elif key == "support" and top == 0 and cur % piv == 0 and -cur // piv in cs:
+                zero = -cur // piv  # a leading zero here puts the support later
+                cs = [c for c in cs if c != zero] + [zero]
+            gains = reach[i + 1]
+            for c in cs:
+                nodes += 1
+                if nodes > WALK_NODE_BUDGET:
+                    raise WalkBudgetExceeded(f"the lattice walk ran out of its budget of {WALK_NODE_BUDGET} nodes")
+                nxt = prefix + [x + c * y for x, y in zip(rest, tail)]
+                seg = nxt[p:end]
+                if min(seg) < low or max(seg) > h:
+                    continue
+                new_parts = [f + sum(map(mul, v, seg)) for f, v in zip(parts, seg_rows[i])]
+                if any(f + g < b for f, g, b in zip(new_parts, gains, bounds)):
+                    continue
+                if key == "sum":
+                    new_score = score + sum(seg)
+                    if new_score + h * (n - end) < best:
+                        continue
+                elif key == "mass":
+                    new_score = score + sum(map(abs, seg))
+                    if new_score > best:
+                        continue
+                else:
+                    new_score = score
+                yield from rec(i + 1, nxt, new_parts, new_score, max(top, max(map(abs, seg))))
+
+        found = False
+        for point in rec(0, start, parts, score, top):
+            found = True
+            yield point
+        if found and key in ("sum", "mass"):
             return
-        p, end, tail = pivots[i], ends[i], tails[i]
-        piv = tail[0]
-        cur = current[p]
-        prefix, rest = current[:p], current[p:]
-        for c in range(-((cur - low) // piv), (radius - cur) // piv + 1):
-            nxt = prefix + [x + c * y for x, y in zip(rest, tail)]
-            fixed = nxt[p + 1 : end]
-            if fixed and (min(fixed) < low or max(fixed) > radius):
-                continue
-            yield from rec(i + 1, nxt)
-
-    yield from rec(0, start)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,13 @@ class StageMap:
             raise ValueError("stage maps must go forward (to_stage >= from_stage >= 0)")
 
 
+# The largest stationary shift accepted. Verifying a rule of shift s
+# builds the unit s stages on, one connecting map at a time, so a shift
+# of 10**9 would run for hours; every shift this package generates or
+# ships is at most 2.
+MAX_STATIONARY_SHIFT = 1024
+
+
 @dataclass(frozen=True)
 class StationaryRule:
     """Repeats forever past the declared steps: stage k -> k + shift."""
@@ -48,6 +55,10 @@ class StationaryRule:
     def __post_init__(self) -> None:
         if self.shift < 0:
             raise ValueError("stationary shift must be >= 0")
+        if self.shift > MAX_STATIONARY_SHIFT:
+            raise ValueError(
+                f"stationary shift {_message_int(self.shift)} exceeds the bound {MAX_STATIONARY_SHIFT}"
+            )
 
 
 @dataclass(frozen=True)

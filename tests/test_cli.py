@@ -12,6 +12,7 @@ from conftest import golden_path
 from k0mf import bratteli
 from k0mf.bratteli import _decimal_int, _load_json
 from k0mf.cli import build_parser, main
+from k0mf.kaction import MAX_STATIONARY_SHIFT
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -491,3 +492,35 @@ def test_each_document_is_resolved_once(monkeypatch, capsys):
         doc = bratteli.parse(golden_path(name).read_bytes())
         assert doc.resolve() is doc.resolve()
         assert doc == bratteli.parse(golden_path(name).read_bytes())
+
+
+def _shift_document(tmp_path, shift: str) -> str:
+    system = '{"stage_ranks": [1], "connecting_maps": [], "unit": [1], "stationary": [[1]]}'
+    rule = '{"shift": %s, "forward": [[1]], "inverse": [[1]]}' % shift
+    action = '{"generators": 1, "forward": [[]], "inverse": [[]], "stationary": [%s]}' % rule
+    return _write(tmp_path, "shift.json", '{"schema_version": 1, "system": %s, "action": %s}' % (system, action))
+
+
+@pytest.mark.parametrize("shift", ["1000000000", "5" * 5000], ids=["1e9", "5000-digits"])
+def test_a_huge_stationary_shift_is_rejected_quickly(tmp_path, capsys, shift):
+    """Verifying a rule builds the unit ``shift`` stages on, one map at a
+    time, so a shift of 10**9 ran for hours; past the bound it is invalid."""
+    doc = _shift_document(tmp_path, shift)
+    shown = shift if len(shift) < 20 else f"<integer of {_bits(shift)} bits>"
+    for command in ("validate", "check-mf"):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, command, doc)
+        elapsed = time.process_time() - start
+        assert (code, out) == (2, "")
+        assert err == (
+            f"invalid input: $.action.stationary[0].shift: stationary shift {shown} "
+            f"exceeds the bound {MAX_STATIONARY_SHIFT}\n"
+        )
+        assert elapsed < 1, elapsed
+
+
+def test_a_stationary_shift_at_the_bound_is_valid(tmp_path, capsys):
+    doc = _shift_document(tmp_path, str(MAX_STATIONARY_SHIFT))
+    code, out, _ = run_cli(capsys, "validate", doc)
+    assert code == 0
+    assert json.loads(out)["valid"] is True
