@@ -618,6 +618,11 @@ def check_k0_rfd_stationary(
     the unit and on g. Solved by the exact integer kernel of the
     eigen-equations plus a rational feasibility check, then realized at
     least height.
+
+    Raises ``WalkBudgetExceeded`` when the walk for that least-height
+    functional runs out of its node budget; a functional exists then,
+    since the walk runs only after the exact program found one, so the
+    search does not answer None.
     """
     if not system.is_stationary or len(system.stage_ranks) != 1:
         raise ValueError(

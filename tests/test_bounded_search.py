@@ -11,8 +11,9 @@ walk-then-filter searches it replaced (kept in ``canonical_search``).
   in coefficient space), both values of ``require_nonnegative``, nonzero
   coset offsets, and over the full candidate order.
 * Past ``WALK_NODE_BUDGET`` nodes a state search gives no certificate
-  (``UNKNOWN``, with the budget on stderr), a witness cell is exhausted
-  and a candidate whose preimages cannot be made canonical is skipped.
+  (``UNKNOWN``, with the budget on stderr), a witness cell is exhausted,
+  a candidate whose preimages cannot be made canonical is skipped and
+  the stationary state search raises rather than answer None.
 * The identity permutation on 32 points, the 3**n cliff of the old
   walk, decides in well under a second.
 """
@@ -36,10 +37,12 @@ from k0mf.certify import (
     _distinct_positives,
     _positive_candidates,
     _stage_lattices,
+    check_k0_rfd_stationary,
     exclusion_holds,
     find_positive_coboundary,
 )
 from k0mf.cli import main
+from k0mf.dimgroup import LimitElement
 from k0mf.exactlinalg import IntMatrix, WalkBudgetExceeded, enumerate_lattice_points, integer_kernel
 
 
@@ -240,6 +243,15 @@ def test_exclusion_fails_when_its_state_walk_runs_out(shift_pair, monkeypatch):
 
     monkeypatch.setattr(certify, "find_invariant_state", out_of_budget)
     assert not exclusion_holds(system, action, witness, 2)
+
+
+def test_a_stationary_state_walk_past_the_budget_raises(cycle3_pair, monkeypatch):
+    system, action = cycle3_pair
+    g = LimitElement(0, (1, 0, 0))
+    assert check_k0_rfd_stationary(system, action, g).functional == (1, 1, 1)
+    monkeypatch.setattr(exactlinalg, "WALK_NODE_BUDGET", 1)
+    with pytest.raises(WalkBudgetExceeded, match="budget of 1 nodes"):
+        check_k0_rfd_stationary(system, action, g)
 
 
 # ---------------------------------------------------------------------------
