@@ -17,7 +17,12 @@ JSON path of the field. Serialization is canonical: sorted keys,
 two-space indent, plain integers, trailing newline, so golden files and
 certificates are byte-stable.
 
-Validation errors carry the JSON path of the offending field.
+``parse_request_sets`` reads the other JSON input, the request sets of
+``check-mf --sets``. Validation errors carry the JSON path of the
+offending field, once: every object goes through one field check
+(``_fields``), and a constructor's error is reported at its object only
+after every argument has been parsed (``_construct``), so no enclosing
+object catches and re-wraps an error of its own fields.
 """
 
 from __future__ import annotations
@@ -27,11 +32,11 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Any
+from typing import Any, Callable
 
-from .dimgroup import InductiveSystem
+from .dimgroup import InductiveSystem, LimitElement
 from .exactlinalg import _CHUNK_DIGITS, IntMatrix, _decimal_str, _message_int
-from .kaction import K0Action, StageMap, StationaryRule
+from .kaction import K0Action, StageMap, StationaryRule, Word
 
 SCHEMA_VERSION = 1
 
@@ -227,12 +232,6 @@ def finite_system_to_k0(fs: FiniteSystem) -> tuple[InductiveSystem, K0Action]:
 # ---------------------------------------------------------------------------
 
 
-def _expect_object(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise DocumentError(path, "expected an object")
-    return value
-
-
 def _expect_list(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise DocumentError(path, "expected an array")
@@ -279,17 +278,36 @@ def _int_matrix(value: Any, path: str) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _no_extra_keys(obj: dict, allowed: set[str], path: str) -> None:
-    extra = sorted(set(obj) - allowed)
+def _fields(value: Any, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``value`` as an object whose keys are among ``required`` and
+    ``optional``, with every required key present. Checked in this
+    order: an object, no unknown key (the first in sorted order), then
+    the required keys in the order listed."""
+    if not isinstance(value, dict):
+        raise DocumentError(path, "expected an object")
+    extra = sorted(set(value).difference(required, optional))
     if extra:
         raise DocumentError(f"{path}.{extra[0]}", "unknown field")
+    for key in required:
+        if key not in value:
+            raise DocumentError(f"{path}.{key}", "missing field")
+    return value
+
+
+def _construct(path: str, make: Callable[..., Any], *args: Any) -> Any:
+    """``make(*args)``, with a ``ValueError`` it raises reported at
+    ``path``. The arguments are parsed before the call, so an error in
+    one of them keeps its own path."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise DocumentError(path, str(exc)) from None
 
 
 def _parse_metadata(obj: Any, path: str) -> Metadata:
     if obj is None:
         return Metadata()
-    obj = _expect_object(obj, path)
-    _no_extra_keys(obj, {"name", "description"}, path)
+    obj = _fields(obj, path, (), ("name", "description"))
     name = obj.get("name")
     description = obj.get("description")
     for key, value in (("name", name), ("description", description)):
@@ -299,11 +317,7 @@ def _parse_metadata(obj: Any, path: str) -> Metadata:
 
 
 def _parse_system(obj: Any, path: str) -> InductiveSystem:
-    obj = _expect_object(obj, path)
-    _no_extra_keys(obj, {"stage_ranks", "connecting_maps", "unit", "stationary"}, path)
-    for key in ("stage_ranks", "connecting_maps", "unit"):
-        if key not in obj:
-            raise DocumentError(f"{path}.{key}", "missing field")
+    obj = _fields(obj, path, ("stage_ranks", "connecting_maps", "unit"), ("stationary",))
     ranks = _int_vector(obj["stage_ranks"], f"{path}.stage_ranks")
     maps = tuple(
         _int_matrix(m, f"{path}.connecting_maps[{k}]")
@@ -321,18 +335,11 @@ def _parse_system(obj: Any, path: str) -> InductiveSystem:
         tail_matrix = None
     else:
         tail_matrix = _int_matrix(tail, f"{path}.stationary")
-    try:
-        return InductiveSystem(ranks, maps, unit, tail_matrix)
-    except ValueError as exc:
-        raise DocumentError(path, str(exc)) from None
+    return _construct(path, InductiveSystem, ranks, maps, unit, tail_matrix)
 
 
 def _parse_diagram(obj: Any, path: str) -> BratteliDiagram:
-    obj = _expect_object(obj, path)
-    _no_extra_keys(obj, {"vertex_counts", "edge_matrices", "stationary"}, path)
-    for key in ("vertex_counts", "edge_matrices"):
-        if key not in obj:
-            raise DocumentError(f"{path}.{key}", "missing field")
+    obj = _fields(obj, path, ("vertex_counts", "edge_matrices"), ("stationary",))
     counts = _int_vector(obj["vertex_counts"], f"{path}.vertex_counts")
     mats = []
     for k, m in enumerate(_expect_list(obj["edge_matrices"], f"{path}.edge_matrices")):
@@ -349,51 +356,29 @@ def _parse_diagram(obj: Any, path: str) -> BratteliDiagram:
     stationary = obj.get("stationary", False)
     if not isinstance(stationary, bool):
         raise DocumentError(f"{path}.stationary", "expected a boolean")
-    try:
-        return BratteliDiagram(counts, tuple(mats), stationary)
-    except ValueError as exc:
-        raise DocumentError(path, str(exc)) from None
+    return _construct(path, BratteliDiagram, counts, tuple(mats), stationary)
 
 
 def _parse_finite_system(obj: Any, path: str) -> FiniteSystem:
-    obj = _expect_object(obj, path)
-    _no_extra_keys(obj, {"points", "permutations"}, path)
-    for key in ("points", "permutations"):
-        if key not in obj:
-            raise DocumentError(f"{path}.{key}", "missing field")
+    obj = _fields(obj, path, ("points", "permutations"))
     points = _expect_int(obj["points"], f"{path}.points")
     perms = tuple(
         _int_vector(p, f"{path}.permutations[{i}]")
         for i, p in enumerate(_expect_list(obj["permutations"], f"{path}.permutations"))
     )
-    try:
-        return FiniteSystem(points, perms)
-    except ValueError as exc:
-        raise DocumentError(path, str(exc)) from None
+    return _construct(path, FiniteSystem, points, perms)
 
 
 def _parse_stage_map(obj: Any, path: str) -> StageMap:
-    obj = _expect_object(obj, path)
-    _no_extra_keys(obj, {"from_stage", "to_stage", "matrix"}, path)
-    for key in ("from_stage", "to_stage", "matrix"):
-        if key not in obj:
-            raise DocumentError(f"{path}.{key}", "missing field")
-    try:
-        return StageMap(
-            _expect_int(obj["from_stage"], f"{path}.from_stage"),
-            _expect_int(obj["to_stage"], f"{path}.to_stage"),
-            _int_matrix(obj["matrix"], f"{path}.matrix"),
-        )
-    except ValueError as exc:
-        raise DocumentError(path, str(exc)) from None
+    obj = _fields(obj, path, ("from_stage", "to_stage", "matrix"))
+    from_stage = _expect_int(obj["from_stage"], f"{path}.from_stage")
+    to_stage = _expect_int(obj["to_stage"], f"{path}.to_stage")
+    matrix = _int_matrix(obj["matrix"], f"{path}.matrix")
+    return _construct(path, StageMap, from_stage, to_stage, matrix)
 
 
 def _parse_action(obj: Any, path: str) -> K0Action:
-    obj = _expect_object(obj, path)
-    _no_extra_keys(obj, {"generators", "forward", "inverse", "stationary"}, path)
-    for key in ("generators", "forward", "inverse"):
-        if key not in obj:
-            raise DocumentError(f"{path}.{key}", "missing field")
+    obj = _fields(obj, path, ("generators", "forward", "inverse"), ("stationary",))
     generators = _expect_int(obj["generators"], f"{path}.generators")
 
     def families(key: str) -> tuple[tuple[StageMap, ...], ...]:
@@ -410,23 +395,15 @@ def _parse_action(obj: Any, path: str) -> K0Action:
     if obj.get("stationary") is not None:
         rules = []
         for j, rule in enumerate(_expect_list(obj["stationary"], f"{path}.stationary")):
-            rule = _expect_object(rule, f"{path}.stationary[{j}]")
-            _no_extra_keys(rule, {"shift", "forward", "inverse"}, f"{path}.stationary[{j}]")
-            for key in ("shift", "forward", "inverse"):
-                if key not in rule:
-                    raise DocumentError(f"{path}.stationary[{j}].{key}", "missing field")
-            shift = _expect_int(rule["shift"], f"{path}.stationary[{j}].shift")
-            forward = _int_matrix(rule["forward"], f"{path}.stationary[{j}].forward")
-            inverse = _int_matrix(rule["inverse"], f"{path}.stationary[{j}].inverse")
-            try:
-                rules.append(StationaryRule(shift, forward, inverse))
-            except ValueError as exc:  # the shift is out of range
-                raise DocumentError(f"{path}.stationary[{j}].shift", str(exc)) from None
+            at = f"{path}.stationary[{j}]"
+            rule = _fields(rule, at, ("shift", "forward", "inverse"))
+            shift = _expect_int(rule["shift"], f"{at}.shift")
+            forward = _int_matrix(rule["forward"], f"{at}.forward")
+            inverse = _int_matrix(rule["inverse"], f"{at}.inverse")
+            # the rule's only check is the shift's range
+            rules.append(_construct(f"{at}.shift", StationaryRule, shift, forward, inverse))
         stationary = tuple(rules)
-    try:
-        return K0Action(generators, families("forward"), families("inverse"), stationary)
-    except ValueError as exc:
-        raise DocumentError(path, str(exc)) from None
+    return _construct(path, K0Action, generators, families("forward"), families("inverse"), stationary)
 
 
 def parse(data: bytes | str) -> SystemDocument:
@@ -440,10 +417,7 @@ def parse(data: bytes | str) -> SystemDocument:
         raw = _load_json(data)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"invalid JSON: {exc}") from None
-    raw = _expect_object(raw, "$")
-    _no_extra_keys(raw, {"schema_version", "metadata", "system", "diagram", "finite_system", "action"}, "$")
-    if "schema_version" not in raw:
-        raise DocumentError("$.schema_version", "missing field")
+    raw = _fields(raw, "$", ("schema_version",), ("metadata", "system", "diagram", "finite_system", "action"))
     version = _expect_int(raw["schema_version"], "$.schema_version")
     if version != SCHEMA_VERSION:
         raise DocumentError("$.schema_version", f"unsupported version {_message_int(version)}")
@@ -467,11 +441,59 @@ def parse(data: bytes | str) -> SystemDocument:
             raise DocumentError("$.action", "missing field")
         action = _parse_action(raw["action"], "$.action")
     doc = SystemDocument(version, metadata, kind, system, diagram, finite, action)
-    try:
-        doc.resolve()
-    except ValueError as exc:
-        raise DocumentError(f"$.{kind}", str(exc)) from None
+    _construct(f"$.{kind}", doc.resolve)
     return doc
+
+
+def parse_request_sets(
+    data: bytes, path: str, system: InductiveSystem, action: K0Action
+) -> list[tuple[tuple[LimitElement, ...], tuple[Word, ...]]]:
+    """The (elements, words) pairs of a request-sets file's bytes; each
+    element must name a stage of ``system`` and match its rank, and
+    each letter a signed generator of ``action``. Raises DocumentError
+    with ``path`` and the JSON path of the bad field."""
+    try:
+        raw = _load_json(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DocumentError(path, f"cannot read request sets: {exc}") from None
+    if not isinstance(raw, dict) or not isinstance(raw.get("requests"), list):
+        raise DocumentError(path, 'expected an object with a "requests" array')
+    _fields(raw, f"{path}:$", ("requests",))
+    out = []
+    for i, req in enumerate(raw["requests"]):
+        where = f"{path}:requests[{i}]"
+        req = _fields(req, where, (), ("elements", "words"))
+        elements = []
+        for j, el in enumerate(_expect_list(req.get("elements", []), f"{where}.elements")):
+            at = f"{where}.elements[{j}]"
+            if not isinstance(el, dict) or "stage" not in el or "vector" not in el:
+                raise DocumentError(at, "expected {stage, vector}")
+            _fields(el, at, ("stage", "vector"))
+            stage = _expect_int(el["stage"], f"{at}.stage")
+            if not system.has_stage(stage):
+                raise DocumentError(f"{at}.stage", f"stage {_message_int(stage)} is outside the document's stages")
+            vector = _int_vector(el["vector"], f"{at}.vector")
+            if len(vector) != system.rank_at(stage):
+                raise DocumentError(
+                    f"{at}.vector", f"length {len(vector)}, stage {stage} has rank {system.rank_at(stage)}"
+                )
+            elements.append(LimitElement(stage, vector))
+        words = []
+        for j, w in enumerate(_expect_list(req.get("words", []), f"{where}.words")):
+            letters = _int_vector(w, f"{where}.words[{j}]")
+            for k, x in enumerate(letters):
+                if not 1 <= abs(x) <= action.generators:
+                    raise DocumentError(
+                        f"{where}.words[{j}][{k}]",
+                        f"letter {_message_int(x)} is not a signed generator index 1..{action.generators}",
+                    )
+            words.append(Word.of(*letters))
+        if not elements:
+            raise DocumentError(where, "request needs at least one element")
+        out.append((tuple(elements), tuple(words)))
+    if not out:
+        raise DocumentError(path, "no requests given")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -556,15 +556,12 @@ def find_invariant_state(
         support = [any(gv) for gv in element_vecs]
         if support == missed_support:
             continue  # a solution here would pull back to the missed stage
-        diffs = [
-            tuple(a - b for a, b in zip(element_vecs[gi], iv))
-            for (gi, _), iv in zip(images, image_vecs)
-        ]
-        p = system.rank_at(m)
-        if diffs:
-            kernel_rows = integer_kernel(IntMatrix.from_rows(diffs))
-        else:
-            kernel_rows = [tuple(1 if j == i else 0 for j in range(p)) for i in range(p)]
+        diffs = IntMatrix(
+            len(images),
+            system.rank_at(m),
+            tuple(a - b for (gi, _), iv in zip(images, image_vecs) for a, b in zip(element_vecs[gi], iv)),
+        )
+        kernel_rows = integer_kernel(diffs)  # with no words: the identity rows
         unit = system.unit_at(m)
         positives = [tuple(unit)] + [gv for gv, nonzero in zip(element_vecs, support) if nonzero]
         best = _canonical_functional(kernel_rows, positives, require_nonnegative=False) if kernel_rows else None

@@ -7,6 +7,11 @@ compression check: ``run_check`` without state searches, a witness
 reported as COMPRESSION_FOUND and a miss as NONE_FOUND), and
 ``convert`` (dualize a finite permutation system to a K0 document).
 
+Input is read by ``bratteli``: the document by ``parse`` and a
+``--sets`` file by ``parse_request_sets``; here each requested element
+must also be positive within --max-stage, else it is invalid input at
+its path in the file.
+
 Exit codes: 0 when a verdict was computed (whatever it says), 2 on
 invalid input, 3 when a soundness check failed (a witness was found
 but an invariant state faithful on its exclusion sets exists too, so
@@ -33,18 +38,11 @@ from .bratteli import (
     FiniteSystem,
     Metadata,
     SystemDocument,
-    _expect_int,
-    _expect_list,
-    _expect_object,
-    _int_vector,
-    _load_json,
-    _message_int,
-    _no_extra_keys,
     canonical_json_bytes,
     document_payload,
     finite_system_to_k0,
     parse,
-    serialize,
+    parse_request_sets,
 )
 from .certify import (
     SearchParams,
@@ -54,7 +52,7 @@ from .certify import (
     find_invariant_state,
     find_positive_coboundary,
 )
-from .dimgroup import InductiveSystem, LimitElement, injectivity_report
+from .dimgroup import InductiveSystem, LimitElement, injectivity_report, is_positive
 from .exactlinalg import WalkBudgetExceeded
 from .kaction import K0Action, Word, verify_action
 
@@ -220,53 +218,26 @@ def _read_document(path: str) -> SystemDocument:
     return parse(data)
 
 
-def _parse_sets_file(path: str, system: InductiveSystem, action: K0Action) -> tuple[StateRequest, ...]:
-    import json
-
+def _parse_sets_file(
+    path: str, system: InductiveSystem, action: K0Action, stage_max: int
+) -> tuple[StateRequest, ...]:
+    """The requests of a ``--sets`` file; each element must also be
+    positive by stage ``stage_max`` (or its own stage, if later)."""
     try:
         with open(path, "rb") as fh:
-            raw = _load_json(fh.read())
-    except (OSError, json.JSONDecodeError) as exc:
+            data = fh.read()
+    except OSError as exc:
         raise DocumentError(path, f"cannot read request sets: {exc}") from None
-    if not isinstance(raw, dict) or "requests" not in raw or not isinstance(raw["requests"], list):
-        raise DocumentError(path, 'expected an object with a "requests" array')
-    _no_extra_keys(raw, {"requests"}, f"{path}:$")
-    out = []
-    for i, req in enumerate(raw["requests"]):
-        where = f"{path}:requests[{i}]"
-        req = _expect_object(req, where)
-        _no_extra_keys(req, {"elements", "words"}, where)
-        elements = []
-        for j, el in enumerate(_expect_list(req.get("elements", []), f"{where}.elements")):
-            at = f"{where}.elements[{j}]"
-            if not isinstance(el, dict) or "stage" not in el or "vector" not in el:
-                raise DocumentError(at, "expected {stage, vector}")
-            _no_extra_keys(el, {"stage", "vector"}, at)
-            stage = _expect_int(el["stage"], f"{at}.stage")
-            if not system.has_stage(stage):
-                raise DocumentError(f"{at}.stage", f"stage {_message_int(stage)} is outside the document's stages")
-            vector = _int_vector(el["vector"], f"{at}.vector")
-            if len(vector) != system.rank_at(stage):
+    pairs = parse_request_sets(data, path, system, action)
+    for i, (elements, _) in enumerate(pairs):
+        for j, g in enumerate(elements):
+            horizon = max(stage_max, g.stage)
+            if not is_positive(system, g, horizon).is_yes:
                 raise DocumentError(
-                    f"{at}.vector", f"length {len(vector)}, stage {stage} has rank {system.rank_at(stage)}"
+                    f"{path}:requests[{i}].elements[{j}]",
+                    f"not positive (entrywise nonnegative at no stage up to {horizon})",
                 )
-            elements.append(LimitElement(stage, vector))
-        words = []
-        for j, w in enumerate(_expect_list(req.get("words", []), f"{where}.words")):
-            letters = _int_vector(w, f"{where}.words[{j}]")
-            for k, x in enumerate(letters):
-                if not 1 <= abs(x) <= action.generators:
-                    raise DocumentError(
-                        f"{where}.words[{j}][{k}]",
-                        f"letter {_message_int(x)} is not a signed generator index 1..{action.generators}",
-                    )
-            words.append(Word.of(*letters))
-        if not elements:
-            raise DocumentError(where, "request needs at least one element")
-        out.append(StateRequest(tuple(elements), tuple(words)))
-    if not out:
-        raise DocumentError(path, "no requests given")
-    return tuple(out)
+    return tuple(StateRequest(elements, words) for elements, words in pairs)
 
 
 def _emit(payload: dict, json_out: str | None) -> None:
@@ -361,7 +332,7 @@ def _cmd_check_mf(args: argparse.Namespace) -> int:
     params = _params_from(args)
     requests = None
     if args.sets:
-        requests = _parse_sets_file(args.sets, system, action)
+        requests = _parse_sets_file(args.sets, system, action, params.stage_max)
     verdict = run_check(system, action, params, requests)
     if _unsound(verdict):
         return 3

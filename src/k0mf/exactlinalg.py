@@ -179,9 +179,6 @@ class IntMatrix:
     def is_nonnegative(self) -> bool:
         return min(self.entries, default=0) >= 0
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     """Row Hermite form H of ``a``: H has the same row lattice as ``a``.

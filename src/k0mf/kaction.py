@@ -187,8 +187,6 @@ def reduced_words(generators: int, max_length: int) -> Iterator[Word]:
     and then lexicographically in that letter order.
     """
     alphabet = [s * j for j in range(1, generators + 1) for s in (1, -1)]
-    order = {letter: i for i, letter in enumerate(alphabet)}
-    alphabet.sort(key=order.__getitem__)
 
     def extend(prefix: list[int], remaining: int) -> Iterator[tuple[int, ...]]:
         if not remaining:

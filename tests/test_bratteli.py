@@ -1,6 +1,8 @@
+import ast
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,14 +23,15 @@ from k0mf.bratteli import (
     diagram_to_system,
     finite_system_to_k0,
     parse,
+    parse_request_sets,
     permutation_matrix,
     serialize,
 )
 from k0mf.certify import SearchParams
 from k0mf.cli import run_check, verdict_payload
-from k0mf.dimgroup import InductiveSystem
+from k0mf.dimgroup import InductiveSystem, LimitElement
 from k0mf.exactlinalg import IntMatrix
-from k0mf.kaction import identity_action, verify_action
+from k0mf.kaction import Word, identity_action, verify_action
 
 M = IntMatrix.from_rows
 
@@ -506,3 +509,68 @@ def test_canonical_bytes_write_integers_past_the_digit_limit():
     blob = canonical_json_bytes({"z": [_decimal_int(big), 1], "a": "x"})
     assert blob == ('{\n  "a": "x",\n  "z": [\n    %s,\n    1\n  ]\n}\n' % big).encode()
     assert sys.get_int_max_str_digits() == limit
+
+
+def _leaves(value, path="$"):
+    """(path, container, key) for every number, string and boolean."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        at = f"{path}.{key}" if isinstance(value, dict) else f"{path}[{key}]"
+        if isinstance(item, (dict, list)):
+            yield from _leaves(item, at)
+        else:
+            yield at, value, key
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_every_leaf_error_names_its_own_path_once(name):
+    """A float in place of any leaf is reported at that leaf, and the
+    message names the path once: no enclosing object re-wraps the error."""
+    blob = json.loads(golden_path(name).read_text())
+    mismatches = []
+    for path, container, key in list(_leaves(blob)):
+        original, container[key] = container[key], 1.5
+        try:
+            parse(json.dumps(blob))
+            mismatches.append((path, "parsed"))
+        except DocumentError as exc:
+            if exc.path != path or str(exc).count(path) != 1:
+                mismatches.append((path, str(exc)))
+        container[key] = original
+    assert mismatches == []
+
+
+def test_stage_map_constructor_error_is_reported_at_the_stage_map():
+    blob = json.loads(golden_path("minimal.json").read_text())
+    blob["action"]["inverse"][0][0]["from_stage"] = -1
+    with pytest.raises(DocumentError) as err:
+        parse(json.dumps(blob))
+    assert str(err.value) == "$.action.inverse[0][0]: stage maps must go forward (to_stage >= from_stage >= 0)"
+
+
+def test_parse_request_sets_returns_element_and_word_pairs(cycle3_pair):
+    system, action = cycle3_pair
+    data = b'{"requests": [{"elements": [{"stage": 0, "vector": [1, "0", 0]}], "words": [[1, -1], [-1]]}]}'
+    assert parse_request_sets(data, "sets.json", system, action) == [
+        ((LimitElement(0, (1, 0, 0)),), (Word(()), Word((-1,)))),
+    ]
+    with pytest.raises(DocumentError) as err:
+        parse_request_sets(b'{"requests": [[]]}', "sets.json", system, action)
+    assert str(err.value) == "sets.json:requests[0]: expected an object"
+
+
+def test_no_module_but_bratteli_imports_its_private_names():
+    """The input formats stay behind one module: nothing else in the
+    package imports an underscore name from ``bratteli``."""
+    package = Path(sys.modules["k0mf"].__file__).parent
+    found = []
+    for source in sorted(package.glob("*.py")):
+        if source.name == "bratteli.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "bratteli":
+                found += [(source.name, a.name) for a in node.names if a.name.startswith("_")]
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "bratteli":
+                if node.attr.startswith("_"):
+                    found.append((source.name, node.attr))
+    assert found == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -218,6 +219,52 @@ def test_check_mf_sets_stage_must_exist(tmp_path, capsys):
         code, out, err = _check_mf_with_sets(tmp_path, capsys, text, doc)
         assert (code, out) == (2, ""), (doc, stage)
         assert f"requests[0].elements[0].stage: stage {stage}" in err, (doc, stage)
+
+
+def test_check_mf_sets_element_must_be_positive(tmp_path, capsys):
+    """A non-positive element is named by its path when the sets are read,
+    before any search, so a VIOLATION document rejects it too."""
+    for doc, vector, horizon in (("cycle3.json", [-1, 0, 0], 4), ("compactified_shift.json", [-1], 4)):
+        text = json.dumps({"requests": [{"elements": [{"stage": 0, "vector": vector}], "words": [[1]]}]})
+        code, out, err = _check_mf_with_sets(tmp_path, capsys, text, doc)
+        assert (code, out) == (2, ""), doc
+        assert err == (
+            f"invalid input: {tmp_path / 'sets.json'}:requests[0].elements[0]: "
+            f"not positive (entrywise nonnegative at no stage up to {horizon})\n"
+        ), doc
+
+
+def test_check_mf_sets_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    sets_path = tmp_path / "sets.json"
+    sets_path.write_bytes(b'{"requests": [{"elements": [{"stage": 0, "vector": [1, 0, 0]}], "words": [["\xff"]]}]}')
+    code, out, err = run_cli(capsys, "check-mf", str(golden_path("cycle3.json")), "--sets", str(sets_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid input: {sets_path}: cannot read request sets: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_check_mf_request_without_words_keeps_its_payload(tmp_path, capsysbinary):
+    """No words means no invariance rows: the functional ranges over the
+    whole stage lattice. The digest was recorded before the kernel of
+    the empty difference matrix replaced a hand-built identity."""
+    sets_path = tmp_path / "sets.json"
+    sets_path.write_text(
+        '{"requests": [{"elements": [{"stage": 0, "vector": [1, 0, 0]},'
+        ' {"stage": 0, "vector": [0, 1, 2]}], "words": []}]}'
+    )
+    code = main(["check-mf", str(golden_path("cycle3.json")), "--sets", str(sets_path)])
+    out = capsysbinary.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == "a4e1c65a471eb952752f808d6deef457debb5f6a1edb3155b798c5bdb52d6bab"
+
+
+def test_validate_names_a_bad_field_inside_an_action_stage_map(tmp_path, capsys):
+    blob = json.loads(golden_path("minimal.json").read_text())
+    blob["action"]["forward"][0][0]["from_stage"] = 1.5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "invalid input: $.action.forward[0][0].from_stage: floating-point numbers are not allowed\n"
 
 
 def test_check_mf_invalid_document(tmp_path, capsys):
