@@ -456,18 +456,14 @@ def parse_request_sets(
         raw = _load_json(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DocumentError(path, f"cannot read request sets: {exc}") from None
-    if not isinstance(raw, dict) or not isinstance(raw.get("requests"), list):
-        raise DocumentError(path, 'expected an object with a "requests" array')
     _fields(raw, f"{path}:$", ("requests",))
     out = []
-    for i, req in enumerate(raw["requests"]):
+    for i, req in enumerate(_expect_list(raw["requests"], f"{path}:requests")):
         where = f"{path}:requests[{i}]"
         req = _fields(req, where, (), ("elements", "words"))
         elements = []
         for j, el in enumerate(_expect_list(req.get("elements", []), f"{where}.elements")):
             at = f"{where}.elements[{j}]"
-            if not isinstance(el, dict) or "stage" not in el or "vector" not in el:
-                raise DocumentError(at, "expected {stage, vector}")
             _fields(el, at, ("stage", "vector"))
             stage = _expect_int(el["stage"], f"{at}.stage")
             if not system.has_stage(stage):

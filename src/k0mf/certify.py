@@ -19,6 +19,13 @@ Two searches drive everything:
   valid because the constraint functionals are homogeneous in the
   unknown. The returned certificate re-verifies exactly.
 
+Both searches read the action through ``kaction.coboundary_block``, the
+matrix that sends a vector g at a word's source stage to g - w(g) at a
+target stage: the cell lattices are generated by its columns, a
+witness's preimages solve the one-letter blocks stacked side by side,
+and the state search and its re-check get every invariance difference
+g - w(g) of one stage's elements from one sparse product per word.
+
 The two are mutually exclusive by design: if a witness with value x and
 preimages g_j exists, any functional that is invariant on the positive
 and negative parts of every g_j must vanish on x, so no certificate
@@ -62,7 +69,9 @@ order and every result while building fewer lattices:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .dimgroup import (
@@ -85,7 +94,16 @@ from .exactlinalg import (
     row_basis,
     solve_in_lattice,
 )
-from .kaction import K0Action, Word, apply_word, coboundary, coboundary_stage_lattice, repeat_stage
+from .kaction import (
+    K0Action,
+    StageMap,
+    Word,
+    coboundary,
+    coboundary_block,
+    coboundary_stage_lattice,
+    repeat_stage,
+    word_map,
+)
 
 
 @dataclass(frozen=True)
@@ -160,7 +178,7 @@ def _first_nonzero(vec: Sequence[int]) -> int:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _distinct_positives(
@@ -278,7 +296,9 @@ def _recover_preimages(
     source_hint: int,
     stage_max: int,
 ) -> tuple[LimitElement, ...] | None:
-    """Solve value = sum_j (g_j - a_j(g_j)) over the integers.
+    """Solve value = sum_j (g_j - a_j(g_j)) over the integers: the
+    one-letter ``coboundary_block`` of each generator, side by side, is
+    the matrix that sends the stacked g_j to that sum.
 
     Tries source stages from the lattice's source upward; a witness
     produced by an inverse letter may only be a coboundary of elements
@@ -295,17 +315,10 @@ def _recover_preimages(
         target = max([value.stage] + [sm.to_stage for sm in maps])
         if not system.has_stage(target):
             continue
-        p_src = system.rank_at(k)
-        p_tgt = system.rank_at(target)
-        push_src = system.transfer(k, target)
-        block_rows: list[list[int]] = [[] for _ in range(p_tgt)]
-        for sm in maps:
-            push_img = system.transfer(sm.to_stage, target) @ sm.matrix
-            for i in range(p_tgt):
-                block_rows[i].extend(
-                    push_src.at(i, j) - push_img.at(i, j) for j in range(p_src)
-                )
-        matrix = IntMatrix.from_rows(block_rows)
+        p_src, p_tgt = system.rank_at(k), system.rank_at(target)
+        blocks = [coboundary_block(system, sm, target) for sm in maps]
+        rows = chain.from_iterable(b.row(i) for i in range(p_tgt) for b in blocks)
+        matrix = IntMatrix(p_tgt, r * p_src, tuple(rows))
         solved = solve_in_lattice(matrix, push(system, value, target).vector)
         if solved is None:
             continue
@@ -394,7 +407,7 @@ def _stage_lattices(
                 pushed = previous.get((source, length))
                 if pushed is not None:
                     step = system.connecting(target - 1)
-                    if step == IntMatrix.identity(step.rows):
+                    if step == system.transfer(target, target):  # the identity
                         basis_rows = pushed
                     else:
                         basis_rows = row_basis([step.apply(b) for b in pushed], system.rank_at(target))
@@ -463,18 +476,40 @@ def find_positive_coboundary(
     return WitnessSearch(None, tuple(exhausted))
 
 
+def _invariance_differences(
+    system: InductiveSystem,
+    maps: dict[tuple[int, Word], StageMap],
+    elements: Sequence[LimitElement],
+    words: Sequence[Word],
+    m: int,
+) -> list[tuple[int, ...]]:
+    """g - w(g) at stage m for each element g and then each word w, given
+    ``maps``, the ``word_map`` of each (stage, word). The elements of one
+    stage, side by side, go through the ``coboundary_block`` of each
+    word in one sparse product."""
+    diffs: dict[tuple[int, Word], tuple[int, ...]] = {}
+    for k in dict.fromkeys(g.stage for g in elements):
+        idx = [i for i, g in enumerate(elements) if g.stage == k]
+        columns = zip(*(elements[i].vector for i in idx), strict=True)
+        stacked = IntMatrix(system.rank_at(k), len(idx), tuple(chain.from_iterable(columns)))
+        for w in words:
+            images = (coboundary_block(system, maps[k, w], m) @ stacked).entries
+            for j, i in enumerate(idx):
+                diffs[i, w] = images[j :: len(idx)]
+    return [diffs[i, w] for i in range(len(elements)) for w in words]
+
+
 def verify_state_certificate(
     system: InductiveSystem, action: K0Action, cert: StateCertificate
 ) -> None:
     """Exact re-verification; raises AssertionError on any failure."""
     beta = cert.functional
     m = cert.stage
-    for g in cert.elements:
-        gv = push(system, g, m).vector
-        for w in cert.words:
-            iv = push(system, apply_word(action, system, w, g), m).vector
-            if _dot(beta, gv) != _dot(beta, iv):
-                raise AssertionError("certificate functional is not invariant")
+    stages = dict.fromkeys(g.stage for g in cert.elements)
+    maps = {(k, w): word_map(action, system, w, k) for k in stages for w in cert.words}
+    for d in _invariance_differences(system, maps, cert.elements, cert.words, m):
+        if _dot(beta, d):
+            raise AssertionError("certificate functional is not invariant")
     unit_value = _dot(beta, system.unit_at(m))
     if unit_value != cert.unit_value or unit_value <= 0:
         raise AssertionError("certificate functional is not positive on the unit")
@@ -512,9 +547,11 @@ def find_invariant_state(
     missed stage's program, so that stage's kernel and program are not
     built again until an element vanishes.
 
-    The elements and their word images are pushed to the first stage
-    that holds them all, once, and then stepped through one connecting
-    map per later stage; the pushed elements also give the positivity
+    Each element goes once through the ``coboundary_block`` of its
+    (stage, word) to the first stage that holds every word image, which
+    gives the invariance differences g - w(g) there; the differences and
+    the elements pushed there are then stepped through one connecting
+    map per later stage. The pushed elements also give the positivity
     constraints and the certificate's element values.
 
     Raises ``WalkBudgetExceeded`` when the walk for the canonical
@@ -528,39 +565,29 @@ def find_invariant_state(
         horizon = max(stage_max, g.stage)
         if not is_positive(system, g, horizon).is_yes:
             raise ValueError("every requested element must be positive (entrywise nonnegative at some stage)")
+    stages = dict.fromkeys(g.stage for g in elements)
     try:
-        images = [
-            (gi, apply_word(action, system, w, g))
-            for gi, g in enumerate(elements)
-            for w in words
-        ]
+        maps = {(k, w): word_map(action, system, w, k) for k in stages for w in words}
     except StageRangeError:
         return None
-    first = max(
-        [g.stage for g in elements] + [img.stage for _, img in images],
-        default=0,
-    )
+    first = max([g.stage for g in elements] + [sm.to_stage for sm in maps.values()])
     element_vecs: list[tuple[int, ...]] = []
-    image_vecs: list[tuple[int, ...]] = []
+    diff_vecs: list[tuple[int, ...]] = []
     missed_support: list[bool] | None = None  # nonzero elements at the last stage that missed
     for m in range(first, stage_max + 1):
         if not system.has_stage(m):
             break
         if m == first:
             element_vecs = [push(system, g, m).vector for g in elements]
-            image_vecs = [push(system, img, m).vector for _, img in images]
+            diff_vecs = _invariance_differences(system, maps, elements, words, m)
         else:
             step = system.connecting(m - 1)
             element_vecs = [step.apply(v) for v in element_vecs]
-            image_vecs = [step.apply(v) for v in image_vecs]
+            diff_vecs = [step.apply(v) for v in diff_vecs]
         support = [any(gv) for gv in element_vecs]
         if support == missed_support:
             continue  # a solution here would pull back to the missed stage
-        diffs = IntMatrix(
-            len(images),
-            system.rank_at(m),
-            tuple(a - b for (gi, _), iv in zip(images, image_vecs) for a, b in zip(element_vecs[gi], iv)),
-        )
+        diffs = IntMatrix(len(diff_vecs), system.rank_at(m), tuple(chain.from_iterable(diff_vecs)))
         kernel_rows = integer_kernel(diffs)  # with no words: the identity rows
         unit = system.unit_at(m)
         positives = [tuple(unit)] + [gv for gv, nonzero in zip(element_vecs, support) if nonzero]

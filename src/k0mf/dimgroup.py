@@ -17,7 +17,7 @@ stage, and everything else is "unknown" relative to the horizon used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactlinalg import IntMatrix, rank
 
@@ -69,6 +69,8 @@ class InductiveSystem:
         object.__setattr__(self, "_prefix_units", tuple(units))
         # k -> [transfer(k, k + 1), transfer(k, k + 2), ...], grown on demand
         object.__setattr__(self, "_transfers", {})
+        # rank -> the identity of that rank, transfer(k, k) for every k of that rank
+        object.__setattr__(self, "_identities", {})
         # declared map index (None for the tail) -> has full column rank
         object.__setattr__(self, "_injective", {})
 
@@ -104,12 +106,18 @@ class InductiveSystem:
 
         Cached per system: transfer(k, m) is built from transfer(k, m - 1)
         and one connecting map, and so on down to the longest one already
-        cached. An out-of-range pair raises StageRangeError on every call.
+        cached, and transfer(k, k) is one identity per stage rank. An
+        out-of-range pair raises StageRangeError on every call.
         """
         if m < k:
             raise StageRangeError("transfer target precedes source")
         if m == k:
-            return IntMatrix.identity(self.rank_at(k))
+            identities: dict[int, IntMatrix] = self._identities  # type: ignore[attr-defined]
+            p = self.rank_at(k)
+            ident = identities.get(p)
+            if ident is None:
+                ident = identities[p] = IntMatrix.identity(p)
+            return ident
         chains: dict[int, list[IntMatrix]] = self._transfers  # type: ignore[attr-defined]
         chain = chains.get(k)
         if chain is None:
@@ -219,17 +227,17 @@ def injective_from(system: InductiveSystem, stage: int) -> bool:
     return all(system.map_injective(k) for k in range(stage, len(system.connecting_maps)))
 
 
-def _walk(system: InductiveSystem, e: LimitElement, horizon: int) -> list[tuple[int, tuple[int, ...]]]:
+def _walk(system: InductiveSystem, e: LimitElement, horizon: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(stage, vector) of e at its own stage and then at each later one up
+    to the horizon, pushed one connecting map at a time as it is read."""
     if horizon < e.stage:
         raise ValueError("horizon precedes the element's stage")
-    out = [(e.stage, tuple(e.vector))]
-    v = list(e.vector)
-    m = e.stage
+    m, v = e.stage, tuple(e.vector)
+    yield m, v
     while m < horizon and system.has_stage(m + 1):
-        v = list(system.connecting(m).apply(v))
+        v = system.connecting(m).apply(v)
         m += 1
-        out.append((m, tuple(v)))
-    return out
+        yield m, v
 
 
 def is_positive(system: InductiveSystem, e: LimitElement, horizon: int) -> Tristate:
@@ -240,11 +248,15 @@ def is_positive(system: InductiveSystem, e: LimitElement, horizon: int) -> Trist
     when provable for every later stage: either the vector is entrywise
     <= 0 and nonzero with injectivity certified onward, or a stationary
     tail fixes the vector and a negative coordinate is frozen in.
+
+    The element is pushed only up to its first nonnegative stage; the
+    "no" and "unknown" answers read every stage up to the horizon.
     """
-    trail = _walk(system, e, horizon)
-    for m, v in trail:
+    trail = []
+    for m, v in _walk(system, e, horizon):
         if all(x >= 0 for x in v):
             return Tristate.yes(m, horizon)
+        trail.append((m, v))
     for m, v in trail:
         if all(x <= 0 for x in v) and any(v) and injective_from(system, m):
             return Tristate.no(m, horizon)
@@ -264,7 +276,7 @@ def is_zero(system: InductiveSystem, e: LimitElement, horizon: int) -> Tristate:
     No(m): the vector is nonzero at stage m and every later map is
     provably injective, so it can never vanish.
     """
-    trail = _walk(system, e, horizon)
+    trail = list(_walk(system, e, horizon))
     for m, v in trail:
         if not any(v):
             return Tristate.yes(m, horizon)

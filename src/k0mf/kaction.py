@@ -7,22 +7,29 @@ explicit family of inverse-direction maps. Inverses are supplied rather
 than computed because stage maps need not be square; invertibility is a
 limit-level condition and supplying both directions makes it checkable.
 
-This module provides word application, the coboundary combination
-sum_j (g_j - a_j(g_j)) over the generators, finite-stage lattices
-approximating the group generated by all word differences, and an
-itemised verifier for the order-automorphism laws (positivity,
-commuting squares, unit preservation, inverse laws). ``repeat_stage``
-says from which stage stationary data repeats, for the verifier and
-the witness search alike.
+This module provides word maps (``word_map``: a word's letter maps
+composed by sparse products, so a word acts on a vector in one product)
+and coboundary blocks (``coboundary_block``: the matrix whose column i
+is e_i - w(e_i) pushed to a target stage, for every basis vector e_i at
+once). On these rest word application, the coboundary combination
+sum_j (g_j - a_j(g_j)) over the generators, and the finite-stage
+lattices approximating the group generated by all word differences,
+whose generators are the block columns. The state search in ``certify``
+and its re-check take their invariance differences from the same
+blocks. Last comes an itemised verifier for the order-automorphism laws
+(positivity, commuting squares, unit preservation, inverse laws).
+``repeat_stage`` says from which stage stationary data repeats, for the
+verifier and the witness search alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import add, sub
 from typing import Iterator, Sequence
 
-from .dimgroup import InductiveSystem, LimitElement, StageRangeError, push
+from .dimgroup import InductiveSystem, LimitElement, StageRangeError
 from .exactlinalg import IntMatrix, _message_int, row_basis
 
 
@@ -139,23 +146,53 @@ class Word:
         return Word(tuple(-x for x in reversed(self.letters)))
 
 
+def word_map(action: K0Action, system: InductiveSystem, word: Word, stage: int) -> StageMap:
+    """The map of a word out of ``stage``: its letter maps composed by
+    sparse products, the rightmost letter first. A one-letter word is its
+    letter's map, with no product; the empty word is the identity.
+
+    Raises StageRangeError when a letter has no map at the stage it
+    meets or maps into an undeclared stage, and ValueError when a letter
+    map's shape does not fit the stage ranks.
+    """
+    k, matrix = stage, None
+    for letter in reversed(word.letters):
+        sm = action.letter_map(letter, k)
+        if not system.has_stage(sm.to_stage):
+            raise StageRangeError(f"letter {letter} maps into undeclared stage {sm.to_stage}")
+        if sm.matrix.cols != system.rank_at(k) or sm.matrix.rows != system.rank_at(sm.to_stage):
+            raise ValueError(f"stage map shape mismatch at stage {k}")
+        matrix = sm.matrix if matrix is None else sm.matrix @ matrix
+        k = sm.to_stage
+    return StageMap(stage, k, system.transfer(stage, stage) if matrix is None else matrix)
+
+
 def apply_word(
     action: K0Action, system: InductiveSystem, word: Word, e: LimitElement
 ) -> LimitElement:
-    """Apply a word to a limit element; the rightmost letter acts first.
+    """Apply a word to a limit element (``word_map`` applied to its
+    vector); the rightmost letter acts first.
 
     The empty word returns the element unchanged (pushforward is the
     caller's concern when stages must be aligned).
     """
-    out = e
-    for letter in reversed(word.letters):
-        sm = action.letter_map(letter, out.stage)
-        if not system.has_stage(sm.to_stage):
-            raise StageRangeError(f"letter {letter} maps into undeclared stage {sm.to_stage}")
-        if sm.matrix.cols != system.rank_at(out.stage) or sm.matrix.rows != system.rank_at(sm.to_stage):
-            raise ValueError(f"stage map shape mismatch at stage {out.stage}")
-        out = LimitElement(sm.to_stage, sm.matrix.apply(out.vector))
-    return out
+    if not word.letters:
+        return e
+    sm = word_map(action, system, word, e.stage)
+    return LimitElement(sm.to_stage, sm.matrix.apply(e.vector))
+
+
+def coboundary_block(system: InductiveSystem, sm: StageMap, target: int) -> IntMatrix:
+    """transfer(k, target) - transfer(m, target) @ W for a word's map W
+    from stage k to stage m <= ``target``.
+
+    Column i is e_i - w(e_i) pushed to ``target``, for the stage-k basis
+    vector e_i, so the block sends a stage-k vector g to g - w(g) at
+    ``target``. Raises StageRangeError when m is past ``target``.
+    """
+    image = sm.matrix if sm.to_stage == target else system.transfer(sm.to_stage, target) @ sm.matrix
+    base = system.transfer(sm.from_stage, target)
+    return IntMatrix(base.rows, base.cols, tuple(map(sub, base.entries, image.entries)))
 
 
 def coboundary(
@@ -164,19 +201,11 @@ def coboundary(
     """sum over generators j of (g_j - a_j(g_j)), at a common stage."""
     if len(elements) != action.generators:
         raise ValueError("need exactly one element per generator")
-    pairs = []
-    target = 0
-    for j, g in enumerate(elements):
-        image = apply_word(action, system, Word.of(j + 1), g)
-        pairs.append((g, image))
-        target = max(target, g.stage, image.stage)
-    p = system.rank_at(target)
-    acc = [0] * p
-    for g, image in pairs:
-        gv = push(system, g, target).vector
-        iv = push(system, image, target).vector
-        for t in range(p):
-            acc[t] += gv[t] - iv[t]
+    maps = [word_map(action, system, Word.of(j + 1), g.stage) for j, g in enumerate(elements)]
+    target = max(sm.to_stage for sm in maps)
+    acc = [0] * system.rank_at(target)
+    for sm, g in zip(maps, elements):
+        acc = list(map(add, acc, coboundary_block(system, sm, target).apply(g.vector)))
     return LimitElement(target, tuple(acc))
 
 
@@ -216,25 +245,22 @@ def coboundary_stage_lattice(
     Columns form the canonical (Hermite) basis of the subgroup of the
     target stage generated by the pushforwards of g - w(g), for g a
     source-stage basis vector and w a reduced word of length at most
-    ``word_length``. The target stage must be late enough to receive
-    every word image.
+    ``word_length``: the columns of each word's ``coboundary_block``.
+    The target stage must be late enough to receive every word image.
     """
     if word_length < 0:
         raise ValueError("word length must be >= 0")
     p_src = system.rank_at(source_stage)
     p_tgt = system.rank_at(target_stage)
-    vectors = []
+    vectors: list[tuple[int, ...]] = []
     for word in reduced_words(action.generators, word_length):
-        for i in range(p_src):
-            e = LimitElement(source_stage, tuple(1 if t == i else 0 for t in range(p_src)))
-            image = apply_word(action, system, word, e)
-            if image.stage > target_stage:
-                raise StageRangeError(
-                    f"target stage {target_stage} cannot receive |w|={len(word)} images from stage {source_stage}"
-                )
-            ev = push(system, e, target_stage).vector
-            iv = push(system, image, target_stage).vector
-            vectors.append(tuple(a - b for a, b in zip(ev, iv)))
+        sm = word_map(action, system, word, source_stage)
+        if sm.to_stage > target_stage:
+            raise StageRangeError(
+                f"target stage {target_stage} cannot receive |w|={len(word)} images from stage {source_stage}"
+            )
+        block = coboundary_block(system, sm, target_stage)
+        vectors.extend(block.entries[i::p_src] for i in range(p_src))
     basis = row_basis(vectors, p_tgt)
     return IntMatrix.from_rows([[b[i] for b in basis] for i in range(p_tgt)]) if basis else IntMatrix.zeros(p_tgt, 0)
 

@@ -1,0 +1,101 @@
+"""Reference oracles: coboundary data built one basis vector at a time,
+as it was before ``kaction.word_map`` and ``kaction.coboundary_block``
+replaced it with one sparse product per word.
+
+``apply_letters`` applies a word's letter maps to a vector one after
+another, ``coboundary_stage_lattice`` pushes g and w(g) to the target
+stage separately for every source-stage basis vector g, and
+``coboundary`` and ``invariance_differences`` do the same for the
+elements of a coboundary and of a state request. The composites must
+give the same lattices, images, sums and differences.
+"""
+
+from typing import Sequence
+
+from k0mf.dimgroup import InductiveSystem, LimitElement, StageRangeError, push
+from k0mf.exactlinalg import IntMatrix, row_basis
+from k0mf.kaction import K0Action, Word, reduced_words
+
+
+def apply_letters(
+    action: K0Action, system: InductiveSystem, word: Word, e: LimitElement
+) -> LimitElement:
+    """Apply a word letter by letter; the rightmost letter acts first."""
+    out = e
+    for letter in reversed(word.letters):
+        sm = action.letter_map(letter, out.stage)
+        if not system.has_stage(sm.to_stage):
+            raise StageRangeError(f"letter {letter} maps into undeclared stage {sm.to_stage}")
+        if sm.matrix.cols != system.rank_at(out.stage) or sm.matrix.rows != system.rank_at(sm.to_stage):
+            raise ValueError(f"stage map shape mismatch at stage {out.stage}")
+        out = LimitElement(sm.to_stage, sm.matrix.apply(out.vector))
+    return out
+
+
+def coboundary(
+    action: K0Action, system: InductiveSystem, elements: Sequence[LimitElement]
+) -> LimitElement:
+    """sum over generators j of (g_j - a_j(g_j)): each g_j and its image
+    pushed to the common stage on its own."""
+    pairs = []
+    target = 0
+    for j, g in enumerate(elements):
+        image = apply_letters(action, system, Word.of(j + 1), g)
+        pairs.append((g, image))
+        target = max(target, g.stage, image.stage)
+    acc = [0] * system.rank_at(target)
+    for g, image in pairs:
+        gv = push(system, g, target).vector
+        iv = push(system, image, target).vector
+        for t in range(len(acc)):
+            acc[t] += gv[t] - iv[t]
+    return LimitElement(target, tuple(acc))
+
+
+def coboundary_stage_lattice(
+    action: K0Action,
+    system: InductiveSystem,
+    source_stage: int,
+    target_stage: int,
+    word_length: int,
+) -> IntMatrix:
+    """Hermite basis (columns) of the pushforwards of g - w(g), one
+    source-stage basis vector g and one word w at a time."""
+    p_src = system.rank_at(source_stage)
+    p_tgt = system.rank_at(target_stage)
+    vectors = []
+    for word in reduced_words(action.generators, word_length):
+        for i in range(p_src):
+            e = LimitElement(source_stage, tuple(1 if t == i else 0 for t in range(p_src)))
+            image = apply_letters(action, system, word, e)
+            if image.stage > target_stage:
+                raise StageRangeError(
+                    f"target stage {target_stage} cannot receive |w|={len(word)} images from stage {source_stage}"
+                )
+            ev = push(system, e, target_stage).vector
+            iv = push(system, image, target_stage).vector
+            vectors.append(tuple(a - b for a, b in zip(ev, iv)))
+    basis = row_basis(vectors, p_tgt)
+    return IntMatrix.from_rows([[b[i] for b in basis] for i in range(p_tgt)]) if basis else IntMatrix.zeros(p_tgt, 0)
+
+
+def word_images(
+    action: K0Action, system: InductiveSystem, elements: Sequence[LimitElement], words: Sequence[Word]
+) -> list[LimitElement]:
+    """w(g) for each element g and then each word w."""
+    return [apply_letters(action, system, w, g) for g in elements for w in words]
+
+
+def invariance_differences(
+    action: K0Action, system: InductiveSystem, elements: Sequence[LimitElement], words: Sequence[Word], m: int
+) -> list[tuple[int, ...]]:
+    """g - w(g) at stage m for each element g and then each word w, each
+    pushed to m on its own."""
+    images = iter(word_images(action, system, elements, words))
+    out = []
+    for g in elements:
+        gv = push(system, g, m).vector
+        for _ in words:
+            iv = push(system, next(images), m).vector
+            out.append(tuple(a - b for a, b in zip(gv, iv)))
+    return out

@@ -234,6 +234,24 @@ def test_check_mf_sets_element_must_be_positive(tmp_path, capsys):
         ), doc
 
 
+def test_check_mf_sets_objects_report_like_every_other_object(tmp_path, capsys):
+    """A missing key is named at its own path and a non-object is
+    "expected an object", as for the objects of a document."""
+    for text, where, reason in (
+        ('{"requests": [{"elements": [{"stage": 0}]}]}', "requests[0].elements[0].vector", "missing field"),
+        ('{"requests": [{"elements": [{"vector": [1, 0, 0]}]}]}', "requests[0].elements[0].stage", "missing field"),
+        ('{"requests": [{"elements": [[0, [1, 0, 0]]]}]}', "requests[0].elements[0]", "expected an object"),
+        ('{"requests": [7]}', "requests[0]", "expected an object"),
+        ('{"requests": {}}', "requests", "expected an array"),
+        ('{"request": []}', "$.request", "unknown field"),
+        ("{}", "$.requests", "missing field"),
+        ("[]", "$", "expected an object"),
+    ):
+        code, out, err = _check_mf_with_sets(tmp_path, capsys, text)
+        assert (code, out) == (2, ""), text
+        assert err == f"invalid input: {tmp_path / 'sets.json'}:{where}: {reason}\n", text
+
+
 def test_check_mf_sets_file_that_is_not_utf8_is_named(tmp_path, capsys):
     sets_path = tmp_path / "sets.json"
     sets_path.write_bytes(b'{"requests": [{"elements": [{"stage": 0, "vector": [1, 0, 0]}], "words": [["\xff"]]}]}')

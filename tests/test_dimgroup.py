@@ -2,11 +2,15 @@ import random
 
 import pytest
 
+from conftest import GOLDEN_NAMES, load_golden
+
 from k0mf.dimgroup import (
     InductiveSystem,
     LimitElement,
     StageRangeError,
+    Tristate,
     basis_element,
+    injective_from,
     injectivity_report,
     is_positive,
     is_zero,
@@ -109,6 +113,60 @@ def test_is_positive_nonpositive_injective_no():
     sys_ = doubling_system()
     res = is_positive(sys_, LimitElement(0, (-1,)), 3)
     assert res.is_no
+
+
+def eager_is_positive(system: InductiveSystem, e: LimitElement, horizon: int) -> Tristate:
+    """``is_positive`` as it was before it stopped at the first
+    nonnegative stage: every push up to the horizon, then the answers."""
+    if horizon < e.stage:
+        raise ValueError("horizon precedes the element's stage")
+    trail = [(e.stage, tuple(e.vector))]
+    while trail[-1][0] < horizon and system.has_stage(trail[-1][0] + 1):
+        m, v = trail[-1]
+        trail.append((m + 1, system.connecting(m).apply(v)))
+    for m, v in trail:
+        if all(x >= 0 for x in v):
+            return Tristate.yes(m, horizon)
+    for m, v in trail:
+        if all(x <= 0 for x in v) and any(v) and injective_from(system, m):
+            return Tristate.no(m, horizon)
+    if system.is_stationary:
+        for m, v in trail:
+            if m >= system.last_declared_stage and system.stationary_tail.apply(v) == v and any(x < 0 for x in v):
+                return Tristate.no(m, horizon)
+    return Tristate.unknown(horizon)
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_is_positive_matches_the_eager_walk(name):
+    """Basis vectors and random signed vectors of every declared stage up
+    to 3, at every horizon from the element's stage to 6."""
+    system, _ = load_golden(name).resolve()
+    rng = random.Random(name)
+    answers = set()
+    for stage in (k for k in range(4) if system.has_stage(k)):
+        p = system.rank_at(stage)
+        vectors = [basis_element(system, stage, i).vector for i in range(p)]
+        vectors += [tuple(rng.randint(-3, 3) for _ in range(p)) for _ in range(12)]
+        for v in vectors:
+            for horizon in range(stage, 7):
+                e = LimitElement(stage, v)
+                got = is_positive(system, e, horizon)
+                assert got == eager_is_positive(system, e, horizon), (e, horizon)
+                answers.add(got.verdict)
+    assert "yes" in answers and answers != {"yes"}
+
+
+def test_is_positive_pushes_only_to_its_first_nonnegative_stage(monkeypatch):
+    # [[2,1],[1,1]] sends (1,-1) to (1,0): one push, whatever the horizon
+    sys_ = InductiveSystem((2,), (), (1, 1), M([[2, 1], [1, 1]]))
+    steps = []
+    connecting = InductiveSystem.connecting
+    monkeypatch.setattr(InductiveSystem, "connecting", lambda self, k: steps.append(k) or connecting(self, k))
+    assert is_positive(sys_, LimitElement(0, (1, -1)), 1000) == Tristate.yes(1, 1000)
+    assert steps == [0]
+    with pytest.raises(ValueError):
+        is_positive(sys_, LimitElement(3, (1, 1)), 2)
 
 
 def test_is_zero_trivial():
