@@ -114,9 +114,10 @@ class BratteliDiagram:
                 raise ValueError(f"edge matrix {k} has shape {m.rows}x{m.cols}, expected {shape[0]}x{shape[1]}")
             if not m.is_nonnegative():
                 raise ValueError(f"edge matrix {k} has a negative multiplicity")
-            for col in range(m.cols):
-                if all(m.at(row, col) == 0 for row in range(m.rows)):
-                    raise ValueError(f"edge matrix {k} has a zero column ({col}); every vertex must emit edges")
+            hit = {j for row in m.nonzeros for j, _ in row}
+            col = next((j for j in range(m.cols) if j not in hit), None)
+            if col is not None:
+                raise ValueError(f"edge matrix {k} has a zero column ({col}); every vertex must emit edges")
 
 
 @dataclass(frozen=True)
@@ -458,8 +459,8 @@ def parse_request_sets(
         raise DocumentError(path, f"cannot read request sets: {exc}") from None
     _fields(raw, f"{path}:$", ("requests",))
     out = []
-    for i, req in enumerate(_expect_list(raw["requests"], f"{path}:requests")):
-        where = f"{path}:requests[{i}]"
+    for i, req in enumerate(_expect_list(raw["requests"], f"{path}:$.requests")):
+        where = f"{path}:$.requests[{i}]"
         req = _fields(req, where, (), ("elements", "words"))
         elements = []
         for j, el in enumerate(_expect_list(req.get("elements", []), f"{where}.elements")):
@@ -488,7 +489,7 @@ def parse_request_sets(
             raise DocumentError(where, "request needs at least one element")
         out.append((tuple(elements), tuple(words)))
     if not out:
-        raise DocumentError(path, "no requests given")
+        raise DocumentError(f"{path}:$.requests", "no requests given")
     return out
 
 

@@ -315,10 +315,8 @@ def _recover_preimages(
         target = max([value.stage] + [sm.to_stage for sm in maps])
         if not system.has_stage(target):
             continue
-        p_src, p_tgt = system.rank_at(k), system.rank_at(target)
-        blocks = [coboundary_block(system, sm, target) for sm in maps]
-        rows = chain.from_iterable(b.row(i) for i in range(p_tgt) for b in blocks)
-        matrix = IntMatrix(p_tgt, r * p_src, tuple(rows))
+        p_src = system.rank_at(k)
+        matrix = IntMatrix.hstack([coboundary_block(system, sm, target) for sm in maps])
         solved = solve_in_lattice(matrix, push(system, value, target).vector)
         if solved is None:
             continue
@@ -485,17 +483,16 @@ def _invariance_differences(
 ) -> list[tuple[int, ...]]:
     """g - w(g) at stage m for each element g and then each word w, given
     ``maps``, the ``word_map`` of each (stage, word). The elements of one
-    stage, side by side, go through the ``coboundary_block`` of each
-    word in one sparse product."""
+    stage, as rows, go through the transposed ``coboundary_block`` of
+    each word in one sparse product."""
     diffs: dict[tuple[int, Word], tuple[int, ...]] = {}
     for k in dict.fromkeys(g.stage for g in elements):
         idx = [i for i, g in enumerate(elements) if g.stage == k]
-        columns = zip(*(elements[i].vector for i in idx), strict=True)
-        stacked = IntMatrix(system.rank_at(k), len(idx), tuple(chain.from_iterable(columns)))
+        stacked = IntMatrix.from_rows([elements[i].vector for i in idx])
         for w in words:
-            images = (coboundary_block(system, maps[k, w], m) @ stacked).entries
+            images = stacked @ coboundary_block(system, maps[k, w], m).transpose()
             for j, i in enumerate(idx):
-                diffs[i, w] = images[j :: len(idx)]
+                diffs[i, w] = images.row(j)
     return [diffs[i, w] for i in range(len(elements)) for w in words]
 
 
@@ -673,9 +670,8 @@ def check_k0_rfd_stationary(
         mats.append(rule.forward)
         mats.append(rule.inverse)
     for mat in mats:
-        t = mat.transpose()
         for i in range(p):
-            row = list(t.row(i))
+            row = list(mat.column(i))
             row[i] -= 1
             eig_rows.append(tuple(row))
     kernel_rows = integer_kernel(IntMatrix.from_rows(eig_rows))

@@ -234,7 +234,7 @@ def _parse_sets_file(
             horizon = max(stage_max, g.stage)
             if not is_positive(system, g, horizon).is_yes:
                 raise DocumentError(
-                    f"{path}:requests[{i}].elements[{j}]",
+                    f"{path}:$.requests[{i}].elements[{j}]",
                     f"not positive (entrywise nonnegative at no stage up to {horizon})",
                 )
     return tuple(StateRequest(elements, words) for elements, words in pairs)

@@ -54,7 +54,7 @@ class InductiveSystem:
                 raise ValueError(f"stationary tail must be {p}x{p}")
             if not tail.is_nonnegative():
                 raise ValueError("stationary tail has a negative entry")
-            if any(all(tail.at(i, j) == 0 for j in range(p)) for i in range(p)):
+            if not all(tail.nonzeros):
                 raise ValueError("stationary tail has a zero row; order unit would degenerate")
         if len(self.unit) != ranks[0]:
             raise ValueError("unit length must match the stage-0 rank")

@@ -1,9 +1,12 @@
 """Exact integer and rational linear algebra substrate.
 
-Integer matrices, dense and row-major, whose products and
-matrix-vector products run over each row's nonzeros (Gustavson's
-row-by-row sparse product), so the 0/1 inclusion and permutation maps
-of Bratteli diagrams cost in proportion to their nonzeros. Hermite and
+Integer matrices whose working form is sparse rows (each row's
+nonzero entries as (column, value) pairs): products (Gustavson's
+row-by-row sparse product), differences, transposes, matrix-vector
+products, equality and hashing run over the nonzeros, so the 0/1
+inclusion and permutation maps of Bratteli diagrams cost in proportion
+to their nonzeros, and the dense row-major entries are derived only
+where the normal forms and kernels read them. Hermite and
 Smith normal forms (the Smith form with the unimodular transforms that
 witness it; the Hermite form alone, as callers only read its rows),
 integer kernels in their canonical Hermite basis from one Hermite
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress
 from math import lcm
 from operator import mul
@@ -82,26 +84,57 @@ def _message_int(n: int) -> str:
     return f"{'-' if n < 0 else ''}<integer of {n.bit_length()} bits>"
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Integer matrix, immutable: dense, row-major; products run over
-    each row's nonzeros.
+_Row = tuple[tuple[int, int], ...]
+_setattr = object.__setattr__
 
-    ``entries`` is the only stored representation. The per-row view of
-    nonzeros is derived from it on first use and cached on the instance;
-    equality and hashing read the fields alone, so they do not depend on
-    whether that view has been built.
+
+class IntMatrix:
+    """Integer matrix, immutable. Its working form is sparse rows: per
+    row, the nonzero entries as (column, value) pairs, columns
+    increasing and no zero value (``nonzeros``). Products, differences,
+    transposes, stacks, matrix-vector products, equality and hashing
+    read that form, and products, differences, transposes and stacks
+    write it, so each costs in proportion to the nonzeros.
+
+    ``entries``, the dense row-major tuple, is derived from the sparse
+    rows on first read and cached; the normal forms, kernels and
+    ``at``/``row``/``column`` read it. A matrix built from dense entries
+    (``IntMatrix(rows, cols, entries)`` or ``from_rows``) keeps them and
+    derives its sparse rows on first use. Equality and hashing do not
+    depend on which views have been built.
     """
+
+    __slots__ = ("rows", "cols", "_entries", "_nonzeros")
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence[int]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
             raise ValueError("entries length must equal rows*cols")
+        _setattr(self, "rows", rows)
+        _setattr(self, "cols", cols)
+        _setattr(self, "_entries", entries)
+        _setattr(self, "_nonzeros", None)
+
+    @classmethod
+    def _of_nonzeros(cls, rows: int, cols: int, nonzeros: tuple[_Row, ...]) -> "IntMatrix":
+        """A matrix from its sparse rows, which must keep the invariant."""
+        m = object.__new__(cls)
+        _setattr(m, "rows", rows)
+        _setattr(m, "cols", cols)
+        _setattr(m, "_entries", None)
+        _setattr(m, "_nonzeros", nonzeros)
+        return m
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("IntMatrix is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -113,11 +146,68 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls._of_nonzeros(n, n, tuple(((i, 1),) for i in range(n)))
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls(m, n, (0,) * (m * n))
+        return cls._of_nonzeros(m, n, ((),) * m)
+
+    @classmethod
+    def hstack(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
+        """One or more blocks with the same number of rows, side by side."""
+        (m,) = {b.rows for b in blocks}
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        offset = 0
+        for b in blocks:
+            for row, brow in zip(rows, b.nonzeros):
+                row.extend((j + offset, x) for j, x in brow)
+            offset += b.cols
+        return cls._of_nonzeros(m, offset, tuple(map(tuple, rows)))
+
+    @property
+    def nonzeros(self) -> tuple[_Row, ...]:
+        """Per row, the (column, value) pairs of its nonzero entries in
+        column order; from dense entries by one C-level scan."""
+        nz = self._nonzeros
+        if nz is None:
+            e, n = self._entries, self.cols
+            rows: list[list[tuple[int, int]]] = [[] for _ in range(self.rows)]
+            for k in compress(range(len(e)), e):
+                i, j = divmod(k, n)
+                rows[i].append((j, e[k]))
+            nz = tuple(map(tuple, rows))
+            _setattr(self, "_nonzeros", nz)
+        return nz
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """The dense row-major entries, derived from the sparse rows on
+        first read."""
+        e = self._entries
+        if e is None:
+            e = self._dense_entries()
+            _setattr(self, "_entries", e)
+        return e
+
+    def _dense_entries(self) -> tuple[int, ...]:
+        n = self.cols
+        out = [0] * (self.rows * n)
+        for i, row in enumerate(self._nonzeros):
+            base = i * n
+            for j, x in row:
+                out[base + j] = x
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self.nonzeros == other.nonzeros
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.nonzeros))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries})"
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -132,44 +222,63 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    @cached_property
-    def _row_nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per row, the (column, value) pairs of its nonzero entries,
-        found by one C-level scan over the entries."""
-        e, n = self.entries, self.cols
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.rows)]
-        for k in compress(range(len(e)), e):
-            i, j = divmod(k, n)
-            rows[i].append((j, e[k]))
-        return tuple(map(tuple, rows))
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, x in row:
+                out[j].append((i, x))
+        return IntMatrix._of_nonzeros(self.cols, self.rows, tuple(map(tuple, out)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Gustavson's row-by-row product over the nonzeros of both factors."""
+        """Gustavson's row-by-row product: each result row combines the
+        rows of ``other`` that the row's nonzeros pick, and a row with
+        one nonzero is its partner row, scaled."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        q = other.cols
-        brows = other._row_nonzeros
-        out = [0] * (self.rows * q)
-        base = 0
-        for arow in self._row_nonzeros:
-            for k, x in arow:
-                for j, y in brows[k]:
-                    out[base + j] += x * y
-            base += q
-        return IntMatrix(self.rows, q, tuple(out))
+        brows = other.nonzeros
+        out: list[_Row] = []
+        for arow in self.nonzeros:
+            if len(arow) == 1:
+                ((k, x),) = arow
+                out.append(brows[k] if x == 1 else tuple((j, x * y) for j, y in brows[k]))
+            elif arow:
+                acc: dict[int, int] = {}
+                for k, x in arow:
+                    for j, y in brows[k]:
+                        acc[j] = acc.get(j, 0) + x * y
+                out.append(tuple(p for p in sorted(acc.items()) if p[1]))
+            else:
+                out.append(())
+        return IntMatrix._of_nonzeros(self.rows, other.cols, tuple(out))
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        """Entrywise difference: each row is a merge of the two sorted
+        sparse rows."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in matrix difference")
+        out: list[_Row] = []
+        for arow, brow in zip(self.nonzeros, other.nonzeros):
+            row = []
+            i, n = 0, len(arow)
+            for j, y in brow:
+                while i < n and arow[i][0] < j:
+                    row.append(arow[i])
+                    i += 1
+                if i < n and arow[i][0] == j:
+                    if arow[i][1] != y:
+                        row.append((j, arow[i][1] - y))
+                    i += 1
+                else:
+                    row.append((j, -y))
+            row.extend(arow[i:])
+            out.append(tuple(row))
+        return IntMatrix._of_nonzeros(self.rows, self.cols, tuple(out))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = []
-        for row in self._row_nonzeros:
+        for row in self.nonzeros:
             acc = 0
             for k, x in row:
                 acc += x * vec[k]
@@ -177,7 +286,7 @@ class IntMatrix:
         return tuple(out)
 
     def is_nonnegative(self) -> bool:
-        return min(self.entries, default=0) >= 0
+        return all(x > 0 for row in self.nonzeros for _, x in row)
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
@@ -372,8 +481,8 @@ def integer_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
     one canonical basis of the kernel lattice.
     """
     m, n = a.rows, a.cols
-    ident = IntMatrix.identity(n)
-    stacked = chain.from_iterable(a.entries[j::n] + ident.row(j) for j in range(n))
+    e = a.entries
+    stacked = chain.from_iterable(e[j::n] + (0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
     h = hermite_normal_form(IntMatrix(n, m + n, tuple(stacked)))
     return [row[m:] for row in map(h.row, range(n)) if not any(row[:m])]
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import add, sub
+from operator import add
 from typing import Iterator, Sequence
 
 from .dimgroup import InductiveSystem, LimitElement, StageRangeError
@@ -191,8 +191,7 @@ def coboundary_block(system: InductiveSystem, sm: StageMap, target: int) -> IntM
     ``target``. Raises StageRangeError when m is past ``target``.
     """
     image = sm.matrix if sm.to_stage == target else system.transfer(sm.to_stage, target) @ sm.matrix
-    base = system.transfer(sm.from_stage, target)
-    return IntMatrix(base.rows, base.cols, tuple(map(sub, base.entries, image.entries)))
+    return system.transfer(sm.from_stage, target) - image
 
 
 def coboundary(

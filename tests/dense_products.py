@@ -1,11 +1,13 @@
-"""Reference oracle: the dense integer products ``IntMatrix`` ran before
-its products moved to each row's nonzeros.
+"""Reference oracle: the dense integer loops ``IntMatrix`` ran before
+its sparse rows became its working form.
 
 ``dense_matmul`` and ``dense_apply`` are the triple loop and the
 matrix-vector loop over every entry, zeros included (a zero factor only
-skips its multiply). The row-sparse ``IntMatrix.__matmul__`` and
-``IntMatrix.apply`` must return the same entries and raise the same
-errors.
+skips its multiply); ``dense_transpose`` reads every entry through
+``at`` and ``dense_sub`` subtracts entry by entry. The row-sparse
+``IntMatrix.__matmul__``, ``apply``, ``transpose`` and ``__sub__`` must
+return the same entries and raise the same errors. Each oracle builds
+its result from dense entries.
 """
 
 from typing import Sequence
@@ -46,3 +48,17 @@ def dense_apply(self: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
         out.append(acc)
         base += n
     return tuple(out)
+
+
+def dense_transpose(self: IntMatrix) -> IntMatrix:
+    return IntMatrix(
+        self.cols,
+        self.rows,
+        tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
+    )
+
+
+def dense_sub(self: IntMatrix, other: IntMatrix) -> IntMatrix:
+    if (self.rows, self.cols) != (other.rows, other.cols):
+        raise ValueError("shape mismatch in matrix difference")
+    return IntMatrix(self.rows, self.cols, tuple(x - y for x, y in zip(self.entries, other.entries)))

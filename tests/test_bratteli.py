@@ -556,7 +556,7 @@ def test_parse_request_sets_returns_element_and_word_pairs(cycle3_pair):
     ]
     with pytest.raises(DocumentError) as err:
         parse_request_sets(b'{"requests": [[]]}', "sets.json", system, action)
-    assert str(err.value) == "sets.json:requests[0]: expected an object"
+    assert str(err.value) == "sets.json:$.requests[0]: expected an object"
 
 
 def test_no_module_but_bratteli_imports_its_private_names():

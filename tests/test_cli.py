@@ -183,8 +183,8 @@ def test_check_mf_sets_rejects_unknown_fields(tmp_path, capsys):
     """A misspelled key would drop its data and certify less than asked."""
     element = {"stage": 0, "vector": [1, 0, 0]}
     for sets, where in (
-        ({"requests": [{"elements": [element], "wrods": [[1]]}]}, "requests[0].wrods"),
-        ({"requests": [{"elements": [dict(element, weight=2)], "words": [[1]]}]}, "requests[0].elements[0].weight"),
+        ({"requests": [{"elements": [element], "wrods": [[1]]}]}, "$.requests[0].wrods"),
+        ({"requests": [{"elements": [dict(element, weight=2)], "words": [[1]]}]}, "$.requests[0].elements[0].weight"),
         ({"requests": [{"elements": [element]}], "request": []}, "$.request"),
     ):
         code, out, err = _check_mf_with_sets(tmp_path, capsys, json.dumps(sets))
@@ -229,20 +229,23 @@ def test_check_mf_sets_element_must_be_positive(tmp_path, capsys):
         code, out, err = _check_mf_with_sets(tmp_path, capsys, text, doc)
         assert (code, out) == (2, ""), doc
         assert err == (
-            f"invalid input: {tmp_path / 'sets.json'}:requests[0].elements[0]: "
+            f"invalid input: {tmp_path / 'sets.json'}:$.requests[0].elements[0]: "
             f"not positive (entrywise nonnegative at no stage up to {horizon})\n"
         ), doc
 
 
 def test_check_mf_sets_objects_report_like_every_other_object(tmp_path, capsys):
     """A missing key is named at its own path and a non-object is
-    "expected an object", as for the objects of a document."""
+    "expected an object", as for the objects of a document. Every path
+    has the one form FILE:$.requests..., at the top level and below it."""
     for text, where, reason in (
-        ('{"requests": [{"elements": [{"stage": 0}]}]}', "requests[0].elements[0].vector", "missing field"),
-        ('{"requests": [{"elements": [{"vector": [1, 0, 0]}]}]}', "requests[0].elements[0].stage", "missing field"),
-        ('{"requests": [{"elements": [[0, [1, 0, 0]]]}]}', "requests[0].elements[0]", "expected an object"),
-        ('{"requests": [7]}', "requests[0]", "expected an object"),
-        ('{"requests": {}}', "requests", "expected an array"),
+        ('{"requests": [{"elements": [{"stage": 0}]}]}', "$.requests[0].elements[0].vector", "missing field"),
+        ('{"requests": [{"elements": [{"vector": [1, 0, 0]}]}]}', "$.requests[0].elements[0].stage", "missing field"),
+        ('{"requests": [{"elements": [[0, [1, 0, 0]]]}]}', "$.requests[0].elements[0]", "expected an object"),
+        ('{"requests": [7]}', "$.requests[0]", "expected an object"),
+        ('{"requests": [{}]}', "$.requests[0]", "request needs at least one element"),
+        ('{"requests": {}}', "$.requests", "expected an array"),
+        ('{"requests": []}', "$.requests", "no requests given"),
         ('{"request": []}', "$.request", "unknown field"),
         ("{}", "$.requests", "missing field"),
         ("[]", "$", "expected an object"),
@@ -473,11 +476,11 @@ def test_check_mf_sets_long_integer_literal_keeps_its_path(tmp_path, capsys):
     sets = _write(tmp_path, "sets.json", '{"requests": [{"elements": [{"stage": %s, "vector": [1]}]}]}' % big)
     code, out, err = run_cli(capsys, "check-mf", str(golden_path("compactified_shift.json")), "--sets", sets)
     assert (code, out) == (2, "")
-    assert err == f"invalid input: {sets}:requests[0].elements[0].stage: stage <integer of {_bits(big)} bits> is outside the document's stages\n"
+    assert err == f"invalid input: {sets}:$.requests[0].elements[0].stage: stage <integer of {_bits(big)} bits> is outside the document's stages\n"
     sets = _write(tmp_path, "words.json", '{"requests": [{"elements": [{"stage": 0, "vector": [1]}], "words": [[-%s]]}]}' % big)
     code, out, err = run_cli(capsys, "check-mf", str(golden_path("compactified_shift.json")), "--sets", sets)
     assert (code, out) == (2, "")
-    assert err == f"invalid input: {sets}:requests[0].words[0][0]: letter -<integer of {_bits(big)} bits> is not a signed generator index 1..1\n"
+    assert err == f"invalid input: {sets}:$.requests[0].words[0][0]: letter -<integer of {_bits(big)} bits> is not a signed generator index 1..1\n"
 
 
 def test_check_mf_writes_payload_integers_past_the_digit_limit(tmp_path, capsys):

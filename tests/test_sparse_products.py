@@ -1,22 +1,30 @@
-"""Row-sparse integer products and the per-system transfer cache.
+"""Sparse rows as ``IntMatrix``'s working form, and the per-system
+transfer cache.
 
-``IntMatrix.__matmul__`` and ``IntMatrix.apply`` run over each row's
-nonzeros; on seeded matrices of every shape and kind they must agree
-with the dense loops kept in ``dense_products``. ``InductiveSystem.transfer``
-caches its composites per system; whatever order the pairs are asked in,
-each must equal the product of the connecting maps, and an out-of-range
-pair must raise ``StageRangeError`` whether the cache is cold or warm.
+Products, matrix-vector products, transposes, differences and side-by-side
+stacks run over each row's nonzeros; on seeded matrices of every shape
+and kind they must agree with the dense loops kept in
+``dense_products``, down to the dense entries a product derives. One
+matrix must compare and hash alike however it was built: from dense
+entries, by ``from_rows``, as a product or as a difference.
+``verify_action`` on a long compactified shift must never build the
+dense view of a product, and must report what dense products report.
+``InductiveSystem.transfer`` caches its composites per system; whatever
+order the pairs are asked in, each must equal the product of the
+connecting maps, and an out-of-range pair must raise ``StageRangeError``
+whether the cache is cold or warm.
 """
 
 import random
 
 import pytest
 
-from dense_products import dense_apply, dense_matmul
-from test_lattice_pipeline import CASES
+from dense_products import dense_apply, dense_matmul, dense_sub, dense_transpose
+from test_lattice_pipeline import CASES, compactified_shift
 
 from k0mf.dimgroup import StageRangeError
 from k0mf.exactlinalg import IntMatrix
+from k0mf.kaction import coboundary_block, reduced_words, verify_action, word_map
 
 TOP = 8  # deepest stage the transfer tests ask for
 
@@ -55,11 +63,24 @@ def _pairs(seed: int):
         yield _random(rng, m, n, a_kind), _random(rng, n, q, b_kind)
 
 
+def assert_sparse_rows(m: IntMatrix) -> None:
+    """The invariant of the working form: one row per matrix row, columns
+    strictly increasing inside the matrix, no zero value."""
+    assert len(m.nonzeros) == m.rows
+    for row in m.nonzeros:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
+        assert all(type(x) is int and x for _, x in row)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_products_match_dense_oracle(seed):
     rng = random.Random(1000 + seed)
     for a, b in _pairs(seed):
-        assert a @ b == dense_matmul(a, b)
+        product, oracle = a @ b, dense_matmul(a, b)
+        assert product == oracle
+        assert_sparse_rows(product)
+        assert product.entries == oracle.entries  # derived from the sparse rows
         vec = [rng.randint(-(2**70), 2**70) for _ in range(a.cols)]
         assert a.apply(vec) == dense_apply(a, vec)
         assert a.apply(tuple(vec)) == dense_apply(a, tuple(vec))
@@ -80,15 +101,129 @@ def test_shape_errors_unchanged():
                 assert str(err.value) == "vector length mismatch"
 
 
-def test_equality_and_hash_ignore_the_nonzero_view():
-    for a, b in _pairs(11):
-        twin = IntMatrix(a.rows, a.cols, a.entries)
-        a @ b  # builds a's nonzero view; twin's stays unbuilt
-        a.apply([0] * a.cols)
-        assert a == twin and hash(a) == hash(twin)
-        assert len({a, twin}) == 1
+@pytest.mark.parametrize("seed", range(5))
+def test_transposes_differences_and_stacks_match_dense_oracle(seed):
+    rng = random.Random(2000 + seed)
+    for a, b in _pairs(seed):
+        t = a.transpose()
+        assert t == dense_transpose(a) and t.entries == dense_transpose(a).entries
+        assert_sparse_rows(t)
+        assert t.transpose() == a
+        other = _random(rng, a.rows, a.cols, rng.choice(("inclusion", "dense", "huge")))
+        for left, right in ((a, other), (other, a), (a, a), (a @ b, a @ b)):
+            diff = left - right
+            assert diff == dense_sub(left, right) and diff.entries == dense_sub(left, right).entries
+            assert_sparse_rows(diff)
+        stacked = IntMatrix.hstack([a, other, a])
+        assert_sparse_rows(stacked)
+        assert stacked.to_rows() == [x + y + x for x, y in zip(a.to_rows(), other.to_rows())]
+        assert (stacked.rows, stacked.cols) == (a.rows, 3 * a.cols)
+    for shape, other in (((2, 3), (3, 2)), ((0, 1), (0, 2)), ((1, 0), (2, 0))):
+        a, b = IntMatrix.zeros(*shape), IntMatrix.zeros(*other)
+        for difference in (lambda: a - b, lambda: dense_sub(a, b)):
+            with pytest.raises(ValueError) as err:
+                difference()
+            assert str(err.value) == "shape mismatch in matrix difference"
+
+
+def _builds(a: IntMatrix) -> list[IntMatrix]:
+    """``a`` built every way there is: from dense entries, by
+    ``from_rows`` (which needs a row to know the width), as products
+    with identities, as a transpose's transpose, as a difference and as
+    a one-block stack."""
+    builds = [
+        IntMatrix(a.rows, a.cols, a.entries),
+        a @ IntMatrix.identity(a.cols),
+        IntMatrix.identity(a.rows) @ a,
+        a.transpose().transpose(),
+        a - IntMatrix.zeros(a.rows, a.cols),
+        IntMatrix.hstack([a]),
+    ]
+    if a.rows:
+        builds.append(IntMatrix.from_rows(a.to_rows()))
+    return builds
+
+
+def test_equality_and_hash_ignore_how_a_matrix_was_built():
+    """Whichever of its views a matrix holds, it equals and hashes like
+    every other build of it; zero products, 0 x n and n x 0 shapes and
+    entries past 2**64 included."""
+    big = 2**64 + 7
+    cancelling = [
+        (IntMatrix.from_rows([[1, -1]]), IntMatrix.from_rows([[1], [1]])),
+        (IntMatrix.from_rows([[big, big], [big, 0]]), IntMatrix.from_rows([[2**65, 0], [-(2**65), 0]])),
+        (IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 2)),
+        (IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 4)),
+        (IntMatrix.from_rows([[2, 0], [0, 3]]), IntMatrix.zeros(2, 0)),
+    ]
+    cases = [a for pair in _pairs(11) for a in pair] + [a @ b for a, b in _pairs(12)]
+    cases += [a @ b for a, b in cancelling]
+    cases += [IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0), IntMatrix.zeros(2, 2)]
+    for a in cases:
+        builds = _builds(a)
+        for twin in builds:
+            assert twin == a and hash(twin) == hash(a)
+            assert twin.entries == a.entries and twin.nonzeros == a.nonzeros
+        assert len(set(builds)) == 1
+    assert cancelling[0][0] @ cancelling[0][1] == IntMatrix(1, 1, (0,))
+    assert cancelling[1][0] @ cancelling[1][1] == IntMatrix.from_rows([[0, 0], [big * 2**65, 0]])
+    shapes = [IntMatrix.zeros(m, n) for m, n in ((0, 2), (0, 3), (2, 0), (3, 0), (2, 3), (3, 2))]
+    assert len(set(shapes)) == len(shapes)
     identity = IntMatrix.identity(4)
     assert identity @ identity == IntMatrix.identity(4) == identity
+    assert IntMatrix(4, 4, identity.entries).nonzeros == identity.nonzeros
+    with pytest.raises(AttributeError):
+        identity.rows = 5
+    with pytest.raises(AttributeError):
+        del identity.cols
+
+
+@pytest.fixture(params=CASES, ids=[name for name, _ in CASES])
+def case(request):
+    return request.param[1]()
+
+
+def test_coboundary_blocks_match_dense_oracle(case):
+    """transfer(k, target) - transfer(m, target) @ W, each word W of
+    length <= 2 out of stages 0-2, at its own stage and two later ones."""
+    system, action = case
+    checked = 0
+    for k in range(3):
+        for word in reduced_words(action.generators, 2):
+            try:
+                sm = word_map(action, system, word, k)
+            except (StageRangeError, ValueError):
+                continue
+            for target in range(sm.to_stage, sm.to_stage + 3):
+                if not system.has_stage(target):
+                    break
+                block = coboundary_block(system, sm, target)
+                image = dense_matmul(system.transfer(sm.to_stage, target), sm.matrix)
+                oracle = dense_sub(system.transfer(k, target), image)
+                assert block == oracle and block.entries == oracle.entries
+                assert_sparse_rows(block)
+                checked += 1
+    assert checked
+
+
+def test_verify_action_builds_no_dense_view_of_a_product(monkeypatch):
+    """A compactified shift with speeds 2 and 3 on 41 stages: every letter
+    map, transfer, commuting square and inverse law stays on sparse rows,
+    so no matrix built from sparse rows derives its dense entries and no
+    matrix is built from dense entries. The report equals the one that
+    dense products give."""
+    system, action = compactified_shift(41, [2, 3])
+    dense = []
+    derive, init = IntMatrix._dense_entries, IntMatrix.__init__
+    monkeypatch.setattr(IntMatrix, "_dense_entries", lambda m: dense.append(("derived", m.rows, m.cols)) or derive(m))
+    monkeypatch.setattr(IntMatrix, "__init__", lambda m, *args: dense.append(("built", *args[:2])) or init(m, *args))
+    report = verify_action(action, system, 40)
+    assert dense == []
+    monkeypatch.undo()
+    assert report.ok and len(report.items) > 600
+    monkeypatch.setattr(IntMatrix, "__matmul__", dense_matmul)
+    oracle_system, oracle_action = compactified_shift(41, [2, 3])
+    assert verify_action(oracle_action, oracle_system, 40) == report
 
 
 # ---------------------------------------------------------------------------
