@@ -69,7 +69,7 @@ order and every result while building fewer lattices:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress
 from math import lcm
 from operator import mul
 from typing import Iterator, Sequence
@@ -95,12 +95,14 @@ from .exactlinalg import (
     solve_in_lattice,
 )
 from .kaction import (
+    MAX_REDUCED_WORDS,
     K0Action,
     StageMap,
     Word,
     coboundary,
     coboundary_block,
     coboundary_stage_lattice,
+    reduced_word_count,
     repeat_stage,
     word_map,
 )
@@ -443,7 +445,16 @@ def find_positive_coboundary(
 
     A cell whose candidate walk runs out of its node budget is exhausted;
     a candidate whose preimages' coset walk runs out of it is skipped.
+    Raises ValueError, before any lattice is built, when the box's word
+    length gives more than ``MAX_REDUCED_WORDS`` reduced words.
     """
+    longest, r = params.word_length, action.generators
+    # there are at least 2 * longest words, so a longer length needs no count
+    if longest > MAX_REDUCED_WORDS or reduced_word_count(r, longest) > MAX_REDUCED_WORDS:
+        raise ValueError(
+            f"word length {longest} gives more than {MAX_REDUCED_WORDS} reduced words on {r} generator(s), "
+            "the most a witness search builds"
+        )
     exhausted: list[tuple[int, int, int]] = []
     decided_empty: set[tuple] = set()
     for target, source, length, basis_rows in _stage_lattices(system, action, params):
@@ -584,7 +595,8 @@ def find_invariant_state(
         support = [any(gv) for gv in element_vecs]
         if support == missed_support:
             continue  # a solution here would pull back to the missed stage
-        diffs = IntMatrix(len(diff_vecs), system.rank_at(m), tuple(chain.from_iterable(diff_vecs)))
+        rows = tuple(tuple(compress(enumerate(d), d)) for d in diff_vecs)
+        diffs = IntMatrix._of_nonzeros(len(rows), system.rank_at(m), rows)
         kernel_rows = integer_kernel(diffs)  # with no words: the identity rows
         unit = system.unit_at(m)
         positives = [tuple(unit)] + [gv for gv, nonzero in zip(element_vecs, support) if nonzero]
@@ -664,17 +676,10 @@ def check_k0_rfd_stationary(
         raise ValueError("the prescribed element must be nonzero and entrywise nonnegative")
     tail = system.stationary_tail
     assert tail is not None
-    eig_rows: list[tuple[int, ...]] = []
-    mats = [tail]
-    for rule in action.stationary:
-        mats.append(rule.forward)
-        mats.append(rule.inverse)
-    for mat in mats:
-        for i in range(p):
-            row = list(mat.column(i))
-            row[i] -= 1
-            eig_rows.append(tuple(row))
-    kernel_rows = integer_kernel(IntMatrix.from_rows(eig_rows))
+    mats = [tail, *(mat for rule in action.stationary for mat in (rule.forward, rule.inverse))]
+    # the rows of T^t - I for each matrix T in turn: c.T == c for a kernel vector c
+    eigen = IntMatrix.hstack([mat - IntMatrix.identity(p) for mat in mats])
+    kernel_rows = integer_kernel(eigen.transpose())
     if not kernel_rows:
         return None
     unit = tuple(system.unit_at(0))

@@ -6,12 +6,13 @@ row-by-row sparse product), differences, transposes, matrix-vector
 products, equality and hashing run over the nonzeros, so the 0/1
 inclusion and permutation maps of Bratteli diagrams cost in proportion
 to their nonzeros, and the dense row-major entries are derived only
-where the normal forms and kernels read them. Hermite and
-Smith normal forms (the Smith form with the unimodular transforms that
-witness it; the Hermite form alone, as callers only read its rows),
-integer kernels in their canonical Hermite basis from one Hermite
-reduction of [a^t | I], integer linear solving (the Smith form gives
-only the particular solution; the kernel is that same Hermite basis),
+where the Smith form and ``at``/``row``/``column`` read them. The
+Hermite normal form (alone, as callers only read its rows) reduces
+sparse rows by leading column; row bases, ranks and integer kernels in
+their canonical Hermite basis (one reduction of [a^t | I], stacked from
+the sparse rows of a^t) come from it. The Smith normal form, with the
+unimodular transforms that witness it, is dense; integer linear solving
+takes only its particular solution (the kernel is that Hermite basis),
 one bounded walk over the lattice points in a box (the sup-norm ball,
 or its nonnegative corner) that prunes a branch as soon as a coordinate
 it has fixed leaves the box or a constraint row can no longer be met,
@@ -92,12 +93,13 @@ class IntMatrix:
     """Integer matrix, immutable. Its working form is sparse rows: per
     row, the nonzero entries as (column, value) pairs, columns
     increasing and no zero value (``nonzeros``). Products, differences,
-    transposes, stacks, matrix-vector products, equality and hashing
-    read that form, and products, differences, transposes and stacks
-    write it, so each costs in proportion to the nonzeros.
+    transposes, stacks, matrix-vector products, the Hermite form,
+    equality and hashing read that form, and products, differences,
+    transposes, stacks and the Hermite form write it, so each costs in
+    proportion to the nonzeros.
 
     ``entries``, the dense row-major tuple, is derived from the sparse
-    rows on first read and cached; the normal forms, kernels and
+    rows on first read and cached; only the Smith form and
     ``at``/``row``/``column`` read it. A matrix built from dense entries
     (``IntMatrix(rows, cols, entries)`` or ``from_rows``) keeps them and
     derives its sparse rows on first use. Equality and hashing do not
@@ -289,59 +291,79 @@ class IntMatrix:
         return all(x > 0 for row in self.nonzeros for _, x in row)
 
 
+def _subtract(row: dict[int, int], q: int, piv: dict[int, int]) -> None:
+    """row -= q * piv, in place, keeping only the nonzero entries."""
+    for j, v in piv.items():
+        w = row.get(j, 0) - q * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+
+
+def _dense_row(row: Iterable[tuple[int, int]], width: int) -> tuple[int, ...]:
+    """A sparse row as a dense tuple of ``width`` entries."""
+    out = [0] * width
+    for j, x in row:
+        out[j] = x
+    return tuple(out)
+
+
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     """Row Hermite form H of ``a``: H has the same row lattice as ``a``.
 
     H is in row echelon form with positive pivots; every entry above a
     pivot is reduced into [0, pivot). This convention is fixed so that
-    certificates derived from H are byte-reproducible. The unimodular
+    certificates derived from H are byte-reproducible. H's rows are its
+    rank rows and then empty rows, in the shape of ``a``. The unimodular
     transform is not kept; a caller that needs it can reduce [a | I].
+
+    The reduction reads and writes sparse rows only, by leading column
+    (as in Kannan-Bachem): for each column in increasing order, the rows
+    leading there are combined with the first of them, by exact division
+    or a 2 x 2 extended-gcd step, until it is the one pivot row left, and
+    each other row moves on to its new leading column. The pivot is made
+    positive and the pivot rows before it are reduced into [0, pivot).
     """
-    m, n = a.rows, a.cols
-    h = a.to_rows()
-
-    def row_combine(r1: int, r2: int, x: int, y: int, z: int, w: int) -> None:
-        # (row r1, row r2) <- (x*r1 + y*r2, z*r1 + w*r2), det [[x,y],[z,w]] = +-1
-        a1, a2 = h[r1], h[r2]
-        h[r1] = [x * s + y * t for s, t in zip(a1, a2)]
-        h[r2] = [z * s + w * t for s, t in zip(a1, a2)]
-
-    def row_sub(dst: int, src: int, q: int) -> None:
-        h[dst] = [d - q * s for d, s in zip(h[dst], h[src])]
-
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if h[i][c]), None)
-        if pivot_row is None:
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in a.nonzeros:
+        if row:
+            buckets.setdefault(row[0][0], []).append(dict(row))
+    pivots: list[dict[int, int]] = []
+    for c in range(a.cols):
+        rows = buckets.pop(c, None)
+        if rows is None:
             continue
-        if pivot_row != r:
-            h[r], h[pivot_row] = h[pivot_row], h[r]
-        for i in range(r + 1, m):
-            if h[i][c] == 0:
-                continue
-            aa, bb = h[r][c], h[i][c]
-            if bb % aa == 0:
-                row_sub(i, r, bb // aa)
-            else:
+        piv = rows[0]
+        for row in rows[1:]:
+            aa, bb = piv[c], row[c]
+            if bb % aa:
+                # (piv, row) <- (x*piv + y*row, (aa*row - bb*piv) / g), unimodular
                 g, x, y = xgcd(aa, bb)
-                row_combine(r, i, x, y, -(bb // g), aa // g)
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-        piv = h[r][c]
-        for i in range(r):
-            q = h[i][c] // piv
+                new = {j: x * v for j, v in piv.items()} if x else {}  # x == 0 when bb divides aa
+                _subtract(new, -y, row)
+                rest = {j: aa // g * v for j, v in row.items()}
+                _subtract(rest, bb // g, piv)
+                piv, row = new, rest
+            else:
+                _subtract(row, bb // aa, piv)
+            if row:
+                buckets.setdefault(min(row), []).append(row)
+        if piv[c] < 0:
+            piv = {j: -v for j, v in piv.items()}
+        p = piv[c]
+        for prev in pivots:
+            q = prev.get(c, 0) // p
             if q:
-                row_sub(i, r, q)
-        r += 1
-        if r == m:
-            break
-    return IntMatrix.from_rows(h) if m else IntMatrix.zeros(0, n)
+                _subtract(prev, q, piv)
+        pivots.append(piv)
+    nonzeros = tuple(tuple(sorted(r.items())) for r in pivots)
+    return IntMatrix._of_nonzeros(a.rows, a.cols, nonzeros + ((),) * (a.rows - len(pivots)))
 
 
 def rank(a: IntMatrix) -> int:
     """Rank over the rationals, read off the Hermite form."""
-    h = hermite_normal_form(a)
-    return sum(1 for i in range(h.rows) if any(h.row(i)))
+    return sum(1 for row in hermite_normal_form(a).nonzeros if row)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -481,22 +503,23 @@ def integer_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
     one canonical basis of the kernel lattice.
     """
     m, n = a.rows, a.cols
-    e = a.entries
-    stacked = chain.from_iterable(e[j::n] + (0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
-    h = hermite_normal_form(IntMatrix(n, m + n, tuple(stacked)))
-    return [row[m:] for row in map(h.row, range(n)) if not any(row[:m])]
+    stacked = tuple(row + ((m + j, 1),) for j, row in enumerate(a.transpose().nonzeros))
+    h = hermite_normal_form(IntMatrix._of_nonzeros(n, m + n, stacked))
+    # [a^t | I] has full row rank, so every row of H leads somewhere
+    return [_dense_row(row, m + n)[m:] for row in h.nonzeros if row[0][0] >= m]
 
 
 def row_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:
     """Canonical basis (Hermite rows) of the lattice spanned by ``vectors``."""
-    vecs = [list(v) for v in vectors]
-    for v in vecs:
+    rows = []
+    for v in vectors:
         if len(v) != width:
             raise ValueError("vector width mismatch")
-    if not vecs:
+        rows.append(tuple(compress(enumerate(v), v)))
+    if not rows:
         return []
-    h = hermite_normal_form(IntMatrix.from_rows(vecs))
-    return [h.row(i) for i in range(h.rows) if any(h.row(i))]
+    h = hermite_normal_form(IntMatrix._of_nonzeros(len(rows), width, tuple(rows)))
+    return [_dense_row(row, width) for row in h.nonzeros if row]
 
 
 # Lattice walks stop after visiting this many nodes (partial points,

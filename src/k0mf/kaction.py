@@ -30,7 +30,7 @@ from operator import add
 from typing import Iterator, Sequence
 
 from .dimgroup import InductiveSystem, LimitElement, StageRangeError
-from .exactlinalg import IntMatrix, _message_int, row_basis
+from .exactlinalg import IntMatrix, _message_int, hermite_normal_form
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,14 @@ class StageMap:
 # of 10**9 would run for hours; every shift this package generates or
 # ships is at most 2.
 MAX_STATIONARY_SHIFT = 1024
+
+# The most reduced words a witness search may build its lattices from.
+# Each cell builds every word up to its length, and r generators have
+# 2r(2r - 1)^(l - 1) reduced words of length l, so two generators at
+# length 10 hold 118096 words and run for many seconds. The bound admits
+# length 100 on one generator, 4 on two and 3 on three, past every box
+# this package ships or tests.
+MAX_REDUCED_WORDS = 200
 
 
 @dataclass(frozen=True)
@@ -232,6 +240,14 @@ def reduced_words(generators: int, max_length: int) -> Iterator[Word]:
             yield Word(letters)
 
 
+def reduced_word_count(generators: int, max_length: int) -> int:
+    """The number of reduced words with 1 <= length <= max_length, in
+    closed form: the sum over l of 2r (2r - 1)^(l - 1) for r generators."""
+    if generators == 1:
+        return 2 * max_length
+    return generators * ((2 * generators - 1) ** max_length - 1) // (generators - 1)
+
+
 def coboundary_stage_lattice(
     action: K0Action,
     system: InductiveSystem,
@@ -249,19 +265,21 @@ def coboundary_stage_lattice(
     """
     if word_length < 0:
         raise ValueError("word length must be >= 0")
-    p_src = system.rank_at(source_stage)
+    system.rank_at(source_stage)  # an undeclared source stage is reported before the target
     p_tgt = system.rank_at(target_stage)
-    vectors: list[tuple[int, ...]] = []
+    gens: list[tuple[tuple[int, int], ...]] = []
     for word in reduced_words(action.generators, word_length):
         sm = word_map(action, system, word, source_stage)
         if sm.to_stage > target_stage:
             raise StageRangeError(
                 f"target stage {target_stage} cannot receive |w|={len(word)} images from stage {source_stage}"
             )
-        block = coboundary_block(system, sm, target_stage)
-        vectors.extend(block.entries[i::p_src] for i in range(p_src))
-    basis = row_basis(vectors, p_tgt)
-    return IntMatrix.from_rows([[b[i] for b in basis] for i in range(p_tgt)]) if basis else IntMatrix.zeros(p_tgt, 0)
+        gens.extend(coboundary_block(system, sm, target_stage).transpose().nonzeros)
+    if not gens:
+        return IntMatrix.zeros(p_tgt, 0)
+    h = hermite_normal_form(IntMatrix._of_nonzeros(len(gens), p_tgt, tuple(gens)))
+    basis = tuple(row for row in h.nonzeros if row)
+    return IntMatrix._of_nonzeros(len(basis), p_tgt, basis).transpose()
 
 
 @dataclass(frozen=True)

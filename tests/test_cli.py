@@ -13,7 +13,7 @@ from conftest import golden_path
 from k0mf import bratteli
 from k0mf.bratteli import _decimal_int, _load_json
 from k0mf.cli import build_parser, main
-from k0mf.kaction import MAX_STATIONARY_SHIFT
+from k0mf.kaction import MAX_REDUCED_WORDS, MAX_STATIONARY_SHIFT
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -585,6 +585,38 @@ def test_a_huge_stationary_shift_is_rejected_quickly(tmp_path, capsys, shift):
             f"exceeds the bound {MAX_STATIONARY_SHIFT}\n"
         )
         assert elapsed < 1, elapsed
+
+
+@pytest.mark.parametrize(
+    "command, name, length, generators",
+    [
+        ("check-mf", "two_transpositions.json", "40", 2),
+        ("check-mf", "two_transpositions.json", "5", 2),
+        ("check-mf", "two_transpositions.json", "1" + "0" * 30, 2),
+        ("chain-recurrence", "cycle3.json", str(MAX_REDUCED_WORDS // 2 + 1), 1),
+    ],
+    ids=["40", "5", "1e30", "one-generator"],
+)
+def test_a_long_word_length_is_rejected_quickly(capsys, command, name, length, generators):
+    """Two generators have 2 * (3**L - 1) reduced words of length <= L,
+    so the search grows threefold with each letter; a box with more than
+    ``MAX_REDUCED_WORDS`` words is invalid before any lattice is built."""
+    start = time.process_time()
+    code, out, err = run_cli(capsys, command, str(golden_path(name)), "--word-length", length)
+    elapsed = time.process_time() - start
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: word length {length} gives more than {MAX_REDUCED_WORDS} reduced words "
+        f"on {generators} generator(s), the most a witness search builds\n"
+    )
+    assert elapsed < 1, elapsed
+
+
+def test_a_word_length_at_the_bound_is_searched(capsys):
+    """Length 4 on two generators: 160 reduced words."""
+    code, out, _ = run_cli(capsys, "check-mf", str(golden_path("two_transpositions.json")), "--word-length", "4")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "CONSISTENT"
 
 
 def test_a_stationary_shift_at_the_bound_is_valid(tmp_path, capsys):

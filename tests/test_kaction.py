@@ -14,6 +14,7 @@ from k0mf.kaction import (
     coboundary,
     coboundary_stage_lattice,
     identity_action,
+    reduced_word_count,
     reduced_words,
     verify_action,
 )
@@ -37,6 +38,13 @@ def test_reduced_words_enumeration():
     assert words == [(1,), (-1,), (1, 1), (-1, -1)]
     two = list(reduced_words(2, 1))
     assert [w.letters for w in two] == [(1,), (-1,), (2,), (-2,)]
+
+
+def test_reduced_word_count_matches_enumeration():
+    for generators in (1, 2, 3, 4):
+        for length in range(5):
+            assert reduced_word_count(generators, length) == sum(1 for _ in reduced_words(generators, length))
+    assert reduced_word_count(2, 40) == 2 * (3**40 - 1)
 
 
 def test_apply_empty_word(cycle3_pair):
