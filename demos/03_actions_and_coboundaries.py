@@ -47,8 +47,10 @@ print("coboundary of the right ray:", coboundary(action, system, [right_ray]))
 round_trip = apply_word(action, system, Word.of(-1), apply_word(action, system, Word.of(1), right_ray))
 print("apply s then s^-1:", round_trip.vector, "(= pushforward to stage", f"{round_trip.stage})")
 
-# The finite-stage coboundary lattice from stage 1 into stage 2,
-# single-letter words: its canonical basis spans the three middle
-# coordinates, so it meets the positive cone.
-lattice = coboundary_stage_lattice(action, system, 1, 2, 1)
+# The finite-stage coboundary lattice H_2: the columns g - a(g) of each
+# letter from its latest source stage whose image lands by stage 2 (stage
+# 1, for the shift and its inverse alike). Single letters generate
+# every word difference, so longer words add nothing. Its canonical
+# basis spans the three middle coordinates, so it meets the positive cone.
+lattice = coboundary_stage_lattice(action, system, 2)
 print("lattice basis columns:", [lattice.column(j) for j in range(lattice.cols)])

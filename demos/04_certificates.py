@@ -30,7 +30,8 @@ data = pathlib.Path(__file__).resolve().parents[1] / "src" / "k0mf" / "data"
 
 # --- the compactified shift: a witness exists -------------------------------
 system, action = parse((data / "compactified_shift.json").read_bytes()).resolve()
-params = SearchParams(stage_max=3, word_length=1, height_bound=2)
+# one lattice per target stage, up to stage 3; the first witness is at stage 2
+params = SearchParams(stage_max=3, height_bound=2)
 search = find_positive_coboundary(system, action, params)
 w = search.witness
 print("witness value:", w.value, "(the singleton {1} indicator)")

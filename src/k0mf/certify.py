@@ -3,7 +3,7 @@
 Two searches drive everything:
 
 * ``find_positive_coboundary`` looks for a nonzero entrywise-nonnegative
-  element of a finite-stage coboundary lattice. A hit is packaged as a
+  element of a finite-stage coboundary lattice H_t. A hit is packaged as a
   Witness (preimages, value, stage, height) and re-verified exactly
   before it is returned; it certifies that the positive cone meets the
   coboundary subgroup nontrivially, which refutes stable finiteness of
@@ -21,10 +21,11 @@ Two searches drive everything:
 
 Both searches read the action through ``kaction.coboundary_block``, the
 matrix that sends a vector g at a word's source stage to g - w(g) at a
-target stage: the cell lattices are generated by its columns, a
-witness's preimages solve the one-letter blocks stacked side by side,
-and the state search and its re-check get every invariance difference
-g - w(g) of one stage's elements from one sparse product per word.
+target stage: H_t is generated by the columns of the one-letter blocks
+(``kaction.coboundary_stage_lattice``), a witness's preimages solve the
+one-letter blocks stacked side by side, and the state search and its
+re-check get every invariance difference g - w(g) of one stage's
+elements from one sparse product per word.
 
 The two are mutually exclusive by design: if a witness with value x and
 preimages g_j exists, any functional that is invariant on the positive
@@ -32,38 +33,31 @@ and negative parts of every g_j must vanish on x, so no certificate
 faithful on x can exist at any stage. ``exclusion_sets`` builds the
 element/word sets realizing that test for a discovered witness.
 
-Searches scan the (target stage, source stage, word length) grid in
-lexicographic order and break remaining ties by least height, then
-earliest leading support, then lexicographic order, so results are
-deterministic and certificates byte-reproducible. The three canonical
-choices (witness candidates in that order, the preimages' coset
-representative of least height, mass, leading support and lex, and the
-state functional of least height, greatest sum and lex) are one bounded
-walk, ``exactlinalg.enumerate_lattice_points``: it goes up by height,
-prunes on the constraint rows and on the best key found so far, and
-leaves the tie-breaks to the caller. Positivity rows that coincide in
-the coefficients of the kernel basis (every basis vector of one orbit
-of a permutation system gives the same row) are kept once, for the exact
+The witness search visits one lattice per target stage t, in increasing
+order: H_t contains every word difference whose images land by t, so a
+search over words, or over earlier source stages, finds nothing more.
+Ties are broken by least height, then earliest leading support, then
+lexicographic order, so results are deterministic and certificates
+byte-reproducible. The three canonical choices (witness candidates in
+that order, the preimages' coset representative of least height, mass,
+leading support and lex, and the state functional of least height,
+greatest sum and lex) are one bounded walk,
+``exactlinalg.enumerate_lattice_points``: it goes up by height, prunes
+on the constraint rows and on the best key found so far, and leaves the
+tie-breaks to the caller. Positivity rows that coincide in the
+coefficients of the kernel basis (every basis vector of one orbit of a
+permutation system gives the same row) are kept once, for the exact
 program and the walk alike. A walk that runs out of its node budget is
-a non-answer: the state search gives no certificate, the witness cell
-is exhausted, the candidate is skipped. Two shortcuts keep the grid
-order and every result while building fewer lattices:
+a non-answer: the state search gives no certificate, the witness target
+is exhausted, the candidate is skipped.
 
-* On a stationary system the stage ranks, connecting maps and letter
-  maps repeat from stage P = ``kaction.repeat_stage`` on (the last
-  declared stage or the longest declared action family, whichever is
-  later; the action verifier stops at the same P), so a cell whose
-  source stage exceeds P is the translate of the cell one stage
-  earlier in both coordinates. It has the same lattice and the same
-  dedup key, and that cell was decided one target stage earlier, so it
-  is skipped unbuilt.
-* Once a (source, length) cell has a lattice at some target stage, the
-  lattice one target stage later is the Hermite basis of its basis
-  pushed through one connecting map: the image of a subgroup is
-  generated by the image of any of its bases, and the Hermite form of
-  a lattice is unique. Only the previous target's bases are kept, and
-  an identity connecting map (every finite system's tail) passes a
-  basis on unchanged without reducing it again.
+On a stationary action the stage ranks, connecting maps and letter maps
+repeat from stage P = ``kaction.repeat_stage`` on (the last declared
+stage or the longest declared action family, whichever is later; the
+action verifier stops at the same P). From target P + s on, for s the
+largest shift of a stationary rule, every letter's latest source is past
+P, so H_t is one lattice on identical stage data, and the search stops
+there.
 """
 
 from __future__ import annotations
@@ -88,21 +82,20 @@ from .exactlinalg import (
     IntMatrix,
     LinearProgram,
     WalkBudgetExceeded,
+    _dense_row,
     enumerate_lattice_points,
     integer_kernel,
     lp_feasible,
-    row_basis,
     solve_in_lattice,
 )
 from .kaction import (
-    MAX_REDUCED_WORDS,
     K0Action,
     StageMap,
     Word,
     coboundary,
     coboundary_block,
     coboundary_stage_lattice,
-    reduced_word_count,
+    latest_letter_maps,
     repeat_stage,
     word_map,
 )
@@ -111,11 +104,10 @@ from .kaction import (
 @dataclass(frozen=True)
 class SearchParams:
     stage_max: int = 4
-    word_length: int = 1
     height_bound: int = 16
 
     def __post_init__(self) -> None:
-        if self.stage_max < 0 or self.word_length < 1 or self.height_bound < 1:
+        if self.stage_max < 0 or self.height_bound < 1:
             raise ValueError("bad search parameters")
 
 
@@ -137,9 +129,6 @@ class Witness:
     height: int
     nonzero_mode: str
     nonzero_stage: int
-    source_stage: int
-    target_stage: int
-    word_length: int
 
 
 @dataclass(frozen=True)
@@ -166,13 +155,13 @@ class GlobalState:
 
 @dataclass(frozen=True)
 class WitnessSearch:
-    """Search outcome. ``exhausted_cells`` lists (target, source, word
-    length) cells where the rational relaxation met the cone but no
-    certified lattice witness existed within the height bound; a None
-    witness with no exhausted cells means the whole box was decided."""
+    """Search outcome. ``exhausted_targets`` lists the target stages
+    where the rational relaxation met the cone but no certified lattice
+    witness existed within the height bound; a None witness with no
+    exhausted targets means the whole box was decided."""
 
     witness: Witness | None
-    exhausted_cells: tuple[tuple[int, int, int], ...]
+    exhausted_targets: tuple[int, ...]
 
 
 def _first_nonzero(vec: Sequence[int]) -> int:
@@ -302,9 +291,9 @@ def _recover_preimages(
     one-letter ``coboundary_block`` of each generator, side by side, is
     the matrix that sends the stacked g_j to that sum.
 
-    Tries source stages from the lattice's source upward; a witness
-    produced by an inverse letter may only be a coboundary of elements
-    one stage later.
+    Tries source stages from ``source_hint``, the least latest source of
+    the target's lattice, upward; a witness produced by an inverse letter
+    may only be a coboundary of elements one stage later.
     """
     r = action.generators
     for k in range(source_hint, stage_max + 1):
@@ -355,9 +344,8 @@ def _build_witness(
     system: InductiveSystem,
     action: K0Action,
     vec: tuple[int, ...],
-    source: int,
+    source_hint: int,
     target: int,
-    word_length: int,
     params: SearchParams,
 ) -> Witness | None:
     value = LimitElement(target, vec)
@@ -365,7 +353,7 @@ def _build_witness(
     zero = is_zero(system, value, horizon)
     if zero.is_yes:
         return None
-    preimages = _recover_preimages(system, action, value, source, params.stage_max)
+    preimages = _recover_preimages(system, action, value, source_hint, params.stage_max)
     if preimages is None:
         return None
     witness = Witness(
@@ -375,51 +363,19 @@ def _build_witness(
         height=max(abs(x) for x in vec),
         nonzero_mode="limit" if zero.is_no else "horizon",
         nonzero_stage=zero.at_stage if zero.is_no else zero.horizon,
-        source_stage=source,
-        target_stage=target,
-        word_length=word_length,
     )
     verify_witness(system, action, witness)
     return witness
 
 
-def _stage_lattices(
-    system: InductiveSystem, action: K0Action, params: SearchParams
-) -> Iterator[tuple[int, int, int, list[tuple[int, ...]]]]:
-    """(target, source, word length, Hermite basis rows) for the box's
-    coboundary lattices, in the search's visiting order.
-
-    Yields the same bases as ``coboundary_stage_lattice`` would, but
-    skips cells translated from a decided one and pushes the previous
-    target's basis when there is one (see the module docstring). Cells
-    whose target stage cannot receive every word image are not yielded.
-    """
+def _last_target(system: InductiveSystem, action: K0Action, stage_max: int) -> int:
+    """The last target stage worth searching: ``stage_max``, or on a
+    stationary action P + the largest shift, where P is the repeat stage,
+    if that comes first (see the module docstring)."""
     repeat = repeat_stage(action, system)
-    previous: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for target in range(params.stage_max + 1):
-        if not system.has_stage(target):
-            break
-        current: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        for source in range(target + 1):
-            if repeat is not None and source > repeat:
-                break
-            for length in range(1, params.word_length + 1):
-                pushed = previous.get((source, length))
-                if pushed is not None:
-                    step = system.connecting(target - 1)
-                    if step == system.transfer(target, target):  # the identity
-                        basis_rows = pushed
-                    else:
-                        basis_rows = row_basis([step.apply(b) for b in pushed], system.rank_at(target))
-                else:
-                    try:
-                        lattice = coboundary_stage_lattice(action, system, source, target, length)
-                    except StageRangeError:
-                        continue
-                    basis_rows = [lattice.column(j) for j in range(lattice.cols)]
-                current[(source, length)] = basis_rows
-                yield target, source, length, basis_rows
-        previous = current
+    if repeat is None or action.stationary is None:
+        return stage_max
+    return min(stage_max, repeat + max(rule.shift for rule in action.stationary))
 
 
 def find_positive_coboundary(
@@ -427,61 +383,35 @@ def find_positive_coboundary(
 ) -> WitnessSearch:
     """Scan the parameter box for a positive coboundary witness.
 
-    Grid cells are visited in lexicographic (target stage, source stage,
-    word length) order; inside a cell the rational relaxation decides
-    whether the lattice meets the cone at all, and only then are lattice
+    Target stages are visited in increasing order, each with one lattice,
+    H_t from ``coboundary_stage_lattice``; the rational relaxation
+    decides whether H_t meets the cone at all, and only then are lattice
     vectors enumerated by increasing height up to the height bound. A
     None result means no witness exists in the box searched (it is not a
-    proof that none exists at all).
+    proof that none exists at all). On a stationary action the scan
+    stops at ``_last_target``.
 
-    Cell lattices come from ``_stage_lattices``. On a stationary system a
-    cell with source stage past the repeat stage is the translate of one
-    decided a target earlier, with the same lattice and dedup key, so it
-    is not built. Every other cell after the first of its (source,
-    length) row pushes the previous basis through one connecting map,
-    which gives the same Hermite basis as a rebuild because the image of
-    a lattice is generated by the image of any basis and Hermite bases
-    are unique.
-
-    A cell whose candidate walk runs out of its node budget is exhausted;
-    a candidate whose preimages' coset walk runs out of it is skipped.
-    Raises ValueError, before any lattice is built, when the box's word
-    length gives more than ``MAX_REDUCED_WORDS`` reduced words.
+    A target whose candidate walk runs out of its node budget is
+    exhausted; a candidate whose preimages' coset walk runs out of it is
+    skipped.
     """
-    longest, r = params.word_length, action.generators
-    # there are at least 2 * longest words, so a longer length needs no count
-    if longest > MAX_REDUCED_WORDS or reduced_word_count(r, longest) > MAX_REDUCED_WORDS:
-        raise ValueError(
-            f"word length {longest} gives more than {MAX_REDUCED_WORDS} reduced words on {r} generator(s), "
-            "the most a witness search builds"
-        )
-    exhausted: list[tuple[int, int, int]] = []
-    decided_empty: set[tuple] = set()
-    for target, source, length, basis_rows in _stage_lattices(system, action, params):
-        if not basis_rows:
+    exhausted: list[int] = []
+    for target in range(_last_target(system, action, params.stage_max) + 1):
+        if not system.has_stage(target):
+            break
+        lattice = coboundary_stage_lattice(action, system, target)
+        basis_rows = [_dense_row(row, lattice.rows) for row in lattice.transpose().nonzeros]
+        if not basis_rows or not _span_meets_cone(basis_rows):
             continue
-        # cells with the same lattice and an identical future
-        # (stationary tail stages collapse) are decided once
-        key_stage = (
-            min(target, system.last_declared_stage)
-            if system.is_stationary
-            else target
-        )
-        key = (key_stage, tuple(basis_rows))
-        if key in decided_empty:
-            continue
-        if not _span_meets_cone(basis_rows):
-            decided_empty.add(key)
-            continue
+        source_hint = min(sm.from_stage for sm in latest_letter_maps(action, system, target))
         try:
             for cand in _positive_candidates(basis_rows, params.height_bound):
-                witness = _build_witness(system, action, cand, source, target, length, params)
+                witness = _build_witness(system, action, cand, source_hint, target, params)
                 if witness is not None:
                     return WitnessSearch(witness, tuple(exhausted))
         except WalkBudgetExceeded:
-            pass  # the cell is exhausted like one whose candidates all failed
-        exhausted.append((target, source, length))
-        decided_empty.add(key)
+            pass  # the target is exhausted like one whose candidates all failed
+        exhausted.append(target)
     return WitnessSearch(None, tuple(exhausted))
 
 
@@ -491,20 +421,22 @@ def _invariance_differences(
     elements: Sequence[LimitElement],
     words: Sequence[Word],
     m: int,
-) -> list[tuple[int, ...]]:
-    """g - w(g) at stage m for each element g and then each word w, given
-    ``maps``, the ``word_map`` of each (stage, word). The elements of one
-    stage, as rows, go through the transposed ``coboundary_block`` of
-    each word in one sparse product."""
-    diffs: dict[tuple[int, Word], tuple[int, ...]] = {}
+) -> IntMatrix:
+    """The rows g - w(g) at stage m for each element g and then each word
+    w, given ``maps``, the ``word_map`` of each (stage, word). The
+    elements of one stage, as sparse rows, go through the transposed
+    ``coboundary_block`` of each word in one sparse product."""
+    diffs: dict[tuple[int, Word], tuple[tuple[int, int], ...]] = {}
     for k in dict.fromkeys(g.stage for g in elements):
         idx = [i for i, g in enumerate(elements) if g.stage == k]
-        stacked = IntMatrix.from_rows([elements[i].vector for i in idx])
+        stacked = tuple(tuple(compress(enumerate(elements[i].vector), elements[i].vector)) for i in idx)
+        stacked_matrix = IntMatrix._of_nonzeros(len(idx), system.rank_at(k), stacked)
         for w in words:
-            images = stacked @ coboundary_block(system, maps[k, w], m).transpose()
+            images = (stacked_matrix @ coboundary_block(system, maps[k, w], m).transpose()).nonzeros
             for j, i in enumerate(idx):
-                diffs[i, w] = images.row(j)
-    return [diffs[i, w] for i in range(len(elements)) for w in words]
+                diffs[i, w] = images[j]
+    rows = tuple(diffs[i, w] for i in range(len(elements)) for w in words)
+    return IntMatrix._of_nonzeros(len(rows), system.rank_at(m), rows)
 
 
 def verify_state_certificate(
@@ -515,9 +447,8 @@ def verify_state_certificate(
     m = cert.stage
     stages = dict.fromkeys(g.stage for g in cert.elements)
     maps = {(k, w): word_map(action, system, w, k) for k in stages for w in cert.words}
-    for d in _invariance_differences(system, maps, cert.elements, cert.words, m):
-        if _dot(beta, d):
-            raise AssertionError("certificate functional is not invariant")
+    if any(_invariance_differences(system, maps, cert.elements, cert.words, m).apply(beta)):
+        raise AssertionError("certificate functional is not invariant")
     unit_value = _dot(beta, system.unit_at(m))
     if unit_value != cert.unit_value or unit_value <= 0:
         raise AssertionError("certificate functional is not positive on the unit")
@@ -580,23 +511,21 @@ def find_invariant_state(
         return None
     first = max([g.stage for g in elements] + [sm.to_stage for sm in maps.values()])
     element_vecs: list[tuple[int, ...]] = []
-    diff_vecs: list[tuple[int, ...]] = []
+    diffs = IntMatrix.zeros(0, 0)
     missed_support: list[bool] | None = None  # nonzero elements at the last stage that missed
     for m in range(first, stage_max + 1):
         if not system.has_stage(m):
             break
         if m == first:
             element_vecs = [push(system, g, m).vector for g in elements]
-            diff_vecs = _invariance_differences(system, maps, elements, words, m)
+            diffs = _invariance_differences(system, maps, elements, words, m)
         else:
             step = system.connecting(m - 1)
             element_vecs = [step.apply(v) for v in element_vecs]
-            diff_vecs = [step.apply(v) for v in diff_vecs]
+            diffs = diffs @ step.transpose()
         support = [any(gv) for gv in element_vecs]
         if support == missed_support:
             continue  # a solution here would pull back to the missed stage
-        rows = tuple(tuple(compress(enumerate(d), d)) for d in diff_vecs)
-        diffs = IntMatrix._of_nonzeros(len(rows), system.rank_at(m), rows)
         kernel_rows = integer_kernel(diffs)  # with no words: the identity rows
         unit = system.unit_at(m)
         positives = [tuple(unit)] + [gv for gv, nonzero in zip(element_vecs, support) if nonzero]

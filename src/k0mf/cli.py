@@ -76,7 +76,7 @@ class Verdict:
     witness: Witness | None
     certificates: tuple[StateCertificate | None, ...]
     requests: tuple[StateRequest, ...]
-    exhausted_cells: tuple[tuple[int, int, int], ...]
+    exhausted_targets: tuple[int, ...]
     mutual_exclusion_ok: bool | None
     elapsed: float  # stderr reporting only; never serialized
     reasons: tuple[str, ...] = ()  # why a state search gave no certificate; stderr only
@@ -109,7 +109,7 @@ def run_check(
             witness=search.witness,
             certificates=(),
             requests=(),
-            exhausted_cells=search.exhausted_cells,
+            exhausted_targets=search.exhausted_targets,
             mutual_exclusion_ok=exclusion,
             elapsed=time.monotonic() - start,
         )
@@ -130,7 +130,7 @@ def run_check(
         witness=None,
         certificates=tuple(certs),
         requests=reqs,
-        exhausted_cells=search.exhausted_cells,
+        exhausted_targets=search.exhausted_targets,
         mutual_exclusion_ok=None,
         elapsed=time.monotonic() - start,
         reasons=tuple(reasons),
@@ -157,11 +157,6 @@ def _witness_payload(w: Witness) -> dict:
         "positive_at_stage": w.positive_at_stage,
         "height": w.height,
         "nonzero": {"mode": w.nonzero_mode, "stage": w.nonzero_stage},
-        "lattice": {
-            "source_stage": w.source_stage,
-            "target_stage": w.target_stage,
-            "word_length": w.word_length,
-        },
     }
 
 
@@ -182,11 +177,10 @@ def verdict_payload(command: str, name: str | None, verdict: Verdict) -> dict:
         "verdict": verdict.kind,
         "parameters": {
             "max_stage": verdict.params.stage_max,
-            "word_length": verdict.params.word_length,
             "height_bound": verdict.params.height_bound,
         },
         "witness": _witness_payload(verdict.witness) if verdict.witness else None,
-        "exhausted_cells": [list(c) for c in verdict.exhausted_cells],
+        "exhausted_targets": list(verdict.exhausted_targets),
     }
     if name is not None:
         payload["document"] = name
@@ -251,17 +245,23 @@ def _emit(payload: dict, json_out: str | None) -> None:
 
 
 def _params_from(args: argparse.Namespace) -> SearchParams:
-    return SearchParams(
-        stage_max=args.max_stage,
-        word_length=args.word_length,
-        height_bound=args.height,
-    )
+    """The search box of the flags; a flag below its least value is a
+    ValueError that names it. ``--word-length`` is checked, though no
+    search reads it."""
+    for flag, value, least in (
+        ("--max-stage", args.max_stage, 0),
+        ("--word-length", args.word_length, 1),
+        ("--height", args.height, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
+    return SearchParams(stage_max=args.max_stage, height_bound=args.height)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    horizon = _params_from(args).stage_max
     doc = _read_document(args.path)
     system, action = doc.resolve()
-    horizon = args.max_stage
     report = verify_action(action, system, horizon)
     inj = injectivity_report(system, horizon)
     payload = {
@@ -296,12 +296,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verified_input(args: argparse.Namespace) -> tuple[SystemDocument, InductiveSystem, K0Action] | None:
-    """Read and resolve the document and verify the action laws up to
-    --max-stage; on a failure, report it on stderr and return None."""
+def _verified_input(
+    args: argparse.Namespace,
+) -> tuple[SystemDocument, InductiveSystem, K0Action, SearchParams] | None:
+    """Check the flags, read and resolve the document and verify the
+    action laws up to --max-stage; on a failed law, report it on stderr
+    and return None."""
+    params = _params_from(args)
     doc = _read_document(args.path)
     system, action = doc.resolve()
-    report = verify_action(action, system, args.max_stage)
+    report = verify_action(action, system, params.stage_max)
     if not report.ok:
         for item in report.failures():
             print(
@@ -309,7 +313,7 @@ def _verified_input(args: argparse.Namespace) -> tuple[SystemDocument, Inductive
                 file=sys.stderr,
             )
         return None
-    return doc, system, action
+    return doc, system, action, params
 
 
 def _unsound(verdict: Verdict) -> bool:
@@ -328,8 +332,7 @@ def _cmd_check_mf(args: argparse.Namespace) -> int:
     verified = _verified_input(args)
     if verified is None:
         return 2
-    doc, system, action = verified
-    params = _params_from(args)
+    doc, system, action, params = verified
     requests = None
     if args.sets:
         requests = _parse_sets_file(args.sets, system, action, params.stage_max)
@@ -348,11 +351,11 @@ def _cmd_chain_recurrence(args: argparse.Namespace) -> int:
     verified = _verified_input(args)
     if verified is None:
         return 2
-    doc, system, action = verified
+    doc, system, action, params = verified
     if action.generators != 1:
         print("chain-recurrence requires a single-generator document", file=sys.stderr)
         return 2
-    verdict = run_check(system, action, _params_from(args), requests=())
+    verdict = run_check(system, action, params, requests=())
     if _unsound(verdict):
         return 3
     verdict = replace(verdict, kind=COMPRESSION_FOUND if verdict.kind == VIOLATION else NONE_FOUND)
@@ -391,7 +394,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-stage", type=int, default=4, help="largest stage index searched (default 4)")
-    p.add_argument("--word-length", type=int, default=1, help="longest word in lattice generators (default 1)")
+    p.add_argument(
+        "--word-length", type=int, default=1,
+        help="accepted and checked (>= 1) but no longer shapes the search: single letters generate every word difference (default 1)",
+    )
     p.add_argument("--height", type=int, default=16, help="height bound for witness vectors (default 16)")
     p.add_argument("--json-out", type=str, default=None, help="write the canonical JSON payload here instead of stdout")
 

@@ -12,14 +12,15 @@ composed by sparse products, so a word acts on a vector in one product)
 and coboundary blocks (``coboundary_block``: the matrix whose column i
 is e_i - w(e_i) pushed to a target stage, for every basis vector e_i at
 once). On these rest word application, the coboundary combination
-sum_j (g_j - a_j(g_j)) over the generators, and the finite-stage
-lattices approximating the group generated by all word differences,
-whose generators are the block columns. The state search in ``certify``
-and its re-check take their invariance differences from the same
-blocks. Last comes an itemised verifier for the order-automorphism laws
-(positivity, commuting squares, unit preservation, inverse laws).
-``repeat_stage`` says from which stage stationary data repeats, for the
-verifier and the witness search alike.
+sum_j (g_j - a_j(g_j)) over the generators, and H_t, the finite-stage
+lattice at a target stage t generated by the one-letter blocks, each
+from its letter's latest source stage that lands by t; single letters
+generate every word difference. The state search in ``certify`` and
+its re-check take their invariance differences from word blocks. Last
+comes an itemised verifier for the order-automorphism laws (positivity,
+commuting squares, unit preservation, inverse laws). ``repeat_stage``
+says from which stage stationary data repeats, for the verifier and the
+witness search alike.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from operator import add
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .dimgroup import InductiveSystem, LimitElement, StageRangeError
 from .exactlinalg import IntMatrix, _message_int, hermite_normal_form
@@ -49,15 +50,6 @@ class StageMap:
 # of 10**9 would run for hours; every shift this package generates or
 # ships is at most 2.
 MAX_STATIONARY_SHIFT = 1024
-
-# The most reduced words a witness search may build its lattices from.
-# Each cell builds every word up to its length, and r generators have
-# 2r(2r - 1)^(l - 1) reduced words of length l, so two generators at
-# length 10 hold 118096 words and run for many seconds. The bound admits
-# length 100 on one generator, 4 on two and 3 on three, past every box
-# this package ships or tests.
-MAX_REDUCED_WORDS = 200
-
 
 @dataclass(frozen=True)
 class StationaryRule:
@@ -216,64 +208,39 @@ def coboundary(
     return LimitElement(target, tuple(acc))
 
 
-def reduced_words(generators: int, max_length: int) -> Iterator[Word]:
-    """All reduced words with 1 <= length <= max_length, in a fixed order.
-
-    Letters are ordered +1, -1, +2, -2, ...; words are emitted by length
-    and then lexicographically in that letter order.
-    """
-    alphabet = [s * j for j in range(1, generators + 1) for s in (1, -1)]
-
-    def extend(prefix: list[int], remaining: int) -> Iterator[tuple[int, ...]]:
-        if not remaining:
-            yield tuple(prefix)
-            return
-        for letter in alphabet:
-            if prefix and prefix[-1] == -letter:
+def latest_letter_maps(action: K0Action, system: InductiveSystem, target_stage: int) -> list[StageMap]:
+    """Each signed letter's map (+1, -1, +2, -2, ...) out of its latest
+    source stage whose map resolves and lands at or before
+    ``target_stage``; a letter with no such stage is left out."""
+    maps = []
+    for letter in (s * j for j in range(1, action.generators + 1) for s in (1, -1)):
+        for k in range(target_stage, -1, -1):
+            try:
+                sm = word_map(action, system, Word((letter,)), k)
+            except StageRangeError:
                 continue
-            prefix.append(letter)
-            yield from extend(prefix, remaining - 1)
-            prefix.pop()
-
-    for length in range(1, max_length + 1):
-        for letters in extend([], length):
-            yield Word(letters)
+            if sm.to_stage <= target_stage:
+                maps.append(sm)
+                break
+    return maps
 
 
-def reduced_word_count(generators: int, max_length: int) -> int:
-    """The number of reduced words with 1 <= length <= max_length, in
-    closed form: the sum over l of 2r (2r - 1)^(l - 1) for r generators."""
-    if generators == 1:
-        return 2 * max_length
-    return generators * ((2 * generators - 1) ** max_length - 1) // (generators - 1)
+def coboundary_stage_lattice(action: K0Action, system: InductiveSystem, target_stage: int) -> IntMatrix:
+    """H_t, the finite-stage approximation of the coboundary subgroup at
+    target stage t.
 
-
-def coboundary_stage_lattice(
-    action: K0Action,
-    system: InductiveSystem,
-    source_stage: int,
-    target_stage: int,
-    word_length: int,
-) -> IntMatrix:
-    """Finite-stage approximation of the coboundary subgroup.
-
-    Columns form the canonical (Hermite) basis of the subgroup of the
-    target stage generated by the pushforwards of g - w(g), for g a
-    source-stage basis vector and w a reduced word of length at most
-    ``word_length``: the columns of each word's ``coboundary_block``.
-    The target stage must be late enough to receive every word image.
+    Columns form the canonical (Hermite) basis of the subgroup generated
+    by the ``coboundary_block`` columns of each signed letter, each taken
+    from the letter's latest source stage that lands at or before t
+    (``latest_letter_maps``). Single letters generate every word
+    difference, g - ab(g) = (g - b(g)) + (b(g) - a(b(g))), and by the
+    commuting squares a block from an earlier source is the later block
+    times a connecting map, so H_t holds g - w(g) pushed to t for every
+    word w and every g whose images land by t.
     """
-    if word_length < 0:
-        raise ValueError("word length must be >= 0")
-    system.rank_at(source_stage)  # an undeclared source stage is reported before the target
     p_tgt = system.rank_at(target_stage)
     gens: list[tuple[tuple[int, int], ...]] = []
-    for word in reduced_words(action.generators, word_length):
-        sm = word_map(action, system, word, source_stage)
-        if sm.to_stage > target_stage:
-            raise StageRangeError(
-                f"target stage {target_stage} cannot receive |w|={len(word)} images from stage {source_stage}"
-            )
+    for sm in latest_letter_maps(action, system, target_stage):
         gens.extend(coboundary_block(system, sm, target_stage).transpose().nonzeros)
     if not gens:
         return IntMatrix.zeros(p_tgt, 0)

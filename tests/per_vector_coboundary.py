@@ -4,17 +4,21 @@ replaced it with one sparse product per word.
 
 ``apply_letters`` applies a word's letter maps to a vector one after
 another, ``coboundary_stage_lattice`` pushes g and w(g) to the target
-stage separately for every source-stage basis vector g, and
-``coboundary`` and ``invariance_differences`` do the same for the
-elements of a coboundary and of a state request. The composites must
-give the same lattices, images, sums and differences.
+stage separately for every source-stage basis vector g and every word of
+a grid cell, ``stage_lattice`` does the same for each signed letter from
+its latest source stage (H_t), and ``coboundary`` and
+``invariance_differences`` do the same for the elements of a coboundary
+and of a state request. The composites must give the same lattices,
+images, sums and differences.
 """
 
 from typing import Sequence
 
-from k0mf.dimgroup import InductiveSystem, LimitElement, StageRangeError, push
+from word_grid import reduced_words
+
+from k0mf.dimgroup import InductiveSystem, LimitElement, StageRangeError, basis_element, push
 from k0mf.exactlinalg import IntMatrix, row_basis
-from k0mf.kaction import K0Action, Word, reduced_words
+from k0mf.kaction import K0Action, Word
 
 
 def apply_letters(
@@ -75,8 +79,34 @@ def coboundary_stage_lattice(
             ev = push(system, e, target_stage).vector
             iv = push(system, image, target_stage).vector
             vectors.append(tuple(a - b for a, b in zip(ev, iv)))
-    basis = row_basis(vectors, p_tgt)
-    return IntMatrix.from_rows([[b[i] for b in basis] for i in range(p_tgt)]) if basis else IntMatrix.zeros(p_tgt, 0)
+    return _columns(row_basis(vectors, p_tgt), p_tgt)
+
+
+def stage_lattice(action: K0Action, system: InductiveSystem, target_stage: int) -> IntMatrix:
+    """Hermite basis (columns) of H_t: for each signed letter, from the
+    latest source stage whose image lands at or before the target, the
+    pushforwards of g - a(g), one basis vector g at a time."""
+    p_tgt = system.rank_at(target_stage)
+    vectors = []
+    for letter in (s * j for j in range(1, action.generators + 1) for s in (1, -1)):
+        for k in range(target_stage, -1, -1):
+            basis = [basis_element(system, k, i) for i in range(system.rank_at(k))]
+            try:
+                pairs = [(e, apply_letters(action, system, Word((letter,)), e)) for e in basis]
+            except StageRangeError:
+                continue
+            if all(image.stage <= target_stage for _, image in pairs):
+                for e, image in pairs:
+                    ev = push(system, e, target_stage).vector
+                    iv = push(system, image, target_stage).vector
+                    vectors.append(tuple(a - b for a, b in zip(ev, iv)))
+                break
+    return _columns(row_basis(vectors, p_tgt), p_tgt)
+
+
+def _columns(basis: list[tuple[int, ...]], rows: int) -> IntMatrix:
+    """The basis vectors as the columns of a matrix with ``rows`` rows."""
+    return IntMatrix.from_rows([[b[i] for b in basis] for i in range(rows)]) if basis else IntMatrix.zeros(rows, 0)
 
 
 def word_images(

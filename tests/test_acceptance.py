@@ -87,7 +87,7 @@ def random_finite_system(rng: random.Random) -> FiniteSystem:
 def test_criterion_finite_systems_never_violate():
     with criterion("finite permutation systems"):
         rng = random.Random(20240808)
-        boxes = [SearchParams(), SearchParams(stage_max=2, word_length=2, height_bound=5)]
+        boxes = [SearchParams(), SearchParams(stage_max=2, height_bound=5)]
         started = time.monotonic()
         for _ in range(100):
             fs = random_finite_system(rng)
@@ -112,7 +112,7 @@ def test_criterion_mutual_exclusion_for_every_witness():
             mirrored_shift_pair(),
             shift_with_identity_generator(),
         ]
-        params = SearchParams(stage_max=3, word_length=1, height_bound=2)
+        params = SearchParams(stage_max=3, height_bound=2)
         found = 0
         for system, action in cases:
             search = find_positive_coboundary(system, action, params)

@@ -11,7 +11,7 @@ walk-then-filter searches it replaced (kept in ``canonical_search``).
   in coefficient space), both values of ``require_nonnegative``, nonzero
   coset offsets, and over the full candidate order.
 * Past ``WALK_NODE_BUDGET`` nodes a state search gives no certificate
-  (``UNKNOWN``, with the budget on stderr), a witness cell is exhausted,
+  (``UNKNOWN``, with the budget on stderr), a witness target is exhausted,
   a candidate whose preimages cannot be made canonical is skipped and
   the stationary state search raises rather than answer None.
 * The identity permutation on 32 points, the 3**n cliff of the old
@@ -26,7 +26,7 @@ import pytest
 
 import canonical_search
 from ball_walk import ball_walk
-from test_lattice_pipeline import CASES
+from test_lattice_pipeline import CASES, stage_bases
 from test_pruned_search import BASES
 
 from k0mf import certify, exactlinalg
@@ -36,7 +36,6 @@ from k0mf.certify import (
     _canonical_functional,
     _distinct_positives,
     _positive_candidates,
-    _stage_lattices,
     check_k0_rfd_stationary,
     exclusion_holds,
     find_positive_coboundary,
@@ -167,7 +166,7 @@ def test_positive_candidates_give_the_oracle_order(height_bound):
 @pytest.mark.parametrize("name,make", CASES, ids=[name for name, _ in CASES])
 def test_pipeline_lattices_give_the_oracle_candidates(name, make):
     system, action = make()
-    for *_, basis in _stage_lattices(system, action, certify.SearchParams()):
+    for _, basis in stage_bases(system, action, certify.SearchParams().stage_max):
         if basis:
             want = list(canonical_search.positive_candidates(basis, 2))
             assert list(_positive_candidates(basis, 2)) == want
@@ -214,7 +213,7 @@ def test_a_cell_past_the_budget_is_exhausted(shift_pair, monkeypatch):
     monkeypatch.setattr(exactlinalg, "WALK_NODE_BUDGET", 1)
     search = find_positive_coboundary(system, action, params)
     assert search.witness is None
-    assert search.exhausted_cells
+    assert search.exhausted_targets
 
 
 def test_a_candidate_whose_coset_walk_runs_out_is_skipped(shift_pair, monkeypatch):
@@ -230,7 +229,7 @@ def test_a_candidate_whose_coset_walk_runs_out_is_skipped(shift_pair, monkeypatc
     search = find_positive_coboundary(system, action, params)
     assert tried
     assert search.witness is None
-    assert search.exhausted_cells
+    assert search.exhausted_targets
 
 
 def test_exclusion_fails_when_its_state_walk_runs_out(shift_pair, monkeypatch):

@@ -26,7 +26,7 @@ from k0mf.kaction import K0Action, StageMap, Word, identity_action
 
 M = IntMatrix.from_rows
 
-SHIFT_PARAMS = SearchParams(stage_max=3, word_length=1, height_bound=2)
+SHIFT_PARAMS = SearchParams(stage_max=3, height_bound=2)
 
 
 def mirrored_shift_pair():
@@ -53,15 +53,15 @@ def shift_with_identity_generator():
 def test_identity_action_never_finds_witness():
     for name in ("fibonacci_identity.json", "car_identity.json", "minimal.json", "diamond.json"):
         system, action = load_golden(name).resolve()
-        for params in (SearchParams(), SearchParams(2, 2, 5)):
+        for params in (SearchParams(), SearchParams(2, 5)):
             search = find_positive_coboundary(system, action, params)
             assert search.witness is None
-            assert search.exhausted_cells == ()
+            assert search.exhausted_targets == ()
 
 
 def test_permutation_action_never_finds_witness(cycle3_pair):
     system, action = cycle3_pair
-    for params in (SearchParams(), SearchParams(3, 2, 5), SearchParams(0, 1, 3)):
+    for params in (SearchParams(), SearchParams(3, 5), SearchParams(0, 3)):
         assert find_positive_coboundary(system, action, params).witness is None
 
 
@@ -74,7 +74,6 @@ def test_shift_witness_exact(shift_pair):
     assert w.positive_at_stage == 2
     assert w.height == 1
     assert w.preimages == (LimitElement(1, (1, 0, 0)),)
-    assert (w.target_stage, w.source_stage, w.word_length) == (2, 1, 1)
     assert w.nonzero_mode == "horizon"
     verify_witness(system, action, w)
 
@@ -311,7 +310,7 @@ def test_verdicts_are_parameter_relative(shift_pair):
     system, action = shift_pair
     # too small a box misses the witness; the default request still
     # certifies, so the verdict is consistency relative to the box
-    small = run_check(system, action, SearchParams(stage_max=1, word_length=1, height_bound=2))
+    small = run_check(system, action, SearchParams(stage_max=1, height_bound=2))
     assert small.kind == "CONSISTENT"
     # a request whose word images leave the declared prefix cannot be
     # realized at any stage: honest UNKNOWN, not a claim either way
@@ -319,7 +318,7 @@ def test_verdicts_are_parameter_relative(shift_pair):
         (LimitElement(3, (1, 0, 0, 0, 0, 0, 0)),), (Word.of(1),)
     )
     out = run_check(
-        system, action, SearchParams(stage_max=1, word_length=1, height_bound=2), [unreachable]
+        system, action, SearchParams(stage_max=1, height_bound=2), [unreachable]
     )
     assert out.kind == "UNKNOWN"
     assert out.certificates == (None,)
@@ -328,15 +327,15 @@ def test_verdicts_are_parameter_relative(shift_pair):
 def test_exhausted_cells_distinguished_in_report():
     # tripling on one coordinate: the coboundary lattice is 2Z, whose
     # least cone vector has height 2; a height bound of 1 exhausts the
-    # cell, and the report says so instead of silently claiming "none"
+    # target, and the report says so instead of silently claiming "none"
     system = InductiveSystem((1,), (), (1,))
     triple = M([[3]])
     action = K0Action(1, ((StageMap(0, 0, triple),),), ((StageMap(0, 0, IntMatrix.identity(1)),),))
-    tight = find_positive_coboundary(system, action, SearchParams(0, 1, 1))
+    tight = find_positive_coboundary(system, action, SearchParams(0, 1))
     assert tight.witness is None
-    assert tight.exhausted_cells == ((0, 0, 1),)
-    roomy = find_positive_coboundary(system, action, SearchParams(0, 1, 2))
+    assert tight.exhausted_targets == (0,)
+    roomy = find_positive_coboundary(system, action, SearchParams(0, 2))
     assert roomy.witness is not None
     assert roomy.witness.value.vector == (2,)
     assert roomy.witness.preimages == (LimitElement(0, (-1,)),)
-    assert roomy.exhausted_cells == ()
+    assert roomy.exhausted_targets == ()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from conftest import golden_path
 from k0mf import bratteli
 from k0mf.bratteli import _decimal_int, _load_json
 from k0mf.cli import build_parser, main
-from k0mf.kaction import MAX_REDUCED_WORDS, MAX_STATIONARY_SHIFT
+from k0mf.kaction import MAX_STATIONARY_SHIFT
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -81,7 +82,7 @@ def test_negative_max_stage_is_invalid_input(tmp_path, capsys):
     for command in ("validate", "check-mf", "chain-recurrence"):
         code, out, err = run_cli(capsys, command, str(path), "--max-stage", "-1")
         assert (code, out) == (2, "")
-        assert "horizon must be >= 0" in err
+        assert err == "error: --max-stage must be >= 0, got -1\n"
 
 
 def test_check_mf_shift_violation(capsys):
@@ -266,7 +267,9 @@ def test_check_mf_sets_file_that_is_not_utf8_is_named(tmp_path, capsys):
 def test_check_mf_request_without_words_keeps_its_payload(tmp_path, capsysbinary):
     """No words means no invariance rows: the functional ranges over the
     whole stage lattice. The digest was recorded before the kernel of
-    the empty difference matrix replaced a hand-built identity."""
+    the empty difference matrix replaced a hand-built identity, and
+    renewed when the payload dropped ``parameters.word_length`` and
+    renamed ``exhausted_cells`` to ``exhausted_targets``."""
     sets_path = tmp_path / "sets.json"
     sets_path.write_text(
         '{"requests": [{"elements": [{"stage": 0, "vector": [1, 0, 0]},'
@@ -275,7 +278,7 @@ def test_check_mf_request_without_words_keeps_its_payload(tmp_path, capsysbinary
     code = main(["check-mf", str(golden_path("cycle3.json")), "--sets", str(sets_path)])
     out = capsysbinary.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out).hexdigest() == "a4e1c65a471eb952752f808d6deef457debb5f6a1edb3155b798c5bdb52d6bab"
+    assert hashlib.sha256(out).hexdigest() == "ec3bf263873767bbf0937aee52ece12a382e8ab79db86c3ff1e592caba194c85"
 
 
 def test_validate_names_a_bad_field_inside_an_action_stage_map(tmp_path, capsys):
@@ -534,7 +537,7 @@ def test_one_parser_serves_every_call(capsys):
     validate = run_cli(capsys, "validate", doc)
     check = run_cli(capsys, "check-mf", doc, "--max-stage", "1", "--height", "2")
     assert validate[0] == check[0] == 0
-    assert json.loads(check[1])["parameters"] == {"max_stage": 1, "word_length": 1, "height_bound": 2}
+    assert json.loads(check[1])["parameters"] == {"max_stage": 1, "height_bound": 2}
     with pytest.raises(SystemExit) as exc:
         main(["check-mf"])
     assert exc.value.code == 2
@@ -542,7 +545,7 @@ def test_one_parser_serves_every_call(capsys):
     assert run_cli(capsys, "validate", doc) == validate
     assert run_cli(capsys, "check-mf", doc, "--max-stage", "1", "--height", "2")[:2] == check[:2]
     default = json.loads(run_cli(capsys, "check-mf", doc)[1])["parameters"]
-    assert default == {"max_stage": 4, "word_length": 1, "height_bound": 16}
+    assert default == {"max_stage": 4, "height_bound": 16}
 
 
 def test_each_document_is_resolved_once(monkeypatch, capsys):
@@ -587,36 +590,41 @@ def test_a_huge_stationary_shift_is_rejected_quickly(tmp_path, capsys, shift):
         assert elapsed < 1, elapsed
 
 
+@pytest.mark.parametrize("command", ["check-mf", "chain-recurrence"])
 @pytest.mark.parametrize(
-    "command, name, length, generators",
-    [
-        ("check-mf", "two_transpositions.json", "40", 2),
-        ("check-mf", "two_transpositions.json", "5", 2),
-        ("check-mf", "two_transpositions.json", "1" + "0" * 30, 2),
-        ("chain-recurrence", "cycle3.json", str(MAX_REDUCED_WORDS // 2 + 1), 1),
-    ],
-    ids=["40", "5", "1e30", "one-generator"],
+    "flag, value, least",
+    [("--max-stage", "-1", 0), ("--word-length", "0", 1), ("--height", "0", 1), ("--height", "-5", 1)],
 )
-def test_a_long_word_length_is_rejected_quickly(capsys, command, name, length, generators):
-    """Two generators have 2 * (3**L - 1) reduced words of length <= L,
-    so the search grows threefold with each letter; a box with more than
-    ``MAX_REDUCED_WORDS`` words is invalid before any lattice is built."""
-    start = time.process_time()
-    code, out, err = run_cli(capsys, command, str(golden_path(name)), "--word-length", length)
-    elapsed = time.process_time() - start
+def test_a_bad_search_flag_names_itself(capsys, command, flag, value, least):
+    code, out, err = run_cli(capsys, command, str(golden_path("cycle3.json")), flag, value)
     assert (code, out) == (2, "")
-    assert err == (
-        f"error: word length {length} gives more than {MAX_REDUCED_WORDS} reduced words "
-        f"on {generators} generator(s), the most a witness search builds\n"
-    )
-    assert elapsed < 1, elapsed
+    assert err == f"error: {flag} must be >= {least}, got {value}\n"
 
 
-def test_a_word_length_at_the_bound_is_searched(capsys):
-    """Length 4 on two generators: 160 reduced words."""
-    code, out, _ = run_cli(capsys, "check-mf", str(golden_path("two_transpositions.json")), "--word-length", "4")
-    assert code == 0
-    assert json.loads(out)["verdict"] == "CONSISTENT"
+def _eighty_point_permutation(tmp_path, capsys) -> str:
+    """One random permutation of 80 points (random.Random(80))."""
+    perm = list(range(1, 81))
+    random.Random(80).shuffle(perm)
+    path = tmp_path / "eighty.json"
+    assert main(["convert", "--finite", "--points", "80", "--perm", ",".join(map(str, perm)), "--json-out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+def test_a_long_word_length_decides_like_length_one(tmp_path, capsys):
+    """``--word-length`` no longer shapes the search: single letters
+    generate every word difference, so length 100 on one 80-point
+    permutation (200 reduced words) costs what length 1 does and writes
+    the same bytes."""
+    doc = _eighty_point_permutation(tmp_path, capsys)
+    short = run_cli(capsys, "check-mf", doc, "--word-length", "1")
+    start = time.process_time()
+    long = run_cli(capsys, "check-mf", doc, "--word-length", "100")
+    elapsed = time.process_time() - start
+    assert short[0] == long[0] == 0
+    assert json.loads(short[1])["verdict"] == "CONSISTENT"
+    assert long[1] == short[1]
+    assert elapsed < 2, elapsed
 
 
 def test_a_stationary_shift_at_the_bound_is_valid(tmp_path, capsys):

@@ -1,11 +1,13 @@
-"""The incremental coboundary-lattice pipeline against fresh rebuilds.
+"""One coboundary lattice per target stage against the word grid.
 
-``_stage_lattices`` skips cells translated from an earlier one and pushes
-the previous target's Hermite basis through one connecting map. Every
-basis it yields must equal a fresh ``coboundary_stage_lattice``, every
-cell it skips must have the same fresh lattice as its translate, and
-``find_positive_coboundary`` must return what the rebuild-every-cell
-search below returns.
+The witness search builds H_t (``kaction.coboundary_stage_lattice``)
+once per target stage t, in order, and on a stationary action stops at
+the repeat stage plus the largest shift. Every H_t must equal the
+per-vector oracle's H_t and contain every (target, source, word length)
+cell of the grid that ``word_grid`` keeps as the oracle; every witness
+the grid search finds must have a counterpart from
+``find_positive_coboundary`` at the same or an earlier target; and past
+the cap H_t must not change.
 """
 
 import random
@@ -13,19 +15,14 @@ import random
 import pytest
 
 from conftest import GOLDEN_NAMES, load_golden
+from per_vector_coboundary import stage_lattice as per_vector_stage_lattice
+from word_grid import grid_cells, grid_search
 
+from k0mf import certify
 from k0mf.bratteli import FiniteSystem, finite_system_to_k0
-from k0mf.certify import (
-    SearchParams,
-    WitnessSearch,
-    _build_witness,
-    _positive_candidates,
-    _span_meets_cone,
-    _stage_lattices,
-    find_positive_coboundary,
-)
-from k0mf.dimgroup import InductiveSystem, StageRangeError
-from k0mf.exactlinalg import IntMatrix
+from k0mf.certify import SearchParams, _last_target, find_positive_coboundary
+from k0mf.dimgroup import InductiveSystem
+from k0mf.exactlinalg import IntMatrix, row_basis
 from k0mf.kaction import (
     K0Action,
     StageMap,
@@ -37,52 +34,18 @@ from k0mf.kaction import (
 
 M = IntMatrix.from_rows
 
-BOXES = [SearchParams(), SearchParams(stage_max=6, word_length=3)]
+# (search box, longest word of the grid oracle)
+BOXES = [(SearchParams(), 1), (SearchParams(stage_max=6), 3)]
 
 
-def rebuild_every_cell(system, action, params) -> WitnessSearch:
-    """The search as it was before the pipeline: a fresh lattice per cell."""
-    exhausted = []
-    decided_empty = set()
-    for target in range(params.stage_max + 1):
+def stage_bases(system, action, stage_max):
+    """(t, Hermite basis vectors of H_t) for each target the search can
+    visit: declared, and not past ``_last_target``."""
+    for target in range(_last_target(system, action, stage_max) + 1):
         if not system.has_stage(target):
             break
-        for source in range(target + 1):
-            for length in range(1, params.word_length + 1):
-                try:
-                    lattice = coboundary_stage_lattice(action, system, source, target, length)
-                except StageRangeError:
-                    continue
-                basis_rows = [lattice.column(j) for j in range(lattice.cols)]
-                if not basis_rows:
-                    continue
-                key_stage = (
-                    min(target, system.last_declared_stage)
-                    if system.is_stationary
-                    else target
-                )
-                key = (key_stage, tuple(basis_rows))
-                if key in decided_empty:
-                    continue
-                if not _span_meets_cone(basis_rows):
-                    decided_empty.add(key)
-                    continue
-                for cand in _positive_candidates(basis_rows, params.height_bound):
-                    witness = _build_witness(system, action, cand, source, target, length, params)
-                    if witness is not None:
-                        return WitnessSearch(witness, tuple(exhausted))
-                exhausted.append((target, source, length))
-                decided_empty.add(key)
-    return WitnessSearch(None, tuple(exhausted))
-
-
-def fresh_basis(system, action, source, target, length):
-    """Hermite rows of a freshly built lattice, or None when it cannot be built."""
-    try:
-        lattice = coboundary_stage_lattice(action, system, source, target, length)
-    except StageRangeError:
-        return None
-    return [lattice.column(j) for j in range(lattice.cols)]
+        lattice = coboundary_stage_lattice(action, system, target)
+        yield target, [lattice.column(j) for j in range(lattice.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +182,52 @@ CASES = (
 )
 
 
-@pytest.fixture(params=CASES, ids=[name for name, _ in CASES])
+def seeded_compactified_shift(seed: int):
+    """Six declared stages, one or two generators of speeds in +-1..3."""
+    rng = random.Random(seed)
+    return compactified_shift(6, [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(1, 2))])
+
+
+def seeded_unipotent_shift(seed: int):
+    """Tail A = [[I, 0], [B, I]] on 2-3 sources and 1-2 sinks, declared on
+    one or three stages. Each generator of shift s in {1, 2} is
+    [[I, 0], [sB + Y, I]] (inverse [[I, 0], [sB - Y, I]]): A^s followed
+    by the automorphism [[I, 0], [Y, I]] of the limit, for a matrix Y of
+    entries -1, 0, 1 whose rows sum to 0, so the unit is fixed."""
+    rng = random.Random(seed)
+    sources, sinks, stages = rng.randint(2, 3), rng.randint(1, 2), rng.choice((1, 3))
+    size = sources + sinks
+
+    def lower(block):
+        return M([[int(i == j) for j in range(size)] for i in range(sources)]
+                 + [row + [int(i == j) for j in range(sinks)] for i, row in enumerate(block)])
+
+    b = [[rng.randint(1, 3) for _ in range(sources)] for _ in range(sinks)]
+    forward, inverse, rules = [], [], []
+    for _ in range(rng.randint(1, 2)):
+        shift = rng.choice((1, 2))
+        y = []
+        for _ in range(sinks):
+            row = [0] * sources
+            i, j = rng.sample(range(sources), 2)
+            row[i], row[j] = 1, -1
+            y.append(row)
+        fwd, inv = (lower([[shift * m + sign * t for m, t in zip(mr, yr)] for mr, yr in zip(b, y)]) for sign in (1, -1))
+        forward.append(tuple(StageMap(k, k + shift, fwd) for k in range(stages - 1)))
+        inverse.append(tuple(StageMap(k, k + shift, inv) for k in range(stages - 1)))
+        rules.append(StationaryRule(shift, fwd, inv))
+    tail = lower(b)
+    system = InductiveSystem((size,) * stages, (tail,) * (stages - 1), (1,) * size, tail)
+    return system, K0Action(len(rules), tuple(forward), tuple(inverse), tuple(rules))
+
+
+# seeded shifts for the comparisons with the word grid only
+SEEDED_CASES = [(f"seeded-shift-{i}", lambda i=i: seeded_compactified_shift(i)) for i in range(4)] + [
+    (f"seeded-unipotent-{i}", lambda i=i: seeded_unipotent_shift(i)) for i in range(4)
+]
+
+
+@pytest.fixture(params=CASES + SEEDED_CASES, ids=[name for name, _ in CASES + SEEDED_CASES])
 def case(request):
     system, action = request.param[1]()
     assert verify_action(action, system, 8).ok
@@ -237,27 +245,73 @@ def test_long_prefix_cases_repeat_past_the_system_prefix():
 
 
 def test_pipeline_bases_equal_fresh_lattices(case, box):
+    """H_t equals the per-vector H_t at every declared target of the box,
+    and contains every grid cell of that target up to the box's longest
+    word: adding a cell's basis to H_t's leaves its Hermite basis as it is."""
     system, action = case
-    repeat = repeat_stage(action, system)
-    yielded = [(t, s, n, basis) for t, s, n, basis in _stage_lattices(system, action, box)]
-    expected = []
-    for target in range(box.stage_max + 1):
+    params, longest = box
+    bases = {}
+    for target in range(params.stage_max + 1):
         if not system.has_stage(target):
             break
-        for source in range(target + 1):
-            for length in range(1, box.word_length + 1):
-                fresh = fresh_basis(system, action, source, target, length)
-                if repeat is not None and source > repeat:
-                    # skipped: the translate one stage earlier has the same lattice
-                    assert fresh == fresh_basis(system, action, source - 1, target - 1, length)
-                elif fresh is not None:
-                    expected.append((target, source, length, fresh))
-    assert yielded == expected
+        lattice = coboundary_stage_lattice(action, system, target)
+        assert lattice == per_vector_stage_lattice(action, system, target), target
+        bases[target] = [lattice.column(j) for j in range(lattice.cols)]
+    for target, source, length, cell in grid_cells(system, action, params.stage_max, longest):
+        h = bases[target]
+        assert row_basis(h + cell, system.rank_at(target)) == h, (target, source, length)
 
 
 def test_search_matches_rebuild_every_cell(case, box):
+    """A witness of the grid search, which rebuilds every cell, has a
+    counterpart from the one-lattice search at the same or an earlier
+    target. On these cases the two agree on whether there is one."""
     system, action = case
-    assert find_positive_coboundary(system, action, box) == rebuild_every_cell(system, action, box)
+    params, longest = box
+    new = find_positive_coboundary(system, action, params).witness
+    old, _ = grid_search(system, action, params, longest)
+    assert (new is None) == (old is None)
+    if old is not None:
+        assert new.positive_at_stage <= old.positive_at_stage
+
+
+def test_one_lattice_per_target_up_to_the_stationary_cap(case, box, monkeypatch):
+    """The search builds H_t once per target, from target 0 up, and
+    without a witness exactly up to the last declared target of the box,
+    or the repeat stage plus the largest shift if that comes first (stage
+    0 on every finite permutation system)."""
+    system, action = case
+    params, _ = box
+    built = []
+    real = certify.coboundary_stage_lattice
+    monkeypatch.setattr(
+        certify, "coboundary_stage_lattice", lambda a, s, t: built.append(t) or real(a, s, t)
+    )
+    found = find_positive_coboundary(system, action, params).witness
+    cap = params.stage_max
+    repeat = repeat_stage(action, system)
+    if repeat is not None and action.stationary is not None:
+        cap = min(cap, repeat + max(rule.shift for rule in action.stationary))
+    declared = [t for t in range(cap + 1) if system.has_stage(t)]
+    if found is None:
+        assert built == declared
+    else:
+        assert built == declared[: found.positive_at_stage + 1]
+
+
+def test_lattices_past_the_cap_do_not_change():
+    """What lets the search stop: on a stationary action H_t is the same
+    lattice at every target from the repeat stage plus the largest shift."""
+    stationary = 0
+    for _, make in CASES:
+        system, action = make()
+        repeat = repeat_stage(action, system)
+        if repeat is None or action.stationary is None:
+            continue
+        stationary += 1
+        cap = repeat + max(rule.shift for rule in action.stationary)
+        assert len({coboundary_stage_lattice(action, system, t) for t in range(cap, cap + 3)}) == 1
+    assert stationary >= 10
 
 
 def test_witness_cases_find_witnesses():

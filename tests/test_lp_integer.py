@@ -13,10 +13,10 @@ import pytest
 
 from fraction_simplex import fraction_lp_feasible
 from test_exactlinalg import random_program
-from test_lattice_pipeline import CASES
+from test_lattice_pipeline import CASES, stage_bases
 
 from k0mf import certify
-from k0mf.certify import SearchParams, _coefficient_program, _span_meets_cone, _stage_lattices
+from k0mf.certify import SearchParams, _coefficient_program, _span_meets_cone
 from k0mf.exactlinalg import Feasible, Infeasible, LinearProgram, lp_feasible
 
 
@@ -87,7 +87,7 @@ def test_cone_program_is_the_shared_helper(name, make, monkeypatch):
     system, action = make()
     seen = []
     monkeypatch.setattr(certify, "lp_feasible", lambda p: seen.append(p) or lp_feasible(p))
-    for *_, basis in _stage_lattices(system, action, SearchParams()):
+    for _, basis in stage_bases(system, action, SearchParams().stage_max):
         _span_meets_cone(basis)
         if not basis:
             assert not seen  # an empty basis spans only zero; no program is built

@@ -1,10 +1,13 @@
 """Pinned stdout bytes and exit codes of ``check-mf``, ``chain-recurrence``
 and ``validate``.
 
-The ``check-mf`` and ``chain-recurrence`` digests were recorded from the
-fraction-based simplex, before the exact LP moved to an integer tableau,
-on every bundled document at the default box and at ``--max-stage 6
---word-length 3``. The ``validate`` digests were recorded once the action
+The ``check-mf`` and ``chain-recurrence`` digests were recorded on every
+bundled document at the default box and at ``--max-stage 6
+--word-length 3`` when the witness search went from the (target, source,
+word length) grid to one lattice per target stage. That change dropped
+``parameters.word_length`` and ``witness.lattice`` and turned
+``exhausted_cells`` into ``exhausted_targets``; every other byte was the
+one recorded from the fraction-based simplex. The ``validate`` digests were recorded once the action
 verifier stopped at the repeat stage. Any change to a verdict, a witness,
 a certificate, a check item or the canonical JSON encoding shows here; a
 change that is meant must name itself and renew the digests.
@@ -24,35 +27,35 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 
 # (document, command, box) -> sha256 of stdout
 STDOUT_SHA256 = {
-    ("car_identity", "chain-recurrence", "deep"): "ddd92ad7af3910add89b3f7ed805621bceffbb517875d0c1780cfa15d76f4f74",
-    ("car_identity", "chain-recurrence", "default"): "d82903783fae028c24bc803805d22d610a72d0f6ac9ec1ab96f665dcc5f41158",
-    ("car_identity", "check-mf", "deep"): "bc493d760eb3d71ba665de5f3c415b49a4ddb93c2bd91b7c150a0230a3e29d58",
-    ("car_identity", "check-mf", "default"): "bdab8a2a0e3f0ecdef17f86996ecd3c9ce0d7e1c969d8dde06d877fb336776ea",
-    ("compactified_shift", "chain-recurrence", "deep"): "b70713659c84bd91437ec3c8fd212e2de882d031bd249cef00055ef0ae39ce9a",
-    ("compactified_shift", "chain-recurrence", "default"): "d2d8aeb8ffc7045b356286deb6152880319eabbcb2d7c483eb30eac07dd3d579",
-    ("compactified_shift", "check-mf", "deep"): "45035953c16ab587551346cfa8c9cc0feb57d0abebe47513cd8014e069f3e071",
-    ("compactified_shift", "check-mf", "default"): "00ea3e963d5a85c07a41cfc2330f6fd97121934bf152ab0159cc0b9c837b2ea2",
-    ("cycle3", "chain-recurrence", "deep"): "0f0a3fa8f7578e04b3caf1b3ff9caeb061eed22f866309b018b503695fd35af4",
-    ("cycle3", "chain-recurrence", "default"): "04a0ef302f168b256872fb01392098d34fe62bd38eb54b66428c4f8f0737e3b0",
-    ("cycle3", "check-mf", "deep"): "81517c951861064a2cfc046827aecb550f43c9a6292e2c0a4cb1c2ec83889d0a",
-    ("cycle3", "check-mf", "default"): "acb679411efa4505dc71421ac125907ac5e115cc50fb99fe986eeedb1982fbc5",
-    ("diamond", "chain-recurrence", "deep"): "ef040669b359d89b1d46303bcd42b2145bd9eabf3d3998c0ea62031b6fc46fd0",
-    ("diamond", "chain-recurrence", "default"): "f42c9777d1bfc676f0c2bffe91c74d74dce9447702bc281a7b2fd8b0fd8acba4",
-    ("diamond", "check-mf", "deep"): "297a3f9bd9a8bf4a46129f564be2667d63f0fb7b12b1f902ba4f1d338ad32969",
-    ("diamond", "check-mf", "default"): "cef7bb3829e4c7c270a287e5ae819a7e1eba873a652a2cb9057f0541363185cf",
-    ("fibonacci_identity", "chain-recurrence", "deep"): "2e891b7a14d69423d1dbe5343208a8ac4b91e79c9035a46fc29d6360818250c2",
-    ("fibonacci_identity", "chain-recurrence", "default"): "5aefbeaf474e187e9014c50e0c45f5d6c33eca0de2557f25b8453c17b5e0b889",
-    ("fibonacci_identity", "check-mf", "deep"): "893a0f20cf77d2b5ef76d81793bddf31536333ed39e05656142b98b7621010e5",
-    ("fibonacci_identity", "check-mf", "default"): "91b54a287c455a8ff37aa85e2b2c478a1e07579be86ed74cddf5f315ef2ca11b",
-    ("minimal", "chain-recurrence", "deep"): "d92d126302a342b5efcdaa79088c09c5e109da53a3781505ebd15a3954e0064d",
-    ("minimal", "chain-recurrence", "default"): "3e9484ee84179f5c8d07bb94f7a4ed87424cb5e0a9b01209916588d18627ac1e",
-    ("minimal", "check-mf", "deep"): "6a510f7b561ab53a86e7c8877fea73a528052506489bc70c1521de0a2564e654",
-    ("minimal", "check-mf", "default"): "799032e6e9498cd29899bc5126bc19c5bae3e4dbbaf0b04e3d5e6a8f0b59e07a",
+    ("car_identity", "chain-recurrence", "deep"): "f4b7d369b8161b58a1586a4548d3b12b2bdfe7b6561b8c6e2a7dc1a069d43186",
+    ("car_identity", "chain-recurrence", "default"): "a4c00b1f5c370698bc8810aca02ae02be3cd42c074a96a2aa65681804a9b6261",
+    ("car_identity", "check-mf", "deep"): "b0ae8ab0cb9d9d1e302eca16579f40f43734fe06f67cb3c4fe2dd09c7b03b343",
+    ("car_identity", "check-mf", "default"): "0ad12a4ec173d42b58dd0ef911f1e0999db14aaa11ef71cf1784478f64b23185",
+    ("compactified_shift", "chain-recurrence", "deep"): "48d507634e2ae6772f980fcd31e48613c287479abb3fc9fdb345aeb8bc34e8cd",
+    ("compactified_shift", "chain-recurrence", "default"): "e1b1ab7760ac2388af19114cb1ff804f50ab757255a56240a5df7303c8194649",
+    ("compactified_shift", "check-mf", "deep"): "7c37ec2424a7466534fbb15e1ec8b6319820d719a456027291e62425a8e64881",
+    ("compactified_shift", "check-mf", "default"): "a8a541239931aff08cb71aff84ffb5c458056bbf1892fc267e7b91ab3fcd439b",
+    ("cycle3", "chain-recurrence", "deep"): "d8c5101a725f2f81191f835d079332ba231186d1de5d6ac29516abb2522e06a6",
+    ("cycle3", "chain-recurrence", "default"): "a710cf165dd1c0bd334359f0b09a8b1366560421aa0b6ea4d53a93d1c5b1836c",
+    ("cycle3", "check-mf", "deep"): "ea5091aebd14c9203252106e144eede13574cca9773b32249183b0524eef00ba",
+    ("cycle3", "check-mf", "default"): "d117b0b737b50819b76809eece4bb7b444f8b5b38b303b46af68885ef53e83ec",
+    ("diamond", "chain-recurrence", "deep"): "c9b1e93f61f9ba79fd8899996fea51c0a8342d2e1c677a68701779ca1c774194",
+    ("diamond", "chain-recurrence", "default"): "b68aa696d73100301bf57164c6342f974770ce508b122cdd8a2d227c569f90f3",
+    ("diamond", "check-mf", "deep"): "6c08c6d6f4075acb534fa5cbe1fbe09a764537238d38e95f89995c24aef41883",
+    ("diamond", "check-mf", "default"): "9274c7e41998c855b93a58c8795ad563ed55f53183f9c8453982f4b1bebc5302",
+    ("fibonacci_identity", "chain-recurrence", "deep"): "8ba3af87ed54ce6462727d7613656083b5d7e4f53cdfba8e63a1e21756f53bc5",
+    ("fibonacci_identity", "chain-recurrence", "default"): "1a93ed54d53aa6c6c002deb5caa32f23858cb1da817594d6055cabff75e69dfa",
+    ("fibonacci_identity", "check-mf", "deep"): "ceaba04f83ea7b699d5bce69fec2310f3e483ba9fd6c40274a3db6602c8ca37d",
+    ("fibonacci_identity", "check-mf", "default"): "67460ec3c08d54240b67a2f1ca6166f1edc99473b8aa99db0caa04da9715ab5e",
+    ("minimal", "chain-recurrence", "deep"): "7d829e6206c0b795470bb3d722951fa49399c137336ebdf46068d6e9ec7027fc",
+    ("minimal", "chain-recurrence", "default"): "42afa621d58c0171c1c4d7d9f4427fee66336c497cc9760ce789e59d6eb336b1",
+    ("minimal", "check-mf", "deep"): "a2a5f56a28279abdf8186f5bddcd4bec51077ebd64fe377590a863362e054d13",
+    ("minimal", "check-mf", "default"): "81af4a95f1ad0b6bc8b3bb96c23fb443f8036400baa38f802377897025cc78db",
     # two generators: chain-recurrence refuses the document
     ("two_transpositions", "chain-recurrence", "deep"): EMPTY,
     ("two_transpositions", "chain-recurrence", "default"): EMPTY,
-    ("two_transpositions", "check-mf", "deep"): "e2dc0e31e38c800bac03d0becdf35f611853d79e82ce95a425ffcb7bb467b56b",
-    ("two_transpositions", "check-mf", "default"): "1c061557315f6a8a08cce1243bbaf189d1840881e516e2e11f8b843f7fa0611f",
+    ("two_transpositions", "check-mf", "deep"): "6a79fa7694f6f2727e35d002b4ccae589fc92e699db3eba4b60c3f08792ffc1b",
+    ("two_transpositions", "check-mf", "default"): "504b9220a6721561bb79b06068fd0be5667c5a269c795d84dec9c60c9f2ff1c6",
 }
 
 # document -> sha256 of ``validate`` stdout, the same at both boxes: both

@@ -302,7 +302,7 @@ def test_exclusion_searches_match_solving_every_stage():
     checked = 0
     for name in GOLDEN_NAMES:
         system, action = load_golden(name).resolve()
-        for params in BOXES:
+        for params, _ in BOXES:
             sets = _exclusion_requests(system, action, params)
             if sets is None:
                 continue

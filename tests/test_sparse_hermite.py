@@ -8,8 +8,8 @@ products, empty shapes, entries past 2**64) it must return the matrix the
 dense reduction returns, keep the sparse-row invariant, and compare and
 hash like the dense-built result; ``rank``, ``row_basis`` and
 ``integer_kernel`` must agree with their dense-form versions. The
-coboundary lattice and the integer kernel of a 20-point permutation
-system must derive no dense view on the way.
+coboundary lattice, the integer kernel and the invariant-state search of
+a 20-point permutation system must derive no dense view on the way.
 """
 
 import random
@@ -18,10 +18,13 @@ import pytest
 
 from dense_hermite import dense_hermite_normal_form, dense_integer_kernel, dense_rank, dense_row_basis
 from test_sparse_products import assert_sparse_rows
+from word_grid import reduced_words
 
 from k0mf.bratteli import FiniteSystem, finite_system_to_k0
+from k0mf.certify import find_invariant_state
+from k0mf.cli import default_requests
 from k0mf.exactlinalg import IntMatrix, hermite_normal_form, integer_kernel, rank, row_basis
-from k0mf.kaction import coboundary_block, coboundary_stage_lattice, reduced_words, word_map
+from k0mf.kaction import coboundary_block, coboundary_stage_lattice, word_map
 
 
 def _signed(rng: random.Random, m: int, n: int, low: int = -9, high: int = 9) -> list[list[int]]:
@@ -134,23 +137,35 @@ def test_rank_kernel_and_basis_match_dense_oracles(seed):
             basis([(1, 2), (rng.randint(1, 9),)], 2)
 
 
-def test_coboundary_lattice_and_kernel_derive_no_dense_view(monkeypatch):
-    """Three permutations of 20 points, words of length <= 2: the
-    lattice's generators are block rows, its Hermite basis and the kernel
-    of its transpose (the functionals that vanish on it) stay on sparse
-    rows, and no matrix is built from dense entries."""
+def _twenty_points():
+    """Three random permutations of 20 points."""
     rng = random.Random(20)
     perms = []
     for _ in range(3):
         p = list(range(1, 21))
         rng.shuffle(p)
         perms.append(tuple(p))
-    system, action = finite_system_to_k0(FiniteSystem(20, tuple(perms)))
+    return finite_system_to_k0(FiniteSystem(20, tuple(perms)))
+
+
+def _record_dense_views(monkeypatch) -> list:
+    """Record every dense view derived and every matrix built from dense entries."""
     dense = []
     derive, init = IntMatrix._dense_entries, IntMatrix.__init__
     monkeypatch.setattr(IntMatrix, "_dense_entries", lambda m: dense.append(("derived", m.rows, m.cols)) or derive(m))
     monkeypatch.setattr(IntMatrix, "__init__", lambda m, *args: dense.append(("built", *args[:2])) or init(m, *args))
-    lattice = coboundary_stage_lattice(action, system, 0, 0, 2)
+    return dense
+
+
+def test_coboundary_lattice_and_kernel_derive_no_dense_view(monkeypatch):
+    """Three permutations of 20 points: the lattice H_0's generators are
+    block rows, its Hermite basis and the kernel of its transpose (the
+    functionals that vanish on it) stay on sparse rows, and no matrix is
+    built from dense entries. Its one-letter generators span what the
+    words of length <= 2 span."""
+    system, action = _twenty_points()
+    dense = _record_dense_views(monkeypatch)
+    lattice = coboundary_stage_lattice(action, system, 0)
     kernel = integer_kernel(lattice.transpose())
     assert dense == []
     monkeypatch.undo()
@@ -163,3 +178,15 @@ def test_coboundary_lattice_and_kernel_derive_no_dense_view(monkeypatch):
     assert len(gens) == 36 * 20
     assert [lattice.column(j) for j in range(lattice.cols)] == dense_row_basis(gens, 20)
     assert kernel == dense_integer_kernel(lattice.transpose()) and kernel
+
+
+def test_state_search_derives_no_dense_view(monkeypatch):
+    """The default request on three permutations of 20 points: the
+    invariance differences stay one sparse matrix from the block products
+    to the kernel, through the certificate's re-check."""
+    system, action = _twenty_points()
+    (request,) = default_requests(system, action)
+    dense = _record_dense_views(monkeypatch)
+    cert = find_invariant_state(system, action, request.elements, request.words, 4)
+    assert dense == []
+    assert cert is not None and cert.stage == 0

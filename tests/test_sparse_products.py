@@ -21,10 +21,11 @@ import pytest
 
 from dense_products import dense_apply, dense_matmul, dense_sub, dense_transpose
 from test_lattice_pipeline import CASES, compactified_shift
+from word_grid import reduced_words
 
 from k0mf.dimgroup import StageRangeError
 from k0mf.exactlinalg import IntMatrix
-from k0mf.kaction import coboundary_block, reduced_words, verify_action, word_map
+from k0mf.kaction import coboundary_block, verify_action, word_map
 
 TOP = 8  # deepest stage the transfer tests ask for
 
