@@ -17,7 +17,6 @@ from k0mf import (
     LimitElement,
     SearchParams,
     Word,
-    check_k0_rfd_stationary,
     exclusion_holds,
     exclusion_sets,
     find_invariant_state,
@@ -52,14 +51,3 @@ cert = find_invariant_state(
     psystem, paction, [LimitElement(0, (1, 0, 0))], [Word.of(1)], stage_max=4
 )
 print("3-cycle certificate:", cert.functional, "unit value:", cert.unit_value)
-
-# --- stationary systems: global integer eigen-states -------------------------
-state = check_k0_rfd_stationary(psystem, paction, LimitElement(0, (1, 0, 0)))
-print("3-cycle global state:", state)
-
-# The Fibonacci system [[1,1],[1,0]] admits no integer eigen-row at all:
-# its unique trace has irrational weights.
-from k0mf import InductiveSystem, IntMatrix, identity_action
-
-fib = InductiveSystem((2,), (), (1, 1), IntMatrix.from_rows([[1, 1], [1, 0]]))
-print("fibonacci global state:", check_k0_rfd_stationary(fib, identity_action(fib), LimitElement(0, (1, 0))))

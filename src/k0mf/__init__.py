@@ -23,18 +23,15 @@ from .bratteli import (
     serialize,
 )
 from .certify import (
-    GlobalState,
     SearchParams,
     StateCertificate,
     Witness,
     WitnessSearch,
-    check_k0_rfd_stationary,
     exclusion_holds,
     exclusion_sets,
     find_invariant_state,
     find_positive_coboundary,
     positive_parts,
-    verify_global_state,
     verify_state_certificate,
     verify_witness,
 )

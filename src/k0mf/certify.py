@@ -57,7 +57,8 @@ stage or the longest declared action family, whichever is later; the
 action verifier stops at the same P). From target P + s on, for s the
 largest shift of a stationary rule, every letter's latest source is past
 P, so H_t is one lattice on identical stage data, and the search stops
-there.
+there. No element vanishes past ``dimgroup._settled_stage``, so the
+zero test of a witness and the state search stop there too.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .dimgroup import (
     InductiveSystem,
     LimitElement,
     StageRangeError,
+    _settled_stage,
     is_positive,
     is_zero,
     push,
@@ -142,15 +144,6 @@ class StateCertificate:
     words: tuple[Word, ...]
     unit_value: int
     element_values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GlobalState:
-    """A globally invariant nonnegative integer eigen-functional."""
-
-    functional: tuple[int, ...]
-    unit_value: int
-    element_value: int
 
 
 @dataclass(frozen=True)
@@ -246,10 +239,9 @@ def _canonical_coset_vector(
 def _canonical_functional(
     kernel_rows: list[tuple[int, ...]],
     positives: list[tuple[int, ...]],
-    require_nonnegative: bool,
 ) -> tuple[int, ...] | None:
     """Canonical integer functional in the kernel lattice with value >= 1
-    on every listed vector (and entrywise >= 0 when required).
+    on every listed vector.
 
     An exact rational feasibility check decides existence: the value
     constraints are homogeneous in the functional, so any rational
@@ -261,7 +253,7 @@ def _canonical_functional(
     """
     width = len(kernel_rows[0])
     positives = _distinct_positives(kernel_rows, positives)
-    res = lp_feasible(_coefficient_program(kernel_rows, positives, require_nonnegative))
+    res = lp_feasible(_coefficient_program(kernel_rows, positives, nonnegative=False))
     if isinstance(res, Infeasible):
         return None
     scale = lcm(*(t.denominator for t in res.point))
@@ -271,9 +263,7 @@ def _canonical_functional(
         for i in range(width):
             scaled[i] += c * row[i]
     radius = max(1, max(abs(x) for x in scaled))
-    found = enumerate_lattice_points(
-        kernel_rows, radius, nonnegative=require_nonnegative, rows=[(pos, 1) for pos in positives], key="sum"
-    )
+    found = enumerate_lattice_points(kernel_rows, radius, rows=[(pos, 1) for pos in positives], key="sum")
     best = min(found, key=lambda v: (-sum(v), v), default=None)
     if best is None:
         raise AssertionError("scaled rational solution escaped the enumeration radius")
@@ -350,6 +340,8 @@ def _build_witness(
 ) -> Witness | None:
     value = LimitElement(target, vec)
     horizon = max(params.stage_max, target)
+    if not system.is_stationary:
+        horizon = min(horizon, system.last_declared_stage)  # the last stage there is to walk
     zero = is_zero(system, value, horizon)
     if zero.is_yes:
         return None
@@ -484,7 +476,8 @@ def find_invariant_state(
     >= 1 and b.g = b'.Tg >= 1 for every g with Tg nonzero. When every
     element nonzero at a missed stage is still nonzero, b solves the
     missed stage's program, so that stage's kernel and program are not
-    built again until an element vanishes.
+    built again until an element vanishes, and none does past
+    ``dimgroup._settled_stage`` of the first stage.
 
     Each element goes once through the ``coboundary_block`` of its
     (stage, word) to the first stage that holds every word image, which
@@ -510,6 +503,7 @@ def find_invariant_state(
     except StageRangeError:
         return None
     first = max([g.stage for g in elements] + [sm.to_stage for sm in maps.values()])
+    settled = _settled_stage(system, first)
     element_vecs: list[tuple[int, ...]] = []
     diffs = IntMatrix.zeros(0, 0)
     missed_support: list[bool] | None = None  # nonzero elements at the last stage that missed
@@ -525,11 +519,13 @@ def find_invariant_state(
             diffs = diffs @ step.transpose()
         support = [any(gv) for gv in element_vecs]
         if support == missed_support:
+            if settled is not None and m >= settled:
+                return None  # and so would one at every later stage
             continue  # a solution here would pull back to the missed stage
         kernel_rows = integer_kernel(diffs)  # with no words: the identity rows
         unit = system.unit_at(m)
         positives = [tuple(unit)] + [gv for gv, nonzero in zip(element_vecs, support) if nonzero]
-        best = _canonical_functional(kernel_rows, positives, require_nonnegative=False) if kernel_rows else None
+        best = _canonical_functional(kernel_rows, positives) if kernel_rows else None
         if best is None:
             missed_support = support
             continue
@@ -544,85 +540,6 @@ def find_invariant_state(
         verify_state_certificate(system, action, cert)
         return cert
     return None
-
-
-def verify_global_state(
-    system: InductiveSystem, action: K0Action, g: LimitElement, state: GlobalState
-) -> None:
-    """Exact re-verification; raises AssertionError on any failure."""
-    tail = system.stationary_tail
-    assert tail is not None and action.stationary is not None
-    c = state.functional
-    if len(c) != system.stage_ranks[0]:
-        raise AssertionError("global state length does not match the stage rank")
-    if tail.transpose().apply(c) != tuple(c):
-        raise AssertionError("global state is not an eigen-row of the connecting matrix")
-    for rule in action.stationary:
-        for mat in (rule.forward, rule.inverse):
-            if mat.transpose().apply(c) != tuple(c):
-                raise AssertionError("global state is not invariant under the action")
-    if any(x < 0 for x in c):
-        raise AssertionError("global state has a negative coordinate")
-    if _dot(c, system.unit_at(0)) != state.unit_value or state.unit_value <= 0:
-        raise AssertionError("global state is not positive on the unit")
-    if _dot(c, g.vector) != state.element_value or state.element_value <= 0:
-        raise AssertionError("global state is not positive on the prescribed element")
-
-
-def check_k0_rfd_stationary(
-    system: InductiveSystem, action: K0Action, g: LimitElement
-) -> GlobalState | None:
-    """Search for a globally invariant nonnegative integer eigen-row.
-
-    The functional c must satisfy c.A = c against the stationary
-    connecting matrix, c.T = c against every generator matrix (both
-    directions), be entrywise nonnegative, and be strictly positive on
-    the unit and on g. Solved by the exact integer kernel of the
-    eigen-equations plus a rational feasibility check, then realized at
-    least height.
-
-    Raises ``WalkBudgetExceeded`` when the walk for that least-height
-    functional runs out of its node budget; a functional exists then,
-    since the walk runs only after the exact program found one, so the
-    search does not answer None.
-    """
-    if not system.is_stationary or len(system.stage_ranks) != 1:
-        raise ValueError(
-            "system must be presented stationarily (one stage plus a repeating tail); "
-            "use find_invariant_state for general systems"
-        )
-    if action.stationary is None or any(action.forward) or any(action.inverse):
-        raise ValueError(
-            "action must be stationary (tail rules only); use find_invariant_state otherwise"
-        )
-    for rule in action.stationary:
-        if rule.shift != 0:
-            raise ValueError("a stationary action must preserve stages (shift 0)")
-    p = system.stage_ranks[0]
-    if len(g.vector) != p:
-        raise ValueError("element vector length does not match the stage rank")
-    if any(x < 0 for x in g.vector) or not any(g.vector):
-        raise ValueError("the prescribed element must be nonzero and entrywise nonnegative")
-    tail = system.stationary_tail
-    assert tail is not None
-    mats = [tail, *(mat for rule in action.stationary for mat in (rule.forward, rule.inverse))]
-    # the rows of T^t - I for each matrix T in turn: c.T == c for a kernel vector c
-    eigen = IntMatrix.hstack([mat - IntMatrix.identity(p) for mat in mats])
-    kernel_rows = integer_kernel(eigen.transpose())
-    if not kernel_rows:
-        return None
-    unit = tuple(system.unit_at(0))
-    positives = [unit, tuple(g.vector)]
-    best = _canonical_functional(kernel_rows, positives, require_nonnegative=True)
-    if best is None:
-        return None
-    state = GlobalState(
-        functional=tuple(best),
-        unit_value=_dot(best, unit),
-        element_value=_dot(best, g.vector),
-    )
-    verify_global_state(system, action, g, state)
-    return state
 
 
 def positive_parts(e: LimitElement) -> tuple[LimitElement, LimitElement]:

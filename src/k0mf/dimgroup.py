@@ -227,6 +227,16 @@ def injective_from(system: InductiveSystem, stage: int) -> bool:
     return all(system.map_injective(k) for k in range(stage, len(system.connecting_maps)))
 
 
+def _settled_stage(system: InductiveSystem, stage: int) -> int | None:
+    """The stage from which an element of ``stage`` that is still nonzero
+    stays nonzero (None without a tail): past the last declared stage
+    every map is the p x p tail T, and ker T^k = ker T^p for k >= p
+    (Fitting's lemma)."""
+    if not system.is_stationary:
+        return None
+    return max(stage, system.last_declared_stage) + system.stage_ranks[-1]
+
+
 def _walk(system: InductiveSystem, e: LimitElement, horizon: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(stage, vector) of e at its own stage and then at each later one up
     to the horizon, pushed one connecting map at a time as it is read."""
@@ -274,9 +284,11 @@ def is_zero(system: InductiveSystem, e: LimitElement, horizon: int) -> Tristate:
 
     Yes(m): the pushforward vanishes at stage m (and hence forever).
     No(m): the vector is nonzero at stage m and every later map is
-    provably injective, so it can never vanish.
+    provably injective, so it can never vanish. The walk stops at
+    ``_settled_stage``: nothing vanishes past it.
     """
-    trail = list(_walk(system, e, horizon))
+    settled = _settled_stage(system, e.stage)
+    trail = list(_walk(system, e, horizon if settled is None else min(horizon, settled)))
     for m, v in trail:
         if not any(v):
             return Tristate.yes(m, horizon)

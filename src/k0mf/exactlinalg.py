@@ -509,19 +509,6 @@ def integer_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
     return [_dense_row(row, m + n)[m:] for row in h.nonzeros if row[0][0] >= m]
 
 
-def row_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:
-    """Canonical basis (Hermite rows) of the lattice spanned by ``vectors``."""
-    rows = []
-    for v in vectors:
-        if len(v) != width:
-            raise ValueError("vector width mismatch")
-        rows.append(tuple(compress(enumerate(v), v)))
-    if not rows:
-        return []
-    h = hermite_normal_form(IntMatrix._of_nonzeros(len(rows), width, tuple(rows)))
-    return [_dense_row(row, width) for row in h.nonzeros if row]
-
-
 # Lattice walks stop after visiting this many nodes (partial points,
 # one per coefficient tried), so no walk can run for hours; the
 # searches in ``certify`` turn the stop into their non-answer.

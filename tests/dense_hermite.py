@@ -10,12 +10,16 @@ row-sparse ``hermite_normal_form`` must return the same matrix.
 ``dense_rank``, ``dense_integer_kernel`` and ``dense_row_basis`` are
 ``rank``, ``integer_kernel`` and ``row_basis`` as they read that dense
 form: the same code over ``dense_hermite_normal_form``.
+
+``row_basis``, the canonical basis of the lattice that some vectors span,
+is read from the row-sparse ``hermite_normal_form``; the tests use it to
+build lattices and compare them.
 """
 
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
-from k0mf.exactlinalg import IntMatrix, xgcd
+from k0mf.exactlinalg import IntMatrix, _dense_row, hermite_normal_form, xgcd
 
 
 def dense_hermite_normal_form(a: IntMatrix) -> IntMatrix:
@@ -89,3 +93,16 @@ def dense_row_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[
         return []
     h = dense_hermite_normal_form(IntMatrix.from_rows(vecs))
     return [h.row(i) for i in range(h.rows) if any(h.row(i))]
+
+
+def row_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Canonical basis (Hermite rows) of the lattice spanned by ``vectors``."""
+    rows = []
+    for v in vectors:
+        if len(v) != width:
+            raise ValueError("vector width mismatch")
+        rows.append(tuple(compress(enumerate(v), v)))
+    if not rows:
+        return []
+    h = hermite_normal_form(IntMatrix._of_nonzeros(len(rows), width, tuple(rows)))
+    return [_dense_row(row, width) for row in h.nonzeros if row]

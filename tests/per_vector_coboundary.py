@@ -14,10 +14,11 @@ images, sums and differences.
 
 from typing import Sequence
 
+from dense_hermite import row_basis
 from word_grid import reduced_words
 
 from k0mf.dimgroup import InductiveSystem, LimitElement, StageRangeError, basis_element, push
-from k0mf.exactlinalg import IntMatrix, row_basis
+from k0mf.exactlinalg import IntMatrix
 from k0mf.kaction import K0Action, Word
 
 

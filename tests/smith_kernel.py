@@ -8,7 +8,9 @@ unimodular) and reduces them to their canonical Hermite basis with
 must return the same rows.
 """
 
-from k0mf.exactlinalg import IntMatrix, row_basis, smith_normal_form
+from dense_hermite import row_basis
+
+from k0mf.exactlinalg import IntMatrix, smith_normal_form
 
 
 def smith_kernel(a: IntMatrix) -> list[tuple[int, ...]]:

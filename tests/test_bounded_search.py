@@ -8,12 +8,12 @@ walk-then-filter searches it replaced (kept in ``canonical_search``).
 * ``_canonical_functional``, ``_canonical_coset_vector`` and
   ``_positive_candidates`` must select the points the oracles select, on
   seeded Hermite lattices, positives of mixed signs (some sharing a row
-  in coefficient space), both values of ``require_nonnegative``, nonzero
-  coset offsets, and over the full candidate order.
+  in coefficient space), nonzero coset offsets, and over the full
+  candidate order.
 * Past ``WALK_NODE_BUDGET`` nodes a state search gives no certificate
   (``UNKNOWN``, with the budget on stderr), a witness target is exhausted,
-  a candidate whose preimages cannot be made canonical is skipped and
-  the stationary state search raises rather than answer None.
+  a candidate whose preimages cannot be made canonical is skipped, and
+  ``find_invariant_state`` raises rather than answer None.
 * The identity permutation on 32 points, the 3**n cliff of the old
   walk, decides in well under a second.
 """
@@ -36,13 +36,14 @@ from k0mf.certify import (
     _canonical_functional,
     _distinct_positives,
     _positive_candidates,
-    check_k0_rfd_stationary,
     exclusion_holds,
+    find_invariant_state,
     find_positive_coboundary,
 )
 from k0mf.cli import main
 from k0mf.dimgroup import LimitElement
 from k0mf.exactlinalg import IntMatrix, WalkBudgetExceeded, enumerate_lattice_points, integer_kernel
+from k0mf.kaction import Word
 
 
 def _first_nonzero(v):
@@ -113,9 +114,8 @@ def _positives(rng, rows, width):
     return positives
 
 
-@pytest.mark.parametrize("require_nonnegative", [False, True])
-def test_canonical_functional_matches_the_oracle(require_nonnegative):
-    rng = random.Random(31 + require_nonnegative)
+def test_canonical_functional_matches_the_oracle():
+    rng = random.Random(31)
     outcomes = set()
     shared_rows = 0
     for rows, width in BASES:
@@ -123,8 +123,8 @@ def test_canonical_functional_matches_the_oracle(require_nonnegative):
             continue
         positives = _positives(rng, rows, width)
         shared_rows += len(_distinct_positives(rows, positives)) < len(positives)
-        want = canonical_search.canonical_functional(rows, positives, require_nonnegative)
-        assert _canonical_functional(rows, positives, require_nonnegative) == want
+        want = canonical_search.canonical_functional(rows, positives, False)
+        assert _canonical_functional(rows, positives) == want
         outcomes.add(want is None)
     assert outcomes == {False, True}
     assert shared_rows >= 10
@@ -141,7 +141,7 @@ def test_the_program_and_the_walk_read_one_row_per_orbit(monkeypatch):
     monkeypatch.setattr(
         certify, "enumerate_lattice_points", lambda *a, **k: walks.append(k["rows"]) or enumerate_lattice_points(*a, **k)
     )
-    assert _canonical_functional(kernel, positives, False) == (1, 1, 1, 1)
+    assert _canonical_functional(kernel, positives) == (1, 1, 1, 1)
     assert [a for a, _ in programs[0].inequalities] == [(2, 2), (1, 0), (0, 1)]
     assert walks == [[(positives[0], 1), (positives[1], 1), (positives[3], 1)]]
 
@@ -244,13 +244,13 @@ def test_exclusion_fails_when_its_state_walk_runs_out(shift_pair, monkeypatch):
     assert not exclusion_holds(system, action, witness, 2)
 
 
-def test_a_stationary_state_walk_past_the_budget_raises(cycle3_pair, monkeypatch):
+def test_a_state_walk_past_the_budget_raises(cycle3_pair, monkeypatch):
     system, action = cycle3_pair
-    g = LimitElement(0, (1, 0, 0))
-    assert check_k0_rfd_stationary(system, action, g).functional == (1, 1, 1)
+    elements, words = [LimitElement(0, (1, 0, 0))], [Word.of(1)]
+    assert find_invariant_state(system, action, elements, words, 4).functional == (1, 1, 1)
     monkeypatch.setattr(exactlinalg, "WALK_NODE_BUDGET", 1)
     with pytest.raises(WalkBudgetExceeded, match="budget of 1 nodes"):
-        check_k0_rfd_stationary(system, action, g)
+        find_invariant_state(system, action, elements, words, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,11 @@ from dataclasses import replace
 import pytest
 
 from conftest import load_golden
+from dense_hermite import row_basis
 
 from k0mf.bratteli import FiniteSystem, finite_system_to_k0
 from k0mf.certify import (
-    GlobalState,
     SearchParams,
-    check_k0_rfd_stationary,
     exclusion_holds,
     exclusion_sets,
     find_invariant_state,
@@ -21,7 +20,7 @@ from k0mf.certify import (
     _span_meets_cone,
 )
 from k0mf.dimgroup import InductiveSystem, LimitElement
-from k0mf.exactlinalg import IntMatrix, enumerate_lattice_points, row_basis
+from k0mf.exactlinalg import IntMatrix, enumerate_lattice_points
 from k0mf.kaction import K0Action, StageMap, Word, identity_action
 
 M = IntMatrix.from_rows
@@ -136,6 +135,31 @@ def test_invariant_state_identity_unit():
     verify_state_certificate(system, action, cert)
 
 
+def test_invariant_state_two_point_identity():
+    system = InductiveSystem((2,), (), (1, 1), IntMatrix.identity(2))
+    action = identity_action(system, 1)
+    cert = find_invariant_state(system, action, [LimitElement(0, (1, 0))], [Word.of(1)], 4)
+    assert cert is not None
+    assert (cert.stage, cert.functional, cert.unit_value, cert.element_values) == (0, (1, 1), 2, (1,))
+    verify_state_certificate(system, action, cert)
+
+
+def test_invariant_state_on_the_fibonacci_tail():
+    """The Fibonacci trace has irrational weights, so no integer functional
+    is invariant under every connecting map; the search certifies at a
+    finite stage instead, for elements declared at any stage."""
+    system = InductiveSystem((2,), (), (1, 1), M([[1, 1], [1, 0]]))
+    action = identity_action(system, 1)
+    for stage in range(3):
+        for vector in ((1, 0), (0, 1), (1, 1)):
+            g = LimitElement(stage, vector)
+            cert = find_invariant_state(system, action, [g], [Word.of(1)], stage + 2)
+            assert cert is not None
+            assert cert.stage == stage
+            assert cert.element_values[0] > 0
+            verify_state_certificate(system, action, cert)
+
+
 def test_invariant_state_cycle_forces_constant(cycle3_pair):
     system, action = cycle3_pair
     cert = find_invariant_state(
@@ -186,33 +210,6 @@ def test_state_certificate_verification_rejects_tampering(cycle3_pair):
         verify_state_certificate(system, action, replace(cert, functional=(1, 2, 1)))
     with pytest.raises(AssertionError):
         verify_state_certificate(system, action, replace(cert, unit_value=7))
-
-
-def test_rfd_identity_trivial():
-    system = InductiveSystem((2,), (), (1, 1), IntMatrix.identity(2))
-    action = identity_action(system, 1)
-    state = check_k0_rfd_stationary(system, action, LimitElement(0, (1, 0)))
-    assert state == GlobalState(functional=(1, 1), unit_value=2, element_value=1)
-
-
-def test_rfd_cycle_symmetry(cycle3_pair):
-    system, action = cycle3_pair
-    state = check_k0_rfd_stationary(system, action, LimitElement(0, (1, 0, 0)))
-    assert state is not None
-    assert state.functional == (1, 1, 1)
-
-
-def test_rfd_fibonacci_has_no_integer_eigenrow():
-    system = InductiveSystem((2,), (), (1, 1), M([[1, 1], [1, 0]]))
-    action = identity_action(system, 1)
-    assert check_k0_rfd_stationary(system, action, LimitElement(0, (1, 0))) is None
-
-
-def test_rfd_rejects_non_stationary(shift_pair):
-    system, action = shift_pair
-    with pytest.raises(ValueError) as err:
-        check_k0_rfd_stationary(system, action, LimitElement(0, (1,)))
-    assert "find_invariant_state" in str(err.value)
 
 
 # The one-generator compression check is the witness search itself;

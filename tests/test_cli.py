@@ -627,6 +627,28 @@ def test_a_long_word_length_decides_like_length_one(tmp_path, capsys):
     assert elapsed < 2, elapsed
 
 
+def test_a_huge_stage_bound_costs_nothing_on_a_stationary_document(tmp_path, capsys):
+    """A unitriangular tail with one generator of shift 2 has a positive
+    coboundary. Past the repeat stage plus the tail rank nothing new can
+    vanish (Fitting's lemma), so the zero test and the exclusion's state
+    search stop there; a stage bound of 10**9 ran for hours when both
+    walked every stage up to it."""
+    system = '{"stage_ranks": [3], "connecting_maps": [], "unit": [1, 1, 1], "stationary": [[1, 0, 0], [0, 1, 0], [1, 1, 1]]}'
+    rule = '{"shift": 2, "forward": [[1, 0, 0], [0, 1, 0], [1, 3, 1]], "inverse": [[1, 0, 0], [0, 1, 0], [3, 1, 1]]}'
+    action = '{"generators": 1, "forward": [[]], "inverse": [[]], "stationary": [%s]}' % rule
+    doc = _write(tmp_path, "unipotent.json", '{"schema_version": 1, "system": %s, "action": %s}' % (system, action))
+    small = run_cli(capsys, "check-mf", doc, "--max-stage", "100", "--height", "4")
+    start = time.process_time()
+    huge = run_cli(capsys, "check-mf", doc, "--max-stage", "1000000000", "--height", "4")
+    elapsed = time.process_time() - start
+    assert small[0] == huge[0] == 0
+    want = json.loads(small[1])
+    assert want["verdict"] == "VIOLATION"
+    want["parameters"]["max_stage"] = 1000000000
+    assert json.loads(huge[1]) == want
+    assert elapsed < 2, elapsed
+
+
 def test_a_stationary_shift_at_the_bound_is_valid(tmp_path, capsys):
     doc = _shift_document(tmp_path, str(MAX_STATIONARY_SHIFT))
     code, out, _ = run_cli(capsys, "validate", doc)

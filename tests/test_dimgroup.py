@@ -201,6 +201,21 @@ def test_stationary_injective_is_zero_decisive():
         assert res.verdict in ("yes", "no")
 
 
+def test_is_zero_on_a_singular_tail_stops_where_nothing_more_vanishes():
+    """The tail sends (v0, v1, v2) to (v2, v0, v2), so (1, 0, 0) vanishes
+    two steps past the last declared stage. The walk stops at that stage
+    plus the tail rank: a horizon of 10**9 answers at once, and what
+    pushing to stage 12 shows."""
+    sys_ = InductiveSystem((3, 3), (IntMatrix.identity(3),), (1, 1, 1), M([[0, 0, 1], [1, 0, 0], [0, 0, 1]]))
+    assert is_zero(sys_, LimitElement(0, (1, 0, 0)), 10**9) == Tristate.yes(3, 10**9)
+    for k in range(3):
+        for vec in [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]:
+            e = LimitElement(k, vec)
+            res = is_zero(sys_, e, 10**9)
+            assert res.is_yes != any(push(sys_, e, 12).vector)
+            assert res.is_yes or res == Tristate.unknown(10**9)
+
+
 def test_injectivity_report():
     assert injectivity_report(doubling_system(), 3).tail_injective is True
     sys_ = InductiveSystem((2, 1), (M([[1, 1]]),), (1, 1))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense_hermite import row_basis
 from determinant import determinant, is_unimodular
 
 from k0mf.exactlinalg import (
@@ -14,7 +15,6 @@ from k0mf.exactlinalg import (
     integer_kernel,
     lp_feasible,
     rank,
-    row_basis,
     smith_normal_form,
     solve_in_lattice,
     verify_farkas,

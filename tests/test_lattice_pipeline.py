@@ -15,6 +15,7 @@ import random
 import pytest
 
 from conftest import GOLDEN_NAMES, load_golden
+from dense_hermite import row_basis
 from per_vector_coboundary import stage_lattice as per_vector_stage_lattice
 from word_grid import grid_cells, grid_search
 
@@ -22,7 +23,7 @@ from k0mf import certify
 from k0mf.bratteli import FiniteSystem, finite_system_to_k0
 from k0mf.certify import SearchParams, _last_target, find_positive_coboundary
 from k0mf.dimgroup import InductiveSystem
-from k0mf.exactlinalg import IntMatrix, row_basis
+from k0mf.exactlinalg import IntMatrix
 from k0mf.kaction import (
     K0Action,
     StageMap,

@@ -7,7 +7,11 @@ bundled document at the default box and at ``--max-stage 6
 word length) grid to one lattice per target stage. That change dropped
 ``parameters.word_length`` and ``witness.lattice`` and turned
 ``exhausted_cells`` into ``exhausted_targets``; every other byte was the
-one recorded from the fraction-based simplex. The ``validate`` digests were recorded once the action
+one recorded from the fraction-based simplex. The four
+``compactified_shift`` digests were renewed when a ``"horizon"``
+witness on a system without a tail began to report the last declared
+stage as ``nonzero.stage`` (3), not the search's stage bound (4 or 6).
+The ``validate`` digests were recorded once the action
 verifier stopped at the repeat stage. Any change to a verdict, a witness,
 a certificate, a check item or the canonical JSON encoding shows here; a
 change that is meant must name itself and renew the digests.
@@ -31,10 +35,10 @@ STDOUT_SHA256 = {
     ("car_identity", "chain-recurrence", "default"): "a4c00b1f5c370698bc8810aca02ae02be3cd42c074a96a2aa65681804a9b6261",
     ("car_identity", "check-mf", "deep"): "b0ae8ab0cb9d9d1e302eca16579f40f43734fe06f67cb3c4fe2dd09c7b03b343",
     ("car_identity", "check-mf", "default"): "0ad12a4ec173d42b58dd0ef911f1e0999db14aaa11ef71cf1784478f64b23185",
-    ("compactified_shift", "chain-recurrence", "deep"): "48d507634e2ae6772f980fcd31e48613c287479abb3fc9fdb345aeb8bc34e8cd",
-    ("compactified_shift", "chain-recurrence", "default"): "e1b1ab7760ac2388af19114cb1ff804f50ab757255a56240a5df7303c8194649",
-    ("compactified_shift", "check-mf", "deep"): "7c37ec2424a7466534fbb15e1ec8b6319820d719a456027291e62425a8e64881",
-    ("compactified_shift", "check-mf", "default"): "a8a541239931aff08cb71aff84ffb5c458056bbf1892fc267e7b91ab3fcd439b",
+    ("compactified_shift", "chain-recurrence", "deep"): "b2ae2de7140c14d3afb8c224ffcfaa91fe6eee97009f9274bb073e489f93c2df",
+    ("compactified_shift", "chain-recurrence", "default"): "26b6429ed714d3758eb96c05c079800009bc11fcfa66cf147c94fee98e726586",
+    ("compactified_shift", "check-mf", "deep"): "bb0df218a9224900a993b16f309278a6740f2e5df6d2522e977c5fc36b0d028a",
+    ("compactified_shift", "check-mf", "default"): "4b71823a24740c813745cb9b0c6313eb23ac8b49c060ac3772fa8583994797a0",
     ("cycle3", "chain-recurrence", "deep"): "d8c5101a725f2f81191f835d079332ba231186d1de5d6ac29516abb2522e06a6",
     ("cycle3", "chain-recurrence", "default"): "a710cf165dd1c0bd334359f0b09a8b1366560421aa0b6ea4d53a93d1c5b1836c",
     ("cycle3", "check-mf", "deep"): "ea5091aebd14c9203252106e144eede13574cca9773b32249183b0524eef00ba",

@@ -26,6 +26,7 @@ import pytest
 
 from ball_walk import ball_walk
 from conftest import GOLDEN_NAMES, load_golden
+from dense_hermite import row_basis
 from fraction_simplex import fraction_point_satisfies, fraction_verify_farkas
 from test_exactlinalg import random_program
 from test_lattice_pipeline import BOXES, CASES, compactified_shift
@@ -51,10 +52,9 @@ from k0mf.exactlinalg import (
     integer_kernel,
     lp_feasible,
     rank,
-    row_basis,
     verify_farkas,
 )
-from k0mf.kaction import K0Action, StageMap, Word, apply_word, identity_action
+from k0mf.kaction import K0Action, StageMap, StationaryRule, Word, apply_word, identity_action
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def push_every_stage(system, action, elements, words, stage_max):
             gv = push(system, g, m).vector
             if any(gv):
                 positives.append(gv)
-        best = _canonical_functional(kernel_rows, positives, require_nonnegative=False)
+        best = _canonical_functional(kernel_rows, positives)
         if best is None:
             continue
         return StateCertificate(
@@ -391,6 +391,27 @@ def test_state_search_past_the_declared_stages_is_a_miss():
     system = InductiveSystem((1, 1), (IntMatrix.from_rows([[1]]),), (1,))
     action = identity_action(system)
     assert find_invariant_state(system, action, [LimitElement(2, (1,))], [], 4) is None
+
+
+def test_state_search_on_a_singular_tail_stops_where_nothing_more_vanishes():
+    """The tail sends (v0, v1, v2) to (v2, v0, v2): (0, 1, 0) vanishes one
+    step on and (1, 0, 0) two. No support changes past the first stage
+    plus the tail rank (at most 6 here), so a stage bound of 10**9
+    answers what solving every stage up to 12 answers."""
+    system = InductiveSystem((3,), (), (1, 1, 1), IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 0, 1]]))
+    rng = random.Random(3)
+    outcomes = Counter()
+    for _ in range(60):
+        a = IntMatrix.from_rows([[rng.randint(0, 2) for _ in range(3)] for _ in range(3)])
+        shift = rng.randint(0, 1)
+        action = K0Action(1, ((),), ((),), (StationaryRule(shift, a, a),))
+        elements = [LimitElement(rng.randint(0, 1), tuple(rng.randint(0, 1) for _ in range(3))) for _ in range(2)]
+        words = [Word.of(rng.choice((1, -1)))]
+        want = push_every_stage(system, action, elements, words, 12)
+        assert find_invariant_state(system, action, elements, words, 10**9) == want
+        first = max(g.stage for g in elements) + shift
+        outcomes["miss" if want is None else "first" if want.stage == first else "later"] += 1
+    assert set(outcomes) == {"miss", "first", "later"}, outcomes
 
 
 # ---------------------------------------------------------------------------

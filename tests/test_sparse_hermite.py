@@ -16,14 +16,14 @@ import random
 
 import pytest
 
-from dense_hermite import dense_hermite_normal_form, dense_integer_kernel, dense_rank, dense_row_basis
+from dense_hermite import dense_hermite_normal_form, dense_integer_kernel, dense_rank, dense_row_basis, row_basis
 from test_sparse_products import assert_sparse_rows
 from word_grid import reduced_words
 
 from k0mf.bratteli import FiniteSystem, finite_system_to_k0
 from k0mf.certify import find_invariant_state
 from k0mf.cli import default_requests
-from k0mf.exactlinalg import IntMatrix, hermite_normal_form, integer_kernel, rank, row_basis
+from k0mf.exactlinalg import IntMatrix, hermite_normal_form, integer_kernel, rank
 from k0mf.kaction import coboundary_block, coboundary_stage_lattice, word_map
 
 
