@@ -31,11 +31,10 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Any, Callable
 
 from .dimgroup import InductiveSystem, LimitElement
-from .exactlinalg import _CHUNK_DIGITS, IntMatrix, _decimal_str, _message_int
+from .exactlinalg import _CHUNK_DIGITS, IntMatrix, _decimal_str, _first_negative, _message_int, _zero_column
 from .kaction import K0Action, StageMap, StationaryRule, Word
 
 SCHEMA_VERSION = 1
@@ -114,8 +113,7 @@ class BratteliDiagram:
                 raise ValueError(f"edge matrix {k} has shape {m.rows}x{m.cols}, expected {shape[0]}x{shape[1]}")
             if not m.is_nonnegative():
                 raise ValueError(f"edge matrix {k} has a negative multiplicity")
-            hit = {j for row in m.nonzeros for j, _ in row}
-            col = next((j for j in range(m.cols) if j not in hit), None)
+            col = _zero_column(m)
             if col is not None:
                 raise ValueError(f"edge matrix {k} has a zero column ({col}); every vertex must emit edges")
 
@@ -191,13 +189,12 @@ def permutation_matrix(perm: tuple[int, ...]) -> IntMatrix:
 
     This is the stage realization of the dual action f |-> f o s^{-1}
     on integer-valued functions: the indicator of a point moves with
-    the point.
+    the point. ``perm`` must be a bijection of 1..len(perm).
     """
-    n = len(perm)
-    rows = [[0] * n for _ in range(n)]
-    for z in range(n):
-        rows[perm[z] - 1][z] = 1
-    return IntMatrix.from_rows(rows)
+    rows: list[tuple[tuple[int, int], ...]] = [()] * len(perm)
+    for z, image in enumerate(perm):
+        rows[image - 1] = ((z, 1),)
+    return IntMatrix._of_nonzeros(len(perm), len(perm), tuple(rows))
 
 
 def finite_system_to_k0(fs: FiniteSystem) -> tuple[InductiveSystem, K0Action]:
@@ -266,7 +263,9 @@ def _int_matrix(value: Any, path: str) -> IntMatrix:
     one, which finds the first bad field and its path."""
     rows = _expect_list(value, path)
     if rows and set(map(type, rows)) == {list} and len(widths := set(map(len, rows))) == 1:
-        flat = tuple(chain.from_iterable(rows))
+        flat: list = []
+        for row in rows:
+            flat += row  # faster than a tuple of the chained rows
         if set(map(type, flat)) <= {int}:
             return IntMatrix(len(rows), widths.pop(), flat)
     rows = [_int_vector(row, f"{path}[{i}]") for i, row in enumerate(rows)]
@@ -346,13 +345,8 @@ def _parse_diagram(obj: Any, path: str) -> BratteliDiagram:
     for k, m in enumerate(_expect_list(obj["edge_matrices"], f"{path}.edge_matrices")):
         mat = _int_matrix(m, f"{path}.edge_matrices[{k}]")
         if not mat.is_nonnegative():
-            bad = next(
-                (r, c) for r in range(mat.rows) for c in range(mat.cols) if mat.at(r, c) < 0
-            )
-            raise DocumentError(
-                f"{path}.edge_matrices[{k}][{bad[0]}][{bad[1]}]",
-                f"negative edge multiplicity {_message_int(mat.at(*bad))}",
-            )
+            r, c, x = _first_negative(mat)
+            raise DocumentError(f"{path}.edge_matrices[{k}][{r}][{c}]", f"negative edge multiplicity {_message_int(x)}")
         mats.append(mat)
     stationary = obj.get("stationary", False)
     if not isinstance(stationary, bool):

@@ -85,6 +85,7 @@ from .exactlinalg import (
     LinearProgram,
     WalkBudgetExceeded,
     _dense_row,
+    _zero_column,
     enumerate_lattice_points,
     integer_kernel,
     lp_feasible,
@@ -452,6 +453,16 @@ def verify_state_certificate(
             raise AssertionError("certificate functional is not faithful on a nonzero element")
 
 
+def _keeps_support(system: InductiveSystem, m: int, stage_max: int) -> bool:
+    """Whether every connecting map out of stages m..stage_max - 1 has no
+    zero column: the declared ones, then the tail once. Such a map sends
+    an entrywise-nonnegative nonzero vector to a nonzero one."""
+    maps = list(system.connecting_maps[m:stage_max])
+    if system.stationary_tail is not None and stage_max > len(system.connecting_maps):
+        maps.append(system.stationary_tail)
+    return all(_zero_column(a) is None for a in maps)
+
+
 def find_invariant_state(
     system: InductiveSystem,
     action: K0Action,
@@ -477,7 +488,11 @@ def find_invariant_state(
     element nonzero at a missed stage is still nonzero, b solves the
     missed stage's program, so that stage's kernel and program are not
     built again until an element vanishes, and none does past
-    ``dimgroup._settled_stage`` of the first stage.
+    ``dimgroup._settled_stage`` of the first stage. Nor does one when
+    every element is entrywise nonnegative at the missed stage and no
+    connecting map from there to ``stage_max`` has a zero column (such
+    a map sends a nonnegative nonzero vector to a nonzero one), so the
+    search stops at that miss.
 
     Each element goes once through the ``coboundary_block`` of its
     (stage, word) to the first stage that holds every word image, which
@@ -527,6 +542,8 @@ def find_invariant_state(
         positives = [tuple(unit)] + [gv for gv, nonzero in zip(element_vecs, support) if nonzero]
         best = _canonical_functional(kernel_rows, positives) if kernel_rows else None
         if best is None:
+            if all(min(gv, default=0) >= 0 for gv in element_vecs) and _keeps_support(system, m, stage_max):
+                return None  # every later stage has this support
             missed_support = support
             continue
         cert = StateCertificate(
@@ -575,7 +592,9 @@ def exclusion_holds(
     first stage that holds the sets misses. Later stages are solved
     again only where an element of the sets has vanished (see
     ``find_invariant_state``); on an injective system none vanishes, and
-    one infeasible program decides every stage."""
+    one infeasible program decides every stage. Where the sets are
+    nonnegative at that stage and no later connecting map has a zero
+    column, the search stops there without stepping to a later stage."""
     elements, words = exclusion_sets(witness, action.generators)
     try:
         return find_invariant_state(system, action, elements, words, stage_max) is None

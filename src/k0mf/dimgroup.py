@@ -254,28 +254,27 @@ def is_positive(system: InductiveSystem, e: LimitElement, horizon: int) -> Trist
     """Is e in the positive cone of the limit?
 
     Yes(m): the pushforward at stage m is entrywise nonnegative (this
-    persists, since connecting maps are nonnegative). No is claimed only
-    when provable for every later stage: either the vector is entrywise
-    <= 0 and nonzero with injectivity certified onward, or a stationary
-    tail fixes the vector and a negative coordinate is frozen in.
+    persists, since connecting maps are nonnegative). No(m) is claimed
+    only when provable for every later stage: either the vector is
+    entrywise <= 0 and nonzero with injectivity certified onward, or a
+    stationary tail fixes the vector and a negative coordinate is frozen
+    in.
 
-    The element is pushed only up to its first nonnegative stage; the
-    "no" and "unknown" answers read every stage up to the horizon.
+    The element is pushed one stage at a time and the walk stops at the
+    first stage that answers. Both "no" conditions persist once met, and
+    a frozen vector meets the first one at a later stage only if it does
+    where it freezes, so that is the stage a walk to the horizon would
+    report.
     """
-    trail = []
+    tail = system.stationary_tail
     for m, v in _walk(system, e, horizon):
         if all(x >= 0 for x in v):
             return Tristate.yes(m, horizon)
-        trail.append((m, v))
-    for m, v in trail:
-        if all(x <= 0 for x in v) and any(v) and injective_from(system, m):
+        # from here on v has a negative entry
+        if all(x <= 0 for x in v) and injective_from(system, m):
             return Tristate.no(m, horizon)
-    if system.is_stationary:
-        tail = system.stationary_tail
-        assert tail is not None
-        for m, v in trail:
-            if m >= system.last_declared_stage and tail.apply(v) == v and any(x < 0 for x in v):
-                return Tristate.no(m, horizon)
+        if tail is not None and m >= system.last_declared_stage and tail.apply(v) == v:
+            return Tristate.no(m, horizon)
     return Tristate.unknown(horizon)
 
 

@@ -1,12 +1,12 @@
 """Exact integer and rational linear algebra substrate.
 
-Integer matrices whose working form is sparse rows (each row's
-nonzero entries as (column, value) pairs): products (Gustavson's
-row-by-row sparse product), differences, transposes, matrix-vector
-products, equality and hashing run over the nonzeros, so the 0/1
-inclusion and permutation maps of Bratteli diagrams cost in proportion
-to their nonzeros, and the dense row-major entries are derived only
-where the Smith form and ``at``/``row``/``column`` read them. The
+Integer matrices held as sparse rows only (each row's nonzero entries
+as (column, value) pairs; dense input is converted once): products
+(Gustavson's row-by-row sparse product), differences, transposes,
+matrix-vector products, equality and hashing run over the nonzeros, so
+the 0/1 inclusion and permutation maps of Bratteli diagrams cost in
+proportion to their nonzeros, and dense values are derived on each
+read, which only the Smith form makes on a verdict path. The
 Hermite normal form (alone, as callers only read its rows) reduces
 sparse rows by leading column; row bases, ranks and integer kernels in
 their canonical Hermite basis (one reduction of [a^t | I], stacked from
@@ -87,29 +87,30 @@ def _message_int(n: int) -> str:
 
 _Row = tuple[tuple[int, int], ...]
 _setattr = object.__setattr__
+# Flat positions, built once: scanning a matrix's entries against them
+# makes no int per entry, as a range past the small-int cache would.
+_POSITIONS = tuple(range(4096))
 
 
 class IntMatrix:
-    """Integer matrix, immutable. Its working form is sparse rows: per
-    row, the nonzero entries as (column, value) pairs, columns
-    increasing and no zero value (``nonzeros``). Products, differences,
-    transposes, stacks, matrix-vector products, the Hermite form,
-    equality and hashing read that form, and products, differences,
-    transposes, stacks and the Hermite form write it, so each costs in
-    proportion to the nonzeros.
+    """Integer matrix, immutable, held as sparse rows only: per row, the
+    nonzero entries as (column, value) pairs, columns increasing and no
+    zero value (``nonzeros``). Products, differences, transposes, stacks,
+    matrix-vector products, the Hermite form, equality and hashing read
+    and write that form, so each costs in proportion to the nonzeros.
 
-    ``entries``, the dense row-major tuple, is derived from the sparse
-    rows on first read and cached; only the Smith form and
-    ``at``/``row``/``column`` read it. A matrix built from dense entries
-    (``IntMatrix(rows, cols, entries)`` or ``from_rows``) keeps them and
-    derives its sparse rows on first use. Equality and hashing do not
-    depend on which views have been built.
+    ``IntMatrix(rows, cols, entries)`` and ``from_rows`` take dense
+    row-major entries and convert them once; no dense copy is kept.
+    ``entries``, ``at``, ``row``, ``column`` and ``to_rows`` derive dense
+    values from the sparse rows on each call; the Smith form is their
+    one working caller.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_nonzeros")
+    __slots__ = ("rows", "cols", "nonzeros")
 
     rows: int
     cols: int
+    nonzeros: tuple[_Row, ...]
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int]) -> None:
         if rows < 0 or cols < 0:
@@ -117,10 +118,13 @@ class IntMatrix:
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entries length must equal rows*cols")
+        out: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+        positions = _POSITIONS if len(entries) <= len(_POSITIONS) else range(len(entries))
+        for k in compress(positions, entries):
+            out[k // cols].append((k % cols, entries[k]))
         _setattr(self, "rows", rows)
         _setattr(self, "cols", cols)
-        _setattr(self, "_entries", entries)
-        _setattr(self, "_nonzeros", None)
+        _setattr(self, "nonzeros", tuple(map(tuple, out)))
 
     @classmethod
     def _of_nonzeros(cls, rows: int, cols: int, nonzeros: tuple[_Row, ...]) -> "IntMatrix":
@@ -128,8 +132,7 @@ class IntMatrix:
         m = object.__new__(cls)
         _setattr(m, "rows", rows)
         _setattr(m, "cols", cols)
-        _setattr(m, "_entries", None)
-        _setattr(m, "_nonzeros", nonzeros)
+        _setattr(m, "nonzeros", nonzeros)
         return m
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -167,38 +170,9 @@ class IntMatrix:
         return cls._of_nonzeros(m, offset, tuple(map(tuple, rows)))
 
     @property
-    def nonzeros(self) -> tuple[_Row, ...]:
-        """Per row, the (column, value) pairs of its nonzero entries in
-        column order; from dense entries by one C-level scan."""
-        nz = self._nonzeros
-        if nz is None:
-            e, n = self._entries, self.cols
-            rows: list[list[tuple[int, int]]] = [[] for _ in range(self.rows)]
-            for k in compress(range(len(e)), e):
-                i, j = divmod(k, n)
-                rows[i].append((j, e[k]))
-            nz = tuple(map(tuple, rows))
-            _setattr(self, "_nonzeros", nz)
-        return nz
-
-    @property
     def entries(self) -> tuple[int, ...]:
-        """The dense row-major entries, derived from the sparse rows on
-        first read."""
-        e = self._entries
-        if e is None:
-            e = self._dense_entries()
-            _setattr(self, "_entries", e)
-        return e
-
-    def _dense_entries(self) -> tuple[int, ...]:
-        n = self.cols
-        out = [0] * (self.rows * n)
-        for i, row in enumerate(self._nonzeros):
-            base = i * n
-            for j, x in row:
-                out[base + j] = x
-        return tuple(out)
+        """The dense row-major entries."""
+        return tuple(chain.from_iterable(_dense_row(row, self.cols) for row in self.nonzeros))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -212,16 +186,16 @@ class IntMatrix:
         return f"IntMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries})"
 
     def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return dict(self.nonzeros[i]).get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return _dense_row(self.nonzeros[i], self.cols)
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(dict(row).get(j, 0) for row in self.nonzeros)
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(_dense_row(row, self.cols)) for row in self.nonzeros]
 
     def transpose(self) -> "IntMatrix":
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
@@ -289,6 +263,17 @@ class IntMatrix:
 
     def is_nonnegative(self) -> bool:
         return all(x > 0 for row in self.nonzeros for _, x in row)
+
+
+def _first_negative(a: IntMatrix) -> tuple[int, int, int]:
+    """(row, column, value) of the first negative entry in row-major order."""
+    return next((i, j, x) for i, row in enumerate(a.nonzeros) for j, x in row if x < 0)
+
+
+def _zero_column(a: IntMatrix) -> int | None:
+    """The first column of ``a`` with no nonzero entry, or None."""
+    hit = {j for row in a.nonzeros for j, _ in row}
+    return next((j for j in range(a.cols) if j not in hit), None)
 
 
 def _subtract(row: dict[int, int], q: int, piv: dict[int, int]) -> None:

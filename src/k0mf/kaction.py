@@ -31,7 +31,7 @@ from operator import add
 from typing import Sequence
 
 from .dimgroup import InductiveSystem, LimitElement, StageRangeError
-from .exactlinalg import IntMatrix, _message_int, hermite_normal_form
+from .exactlinalg import IntMatrix, _first_negative, _message_int, hermite_normal_form
 
 
 @dataclass(frozen=True)
@@ -340,16 +340,11 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                     continue
                 items.append(CheckItem("shape", gen, k, True, tag))
                 if not sm.matrix.is_nonnegative():
-                    bad = next(
-                        (r, c)
-                        for r in range(sm.matrix.rows)
-                        for c in range(sm.matrix.cols)
-                        if sm.matrix.at(r, c) < 0
-                    )
+                    r, c, x = _first_negative(sm.matrix)
                     items.append(
                         CheckItem(
                             "positivity", gen, k, False,
-                            f"{tag} map entry {bad} = {_message_int(sm.matrix.at(*bad))} is negative",
+                            f"{tag} map entry {(r, c)} = {_message_int(x)} is negative",
                         )
                     )
                 else:

@@ -116,8 +116,10 @@ def test_is_positive_nonpositive_injective_no():
 
 
 def eager_is_positive(system: InductiveSystem, e: LimitElement, horizon: int) -> Tristate:
-    """``is_positive`` as it was before it stopped at the first
-    nonnegative stage: every push up to the horizon, then the answers."""
+    """``is_positive`` as it was before it stopped at the first stage
+    that answers: every push up to the horizon, then the answers, the
+    first "yes" stage, else the first stage <= 0 with injectivity
+    onward, else the first stage a stationary tail fixes."""
     if horizon < e.stage:
         raise ValueError("horizon precedes the element's stage")
     trail = [(e.stage, tuple(e.vector))]
@@ -155,6 +157,69 @@ def test_is_positive_matches_the_eager_walk(name):
                 assert got == eager_is_positive(system, e, horizon), (e, horizon)
                 answers.add(got.verdict)
     assert "yes" in answers and answers != {"yes"}
+
+
+def _seeded_stationary_system(rng: random.Random) -> InductiveSystem:
+    """Rank 1-3, 0-2 declared maps, and a tail that is the identity, a
+    unitriangular matrix (which fixes the vectors it does not move into
+    the last coordinates) or a nonnegative matrix with entries 0-2 and no
+    zero row (injective or not)."""
+    p = rng.randint(1, 3)
+    kind = rng.choice(("identity", "unitriangular", "random"))
+    if kind == "identity":
+        tail = IntMatrix.identity(p)
+    elif kind == "unitriangular":
+        tail = M([[1 if i == j else rng.randint(0, 1) if j < i else 0 for j in range(p)] for i in range(p)])
+    else:
+        while True:
+            tail = M([[rng.randint(0, 2) for _ in range(p)] for _ in range(p)])
+            if all(tail.nonzeros):
+                break
+    maps = []
+    for _ in range(rng.randint(0, 2)):
+        while True:
+            a = M([[rng.randint(0, 2) for _ in range(p)] for _ in range(p)])
+            if all(a.nonzeros):
+                maps.append(a)
+                break
+    return InductiveSystem((p,) * (len(maps) + 1), tuple(maps), (1,) * p, tail)
+
+
+def test_is_positive_stops_where_the_eager_walk_answers():
+    """Seeded stationary systems, signed vectors at stages 0-3 and
+    horizons up to 9: the walk that stops at the first stage that answers
+    gives the answer and stage of the walk that pushes to the horizon
+    first, and it reaches a "no" of either kind before the horizon."""
+    rng = random.Random(19)
+    kinds = set()
+    for _ in range(300):
+        system = _seeded_stationary_system(rng)
+        p = system.rank_at(0)
+        for _ in range(6):
+            e = LimitElement(rng.randint(0, 3), tuple(rng.randint(-3, 3) for _ in range(p)))
+            horizon = rng.randint(e.stage, 9)
+            got = is_positive(system, e, horizon)
+            assert got == eager_is_positive(system, e, horizon), (system, e, horizon)
+            if got.is_no:
+                v = push(system, e, got.at_stage).vector
+                frozen = got.at_stage >= system.last_declared_stage and system.stationary_tail.apply(v) == v
+                kinds.add(("frozen" if frozen else "nonpositive", got.at_stage < horizon))
+            else:
+                kinds.add((got.verdict, None))
+    assert kinds >= {("yes", None), ("unknown", None), ("frozen", True), ("nonpositive", True)}, kinds
+
+
+def test_is_positive_stops_where_a_negative_entry_freezes(monkeypatch):
+    """The unitriangular tail [[1, 0, 0], [0, 1, 0], [1, 1, 1]] fixes
+    (1, -1, 0) from the last declared stage 3 on; a stage bound of 1000
+    pushes it three times, not to the bound."""
+    step = M([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+    system = InductiveSystem((3,) * 4, (step,) * 3, (1, 1, 1), step)
+    steps = []
+    connecting = InductiveSystem.connecting
+    monkeypatch.setattr(InductiveSystem, "connecting", lambda self, k: steps.append(k) or connecting(self, k))
+    assert is_positive(system, LimitElement(0, (1, -1, 0)), 1000) == Tristate.no(3, 1000)
+    assert steps == [0, 1, 2]
 
 
 def test_is_positive_pushes_only_to_its_first_nonnegative_stage(monkeypatch):

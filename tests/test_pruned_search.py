@@ -10,9 +10,10 @@ pushes and the per-system injectivity cache against their references.
   certificates.
 * ``find_invariant_state`` pushes each element and word image once and
   steps them a stage at a time, and after a miss it solves again only
-  once a requested element has vanished; on seeded requests and on the
-  exclusion sets of witnesses it must return what pushing everything
-  again and solving at every stage returns.
+  once a requested element has vanished, and it stops at a miss where
+  no support can change; on seeded requests, on systems whose maps have
+  zero columns and on the exclusion sets of witnesses it must return
+  what pushing everything again and solving at every stage returns.
 * ``InductiveSystem`` caches each map's full-column-rank flag; every
   ``is_zero`` and ``is_positive`` answer must be the uncached one, with
   each map ranked at most once.
@@ -54,7 +55,7 @@ from k0mf.exactlinalg import (
     rank,
     verify_farkas,
 )
-from k0mf.kaction import K0Action, StageMap, StationaryRule, Word, apply_word, identity_action
+from k0mf.kaction import K0Action, StageMap, StationaryRule, Word, apply_word, identity_action, word_map
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +413,108 @@ def test_state_search_on_a_singular_tail_stops_where_nothing_more_vanishes():
         first = max(g.stage for g in elements) + shift
         outcomes["miss" if want is None else "first" if want.stage == first else "later"] += 1
     assert set(outcomes) == {"miss", "first", "later"}, outcomes
+
+
+def test_exclusion_on_a_long_shift_steps_no_map_past_its_first_miss(monkeypatch):
+    """A 21-stage compactified shift with speeds 2 and -3, searched up to
+    stage 20: the exclusion sets are nonnegative where they first miss,
+    and no inclusion of the shift has a zero column, so no support can
+    change and the search reads no connecting map out of that stage."""
+    system, action = compactified_shift(21, [2, -3])
+    witness = find_positive_coboundary(system, action, SearchParams(stage_max=20)).witness
+    elements, words = exclusion_sets(witness, action.generators)
+    first = max(word_map(action, system, w, g.stage).to_stage for g in elements for w in words)
+    assert system.has_stage(first + 1) and first < 20
+    steps = []
+    connecting = InductiveSystem.connecting
+    monkeypatch.setattr(InductiveSystem, "connecting", lambda s, k: steps.append(k) or connecting(s, k))
+    _, kernels = _count_state_work(monkeypatch)
+    assert certify.exclusion_holds(system, action, witness, 20)
+    assert steps and max(steps) < first
+    assert len(kernels) == 1
+
+
+def test_a_certificate_after_a_negative_entry_cancels():
+    """(1, -1) is positive (the map [[1, 1], [1, 1]], which has no zero
+    column, sends it to 0), but invariance under the swap forces every
+    functional to vanish on it: stage 0 misses, and the search must go
+    on to stage 1, where it has vanished and a state exists."""
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    system = InductiveSystem((2, 2), (IntMatrix.from_rows([[1, 1], [1, 1]]),), (1, 1))
+    maps = (StageMap(0, 0, swap), StageMap(1, 1, swap))
+    action = K0Action(1, (maps,), (maps,))
+    elements = [LimitElement(0, (1, -1))]
+    cert = find_invariant_state(system, action, elements, [Word.of(1)], 1)
+    assert cert == push_every_stage(system, action, elements, [Word.of(1)], 1)
+    assert (cert.stage, cert.element_values) == (1, (0,))
+
+
+def _seeded_nonnegative(rng: random.Random, rows: int, cols: int, zero_column: bool) -> IntMatrix:
+    """Entries 0-2, no zero row (so the unit stays >= 1), and with
+    ``zero_column`` one column of zeros."""
+    while True:
+        entries = [[rng.choice((0, 0, 1, 1, 2)) for _ in range(cols)] for _ in range(rows)]
+        if zero_column and cols > 1:
+            dead = rng.randrange(cols)
+            for row in entries:
+                row[dead] = 0
+        if all(any(row) for row in entries):
+            return IntMatrix.from_rows(entries)
+
+
+def _seeded_unipotent(rng: random.Random, p: int) -> IntMatrix:
+    """I plus a strictly lower-triangular matrix with entries 0-2."""
+    return IntMatrix.from_rows(
+        [[1 if i == j else rng.choice((0, 1, 2)) if j < i else 0 for j in range(p)] for i in range(p)]
+    )
+
+
+def _seeded_system_with_dead_columns(rng: random.Random):
+    """2-5 stages of rank 1-3 whose connecting maps (and optional tail)
+    have a zero column two times in five, with one generator acting by
+    a unipotent map at each stage, which forces invariant functionals to
+    vanish on some coordinates."""
+    n = rng.randint(2, 5)
+    ranks = [rng.randint(1, 3) for _ in range(n)]
+    maps = tuple(_seeded_nonnegative(rng, ranks[k + 1], ranks[k], rng.random() < 0.4) for k in range(n - 1))
+    tail = _seeded_nonnegative(rng, ranks[-1], ranks[-1], rng.random() < 0.4) if rng.random() < 0.5 else None
+    system = InductiveSystem(tuple(ranks), maps, (1,) * ranks[0], tail)
+    steps = tuple(StageMap(k, k, _seeded_unipotent(rng, ranks[k])) for k in range(n - 1 if tail else n))
+    rule = None
+    if tail is not None:
+        u = _seeded_unipotent(rng, ranks[-1])
+        rule = (StationaryRule(0, u, u),)
+    return system, K0Action(1, (steps,), (steps,), rule)
+
+
+def test_state_search_stop_agrees_with_solving_every_stage(monkeypatch):
+    """Seeded systems with zero columns in their connecting maps, and
+    positive requests with entries -1 to 2: the search must return what
+    solving every stage returns, both where it stops at a miss and where
+    a zero column kills an element after a nonnegative miss and a
+    certificate appears only at a later stage."""
+    seen = Counter()
+    calls = []
+    keeps = certify._keeps_support
+    monkeypatch.setattr(certify, "_keeps_support", lambda *args: calls.append(keeps(*args)) or calls[-1])
+    for seed in range(2000):
+        rng = random.Random(seed)
+        system, action = _seeded_system_with_dead_columns(rng)
+        elements = [
+            LimitElement(k, tuple(rng.randint(-1, 2) for _ in range(system.rank_at(k))))
+            for k in (rng.randint(0, 1) for _ in range(rng.randint(1, 3)))
+        ]
+        stage_max = rng.randint(0, len(system.stage_ranks) + 2)
+        if not all(is_positive(system, g, max(stage_max, g.stage)).is_yes for g in elements):
+            continue
+        calls.clear()
+        got = find_invariant_state(system, action, elements, [Word.of(1)], stage_max)
+        assert got == push_every_stage(system, action, elements, [Word.of(1)], stage_max), seed
+        if got is None and True in calls:
+            seen["stopped at a miss"] += 1
+        if got is not None and False in calls:
+            seen["certificate after a nonnegative miss"] += 1
+    assert seen["stopped at a miss"] >= 20 and seen["certificate after a nonnegative miss"] >= 2, seen
 
 
 # ---------------------------------------------------------------------------

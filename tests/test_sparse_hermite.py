@@ -9,7 +9,7 @@ dense reduction returns, keep the sparse-row invariant, and compare and
 hash like the dense-built result; ``rank``, ``row_basis`` and
 ``integer_kernel`` must agree with their dense-form versions. The
 coboundary lattice, the integer kernel and the invariant-state search of
-a 20-point permutation system must derive no dense view on the way.
+a 20-point permutation system must read no dense value on the way.
 """
 
 import random
@@ -17,7 +17,7 @@ import random
 import pytest
 
 from dense_hermite import dense_hermite_normal_form, dense_integer_kernel, dense_rank, dense_row_basis, row_basis
-from test_sparse_products import assert_sparse_rows
+from test_sparse_products import assert_sparse_rows, record_dense_access
 from word_grid import reduced_words
 
 from k0mf.bratteli import FiniteSystem, finite_system_to_k0
@@ -148,15 +148,6 @@ def _twenty_points():
     return finite_system_to_k0(FiniteSystem(20, tuple(perms)))
 
 
-def _record_dense_views(monkeypatch) -> list:
-    """Record every dense view derived and every matrix built from dense entries."""
-    dense = []
-    derive, init = IntMatrix._dense_entries, IntMatrix.__init__
-    monkeypatch.setattr(IntMatrix, "_dense_entries", lambda m: dense.append(("derived", m.rows, m.cols)) or derive(m))
-    monkeypatch.setattr(IntMatrix, "__init__", lambda m, *args: dense.append(("built", *args[:2])) or init(m, *args))
-    return dense
-
-
 def test_coboundary_lattice_and_kernel_derive_no_dense_view(monkeypatch):
     """Three permutations of 20 points: the lattice H_0's generators are
     block rows, its Hermite basis and the kernel of its transpose (the
@@ -164,7 +155,7 @@ def test_coboundary_lattice_and_kernel_derive_no_dense_view(monkeypatch):
     built from dense entries. Its one-letter generators span what the
     words of length <= 2 span."""
     system, action = _twenty_points()
-    dense = _record_dense_views(monkeypatch)
+    dense = record_dense_access(monkeypatch)
     lattice = coboundary_stage_lattice(action, system, 0)
     kernel = integer_kernel(lattice.transpose())
     assert dense == []
@@ -186,7 +177,7 @@ def test_state_search_derives_no_dense_view(monkeypatch):
     to the kernel, through the certificate's re-check."""
     system, action = _twenty_points()
     (request,) = default_requests(system, action)
-    dense = _record_dense_views(monkeypatch)
+    dense = record_dense_access(monkeypatch)
     cert = find_invariant_state(system, action, request.elements, request.words, 4)
     assert dense == []
     assert cert is not None and cert.stage == 0

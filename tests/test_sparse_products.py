@@ -7,8 +7,9 @@ and kind they must agree with the dense loops kept in
 ``dense_products``, down to the dense entries a product derives. One
 matrix must compare and hash alike however it was built: from dense
 entries, by ``from_rows``, as a product or as a difference.
-``verify_action`` on a long compactified shift must never build the
-dense view of a product, and must report what dense products report.
+Dense entries convert to sparse rows and back through every dense
+reader. ``verify_action`` on a long compactified shift must read no
+dense value, and must report what dense products report.
 ``InductiveSystem.transfer`` caches its composites per system; whatever
 order the pairs are asked in, each must equal the product of the
 connecting maps, and an out-of-range pair must raise ``StageRangeError``
@@ -62,6 +63,26 @@ def _pairs(seed: int):
         m = n if a_kind == "permutation" else rng.randint(1, 7)
         q = n if b_kind == "permutation" else rng.randint(1, 7)
         yield _random(rng, m, n, a_kind), _random(rng, n, q, b_kind)
+
+
+DENSE_READERS = ("at", "row", "column", "to_rows")
+
+
+def record_dense_access(monkeypatch) -> list:
+    """Record every dense read (``entries``, ``at``, ``row``, ``column``,
+    ``to_rows``) and every matrix built from dense entries (``__init__``,
+    which ``from_rows`` also goes through) while the patch is in place."""
+    dense = []
+
+    def wrap(name, reader):
+        return lambda m, *args: dense.append((name, m.rows, m.cols)) or reader(m, *args)
+
+    for name in DENSE_READERS:
+        monkeypatch.setattr(IntMatrix, name, wrap(name, getattr(IntMatrix, name)))
+    monkeypatch.setattr(IntMatrix, "entries", property(wrap("entries", IntMatrix.entries.fget)))
+    init = IntMatrix.__init__
+    monkeypatch.setattr(IntMatrix, "__init__", lambda m, *args: dense.append(("built", *args[:2])) or init(m, *args))
+    return dense
 
 
 def assert_sparse_rows(m: IntMatrix) -> None:
@@ -179,6 +200,52 @@ def test_equality_and_hash_ignore_how_a_matrix_was_built():
         del identity.cols
 
 
+def _sparse_reference(rows: int, cols: int, entries: tuple[int, ...]) -> tuple:
+    """The sparse rows of dense row-major entries, by a plain double loop."""
+    return tuple(
+        tuple((j, entries[i * cols + j]) for j in range(cols) if entries[i * cols + j]) for i in range(rows)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dense_and_sparse_forms_round_trip(seed):
+    """Dense entries convert to the sparse rows a plain loop finds, and
+    every dense reader gives the entries back, on seeded matrices with
+    negative and huge entries, zero rows and zero columns, and 0 x n,
+    n x 0 and 0 x 0 shapes; a matrix built from those sparse rows reads
+    the same."""
+    rng = random.Random(3000 + seed)
+    shapes = [(0, 0), (0, rng.randint(1, 5)), (rng.randint(1, 5), 0)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    for m, n in shapes:
+        entries = [rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-(2**70), 2**70))) for _ in range(m * n)]
+        for i in rng.sample(range(m), m // 3):  # zero rows
+            entries[i * n : (i + 1) * n] = [0] * n
+        for j in rng.sample(range(n), n // 3):  # zero columns
+            entries[j::n] = [0] * m
+        entries = tuple(entries)
+        a = IntMatrix(m, n, entries)
+        b = IntMatrix._of_nonzeros(m, n, _sparse_reference(m, n, entries))
+        assert a.nonzeros == b.nonzeros and a == b and hash(a) == hash(b)
+        assert_sparse_rows(a)
+        for mat in (a, b):
+            assert mat.entries == entries
+            assert mat.to_rows() == [list(entries[i * n : (i + 1) * n]) for i in range(m)]
+            assert [mat.row(i) for i in range(m)] == [entries[i * n : (i + 1) * n] for i in range(m)]
+            assert [mat.column(j) for j in range(n)] == [entries[j::n] for j in range(n)]
+            assert all(mat.at(i, j) == entries[i * n + j] for i in range(m) for j in range(n))
+            assert repr(mat) == f"IntMatrix(rows={m}, cols={n}, entries={entries})"
+        if m:
+            assert IntMatrix.from_rows(a.to_rows()) == a
+    for m, n, size in ((2, 3, 5), (0, 3, 1), (3, 0, 1)):
+        with pytest.raises(ValueError, match="entries length must equal rows"):
+            IntMatrix(m, n, (1,) * size)
+    with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+        IntMatrix(-1, 2, ())
+    with pytest.raises(AttributeError):
+        IntMatrix.identity(2).nonzeros = ()
+
+
 @pytest.fixture(params=CASES, ids=[name for name, _ in CASES])
 def case(request):
     return request.param[1]()
@@ -210,14 +277,10 @@ def test_coboundary_blocks_match_dense_oracle(case):
 def test_verify_action_builds_no_dense_view_of_a_product(monkeypatch):
     """A compactified shift with speeds 2 and 3 on 41 stages: every letter
     map, transfer, commuting square and inverse law stays on sparse rows,
-    so no matrix built from sparse rows derives its dense entries and no
-    matrix is built from dense entries. The report equals the one that
-    dense products give."""
+    so no dense value is read and no matrix is built from dense entries.
+    The report equals the one that dense products give."""
     system, action = compactified_shift(41, [2, 3])
-    dense = []
-    derive, init = IntMatrix._dense_entries, IntMatrix.__init__
-    monkeypatch.setattr(IntMatrix, "_dense_entries", lambda m: dense.append(("derived", m.rows, m.cols)) or derive(m))
-    monkeypatch.setattr(IntMatrix, "__init__", lambda m, *args: dense.append(("built", *args[:2])) or init(m, *args))
+    dense = record_dense_access(monkeypatch)
     report = verify_action(action, system, 40)
     assert dense == []
     monkeypatch.undo()
