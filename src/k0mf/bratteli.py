@@ -189,8 +189,11 @@ def permutation_matrix(perm: tuple[int, ...]) -> IntMatrix:
 
     This is the stage realization of the dual action f |-> f o s^{-1}
     on integer-valued functions: the indicator of a point moves with
-    the point. ``perm`` must be a bijection of 1..len(perm).
+    the point. Raises ValueError unless ``perm`` is a bijection of
+    1..len(perm).
     """
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError(f"not a bijection of 1..{len(perm)}")
     rows: list[tuple[tuple[int, int], ...]] = [()] * len(perm)
     for z, image in enumerate(perm):
         rows[image - 1] = ((z, 1),)

@@ -87,9 +87,6 @@ def _message_int(n: int) -> str:
 
 _Row = tuple[tuple[int, int], ...]
 _setattr = object.__setattr__
-# Flat positions, built once: scanning a matrix's entries against them
-# makes no int per entry, as a range past the small-int cache would.
-_POSITIONS = tuple(range(4096))
 
 
 class IntMatrix:
@@ -119,8 +116,7 @@ class IntMatrix:
         if len(entries) != rows * cols:
             raise ValueError("entries length must equal rows*cols")
         out: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
-        positions = _POSITIONS if len(entries) <= len(_POSITIONS) else range(len(entries))
-        for k in compress(positions, entries):
+        for k in compress(range(len(entries)), entries):
             out[k // cols].append((k % cols, entries[k]))
         _setattr(self, "rows", rows)
         _setattr(self, "cols", cols)

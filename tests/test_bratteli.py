@@ -357,6 +357,12 @@ def test_permutation_matrix_shape():
     assert m == M([[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("perm", [(1, 1), (0, 1), (2, 3), (1, 2, 4)], ids=["repeat", "zero", "shifted", "gap"])
+def test_permutation_matrix_rejects_a_non_bijection(perm):
+    with pytest.raises(ValueError, match=f"not a bijection of 1..{len(perm)}"):
+        permutation_matrix(perm)
+
+
 @pytest.mark.parametrize(
     "bad, reason",
     [("true", "expected an integer"), ("2.0", "floating-point numbers are not allowed"), ('"x"', "not an integer: 'x'")],
