@@ -208,29 +208,16 @@ def _positive_candidates(basis_rows: list[tuple[int, ...]], height_bound: int) -
     return enumerate_lattice_points(basis_rows, height_bound, nonnegative=True, key="support")
 
 
-def _reduce_by_rows(vec: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
-    """Reduce a vector modulo Hermite rows (pivot coordinates into [0, pivot))."""
-    out = list(vec)
-    for row in rows:
-        p = _first_nonzero(row)
-        q = out[p] // row[p]
-        if q:
-            for i in range(len(out)):
-                out[i] -= q * row[i]
-    return out
-
-
 def _canonical_coset_vector(
     particular: Sequence[int], kernel_rows: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:
     """Least element of particular + lattice under (height, total mass,
     leading support, lex). Deterministic representative for recovered
-    data that prefers sparse vectors."""
-    if not kernel_rows:
-        return tuple(particular)
-    reduced = _reduce_by_rows(particular, kernel_rows)
-    radius = max(1, max(abs(x) for x in reduced))
-    found = enumerate_lattice_points(kernel_rows, radius, reduced, key="mass")
+    data that prefers sparse vectors. The least-mass walk from
+    ``particular``, any representative, walks the same coset points in
+    the same order (an empty kernel yields ``particular`` itself)."""
+    radius = max(map(abs, particular))
+    found = enumerate_lattice_points(kernel_rows, radius, particular, key="mass")
     best = min(found, key=lambda v: (sum(map(abs, v)), _first_nonzero(v), v), default=None)
     if best is None:
         raise AssertionError("coset enumeration missed its own representative")
@@ -494,12 +481,11 @@ def find_invariant_state(
     a map sends a nonnegative nonzero vector to a nonzero one), so the
     search stops at that miss.
 
-    Each element goes once through the ``coboundary_block`` of its
-    (stage, word) to the first stage that holds every word image, which
-    gives the invariance differences g - w(g) there; the differences and
-    the elements pushed there are then stepped through one connecting
-    map per later stage. The pushed elements also give the positivity
-    constraints and the certificate's element values.
+    Each stage the search solves builds its invariance differences with
+    ``_invariance_differences``, as its re-check does. Only the
+    elements are stepped, from the first stage that holds every word
+    image through one connecting map per later stage, skipped ones too;
+    they give the supports, positivity rows and element values.
 
     Raises ``WalkBudgetExceeded`` when the walk for the canonical
     functional of a stage runs out of its node budget; a functional
@@ -520,23 +506,21 @@ def find_invariant_state(
     first = max([g.stage for g in elements] + [sm.to_stage for sm in maps.values()])
     settled = _settled_stage(system, first)
     element_vecs: list[tuple[int, ...]] = []
-    diffs = IntMatrix.zeros(0, 0)
     missed_support: list[bool] | None = None  # nonzero elements at the last stage that missed
     for m in range(first, stage_max + 1):
         if not system.has_stage(m):
             break
         if m == first:
             element_vecs = [push(system, g, m).vector for g in elements]
-            diffs = _invariance_differences(system, maps, elements, words, m)
         else:
             step = system.connecting(m - 1)
             element_vecs = [step.apply(v) for v in element_vecs]
-            diffs = diffs @ step.transpose()
         support = [any(gv) for gv in element_vecs]
         if support == missed_support:
             if settled is not None and m >= settled:
                 return None  # and so would one at every later stage
             continue  # a solution here would pull back to the missed stage
+        diffs = _invariance_differences(system, maps, elements, words, m)
         kernel_rows = integer_kernel(diffs)  # with no words: the identity rows
         unit = system.unit_at(m)
         positives = [tuple(unit)] + [gv for gv, nonzero in zip(element_vecs, support) if nonzero]

@@ -256,25 +256,26 @@ def is_positive(system: InductiveSystem, e: LimitElement, horizon: int) -> Trist
     Yes(m): the pushforward at stage m is entrywise nonnegative (this
     persists, since connecting maps are nonnegative). No(m) is claimed
     only when provable for every later stage: either the vector is
-    entrywise <= 0 and nonzero with injectivity certified onward, or a
-    stationary tail fixes the vector and a negative coordinate is frozen
-    in.
+    entrywise <= 0 and nonzero with injectivity certified onward, or,
+    from the last declared stage on, a negative coordinate is frozen in:
+    the stationary tail fixes the vector, or the coordinate's tail row
+    is exactly e_i, which keeps its value forever.
 
     The element is pushed one stage at a time and the walk stops at the
-    first stage that answers. Both "no" conditions persist once met, and
-    a frozen vector meets the first one at a later stage only if it does
-    where it freezes, so that is the stage a walk to the horizon would
-    report.
+    first stage that answers. Every "no" condition persists once met,
+    so that is the stage a walk to the horizon would report.
     """
     tail = system.stationary_tail
+    frozen = [i for i, row in enumerate(tail.nonzeros) if row == ((i, 1),)] if tail is not None else []
     for m, v in _walk(system, e, horizon):
         if all(x >= 0 for x in v):
             return Tristate.yes(m, horizon)
         # from here on v has a negative entry
         if all(x <= 0 for x in v) and injective_from(system, m):
             return Tristate.no(m, horizon)
-        if tail is not None and m >= system.last_declared_stage and tail.apply(v) == v:
-            return Tristate.no(m, horizon)
+        if tail is not None and m >= system.last_declared_stage:
+            if tail.apply(v) == v or any(v[i] < 0 for i in frozen):
+                return Tristate.no(m, horizon)
     return Tristate.unknown(horizon)
 
 
@@ -282,17 +283,15 @@ def is_zero(system: InductiveSystem, e: LimitElement, horizon: int) -> Tristate:
     """Is e the zero element of the limit?
 
     Yes(m): the pushforward vanishes at stage m (and hence forever).
-    No(m): the vector is nonzero at stage m and every later map is
-    provably injective, so it can never vanish. The walk stops at
-    ``_settled_stage``: nothing vanishes past it.
+    No(m): the vector is nonzero at stage m, where every later map is
+    provably injective or which is ``_settled_stage`` (Fitting's lemma),
+    so it never vanishes. One walk stops at the first stage that answers.
     """
     settled = _settled_stage(system, e.stage)
-    trail = list(_walk(system, e, horizon if settled is None else min(horizon, settled)))
-    for m, v in trail:
+    for m, v in _walk(system, e, horizon):
         if not any(v):
             return Tristate.yes(m, horizon)
-    for m, v in trail:
-        if injective_from(system, m):
+        if m == settled or injective_from(system, m):
             return Tristate.no(m, horizon)
     return Tristate.unknown(horizon)
 

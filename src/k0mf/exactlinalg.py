@@ -16,10 +16,11 @@ takes only its particular solution (the kernel is that Hermite basis),
 one bounded walk over the lattice points in a box (the sup-norm ball,
 or its nonnegative corner) that prunes a branch as soon as a coordinate
 it has fixed leaves the box or a constraint row can no longer be met,
-goes up by height and prunes on the running sum or mass when asked for
-a best point, and stops at ``WALK_NODE_BUDGET`` nodes, and an exact
-feasibility solver for integer inequality rows a.x >= b: a phase-one
-simplex with Bland's pivoting rule on a fraction-free integer tableau
+goes up by height and prunes on one running per-coordinate cost (minus
+the sum, or the mass) when asked for a best point, and stops at
+``WALK_NODE_BUDGET`` nodes, and an exact feasibility solver for
+integer inequality rows a.x >= b: a phase-one simplex with Bland's
+pivoting rule on a fraction-free integer tableau
 (one common denominator), returning either an exact rational feasible
 point or an exact rational Farkas certificate of infeasibility. Both results are re-checked in integers
 before they are returned, the point or the multipliers scaled by one
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import lcm
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Iterator, Sequence
 
 
@@ -531,14 +532,14 @@ def enumerate_lattice_points(
     * None: every such point of the box h = ``radius``, in lexicographic
       order (the order of (c_0, c_1, ...), since coordinate p_i grows
       with c_i).
-    * "sum" and "mass": the box h = 0, 1, ..., ``radius`` that first
-      holds a point, and in it only points whose coordinate sum is at
-      least (for "sum"), or whose mass sum |v_j| is at most (for
-      "mass"), that of every point yielded before; a branch that cannot
-      reach the best point found so far is pruned. The greatest-sum or
-      least-mass points of the least sup-norm are among those yielded
-      (the last one yielded is one of them), and ties are left to the
-      caller.
+    * "sum" and "mass": one walk that minimises a per-coordinate cost,
+      -v_j for "sum" and |v_j| for "mass", in the box h = 0, 1, ...,
+      ``radius`` that first holds a point, trying candidates by the cost
+      of their pivot coordinate. It yields only points that cost at most
+      what every point yielded before did, and prunes a branch whose
+      fixed cost plus the least cost of each unfixed coordinate exceeds
+      the best so far (at first n times the largest cost in the box).
+      The last point yielded costs least; ties are left to the caller.
     * "support": every nonzero point by increasing sup-norm h = 1, ...,
       ``radius``, then earliest leading support (first nonzero
       coordinate), then lexicographic order; each box h yields only its
@@ -565,6 +566,7 @@ def enumerate_lattice_points(
     seg_rows = [[v[p:end] for v in vecs] for p, end in zip(pivots, ends)]
     top = max(map(abs, head), default=0)
     nodes = 0
+    cost = {"sum": neg, "mass": abs}.get(key)
 
     if key is None:
         levels: Iterable[int] = (radius,)
@@ -580,8 +582,9 @@ def enumerate_lattice_points(
         parts = [sum(map(mul, v[:first], head)) for v in vecs]
         if any(f + g < b for f, g, b in zip(parts, reach[0], bounds)):
             continue
-        best = n * low if key == "sum" else n * h
-        score = sum(head) if key == "sum" else sum(map(abs, head))
+        if cost is not None:  # the least and the largest cost of one coordinate in the box
+            least, best = min(cost(low), 0, cost(h)), n * max(cost(low), cost(h))
+        score = sum(map(cost, head)) if cost is not None else 0
 
         def rec(i: int, current: list[int], parts: list[int], score: int, top: int) -> Iterator[tuple[int, ...]]:
             nonlocal nodes, best
@@ -595,10 +598,8 @@ def enumerate_lattice_points(
             cur = current[p]
             prefix, rest = current[:p], current[p:]
             cs = range(-((cur - low) // piv), (h - cur) // piv + 1)
-            if key == "sum":
-                cs = reversed(cs)  # a larger pivot coordinate first
-            elif key == "mass":
-                cs = sorted(cs, key=lambda c: abs(cur + c * piv))
+            if cost is not None:
+                cs = sorted(cs, key=lambda c: cost(cur + c * piv))
             elif key == "support" and top == 0 and cur % piv == 0 and -cur // piv in cs:
                 zero = -cur // piv  # a leading zero here puts the support later
                 cs = [c for c in cs if c != zero] + [zero]
@@ -614,23 +615,18 @@ def enumerate_lattice_points(
                 new_parts = [f + sum(map(mul, v, seg)) for f, v in zip(parts, seg_rows[i])]
                 if any(f + g < b for f, g, b in zip(new_parts, gains, bounds)):
                     continue
-                if key == "sum":
-                    new_score = score + sum(seg)
-                    if new_score + h * (n - end) < best:
+                new_score = score
+                if cost is not None:
+                    new_score += sum(map(cost, seg))
+                    if new_score + least * (n - end) > best:
                         continue
-                elif key == "mass":
-                    new_score = score + sum(map(abs, seg))
-                    if new_score > best:
-                        continue
-                else:
-                    new_score = score
                 yield from rec(i + 1, nxt, new_parts, new_score, max(top, max(map(abs, seg))))
 
         found = False
         for point in rec(0, start, parts, score, top):
             found = True
             yield point
-        if found and key in ("sum", "mass"):
+        if found and cost is not None:
             return
 
 

@@ -155,6 +155,22 @@ def test_canonical_coset_vector_matches_the_oracle():
     assert _canonical_coset_vector((3, -4), []) == (3, -4)
 
 
+def test_canonical_coset_vector_is_the_same_from_every_representative():
+    """The walk starts from the representative it is given, unreduced:
+    adding kernel rows with coefficients up to 50 moves the start far
+    out of the least box, and the same point comes out."""
+    rng = random.Random(48)
+    for rows, width in BASES:
+        particular = tuple(rng.randint(-6, 6) for _ in range(width))
+        expected = _canonical_coset_vector(particular, rows)
+        for _ in range(3):
+            shifted = list(particular)
+            for row in rows:
+                c = rng.randint(-50, 50)
+                shifted = [x + c * y for x, y in zip(shifted, row)]
+            assert _canonical_coset_vector(tuple(shifted), rows) == expected
+
+
 @pytest.mark.parametrize("height_bound", [1, 2, 3])
 def test_positive_candidates_give_the_oracle_order(height_bound):
     for rows, _ in BASES:

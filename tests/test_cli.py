@@ -330,6 +330,24 @@ def test_chain_recurrence_rejects_two_generators(capsys):
     assert "single-generator" in err
 
 
+def test_chain_recurrence_rejects_an_action_that_fails_the_laws(tmp_path, capsys):
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(UNIT_BREAKING_DOC))
+    code, out, err = run_cli(capsys, "chain-recurrence", str(path))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines and all(line.startswith("invalid action: ") for line in lines)
+    assert lines[0] == (
+        "invalid action: unit_preserved generator 1 stage 0: "
+        "forward map sends the stage-0 unit to (2, 1), expected (1, 1)"
+    )
+
+
+def test_convert_without_finite_is_invalid_input(capsys):
+    code, out, err = run_cli(capsys, "convert", "--points", "3", "--perm", "2,3,1")
+    assert (code, out, err) == (2, "", "convert currently supports --finite input only\n")
+
+
 def test_convert_three_cycle(capsys):
     code, out, _ = run_cli(capsys, "convert", "--finite", "--points", "3", "--perm", "2,3,1")
     assert code == 0

@@ -115,11 +115,22 @@ def test_is_positive_nonpositive_injective_no():
     assert res.is_no
 
 
+def _frozen_negative(system: InductiveSystem, m: int, v: tuple[int, ...]) -> bool:
+    """From the last declared stage on, the tail fixes v and v has a
+    negative entry, or v_i < 0 for a coordinate whose tail row is e_i."""
+    tail = system.stationary_tail
+    if tail is None or m < system.last_declared_stage:
+        return False
+    rows = tail.to_rows()
+    frozen = [i for i, row in enumerate(rows) if row == [int(j == i) for j in range(len(row))]]
+    return (any(x < 0 for x in v) and tail.apply(v) == v) or any(v[i] < 0 for i in frozen)
+
+
 def eager_is_positive(system: InductiveSystem, e: LimitElement, horizon: int) -> Tristate:
     """``is_positive`` as it was before it stopped at the first stage
     that answers: every push up to the horizon, then the answers, the
-    first "yes" stage, else the first stage <= 0 with injectivity
-    onward, else the first stage a stationary tail fixes."""
+    first "yes" stage, else the first stage that is <= 0 with
+    injectivity onward or has a frozen negative entry."""
     if horizon < e.stage:
         raise ValueError("horizon precedes the element's stage")
     trail = [(e.stage, tuple(e.vector))]
@@ -130,12 +141,8 @@ def eager_is_positive(system: InductiveSystem, e: LimitElement, horizon: int) ->
         if all(x >= 0 for x in v):
             return Tristate.yes(m, horizon)
     for m, v in trail:
-        if all(x <= 0 for x in v) and any(v) and injective_from(system, m):
+        if (all(x <= 0 for x in v) and any(v) and injective_from(system, m)) or _frozen_negative(system, m, v):
             return Tristate.no(m, horizon)
-    if system.is_stationary:
-        for m, v in trail:
-            if m >= system.last_declared_stage and system.stationary_tail.apply(v) == v and any(x < 0 for x in v):
-                return Tristate.no(m, horizon)
     return Tristate.unknown(horizon)
 
 
@@ -189,7 +196,10 @@ def test_is_positive_stops_where_the_eager_walk_answers():
     """Seeded stationary systems, signed vectors at stages 0-3 and
     horizons up to 9: the walk that stops at the first stage that answers
     gives the answer and stage of the walk that pushes to the horizon
-    first, and it reaches a "no" of either kind before the horizon."""
+    first, and it reaches a "no" of each kind before the horizon: a
+    vector <= 0 with injectivity onward, a vector the tail fixes, and a
+    negative coordinate whose tail row is e_i (row 0 of every identity
+    or unitriangular tail) in a vector the tail moves."""
     rng = random.Random(19)
     kinds = set()
     for _ in range(300):
@@ -202,11 +212,17 @@ def test_is_positive_stops_where_the_eager_walk_answers():
             assert got == eager_is_positive(system, e, horizon), (system, e, horizon)
             if got.is_no:
                 v = push(system, e, got.at_stage).vector
-                frozen = got.at_stage >= system.last_declared_stage and system.stationary_tail.apply(v) == v
-                kinds.add(("frozen" if frozen else "nonpositive", got.at_stage < horizon))
+                if not _frozen_negative(system, got.at_stage, v):
+                    kind = "nonpositive"
+                elif system.stationary_tail.apply(v) == v:
+                    kind = "fixed"
+                else:
+                    kind = "frozen coordinate"
+                kinds.add((kind, got.at_stage < horizon))
             else:
                 kinds.add((got.verdict, None))
-    assert kinds >= {("yes", None), ("unknown", None), ("frozen", True), ("nonpositive", True)}, kinds
+    expected = {("yes", None), ("unknown", None), ("fixed", True), ("frozen coordinate", True), ("nonpositive", True)}
+    assert kinds >= expected, kinds
 
 
 def test_is_positive_stops_where_a_negative_entry_freezes(monkeypatch):
@@ -220,6 +236,19 @@ def test_is_positive_stops_where_a_negative_entry_freezes(monkeypatch):
     monkeypatch.setattr(InductiveSystem, "connecting", lambda self, k: steps.append(k) or connecting(self, k))
     assert is_positive(system, LimitElement(0, (1, -1, 0)), 1000) == Tristate.no(3, 1000)
     assert steps == [0, 1, 2]
+
+
+def test_is_positive_stops_where_a_negative_coordinate_freezes(monkeypatch):
+    """The tail [[2, 0], [0, 1]] doubles the first coordinate of (1, -1)
+    and never fixes the vector, but its row 1 is e_1, so the -1 stays
+    forever: "no" at the last declared stage 0, with no push at all."""
+    system = InductiveSystem((2,), (), (1, 1), M([[2, 0], [0, 1]]))
+    steps = []
+    connecting = InductiveSystem.connecting
+    monkeypatch.setattr(InductiveSystem, "connecting", lambda self, k: steps.append(k) or connecting(self, k))
+    assert is_positive(system, LimitElement(0, (1, -1)), 10**9) == Tristate.no(0, 10**9)
+    assert steps == []
+    assert eager_is_positive(system, LimitElement(0, (1, -1)), 5) == Tristate.no(0, 5)
 
 
 def test_is_positive_pushes_only_to_its_first_nonnegative_stage(monkeypatch):
@@ -270,7 +299,8 @@ def test_is_zero_on_a_singular_tail_stops_where_nothing_more_vanishes():
     """The tail sends (v0, v1, v2) to (v2, v0, v2), so (1, 0, 0) vanishes
     two steps past the last declared stage. The walk stops at that stage
     plus the tail rank: a horizon of 10**9 answers at once, and what
-    pushing to stage 12 shows."""
+    pushing to stage 12 shows, "no" at that settled stage (Fitting's
+    lemma) for what is still nonzero there."""
     sys_ = InductiveSystem((3, 3), (IntMatrix.identity(3),), (1, 1, 1), M([[0, 0, 1], [1, 0, 0], [0, 0, 1]]))
     assert is_zero(sys_, LimitElement(0, (1, 0, 0)), 10**9) == Tristate.yes(3, 10**9)
     for k in range(3):
@@ -278,7 +308,18 @@ def test_is_zero_on_a_singular_tail_stops_where_nothing_more_vanishes():
             e = LimitElement(k, vec)
             res = is_zero(sys_, e, 10**9)
             assert res.is_yes != any(push(sys_, e, 12).vector)
-            assert res.is_yes or res == Tristate.unknown(10**9)
+            assert res.is_yes or res == Tristate.no(max(k, 1) + 3, 10**9)
+
+
+def test_is_zero_says_no_at_the_settled_stage_of_a_singular_tail():
+    """The tail [[1, 1], [1, 1]] is singular, so no stage is injective
+    onward, but (1, 0) is still nonzero at its settled stage 0 + 2, and
+    nothing nonzero there ever vanishes; (1, -1) vanishes at once. A
+    horizon short of the settled stage leaves the answer unknown."""
+    sys_ = InductiveSystem((2,), (), (1, 1), M([[1, 1], [1, 1]]))
+    assert is_zero(sys_, LimitElement(0, (1, 0)), 10) == Tristate.no(2, 10)
+    assert is_zero(sys_, LimitElement(0, (1, -1)), 10) == Tristate.yes(1, 10)
+    assert is_zero(sys_, LimitElement(0, (1, 0)), 1) == Tristate.unknown(1)
 
 
 def test_injectivity_report():

@@ -91,6 +91,57 @@ def test_a_frozen_negative_set_element_at_a_huge_stage_bound(tmp_path):
     assert cpu < 5, cpu
 
 
+# One stage whose tail doubles the first coordinate and keeps the second,
+# with the identity action: the tail never fixes (1, -1), but its row 1
+# is e_1, so the -1 stays forever.
+DOUBLING_TAIL = {
+    "schema_version": 1,
+    "system": {"stage_ranks": [2], "connecting_maps": [], "unit": [1, 1], "stationary": [[2, 0], [0, 1]]},
+    "action": {
+        "generators": 1,
+        "forward": [[]],
+        "inverse": [[]],
+        "stationary": [{"shift": 0, "forward": [[1, 0], [0, 1]], "inverse": [[1, 0], [0, 1]]}],
+    },
+}
+
+
+def test_a_negative_coordinate_the_tail_keeps_at_a_huge_stage_bound(tmp_path):
+    """(1, -1) at stage 0 is never positive: its second coordinate is
+    frozen at -1 from the last declared stage on, which is stage 0, so
+    the answer must not wait for 10**9 pushes."""
+    doc = _write(tmp_path, "doubling.json", DOUBLING_TAIL)
+    sets = _write(tmp_path, "sets.json", {"requests": [{"elements": [{"stage": 0, "vector": [1, -1]}], "words": [[1]]}]})
+    code, out, err, cpu = _run("check-mf", doc, "--sets", sets, "--max-stage", "1000000000", cpu_bound=5)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"invalid input: {sets}:$.requests[0].elements[0]: "
+        "not positive (entrywise nonnegative at no stage up to 1000000000)\n"
+    )
+    assert cpu < 5, cpu
+
+
+def test_a_deep_declared_prefix_at_a_huge_stage_bound(tmp_path):
+    """400 declared stages of rank 2 joined by identities, with the swap
+    as the action at every stage and no tail: the search ends at the
+    last declared stage, and each stage must cost about the same."""
+    swap = [[0, 1], [1, 0]]
+    family = [{"from_stage": k, "to_stage": k, "matrix": swap} for k in range(400)]
+    doc = _write(
+        tmp_path,
+        "deep.json",
+        {
+            "schema_version": 1,
+            "system": {"stage_ranks": [2] * 400, "connecting_maps": [[[1, 0], [0, 1]]] * 399, "unit": [1, 1]},
+            "action": {"generators": 1, "forward": [family], "inverse": [family]},
+        },
+    )
+    code, out, err, cpu = _run("check-mf", doc, "--max-stage", "1000000000", cpu_bound=5)
+    assert code == 0, err
+    assert json.loads(out)["verdict"] == "CONSISTENT"
+    assert cpu < 5, cpu
+
+
 def test_a_stationary_shift_past_the_bound(tmp_path):
     rule = {"shift": MAX_STATIONARY_SHIFT + 1, "forward": [[1]], "inverse": [[1]]}
     doc = _write(
