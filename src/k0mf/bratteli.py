@@ -13,9 +13,26 @@ induces its own action by dualization). Integers may be written as JSON
 numbers or as ASCII decimal strings (``-?[0-9]+``), either of any
 length: past the interpreter's integer-string digit limit they are
 converted in chunks. Floats, NaN and infinities are rejected with the
-JSON path of the field. Serialization is canonical: sorted keys,
-two-space indent, plain integers, trailing newline, so golden files and
-certificates are byte-stable.
+JSON path of the field.
+
+The exact-integer rule: a field read as an integer holds a plain int (a
+JSON integer literal; never ``true`` or ``false``) or a decimal string.
+A matrix that holds only plain ints is checked in C-level passes: one
+``compress`` for its nonzero positions (which also give its sparse
+rows, ``exactlinalg._sparse_rows``), a type check of the nonzero
+entries, and ``list.count(0)`` for the rest. Of the values JSON decodes
+to, only 0, ``False``, 0.0 and -0.0 equal 0, so the count is exact when
+the decoder met no float literal (``parse`` notes each one through the
+decoder's ``parse_float`` hook) and the text does not hold ``false``.
+NaN and the infinities are not falsy, so the type check of the nonzero
+entries rejects them. When the decoder met a float, or the text holds
+``false`` (a literal, or inside a string), every matrix entry is
+type-checked instead. Either way, a matrix that fails is walked row by
+row and entry by entry, which names the first bad field.
+
+Serialization is canonical: sorted keys, two-space indent, plain
+integers, trailing newline, so golden files and certificates are
+byte-stable.
 
 ``parse_request_sets`` reads the other JSON input, the request sets of
 ``check-mf --sets``. Validation errors carry the JSON path of the
@@ -31,10 +48,11 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Any, Callable
 
 from .dimgroup import InductiveSystem, LimitElement
-from .exactlinalg import _CHUNK_DIGITS, IntMatrix, _decimal_str, _first_negative, _message_int, _zero_column
+from .exactlinalg import _CHUNK_DIGITS, IntMatrix, _decimal_str, _first_negative, _message_int, _sparse_rows, _zero_column
 from .kaction import K0Action, StageMap, StationaryRule, Word
 
 SCHEMA_VERSION = 1
@@ -53,15 +71,16 @@ def _decimal_int(text: str) -> int:
     return _decimal_int(text[:half]) * 10 ** (len(text) - half) + _decimal_int(text[half:])
 
 
-def _load_json(data: str | bytes) -> Any:
-    """``json.loads``; only when an integer literal exceeds the
-    interpreter's digit limit, decode again with ``_decimal_int``."""
+def _load_json(data: str | bytes, **hooks: Callable[[str], Any]) -> Any:
+    """``json.loads`` with the decoder ``hooks``; only when an integer
+    literal exceeds the interpreter's digit limit, decode again with
+    ``_decimal_int`` (and the same hooks)."""
     try:
-        return json.loads(data)
+        return json.loads(data, **hooks)
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise
     except ValueError:  # an integer literal past the digit limit
-        return json.loads(data, parse_int=_decimal_int)
+        return json.loads(data, parse_int=_decimal_int, **hooks)
 
 
 class DocumentError(ValueError):
@@ -260,16 +279,25 @@ def _int_vector(value: Any, path: str) -> tuple[int, ...]:
     return tuple(_expect_int(x, f"{path}[{i}]") for i, x in enumerate(items))
 
 
-def _int_matrix(value: Any, path: str) -> IntMatrix:
+def _int_matrix(value: Any, path: str, ints_only: bool = False) -> IntMatrix:
     """Whole-matrix checks first (every row a list, one width, every
     entry a plain int); only when one fails are the rows walked one by
-    one, which finds the first bad field and its path."""
+    one, which finds the first bad field and its path.
+
+    With ``ints_only`` (no float decoded and no ``false`` in the text)
+    the entries are checked by counting the zeros, as the module
+    docstring says."""
     rows = _expect_list(value, path)
     if rows and set(map(type, rows)) == {list} and len(widths := set(map(len, rows))) == 1:
         flat: list = []
         for row in rows:
             flat += row  # faster than a tuple of the chained rows
-        if set(map(type, flat)) <= {int}:
+        if ints_only:
+            nonzero = list(compress(range(len(flat)), flat))
+            if set(map(type, map(flat.__getitem__, nonzero))) <= {int} and flat.count(0) == len(flat) - len(nonzero):
+                width = widths.pop()
+                return IntMatrix._of_nonzeros(len(rows), width, _sparse_rows(len(rows), width, flat, nonzero))
+        elif set(map(type, flat)) <= {int}:
             return IntMatrix(len(rows), widths.pop(), flat)
     rows = [_int_vector(row, f"{path}[{i}]") for i, row in enumerate(rows)]
     if not rows:
@@ -319,11 +347,11 @@ def _parse_metadata(obj: Any, path: str) -> Metadata:
     return Metadata(name, description)
 
 
-def _parse_system(obj: Any, path: str) -> InductiveSystem:
+def _parse_system(obj: Any, path: str, ints_only: bool) -> InductiveSystem:
     obj = _fields(obj, path, ("stage_ranks", "connecting_maps", "unit"), ("stationary",))
     ranks = _int_vector(obj["stage_ranks"], f"{path}.stage_ranks")
     maps = tuple(
-        _int_matrix(m, f"{path}.connecting_maps[{k}]")
+        _int_matrix(m, f"{path}.connecting_maps[{k}]", ints_only)
         for k, m in enumerate(_expect_list(obj["connecting_maps"], f"{path}.connecting_maps"))
     )
     unit = _int_vector(obj["unit"], f"{path}.unit")
@@ -337,16 +365,16 @@ def _parse_system(obj: Any, path: str) -> InductiveSystem:
     elif tail is False or tail is None:
         tail_matrix = None
     else:
-        tail_matrix = _int_matrix(tail, f"{path}.stationary")
+        tail_matrix = _int_matrix(tail, f"{path}.stationary", ints_only)
     return _construct(path, InductiveSystem, ranks, maps, unit, tail_matrix)
 
 
-def _parse_diagram(obj: Any, path: str) -> BratteliDiagram:
+def _parse_diagram(obj: Any, path: str, ints_only: bool) -> BratteliDiagram:
     obj = _fields(obj, path, ("vertex_counts", "edge_matrices"), ("stationary",))
     counts = _int_vector(obj["vertex_counts"], f"{path}.vertex_counts")
     mats = []
     for k, m in enumerate(_expect_list(obj["edge_matrices"], f"{path}.edge_matrices")):
-        mat = _int_matrix(m, f"{path}.edge_matrices[{k}]")
+        mat = _int_matrix(m, f"{path}.edge_matrices[{k}]", ints_only)
         if not mat.is_nonnegative():
             r, c, x = _first_negative(mat)
             raise DocumentError(f"{path}.edge_matrices[{k}][{r}][{c}]", f"negative edge multiplicity {_message_int(x)}")
@@ -367,15 +395,15 @@ def _parse_finite_system(obj: Any, path: str) -> FiniteSystem:
     return _construct(path, FiniteSystem, points, perms)
 
 
-def _parse_stage_map(obj: Any, path: str) -> StageMap:
+def _parse_stage_map(obj: Any, path: str, ints_only: bool) -> StageMap:
     obj = _fields(obj, path, ("from_stage", "to_stage", "matrix"))
     from_stage = _expect_int(obj["from_stage"], f"{path}.from_stage")
     to_stage = _expect_int(obj["to_stage"], f"{path}.to_stage")
-    matrix = _int_matrix(obj["matrix"], f"{path}.matrix")
+    matrix = _int_matrix(obj["matrix"], f"{path}.matrix", ints_only)
     return _construct(path, StageMap, from_stage, to_stage, matrix)
 
 
-def _parse_action(obj: Any, path: str) -> K0Action:
+def _parse_action(obj: Any, path: str, ints_only: bool) -> K0Action:
     obj = _fields(obj, path, ("generators", "forward", "inverse"), ("stationary",))
     generators = _expect_int(obj["generators"], f"{path}.generators")
 
@@ -383,7 +411,7 @@ def _parse_action(obj: Any, path: str) -> K0Action:
         outer = _expect_list(obj[key], f"{path}.{key}")
         return tuple(
             tuple(
-                _parse_stage_map(sm, f"{path}.{key}[{j}][{k}]")
+                _parse_stage_map(sm, f"{path}.{key}[{j}][{k}]", ints_only)
                 for k, sm in enumerate(_expect_list(fam, f"{path}.{key}[{j}]"))
             )
             for j, fam in enumerate(outer)
@@ -396,8 +424,8 @@ def _parse_action(obj: Any, path: str) -> K0Action:
             at = f"{path}.stationary[{j}]"
             rule = _fields(rule, at, ("shift", "forward", "inverse"))
             shift = _expect_int(rule["shift"], f"{at}.shift")
-            forward = _int_matrix(rule["forward"], f"{at}.forward")
-            inverse = _int_matrix(rule["inverse"], f"{at}.inverse")
+            forward = _int_matrix(rule["forward"], f"{at}.forward", ints_only)
+            inverse = _int_matrix(rule["inverse"], f"{at}.inverse", ints_only)
             # the rule's only check is the shift's range
             rules.append(_construct(f"{at}.shift", StationaryRule, shift, forward, inverse))
         stationary = tuple(rules)
@@ -411,10 +439,18 @@ def parse(data: bytes | str) -> SystemDocument:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DocumentError("$", f"not UTF-8: {exc}") from None
+    floats: list[str] = []  # the float literals the decoder met
+
+    def note_float(text: str) -> float:
+        floats.append(text)
+        return float(text)
+
     try:
-        raw = _load_json(data)
+        raw = _load_json(data, parse_float=note_float)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"invalid JSON: {exc}") from None
+    # a decoded False needs the literal ``false`` in the text
+    ints_only = not floats and "false" not in data
     raw = _fields(raw, "$", ("schema_version",), ("metadata", "system", "diagram", "finite_system", "action"))
     version = _expect_int(raw["schema_version"], "$.schema_version")
     if version != SCHEMA_VERSION:
@@ -426,9 +462,9 @@ def parse(data: bytes | str) -> SystemDocument:
     kind = kinds[0]
     system = diagram = finite = action = None
     if kind == "system":
-        system = _parse_system(raw["system"], "$.system")
+        system = _parse_system(raw["system"], "$.system", ints_only)
     elif kind == "diagram":
-        diagram = _parse_diagram(raw["diagram"], "$.diagram")
+        diagram = _parse_diagram(raw["diagram"], "$.diagram", ints_only)
     else:
         finite = _parse_finite_system(raw["finite_system"], "$.finite_system")
     if kind == "finite_system":
@@ -437,7 +473,7 @@ def parse(data: bytes | str) -> SystemDocument:
     else:
         if "action" not in raw:
             raise DocumentError("$.action", "missing field")
-        action = _parse_action(raw["action"], "$.action")
+        action = _parse_action(raw["action"], "$.action", ints_only)
     doc = SystemDocument(version, metadata, kind, system, diagram, finite, action)
     _construct(f"$.{kind}", doc.resolve)
     return doc

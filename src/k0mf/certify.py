@@ -456,8 +456,16 @@ def find_invariant_state(
     elements: Sequence[LimitElement],
     words: Sequence[Word],
     stage_max: int,
+    faithful: Sequence[LimitElement] = (),
 ) -> StateCertificate | None:
     """Search stages for an invariant integer functional faithful on S.
+
+    S is ``elements`` and ``faithful``: the functional must vanish on
+    g - w(g) for every g in ``elements`` and every word w, and be at
+    least 1 on every element of S that is nonzero at its stage. The
+    ``faithful`` elements are not moved by the words; the certificate
+    records ``elements`` and their values only. A word with no map out
+    of an element's stage gives None at once.
 
     The functional lives on a full stage lattice; an invariant
     functional defined only on the subgroup the data generates might
@@ -494,7 +502,8 @@ def find_invariant_state(
     """
     if not elements:
         raise ValueError("the element set must be nonempty")
-    for g in elements:
+    requested = [*elements, *faithful]
+    for g in requested:
         horizon = max(stage_max, g.stage)
         if not is_positive(system, g, horizon).is_yes:
             raise ValueError("every requested element must be positive (entrywise nonnegative at some stage)")
@@ -503,7 +512,7 @@ def find_invariant_state(
         maps = {(k, w): word_map(action, system, w, k) for k in stages for w in words}
     except StageRangeError:
         return None
-    first = max([g.stage for g in elements] + [sm.to_stage for sm in maps.values()])
+    first = max([g.stage for g in requested] + [sm.to_stage for sm in maps.values()])
     settled = _settled_stage(system, first)
     element_vecs: list[tuple[int, ...]] = []
     missed_support: list[bool] | None = None  # nonzero elements at the last stage that missed
@@ -511,7 +520,7 @@ def find_invariant_state(
         if not system.has_stage(m):
             break
         if m == first:
-            element_vecs = [push(system, g, m).vector for g in elements]
+            element_vecs = [push(system, g, m).vector for g in requested]
         else:
             step = system.connecting(m - 1)
             element_vecs = [step.apply(v) for v in element_vecs]
@@ -536,7 +545,7 @@ def find_invariant_state(
             elements=tuple(elements),
             words=tuple(words),
             unit_value=_dot(best, unit),
-            element_values=tuple(_dot(best, gv) for gv in element_vecs),
+            element_values=tuple(_dot(best, gv) for gv in element_vecs[: len(elements)]),
         )
         verify_state_certificate(system, action, cert)
         return cert
@@ -551,11 +560,13 @@ def positive_parts(e: LimitElement) -> tuple[LimitElement, LimitElement]:
 
 
 def exclusion_sets(witness: Witness, generators: int) -> tuple[tuple[LimitElement, ...], tuple[Word, ...]]:
-    """Element and word sets realizing the mutual-exclusion test.
+    """Element and word sets realizing the mutual-exclusion test: the
+    witness value first, then the nonzero positive and negative parts of
+    every preimage, and one word per generator.
 
-    Both parts of every preimage enter the element set: invariance on
-    the parts forces any candidate functional to vanish on the witness
-    value, while faithfulness demands it be positive there.
+    Invariance on the parts forces any candidate functional to vanish on
+    the witness value, while faithfulness demands it be positive there;
+    so ``exclusion_holds`` applies the words to the parts only.
     """
     elements: list[LimitElement] = [witness.value]
     for pre in witness.preimages:
@@ -569,8 +580,11 @@ def exclusion_sets(witness: Witness, generators: int) -> tuple[tuple[LimitElemen
 def exclusion_holds(
     system: InductiveSystem, action: K0Action, witness: Witness, stage_max: int
 ) -> bool:
-    """True when no invariant faithful functional exists for the
-    witness's exclusion sets at any stage up to ``stage_max``.
+    """True when no functional faithful on the witness's exclusion sets
+    and invariant on the preimages' parts exists at any stage up to
+    ``stage_max``; the words are applied to the parts only, as the
+    witness value need not have a map under them (the parts sit at the
+    preimages' stage, where every generator has one).
 
     A sound witness rules out such a functional at every stage, so the
     first stage that holds the sets misses. Later stages are solved
@@ -578,9 +592,18 @@ def exclusion_holds(
     ``find_invariant_state``); on an injective system none vanishes, and
     one infeasible program decides every stage. Where the sets are
     nonnegative at that stage and no later connecting map has a zero
-    column, the search stops there without stepping to a later stage."""
-    elements, words = exclusion_sets(witness, action.generators)
+    column, the search stops there without stepping to a later stage.
+
+    False when a word has no map out of the parts' stage (no program is
+    solved then, which proves nothing) or when a functional exists."""
+    (value, *parts), words = exclusion_sets(witness, action.generators)
     try:
-        return find_invariant_state(system, action, elements, words, stage_max) is None
+        for k in {g.stage for g in parts}:
+            for w in words:
+                word_map(action, system, w, k)
+    except StageRangeError:
+        return False  # no program could be solved, which proves nothing
+    try:
+        return find_invariant_state(system, action, parts, words, stage_max, (value,)) is None
     except WalkBudgetExceeded:
         return False  # the walk runs only after the program found a functional

@@ -14,8 +14,9 @@ its path in the file.
 
 Exit codes: 0 when a verdict was computed (whatever it says), 2 on
 invalid input, 3 when a soundness check failed (a witness was found
-but an invariant state faithful on its exclusion sets exists too, so
-``mutual_exclusion_ok`` would be false); then no payload is written.
+but the state search did not rule out an invariant state faithful on
+its exclusion sets, so ``mutual_exclusion_ok`` would be false); then no
+payload is written.
 Human-readable summaries go to stderr; the canonical JSON payload goes
 to stdout or --json-out and is byte-identical across runs on identical
 inputs (timings are reported on stderr only). A state search whose
@@ -320,8 +321,8 @@ def _unsound(verdict: Verdict) -> bool:
     """Report a failed mutual-exclusion check on stderr; True if it failed."""
     if verdict.mutual_exclusion_ok is False:
         print(
-            "error: soundness check failed: an invariant state is faithful on the "
-            "witness's exclusion sets, which the witness rules out",
+            "error: soundness check failed: the state search did not rule out an invariant "
+            "state faithful on the witness's exclusion sets, which the witness rules out",
             file=sys.stderr,
         )
         return True

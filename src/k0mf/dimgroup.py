@@ -65,6 +65,9 @@ class InductiveSystem:
             units.append(a.apply(units[-1]))
             if any(x < 1 for x in units[-1]):
                 raise ValueError(f"propagated unit degenerates at stage {k + 1}")
+        # plain attributes, read on every stage lookup
+        object.__setattr__(self, "is_stationary", tail is not None)
+        object.__setattr__(self, "last_declared_stage", len(ranks) - 1)
         # eagerly propagated units: certificates reference them per stage
         object.__setattr__(self, "_prefix_units", tuple(units))
         # k -> [transfer(k, k + 1), transfer(k, k + 2), ...], grown on demand
@@ -75,14 +78,6 @@ class InductiveSystem:
         object.__setattr__(self, "_injective", {})
 
     # -- stage bookkeeping -------------------------------------------------
-
-    @property
-    def is_stationary(self) -> bool:
-        return self.stationary_tail is not None
-
-    @property
-    def last_declared_stage(self) -> int:
-        return len(self.stage_ranks) - 1
 
     def has_stage(self, k: int) -> bool:
         return k >= 0 and (k <= self.last_declared_stage or self.is_stationary)

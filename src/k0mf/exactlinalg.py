@@ -90,6 +90,16 @@ _Row = tuple[tuple[int, int], ...]
 _setattr = object.__setattr__
 
 
+def _sparse_rows(rows: int, cols: int, entries: Sequence[int], nonzero: Iterable[int]) -> tuple[_Row, ...]:
+    """The sparse rows of the row-major ``entries``, given the positions
+    of their nonzero entries in increasing order: the one dense-to-sparse
+    conversion, for ``IntMatrix`` and the document reader alike."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+    for k in nonzero:
+        out[k // cols].append((k % cols, entries[k]))
+    return tuple(map(tuple, out))
+
+
 class IntMatrix:
     """Integer matrix, immutable, held as sparse rows only: per row, the
     nonzero entries as (column, value) pairs, columns increasing and no
@@ -98,7 +108,9 @@ class IntMatrix:
     and write that form, so each costs in proportion to the nonzeros.
 
     ``IntMatrix(rows, cols, entries)`` and ``from_rows`` take dense
-    row-major entries and convert them once; no dense copy is kept.
+    row-major entries and convert them once, by ``_sparse_rows`` over the
+    nonzero positions of one ``compress`` scan (the document reader
+    converts its matrices by the same function); no dense copy is kept.
     ``entries``, ``at``, ``row``, ``column`` and ``to_rows`` derive dense
     values from the sparse rows on each call; the Smith form is their
     one working caller.
@@ -113,15 +125,11 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Sequence[int]) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entries length must equal rows*cols")
-        out: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
-        for k in compress(range(len(entries)), entries):
-            out[k // cols].append((k % cols, entries[k]))
         _setattr(self, "rows", rows)
         _setattr(self, "cols", cols)
-        _setattr(self, "nonzeros", tuple(map(tuple, out)))
+        _setattr(self, "nonzeros", _sparse_rows(rows, cols, entries, compress(range(len(entries)), entries)))
 
     @classmethod
     def _of_nonzeros(cls, rows: int, cols: int, nonzeros: tuple[_Row, ...]) -> "IntMatrix":

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dimgroup import InductiveSystem, LimitElement, StageRangeError
 from .exactlinalg import IntMatrix, _first_negative, _message_int, hermite_normal_form
@@ -249,8 +249,10 @@ def coboundary_stage_lattice(action: K0Action, system: InductiveSystem, target_s
     return IntMatrix._of_nonzeros(len(basis), p_tgt, basis).transpose()
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
+    """One verified law: immutable, and a tuple, which is cheaper to
+    build than a frozen dataclass (the verifier makes one per check)."""
+
     check: str
     generator: int  # 1-based; 0 for system-level checks
     stage: int

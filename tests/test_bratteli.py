@@ -28,7 +28,7 @@ from k0mf.bratteli import (
     serialize,
 )
 from k0mf.certify import SearchParams
-from k0mf.cli import run_check, verdict_payload
+from k0mf.cli import main, run_check, verdict_payload
 from k0mf.dimgroup import InductiveSystem, LimitElement
 from k0mf.exactlinalg import IntMatrix
 from k0mf.kaction import Word, identity_action, verify_action
@@ -389,13 +389,31 @@ def test_int_vector_names_the_bad_entry(bad, reason):
 _LONG = "9" * 5000
 
 
-def _diagram_text(matrix: str) -> str:
-    """A one-map diagram document whose edge matrix is written as ``matrix``."""
+def _diagram_text(matrix: str, shift: str = "0") -> str:
+    """A one-map diagram document whose edge matrix is written as
+    ``matrix``; its action's stationary shift is written as ``shift``,
+    and the action comes first in the text, so the decoder meets the
+    shift before the matrix."""
     return (
-        '{"schema_version": 1, "diagram": {"vertex_counts": [2, 2], "edge_matrices": [%s]},'
-        ' "action": {"generators": 1, "forward": [[]], "inverse": [[]],'
-        ' "stationary": [{"shift": 0, "forward": [[1, 0], [0, 1]], "inverse": [[1, 0], [0, 1]]}]}}' % matrix
+        '{"schema_version": 1, "action": {"generators": 1, "forward": [[]], "inverse": [[]],'
+        ' "stationary": [{"shift": %s, "forward": [[1, 0], [0, 1]], "inverse": [[1, 0], [0, 1]]}]},'
+        ' "diagram": {"vertex_counts": [2, 2], "edge_matrices": [%s]}}' % (shift, matrix)
     )
+
+
+# Every falsy JSON value that is not an integer, with the reason it is
+# rejected for. 0.0, -0.0 and false equal 0, as an int 0 does; the others
+# do not, and NaN is not falsy at all.
+_FALSY_ENTRIES = [
+    ("false", "expected an integer"),
+    ("0.0", "floating-point numbers are not allowed"),
+    ("-0.0", "floating-point numbers are not allowed"),
+    ('""', "not an integer: ''"),
+    ("null", "expected an integer (number or decimal string)"),
+    ("[]", "expected an integer (number or decimal string)"),
+    ("{}", "expected an integer (number or decimal string)"),
+    ("NaN", "floating-point numbers are not allowed"),
+]
 
 
 @pytest.mark.parametrize(
@@ -410,15 +428,21 @@ def _diagram_text(matrix: str) -> str:
         ("[]", "$.diagram.edge_matrices[0]", "matrix needs at least one row"),
         ("[[]]", "$.diagram", "edge matrix 0 has shape 1x0, expected 2x2"),
         ("[[1, -1], [0, 1]]", "$.diagram.edge_matrices[0][0][1]", "negative edge multiplicity -1"),
-    ],
-    ids=["bool", "float", "ragged", "non-list-row", "object-row", "float-before-ragged", "no-rows", "empty-row", "negative"],
+    ]
+    + [("[[1, 0], [%s, 1]]" % entry, "$.diagram.edge_matrices[0][1][0]", reason) for entry, reason in _FALSY_ENTRIES],
+    ids=["bool", "float", "ragged", "non-list-row", "object-row", "float-before-ragged", "no-rows", "empty-row", "negative"]
+    + ["falsy-" + (entry.strip('"') or "empty-string") for entry, _ in _FALSY_ENTRIES],
 )
 def test_matrix_errors_keep_their_path(matrix, path, reason):
     """A matrix that fails a whole-matrix check is walked row by row, so
-    the first bad field is named as before."""
-    with pytest.raises(DocumentError) as err:
-        parse(_diagram_text(matrix))
-    assert (err.value.path, err.value.reason) == (path, reason)
+    the first bad field is named as before; so it is when the document
+    also holds an integer literal past the digit limit (the shift, which
+    the decoder meets first, and which parse reads after the diagram),
+    which the decoder reads a second time."""
+    for shift in ("0", _LONG):
+        with pytest.raises(DocumentError) as err:
+            parse(_diagram_text(matrix, shift))
+        assert (err.value.path, err.value.reason) == (path, reason)
 
 
 @pytest.mark.parametrize(
@@ -427,8 +451,10 @@ def test_matrix_errors_keep_their_path(matrix, path, reason):
         ('[[1, "1"], ["0", 1]]', [[1, 1], [0, 1]]),
         ('[[1, "%s"], [0, 1]]' % _LONG, [[1, _decimal_int(_LONG)], [0, 1]]),
         ("[[1, %s], [0, 1]]" % _LONG, [[1, _decimal_int(_LONG)], [0, 1]]),
+        ('[[1, "0"], ["-0", "7"]]', [[1, 0], [0, 7]]),
+        ('[[%s, "0"], ["-0", "7"]]' % _LONG, [[_decimal_int(_LONG), 0], [0, 7]]),
     ],
-    ids=["decimal-strings", "long-string", "long-literal"],
+    ids=["decimal-strings", "long-string", "long-literal", "zero-strings", "zero-strings-after-a-long-literal"],
 )
 def test_matrix_integer_forms_parse_equal(matrix, rows):
     limit = sys.get_int_max_str_digits()
@@ -452,6 +478,62 @@ def test_int_matrix_whole_and_per_row_paths_agree():
             mixed[i][j] = str(rows[i][j])
             assert _int_matrix(mixed, "$") == whole
             assert _int_vector(mixed[i], "$") == _int_vector(rows[i], "$") == tuple(rows[i])
+
+
+def _action_matrix_text(matrix: list[list[int]], system_flag: str = "") -> str:
+    """A one-stage system document whose generator's one forward map is
+    ``matrix`` (parse reads any shape there); ``system_flag`` is added to
+    the system object."""
+    return (
+        '{"schema_version": 1, "system": {"stage_ranks": [1], "connecting_maps": [], "unit": [1]%s},'
+        ' "action": {"generators": 1, "forward": [[{"from_stage": 0, "to_stage": 0, "matrix": %s}]],'
+        ' "inverse": [[]]}}' % (system_flag, json.dumps(matrix))
+    )
+
+
+def test_seeded_matrices_read_alike_on_both_reader_paths():
+    """Seeded dense matrices, with zero rows, zero entries, negatives and
+    integers past 2**63, one row or one column, read as
+    ``IntMatrix.from_rows`` by the count check (no float and no ``false``
+    in the text) and by the per-entry type check (a ``"stationary":
+    false`` flag in the text)."""
+    rng = random.Random(2163)
+    shapes = [(1, rng.randint(1, 9)) for _ in range(10)] + [(rng.randint(1, 9), 1) for _ in range(10)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(60)]
+    big = 0
+    for m, n in shapes:
+        pick = (0, 0, 0, rng.randint(-9, 9), rng.randint(-(2**80), 2**80), 2**63, -(2**63) - 1)
+        rows = [[rng.choice(pick) for _ in range(n)] for _ in range(m)]
+        if m > 1:
+            rows[rng.randrange(m)] = [0] * n
+        big += any(abs(x) >= 2**63 for row in rows for x in row)
+        want = M(rows)
+        for flag in ("", ', "stationary": false'):
+            assert parse(_action_matrix_text(rows, flag)).action.forward[0][0].matrix == want
+        assert _int_matrix(rows, "$", ints_only=True) == _int_matrix(rows, "$") == want
+    assert big > 20
+
+
+@pytest.mark.parametrize("name", ["compactified_shift.json", "diamond.json"])
+def test_a_false_literal_changes_neither_the_document_nor_the_verdict(name, tmp_path):
+    """A document read by the count check and the same document with a
+    ``false`` literal (a stationary flag that says what its absence says)
+    parse to equal objects and give the same check-mf bytes."""
+    raw = json.loads(golden_path(name).read_bytes())
+    kind = "system" if "system" in raw else "diagram"
+    raw[kind].pop("stationary", None)
+    plain = json.dumps(raw)
+    raw[kind]["stationary"] = False
+    flagged = json.dumps(raw)
+    assert "false" not in plain and "false" in flagged
+    assert parse(plain) == parse(flagged)
+    outputs = []
+    for i, text in enumerate((plain, flagged)):
+        doc, out = tmp_path / f"doc{i}.json", tmp_path / f"out{i}.json"
+        doc.write_text(text)
+        assert main(["check-mf", str(doc), "--json-out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_finite_system_huge_points_is_no_bijection():

@@ -195,3 +195,38 @@ def test_a_permutation_system_at_a_huge_height(tmp_path):
     assert code == 0, err
     assert json.loads(out)["verdict"] == "CONSISTENT"
     assert cpu < 10, cpu
+
+
+def _wide_document(rank: int, description: str) -> dict:
+    """A stationary identity tail of rank ``rank`` with the cyclic shift
+    of its basis as the one generator, every matrix written dense."""
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    shift = [[int(j == (i + 1) % rank) for j in range(rank)] for i in range(rank)]
+    return {
+        "schema_version": 1,
+        "metadata": {"name": f"wide-{rank}", "description": description},
+        "system": {"stage_ranks": [rank], "connecting_maps": [], "unit": [1] * rank, "stationary": identity},
+        "action": {
+            "generators": 1,
+            "forward": [[]],
+            "inverse": [[]],
+            "stationary": [{"shift": 0, "forward": shift, "inverse": [list(col) for col in zip(*shift)]}],
+        },
+    }
+
+
+def test_a_wide_dense_document_on_both_reader_paths(tmp_path):
+    """Three dense 300 x 300 matrices (270 000 entries, 900 of them
+    nonzero), decided as they are and with a ``false`` in the metadata,
+    which makes the reader type-check every entry: both runs must end
+    CONSISTENT within the CPU bound, with the same payload bytes."""
+    payloads = []
+    for i, description in enumerate(("A wide identity tail.", "A wide identity tail; stationary: false.")):
+        path = tmp_path / f"wide{i}.json"
+        path.write_text(json.dumps(_wide_document(300, description), separators=(",", ":")))
+        code, out, err, cpu = _run("check-mf", str(path), cpu_bound=10)
+        assert code == 0, err
+        assert json.loads(out)["verdict"] == "CONSISTENT"
+        assert cpu < 10, cpu
+        payloads.append(out)
+    assert payloads[0] == payloads[1]

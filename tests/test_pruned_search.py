@@ -21,6 +21,7 @@ pushes and the per-system injectivity cache against their references.
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -432,6 +433,32 @@ def test_exclusion_on_a_long_shift_steps_no_map_past_its_first_miss(monkeypatch)
     assert certify.exclusion_holds(system, action, witness, 20)
     assert steps and max(steps) < first
     assert len(kernels) == 1
+
+
+def test_exclusion_solves_a_program_where_the_value_has_no_word_map(monkeypatch):
+    """The seven-stage compactified shift of speed -3 (the benchmark's
+    shift-witness-1-2): the witness value sits at stage 4, where the
+    generator has no map, so the words must act on the preimages' parts
+    alone. The check then solves a program, and it is infeasible."""
+    system, action = compactified_shift(7, [-3])
+    params = SearchParams(stage_max=6, height_bound=4)
+    witness = find_positive_coboundary(system, action, params).witness
+    with pytest.raises(StageRangeError):
+        word_map(action, system, Word.of(1), witness.value.stage)
+    outcomes, _ = _count_state_work(monkeypatch)
+    assert certify.exclusion_holds(system, action, witness, params.stage_max)
+    assert len(outcomes) >= 1 and all(isinstance(res, Infeasible) for res in outcomes)
+
+
+def test_exclusion_without_a_word_map_on_the_parts_proves_nothing(monkeypatch):
+    """A preimage moved to stage 4, where the generator has no map: no
+    program can be solved, and that is not read as "no state exists"."""
+    system, action = compactified_shift(7, [-3])
+    witness = find_positive_coboundary(system, action, SearchParams(stage_max=6, height_bound=4)).witness
+    moved = replace(witness, preimages=(LimitElement(4, (1,) + (0,) * (system.rank_at(4) - 1)),))
+    outcomes, _ = _count_state_work(monkeypatch)
+    assert not certify.exclusion_holds(system, action, moved, 6)
+    assert outcomes == []
 
 
 def test_a_certificate_after_a_negative_entry_cancels():
