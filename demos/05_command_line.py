@@ -49,7 +49,7 @@ for name in ("cycle3.json", "compactified_shift.json"):
     print("chain-recurrence", name, "->", json.loads(proc.stdout)["verdict"])
 
 # convert: dualize a finite permutation system to a document
-proc = cli("convert", "--finite", "--points", "3", "--perm", "2,3,1")
+proc = cli("convert", "--points", "3", "--perm", "2,3,1")
 print("convert emits:", json.loads(proc.stdout)["finite_system"])
 
 # determinism: two runs write byte-identical certificates

@@ -17,7 +17,8 @@ Two searches drive everything:
   exact rational feasibility program over the integer kernel of the
   invariance constraints; strictness is encoded as ">= 1", which is
   valid because the constraint functionals are homogeneous in the
-  unknown. The returned certificate re-verifies exactly.
+  unknown. The returned certificate re-verifies exactly; None follows
+  a solved stage only, and a question no stage can pose raises.
 
 Both searches read the action through ``kaction.coboundary_block``, the
 matrix that sends a vector g at a word's source stage to g - w(g) at a
@@ -465,14 +466,16 @@ def find_invariant_state(
     least 1 on every element of S that is nonzero at its stage. The
     ``faithful`` elements are not moved by the words; the certificate
     records ``elements`` and their values only. A word with no map out
-    of an element's stage gives None at once.
+    of an element's stage, or a first stage holding every element and
+    word image that is past ``stage_max`` or undeclared, raises
+    ``StageRangeError``: no stage could pose the question.
 
     The functional lives on a full stage lattice; an invariant
     functional defined only on the subgroup the data generates might
     exist without extending to a stage, so a miss at one stage is
     retried at a later stage up to ``stage_max``, but only once a
-    requested element has vanished there. "None" is therefore
-    parameter-relative, never a refutation.
+    requested element has vanished there. None follows a solved stage
+    only and is parameter-relative, never a refutation.
 
     A retry with the same support cannot succeed. Stage m+1's data is
     the push of stage m's by one connecting map T: each invariance
@@ -508,11 +511,11 @@ def find_invariant_state(
         if not is_positive(system, g, horizon).is_yes:
             raise ValueError("every requested element must be positive (entrywise nonnegative at some stage)")
     stages = dict.fromkeys(g.stage for g in elements)
-    try:
-        maps = {(k, w): word_map(action, system, w, k) for k in stages for w in words}
-    except StageRangeError:
-        return None
+    maps = {(k, w): word_map(action, system, w, k) for k in stages for w in words}
     first = max([g.stage for g in requested] + [sm.to_stage for sm in maps.values()])
+    if first > stage_max or not system.has_stage(first):
+        where = f"past the stage bound {stage_max}" if first > stage_max else "which is not declared"
+        raise StageRangeError(f"the elements and their word images meet at stage {first}, {where}")
     settled = _settled_stage(system, first)
     element_vecs: list[tuple[int, ...]] = []
     missed_support: list[bool] | None = None  # nonzero elements at the last stage that missed
@@ -582,9 +585,9 @@ def exclusion_holds(
 ) -> bool:
     """True when no functional faithful on the witness's exclusion sets
     and invariant on the preimages' parts exists at any stage up to
-    ``stage_max``; the words are applied to the parts only, as the
-    witness value need not have a map under them (the parts sit at the
-    preimages' stage, where every generator has one).
+    ``stage_max`` or the later stage where the preimages' coboundary
+    lands, as in ``verify_witness``. The words act on the parts only,
+    as the witness value need not have a map under them.
 
     A sound witness rules out such a functional at every stage, so the
     first stage that holds the sets misses. Later stages are solved
@@ -594,16 +597,11 @@ def exclusion_holds(
     nonnegative at that stage and no later connecting map has a zero
     column, the search stops there without stepping to a later stage.
 
-    False when a word has no map out of the parts' stage (no program is
-    solved then, which proves nothing) or when a functional exists."""
+    False when no program could be solved (``StageRangeError``), which
+    proves nothing, or when a functional exists."""
     (value, *parts), words = exclusion_sets(witness, action.generators)
     try:
-        for k in {g.stage for g in parts}:
-            for w in words:
-                word_map(action, system, w, k)
-    except StageRangeError:
-        return False  # no program could be solved, which proves nothing
-    try:
-        return find_invariant_state(system, action, parts, words, stage_max, (value,)) is None
-    except WalkBudgetExceeded:
-        return False  # the walk runs only after the program found a functional
+        bound = max(stage_max, *(action.forward_map(j, g.stage).to_stage for j, g in enumerate(witness.preimages)))
+        return find_invariant_state(system, action, parts, words, bound, (value,)) is None
+    except (StageRangeError, WalkBudgetExceeded):
+        return False  # no program was solved, or one found a functional

@@ -21,8 +21,8 @@ Human-readable summaries go to stderr; the canonical JSON payload goes
 to stdout or --json-out and is byte-identical across runs on identical
 inputs (timings are reported on stderr only). A state search whose
 lattice walk runs out of its node budget (``exactlinalg.WALK_NODE_BUDGET``)
-gives no certificate, so the verdict is UNKNOWN, and stderr names the
-budget.
+or that no stage up to --max-stage can pose gives no certificate, so
+the verdict is UNKNOWN, and stderr names the reason.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .certify import (
     find_invariant_state,
     find_positive_coboundary,
 )
-from .dimgroup import InductiveSystem, LimitElement, injectivity_report, is_positive
+from .dimgroup import InductiveSystem, LimitElement, StageRangeError, injectivity_report, is_positive
 from .exactlinalg import WalkBudgetExceeded
 from .kaction import K0Action, Word, verify_action
 
@@ -120,7 +120,7 @@ def run_check(
     for i, req in enumerate(reqs):
         try:
             cert = find_invariant_state(system, action, req.elements, req.words, params.stage_max)
-        except WalkBudgetExceeded as exc:
+        except (StageRangeError, WalkBudgetExceeded) as exc:
             cert = None
             reasons.append(f"state search {i + 1}: no certificate: {exc}")
         certs.append(cert)
@@ -367,9 +367,6 @@ def _cmd_chain_recurrence(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    if not args.finite:
-        print("convert currently supports --finite input only", file=sys.stderr)
-        return 2
     perms = []
     for raw in args.perm:
         try:
@@ -394,12 +391,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-stage", type=int, default=4, help="largest stage index searched (default 4)")
+    p.add_argument("--max-stage", type=int, default=SearchParams.stage_max, help="largest stage index searched (default %(default)s)")
     p.add_argument(
         "--word-length", type=int, default=1,
         help="accepted and checked (>= 1) but no longer shapes the search: single letters generate every word difference (default 1)",
     )
-    p.add_argument("--height", type=int, default=16, help="height bound for witness vectors (default 16)")
+    p.add_argument("--height", type=int, default=SearchParams.height_bound, help="height bound for witness vectors (default %(default)s)")
     p.add_argument("--json-out", type=str, default=None, help="write the canonical JSON payload here instead of stdout")
 
 
@@ -430,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chain_recurrence)
 
     p = sub.add_parser("convert", help="emit a document for a finite permutation system")
-    p.add_argument("--finite", action="store_true", help="input is a finite transformation system")
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--perm", action="append", default=[], required=True, help="1-based images, comma separated; repeat per generator")
     p.add_argument("--name", type=str, default=None)

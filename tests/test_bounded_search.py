@@ -196,7 +196,7 @@ def test_pipeline_lattices_give_the_oracle_candidates(name, make):
 def _identity_document(tmp_path, points: int) -> str:
     path = tmp_path / f"identity{points}.json"
     perm = ",".join(str(i) for i in range(1, points + 1))
-    assert main(["convert", "--finite", "--points", str(points), "--perm", perm, "--json-out", str(path)]) == 0
+    assert main(["convert", "--points", str(points), "--perm", perm, "--json-out", str(path)]) == 0
     return str(path)
 
 

@@ -175,9 +175,9 @@ def test_invariant_state_none_for_shift_witness(shift_pair):
     system, action = shift_pair
     w = find_positive_coboundary(system, action, SHIFT_PARAMS).witness
     assert w is not None
-    elements, words = exclusion_sets(w, action.generators)
+    (value, *parts), words = exclusion_sets(w, action.generators)
     for stage_max in (2, 3):
-        assert find_invariant_state(system, action, elements, words, stage_max) is None
+        assert find_invariant_state(system, action, parts, words, stage_max, (value,)) is None
 
 
 def test_invariant_state_requires_positive_elements(shift_pair):

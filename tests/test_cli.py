@@ -281,6 +281,46 @@ def test_check_mf_request_without_words_keeps_its_payload(tmp_path, capsysbinary
     assert hashlib.sha256(out).hexdigest() == "ec3bf263873767bbf0937aee52ece12a382e8ab79db86c3ff1e592caba194c85"
 
 
+# A two-stage identity system whose generator is declared at stage 0 only.
+STAGE_ZERO_GENERATOR_DOC = {
+    "schema_version": 1,
+    "system": {"stage_ranks": [1, 1], "connecting_maps": [[[1]]], "unit": [1]},
+    "action": {
+        "generators": 1,
+        "forward": [[{"from_stage": 0, "to_stage": 0, "matrix": [[1]]}]],
+        "inverse": [[{"from_stage": 0, "to_stage": 0, "matrix": [[1]]}]],
+    },
+}
+
+
+def test_a_word_with_no_map_is_an_unknown_with_a_reason(tmp_path, capsysbinary):
+    """The element (1) at stage 1 under the word [1]: the generator has no
+    map out of stage 1, so no stage can pose the question. The verdict is
+    UNKNOWN, as before, and stderr now says why."""
+    doc = _write(tmp_path, "doc.json", json.dumps(STAGE_ZERO_GENERATOR_DOC))
+    sets = _write(tmp_path, "sets.json", '{"requests": [{"elements": [{"stage": 1, "vector": [1]}], "words": [[1]]}]}')
+    code = main(["check-mf", doc, "--sets", sets])
+    captured = capsysbinary.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["verdict"] == "UNKNOWN"
+    assert hashlib.sha256(captured.out).hexdigest() == "89fc8f1122f3eabef39ef3469617f2896c800b874d772a1975917593d8e56f6b"
+    assert b"state search 1: no certificate: generator 1 has no map at stage 1\n" in captured.err
+
+
+def test_word_images_past_the_stage_bound_are_an_unknown_with_a_reason(tmp_path, capsysbinary):
+    """The compactified shift's generator maps stage 0 into stage 1, past
+    --max-stage 0, for a --sets request and for the default one alike."""
+    sets = _write(tmp_path, "sets.json", '{"requests": [{"elements": [{"stage": 0, "vector": [1]}], "words": [[1]]}]}')
+    for extra in (["--sets", sets], []):
+        code = main(["check-mf", str(golden_path("compactified_shift.json")), "--max-stage", "0", *extra])
+        captured = capsysbinary.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["verdict"] == "UNKNOWN"
+        assert hashlib.sha256(captured.out).hexdigest() == "6abac90687c33453e587e5ef7025360c3fcf2092ac015b81a65ee500ac4cb0f2"
+        reason = b"state search 1: no certificate: the elements and their word images meet at stage 1, past the stage bound 0\n"
+        assert reason in captured.err
+
+
 def test_validate_names_a_bad_field_inside_an_action_stage_map(tmp_path, capsys):
     blob = json.loads(golden_path("minimal.json").read_text())
     blob["action"]["forward"][0][0]["from_stage"] = 1.5
@@ -343,20 +383,26 @@ def test_chain_recurrence_rejects_an_action_that_fails_the_laws(tmp_path, capsys
     )
 
 
-def test_convert_without_finite_is_invalid_input(capsys):
-    code, out, err = run_cli(capsys, "convert", "--points", "3", "--perm", "2,3,1")
-    assert (code, out, err) == (2, "", "convert currently supports --finite input only\n")
+def test_convert_has_no_finite_flag(capsys):
+    """Finite permutation systems are the one input ``convert`` reads, so
+    it takes no flag to say so; ``--finite`` is an unknown argument."""
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "--finite", "--points", "3", "--perm", "2,3,1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --finite" in captured.err
 
 
 def test_convert_three_cycle(capsys):
-    code, out, _ = run_cli(capsys, "convert", "--finite", "--points", "3", "--perm", "2,3,1")
+    code, out, _ = run_cli(capsys, "convert", "--points", "3", "--perm", "2,3,1")
     assert code == 0
     payload = json.loads(out)
     assert payload["finite_system"] == {"points": 3, "permutations": [[2, 3, 1]]}
 
 
 def test_convert_identity(capsys):
-    code, out, _ = run_cli(capsys, "convert", "--finite", "--points", "2", "--perm", "1,2")
+    code, out, _ = run_cli(capsys, "convert", "--points", "2", "--perm", "1,2")
     assert code == 0
     payload = json.loads(out)
     assert payload["finite_system"]["permutations"] == [[1, 2]]
@@ -364,7 +410,7 @@ def test_convert_identity(capsys):
 
 def test_convert_two_generators_round_trip(capsys):
     code, out, _ = run_cli(
-        capsys, "convert", "--finite", "--points", "4", "--perm", "2,1,3,4", "--perm", "1,2,4,3"
+        capsys, "convert", "--points", "4", "--perm", "2,1,3,4", "--perm", "1,2,4,3"
     )
     assert code == 0
     from k0mf.bratteli import parse
@@ -376,10 +422,10 @@ def test_convert_two_generators_round_trip(capsys):
 
 
 def test_convert_malformed_permutation(capsys):
-    code, _, err = run_cli(capsys, "convert", "--finite", "--points", "3", "--perm", "2,a,1")
+    code, _, err = run_cli(capsys, "convert", "--points", "3", "--perm", "2,a,1")
     assert code == 2
     assert "malformed" in err
-    code, _, err = run_cli(capsys, "convert", "--finite", "--points", "3", "--perm", "1,1,2")
+    code, _, err = run_cli(capsys, "convert", "--points", "3", "--perm", "1,1,2")
     assert code == 2
     assert "invalid finite system" in err
 
@@ -624,7 +670,7 @@ def _eighty_point_permutation(tmp_path, capsys) -> str:
     perm = list(range(1, 81))
     random.Random(80).shuffle(perm)
     path = tmp_path / "eighty.json"
-    assert main(["convert", "--finite", "--points", "80", "--perm", ",".join(map(str, perm)), "--json-out", str(path)]) == 0
+    assert main(["convert", "--points", "80", "--perm", ",".join(map(str, perm)), "--json-out", str(path)]) == 0
     capsys.readouterr()
     return str(path)
 

@@ -14,11 +14,14 @@ pushes and the per-system injectivity cache against their references.
   no support can change; on seeded requests, on systems whose maps have
   zero columns and on the exclusion sets of witnesses it must return
   what pushing everything again and solving at every stage returns.
+  Where no stage up to its bound can pose the question it raises
+  ``StageRangeError``, and the oracle reports that too.
 * ``InductiveSystem`` caches each map's full-column-rank flag; every
   ``is_zero`` and ``is_positive`` answer must be the uncached one, with
   each map ranked at most once.
 """
 
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -35,6 +38,7 @@ from test_lattice_pipeline import BOXES, CASES, compactified_shift
 from test_lp_integer import cone_program, state_program
 
 from k0mf import certify, dimgroup
+from k0mf.bratteli import canonical_json_bytes
 from k0mf.certify import (
     SearchParams,
     StateCertificate,
@@ -44,6 +48,7 @@ from k0mf.certify import (
     find_invariant_state,
     find_positive_coboundary,
 )
+from k0mf.cli import run_check, verdict_payload
 from k0mf.dimgroup import InductiveSystem, LimitElement, StageRangeError, is_positive, is_zero, push
 from k0mf.exactlinalg import (
     Infeasible,
@@ -56,7 +61,7 @@ from k0mf.exactlinalg import (
     rank,
     verify_farkas,
 )
-from k0mf.kaction import K0Action, StageMap, StationaryRule, Word, apply_word, identity_action, word_map
+from k0mf.kaction import K0Action, StageMap, StationaryRule, Word, apply_word, coboundary, identity_action, word_map
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +219,36 @@ def test_integer_checks_accept_int_entries():
 # ---------------------------------------------------------------------------
 
 
-def push_every_stage(system, action, elements, words, stage_max):
+CANNOT_ASK = "cannot ask"
+
+
+def search_outcome(system, action, elements, words, stage_max, faithful=()):
+    """``find_invariant_state``'s answer, or CANNOT_ASK where it raises
+    StageRangeError because no stage up to ``stage_max`` can pose the
+    question."""
+    try:
+        return find_invariant_state(system, action, elements, words, stage_max, faithful)
+    except StageRangeError:
+        return CANNOT_ASK
+
+
+def push_every_stage(system, action, elements, words, stage_max, faithful=()):
     """The state search as it was before: every element and word image
-    pushed again from its own stage at every stage tried."""
-    for g in elements:
+    pushed again from its own stage at every stage tried. CANNOT_ASK
+    when a word has no map out of an element's stage, or when the stage
+    where the elements and their word images meet is past ``stage_max``
+    or not declared; None only after a stage was solved."""
+    requested = [*elements, *faithful]
+    for g in requested:
         if not is_positive(system, g, max(stage_max, g.stage)).is_yes:
             raise ValueError("not positive")
     try:
         images = [(gi, apply_word(action, system, w, g)) for gi, g in enumerate(elements) for w in words]
     except StageRangeError:
-        return None
-    first = max([g.stage for g in elements] + [img.stage for _, img in images])
+        return CANNOT_ASK
+    first = max([g.stage for g in requested] + [img.stage for _, img in images])
+    if first > stage_max or not system.has_stage(first):
+        return CANNOT_ASK
     for m in range(first, stage_max + 1):
         if not system.has_stage(m):
             break
@@ -241,7 +265,7 @@ def push_every_stage(system, action, elements, words, stage_max):
         if not kernel_rows:
             continue
         positives = [tuple(system.unit_at(m))]
-        for g in elements:
+        for g in requested:
             gv = push(system, g, m).vector
             if any(gv):
                 positives.append(gv)
@@ -272,7 +296,7 @@ def test_state_search_matches_pushing_every_stage(name, make):
             elements.append(LimitElement(k, tuple(rng.randint(0, 2) for _ in range(system.rank_at(k)))))
         words = [Word.of(*(rng.choice(letters) for _ in range(rng.randint(1, 2)))) for _ in range(rng.randint(0, 2))]
         stage_max = rng.randint(0, 5)
-        assert find_invariant_state(system, action, elements, words, stage_max) == push_every_stage(
+        assert search_outcome(system, action, elements, words, stage_max) == push_every_stage(
             system, action, elements, words, stage_max
         )
 
@@ -316,6 +340,19 @@ def test_exclusion_searches_match_solving_every_stage():
     assert checked >= 2
 
 
+def _as_exclusion_holds_asks(system, action, params):
+    """What ``exclusion_holds`` passes the state search for the witness
+    the search finds: the preimages' parts, the words, its stage bound
+    (where the preimages' coboundary lands, if past ``params``) and the
+    value as ``faithful``; or None."""
+    witness = find_positive_coboundary(system, action, params).witness
+    if witness is None:
+        return None
+    (value, *parts), words = exclusion_sets(witness, action.generators)
+    bound = max(params.stage_max, coboundary(action, system, witness.preimages).stage)
+    return parts, words, bound, (value,)
+
+
 def _count_state_work(monkeypatch):
     """Record each state LP's outcome and count the integer kernels."""
     outcomes, kernels = [], []
@@ -338,18 +375,18 @@ def test_seeded_injective_exclusion_searches(monkeypatch):
         system, action = compactified_shift(stages, speeds)
         assert all(system.map_injective(k) for k in range(stages - 1))
         params = SearchParams(stage_max=rng.randint(stages - 2, stages + 1))
-        sets = _exclusion_requests(system, action, params)
-        if sets is None:
+        asks = _as_exclusion_holds_asks(system, action, params)
+        if asks is None:
             continue
-        elements, words = sets
+        parts, words, bound, faithful = asks
         outcomes.clear()
         kernels.clear()
-        assert find_invariant_state(system, action, elements, words, params.stage_max) is None
-        assert len(outcomes) <= len(kernels) <= 1
+        assert find_invariant_state(system, action, parts, words, bound, faithful) is None
+        assert len(outcomes) <= len(kernels) == 1
         assert all(isinstance(res, Infeasible) for res in outcomes)
-        if outcomes and system.has_stage(max(g.stage for g in elements) + 1):
+        if outcomes and system.has_stage(max(g.stage for g in (*parts, *faithful)) + 1):
             misses_before_the_last_stage += 1
-        assert push_every_stage(system, action, elements, words, params.stage_max) is None
+        assert push_every_stage(system, action, parts, words, bound, faithful) is None
     assert misses_before_the_last_stage >= 3
 
 
@@ -387,12 +424,18 @@ def test_a_certificate_after_an_element_vanishes_two_stages_later(monkeypatch):
     assert len(outcomes) == 1
 
 
-def test_state_search_past_the_declared_stages_is_a_miss():
-    """No word images, an element one stage past a finite prefix: the
-    search stops at the first stage without pushing anything."""
+def test_state_search_past_the_declared_stages_cannot_be_asked():
+    """No word images, an element one stage past a finite prefix: no
+    stage holds the question, so the search raises without pushing
+    anything, as it does where a word has no map or the word images land
+    past the stage bound."""
     system = InductiveSystem((1, 1), (IntMatrix.from_rows([[1]]),), (1,))
     action = identity_action(system)
-    assert find_invariant_state(system, action, [LimitElement(2, (1,))], [], 4) is None
+    with pytest.raises(StageRangeError, match="meet at stage 2, which is not declared"):
+        find_invariant_state(system, action, [LimitElement(2, (1,))], [], 4)
+    with pytest.raises(StageRangeError, match="meet at stage 1, past the stage bound 0"):
+        find_invariant_state(system, action, [LimitElement(1, (1,))], [Word.of(1)], 0)
+    assert push_every_stage(system, action, [LimitElement(2, (1,))], [], 4) == CANNOT_ASK
 
 
 def test_state_search_on_a_singular_tail_stops_where_nothing_more_vanishes():
@@ -459,6 +502,23 @@ def test_exclusion_without_a_word_map_on_the_parts_proves_nothing(monkeypatch):
     outcomes, _ = _count_state_work(monkeypatch)
     assert not certify.exclusion_holds(system, action, moved, 6)
     assert outcomes == []
+
+
+def test_exclusion_solves_a_program_past_a_small_stage_bound(monkeypatch):
+    """The seven-stage compactified shift of speed -3 at --max-stage 4:
+    the preimage sits at stage 3 and its generator image lands at stage
+    6, past the bound. The check solves the program at that stage, where
+    the witness's own check reaches, rather than holding with nothing
+    solved; the payload keeps the bytes it had when nothing was solved."""
+    system, action = compactified_shift(7, [-3])
+    _, kernels = _count_state_work(monkeypatch)
+    verdict = run_check(system, action, SearchParams(stage_max=4, height_bound=4))
+    assert [g.stage for g in verdict.witness.preimages] == [3]
+    assert coboundary(action, system, verdict.witness.preimages).stage == 6
+    assert verdict.mutual_exclusion_ok is True
+    assert len(kernels) >= 1
+    blob = canonical_json_bytes(verdict_payload("check-mf", None, verdict))
+    assert hashlib.sha256(blob).hexdigest() == "77d3f8ca32f400d7071a8f4467b36af0ef416afb0c403b27ca4351adee7087d4"
 
 
 def test_a_certificate_after_a_negative_entry_cancels():
@@ -535,7 +595,7 @@ def test_state_search_stop_agrees_with_solving_every_stage(monkeypatch):
         if not all(is_positive(system, g, max(stage_max, g.stage)).is_yes for g in elements):
             continue
         calls.clear()
-        got = find_invariant_state(system, action, elements, [Word.of(1)], stage_max)
+        got = search_outcome(system, action, elements, [Word.of(1)], stage_max)
         assert got == push_every_stage(system, action, elements, [Word.of(1)], stage_max), seed
         if got is None and True in calls:
             seen["stopped at a miss"] += 1
