@@ -185,7 +185,7 @@ def _coefficient_program(
 ) -> LinearProgram:
     """Program over the coefficients c of v = sum(c_i * basis_rows[i]): each
     coordinate of v >= 0 when ``nonnegative``, then v . p >= 1 per p in ``positives``."""
-    ineqs = [([row[i] for row in basis_rows], 0) for i in range(len(basis_rows[0]))] if nonnegative else []
+    ineqs = [(column, 0) for column in zip(*basis_rows)] if nonnegative else []
     ineqs.extend(([_dot(row, pos) for row in basis_rows], 1) for pos in positives)
     return LinearProgram.build(len(basis_rows), inequalities=ineqs)
 

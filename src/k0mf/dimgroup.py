@@ -261,7 +261,6 @@ def is_positive(system: InductiveSystem, e: LimitElement, horizon: int) -> Trist
     so that is the stage a walk to the horizon would report.
     """
     tail = system.stationary_tail
-    frozen = [i for i, row in enumerate(tail.nonzeros) if row == ((i, 1),)] if tail is not None else []
     for m, v in _walk(system, e, horizon):
         if all(x >= 0 for x in v):
             return Tristate.yes(m, horizon)
@@ -269,7 +268,8 @@ def is_positive(system: InductiveSystem, e: LimitElement, horizon: int) -> Trist
         if all(x <= 0 for x in v) and injective_from(system, m):
             return Tristate.no(m, horizon)
         if tail is not None and m >= system.last_declared_stage:
-            if tail.apply(v) == v or any(v[i] < 0 for i in frozen):
+            rows = tail.nonzeros
+            if tail.apply(v) == v or any(x < 0 and rows[i] == ((i, 1),) for i, x in enumerate(v)):
                 return Tristate.no(m, horizon)
     return Tristate.unknown(horizon)
 

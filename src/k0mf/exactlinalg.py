@@ -20,11 +20,14 @@ goes up by height and prunes on one running per-coordinate cost (minus
 the sum, or the mass) when asked for a best point, and stops at
 ``WALK_NODE_BUDGET`` nodes, and an exact feasibility solver for
 integer inequality rows a.x >= b: a phase-one simplex with Bland's
-pivoting rule on a fraction-free integer tableau
-(one common denominator), returning either an exact rational feasible
-point or an exact rational Farkas certificate of infeasibility. Both results are re-checked in integers
-before they are returned, the point or the multipliers scaled by one
-common denominator.
+pivoting rule on a fraction-free integer tableau (one common
+denominator), started from the surplus of each row with b <= 0 and
+from an artificial only on a row with b > 0, returning either an exact
+rational feasible point or an exact rational Farkas certificate of
+infeasibility, each row's multiplier read from the reduced cost of its
+surplus. Both results are re-checked in integers before they are
+returned, the point or the multipliers scaled by one common
+denominator.
 
 Everything runs on Python ints, with Fractions only in the LP's
 rational answers; there is no floating point on any verdict path. All
@@ -658,7 +661,7 @@ class LinearProgram:
             a = tuple(a)
             if len(a) != num_vars:
                 raise ValueError("constraint row length mismatch")
-            if type(b) is not int or not all(type(c) is int for c in a):
+            if type(b) is not int or not set(map(type, a)) <= {int}:
                 raise ValueError("constraint coefficients and right-hand sides must be ints")
             rows.append((a, b))
         return cls(num_vars, tuple(rows))
@@ -673,7 +676,8 @@ class Feasible:
 class Infeasible:
     """Farkas certificate: multipliers t_k >= 0, one per inequality, with
     sum(t_k * a_k) == 0 coefficient-wise while sum(t_k * b_k) > 0, so no
-    point can satisfy every row."""
+    point can satisfy every row. ``lp_feasible`` reads t_k as the final
+    phase-one reduced cost of row k's surplus column."""
 
     ineq_multipliers: tuple[Fraction, ...]
 
@@ -703,23 +707,36 @@ def _pivot(tab: list[list[int]], z: list[int], basis: list[int], d: int, row: in
 
 
 def _phase_one(
-    rows: list[list[int]], rhs: list[int], width: int
-) -> tuple[bool, list[Fraction] | None, list[Fraction] | None]:
+    rows: list[list[int]], rhs: list[int], width: int, start: list[int | None]
+) -> tuple[list[Fraction] | None, list[int], int]:
     """Minimise the sum of artificial variables over rows @ x == rhs, x >= 0.
 
-    rows and rhs are integers and rhs must be >= 0. The tableau is kept
-    all-integer under one positive common denominator d (the true
-    tableau is tab / d; Bareiss/Edmonds integer pivoting), which makes
-    the same pivots as a rational tableau: ratios are compared by
-    cross-multiplication and d > 0 keeps every sign. Returns (feasible,
-    structural point, phase-1 duals). Bland's rule (smallest entering
-    index; smallest basis index on ratio ties) guarantees termination.
+    rows (each ``width`` long) and rhs are integers and rhs must be >= 0.
+    start[i] is a column of rows equal to the unit vector e_i, which
+    starts in the basis, or None where row i starts from an artificial
+    instead (appended after the columns of rows, in row order); only
+    those rows enter the objective. The tableau is kept all-integer
+    under one positive common denominator d (the true tableau is
+    tab / d; Bareiss/Edmonds integer pivoting), which makes the same
+    pivots as a rational tableau: ratios are compared by
+    cross-multiplication and d > 0 keeps every sign. Bland's rule
+    (smallest entering index; smallest basis index on ratio ties)
+    guarantees termination. Returns (point, z, d): the value of each
+    column of rows when the minimum is 0, else None, and the final
+    objective row z / d, whose entry j is column j's reduced cost.
     """
-    m = len(rows)
-    ncols = width + m
-    tab = [rows[i] + [1 if t == i else 0 for t in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [width + i for i in range(m)]
-    z = [(1 if width <= j < ncols else 0) - sum(r[j] for r in tab) for j in range(ncols + 1)]
+    artificial = [i for i, col in enumerate(start) if col is None]
+    na = len(artificial)
+    ncols = width + na
+    tab = [r + [0] * na + [b] for r, b in zip(rows, rhs)]
+    basis = list(start)
+    for k, i in enumerate(artificial):
+        tab[i][width + k] = 1
+        basis[i] = width + k
+    # cost 1 on each artificial, less the sum of the rows they start in
+    # (the zero row keeps every column when no row has an artificial)
+    z = [-sum(col) for col in zip([0] * (ncols + 1), *(tab[i] for i in artificial))]
+    z[width:ncols] = [0] * na
     d = 1
     while True:
         enter = next((j for j in range(ncols) if z[j] < 0), None)
@@ -739,13 +756,12 @@ def _phase_one(
             raise RuntimeError("phase-1 objective unbounded; input corrupted")
         d = _pivot(tab, z, basis, d, leave, enter)
     if z[ncols] < 0:  # the objective -z[ncols] / d is positive
-        duals = [Fraction(d - z[width + i], d) for i in range(m)]
-        return False, None, duals
+        return None, z, d
     point = [Fraction(0)] * width
     for i, b in enumerate(basis):
         if b < width:
             point[b] = Fraction(tab[i][ncols], d)
-    return True, point, None
+    return point, z, d
 
 
 def _point_satisfies(program: LinearProgram, x: Sequence[Fraction]) -> bool:
@@ -756,7 +772,8 @@ def _point_satisfies(program: LinearProgram, x: Sequence[Fraction]) -> bool:
 
 def verify_farkas(program: LinearProgram, cert: Infeasible) -> bool:
     """Exactly re-check a Farkas certificate by substitution."""
-    if any(t < 0 for t in cert.ineq_multipliers):
+    # a Fraction's sign is its numerator's, read without a Fraction compare
+    if any(t.numerator < 0 for t in cert.ineq_multipliers):
         return False
     used = list(zip(cert.ineq_multipliers, program.inequalities))
     # d > 0 clears every multiplier's denominator: d * combination is integral, same signs
@@ -775,29 +792,42 @@ def verify_farkas(program: LinearProgram, cert: Infeasible) -> bool:
 def lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
     """Exact feasibility verdict for a system of integer inequalities.
 
+    Row k reads a_k.x - s_k == b_k with x = x+ - x- and a surplus
+    s_k >= 0. A row with b_k <= 0 is negated, -a_k.x + s_k == -b_k, so
+    its surplus column is a unit column and starts in the basis; only a
+    row with b_k > 0 gets an artificial, so rows that the origin meets
+    cost phase one no degenerate pivots. When the phase-one minimum is
+    positive, row k's Farkas multiplier is the reduced cost of s_k,
+    t_k = z[2n + k] / d, by one rule for every row.
+
     A Feasible result carries a point satisfying every constraint
     exactly; an Infeasible result carries a Farkas certificate that
     re-verifies exactly. Both are checked before returning.
     """
     n = program.num_vars
     m = len(program.inequalities)
-    width = 2 * n + m  # x+ | x- | surplus
     rows: list[list[int]] = []
     rhs: list[int] = []
+    start: list[int | None] = []
     for k, (a, b) in enumerate(program.inequalities):
-        s = -1 if b < 0 else 1  # tableau row k is s * row k, so its rhs is >= 0
-        row = [s * c for c in a]
-        rows.append(row + [-c for c in row] + [0] * k + [-s] + [0] * (m - 1 - k))
-        rhs.append(s * b)
-    feasible, point, duals = _phase_one(rows, rhs, width)
-    if feasible:
-        assert point is not None
+        surplus = [0] * m  # columns x+ | x- | surplus
+        if b > 0:  # a.x - s_k == b, started from an artificial
+            surplus[k] = -1
+            rows.append([*a, *map(neg, a), *surplus])
+            start.append(None)
+        else:  # -a.x + s_k == -b, started from s_k
+            surplus[k] = 1
+            rows.append([*map(neg, a), *a, *surplus])
+            start.append(2 * n + k)
+        rhs.append(abs(b))
+    point, z, d = _phase_one(rows, rhs, 2 * n + m, start)
+    if point is not None:
         x = tuple(point[j] - point[n + j] for j in range(n))
         if not _point_satisfies(program, x):
             raise AssertionError("simplex returned a non-feasible point")
         return Feasible(x)
-    assert duals is not None
-    cert = Infeasible(tuple(-t if b < 0 else t for t, (_, b) in zip(duals, program.inequalities)))
+    # most multipliers are 0, and Fraction(0) skips the gcd
+    cert = Infeasible(tuple(Fraction(t, d) if t else Fraction(0) for t in z[2 * n : 2 * n + m]))
     if not verify_farkas(program, cert):
         raise AssertionError("simplex returned an invalid Farkas certificate")
     return cert

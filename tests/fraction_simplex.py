@@ -1,11 +1,20 @@
-"""Reference oracle: the phase-one simplex over ``fractions.Fraction``.
+"""Reference oracles: the phase-one simplex over ``fractions.Fraction``.
 
-This is the tableau ``k0mf.exactlinalg.lp_feasible`` ran before it moved
-to fraction-free integer pivoting. It builds the same phase-one program
-(x = x+ - x-, a surplus per inequality, every row signed so that its
-right-hand side is >= 0, one artificial per row) and pivots by Bland's
-rule, so on an integer program it must make the same pivots and return
-the same point or the same Farkas multipliers.
+``fraction_lp_feasible`` builds the program ``k0mf.exactlinalg.lp_feasible``
+builds (x = x+ - x-, a surplus per inequality; a row with b <= 0 is
+negated and starts from its surplus, and only a row with b > 0 gets an
+artificial) and pivots by Bland's rule on a Fraction tableau, so on an
+integer program it must make the same pivots and return the same point
+or the same Farkas multipliers.
+
+``all_artificial_lp_feasible`` is the tableau ``lp_feasible`` ran before
+it started rows from their surplus: every row signed so that its
+right-hand side is >= 0, and one artificial per row. Its start basis
+differs, so its point and multipliers may differ, but its verdict must
+not.
+
+Both read the Farkas multiplier of row k as the reduced cost of its
+surplus column, which is the row's phase-one dual times the row's sign.
 
 ``fraction_point_satisfies`` and ``fraction_verify_farkas`` are the
 re-checks ``lp_feasible`` ran before they moved to integers: they
@@ -34,25 +43,29 @@ def _pivot(tab: list[list[Fraction]], z: list[Fraction], basis: list[int], row: 
 
 
 def _phase_one(
-    rows: list[list[Fraction]], rhs: list[Fraction], width: int
-) -> tuple[bool, list[Fraction] | None, list[Fraction] | None]:
+    rows: list[list[Fraction]], rhs: list[Fraction], width: int, start: list[int | None]
+) -> tuple[list[Fraction] | None, list[Fraction]]:
     """Minimise the sum of artificial variables over rows @ x == rhs, x >= 0.
 
-    rhs must be >= 0. Returns (feasible, structural point, phase-1 duals).
+    rhs must be >= 0; start[i] is a unit column e_i of rows that starts
+    in the basis, or None where row i gets an artificial. Returns (the
+    point when the minimum is 0, else None; the reduced costs).
     """
     m = len(rows)
-    ncols = width + m
-    tab = [
-        [Fraction(x) for x in rows[i]]
-        + [Fraction(1 if t == i else 0) for t in range(m)]
-        + [Fraction(rhs[i])]
-        for i in range(m)
-    ]
-    basis = [width + i for i in range(m)]
+    artificial = [i for i in range(m) if start[i] is None]
+    ncols = width + len(artificial)
+    basis = list(start)
+    tab = []
+    for i in range(m):
+        unit = [Fraction(0)] * len(artificial)
+        if i in artificial:
+            unit[artificial.index(i)] = Fraction(1)
+            basis[i] = width + artificial.index(i)
+        tab.append([Fraction(x) for x in rows[i]] + unit + [Fraction(rhs[i])])
     z = [Fraction(0)] * (ncols + 1)
     for j in range(ncols + 1):
         cj = Fraction(1) if width <= j < ncols else Fraction(0)
-        z[j] = cj - sum(tab[i][j] for i in range(m))
+        z[j] = cj - sum(tab[i][j] for i in artificial)
     while True:
         enter = next((j for j in range(ncols) if z[j] < 0), None)
         if enter is None:
@@ -69,38 +82,43 @@ def _phase_one(
         if leave is None:
             raise RuntimeError("phase-1 objective unbounded; input corrupted")
         _pivot(tab, z, basis, leave, enter)
-    objective = -z[ncols]
-    if objective > 0:
-        duals = [Fraction(1) - z[width + i] for i in range(m)]
-        return False, None, duals
+    if -z[ncols] > 0:
+        return None, z
     point = [Fraction(0)] * width
     for i, b in enumerate(basis):
         if b < width:
             point[b] = tab[i][ncols]
-    return True, point, None
+    return point, z
 
 
-def fraction_lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
-    """The verdict, point or multipliers of the Fraction tableau (unchecked)."""
+def _solve(program: LinearProgram, slack_start: bool) -> Feasible | Infeasible:
     n = program.num_vars
     n_ineq = len(program.inequalities)
     width = 2 * n + n_ineq  # x+ | x- | surplus
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    signs: list[int] = []
+    start: list[int | None] = []
     for idx, (coeffs, b) in enumerate(program.inequalities):
         row = list(coeffs) + [-c for c in coeffs] + [Fraction(0)] * n_ineq
         row[2 * n + idx] = Fraction(-1)
-        sign = 1 if b >= 0 else -1
+        sign = 1 if b > 0 or (b == 0 and not slack_start) else -1
         rows.append([sign * c for c in row])
         rhs.append(sign * b)
-        signs.append(sign)
-    feasible, point, duals = _phase_one(rows, rhs, width)
-    if feasible:
-        assert point is not None
+        start.append(2 * n + idx if slack_start and b <= 0 else None)
+    point, z = _phase_one(rows, rhs, width, start)
+    if point is not None:
         return Feasible(tuple(point[j] - point[n + j] for j in range(n)))
-    assert duals is not None
-    return Infeasible(tuple(signs[i] * duals[i] for i in range(n_ineq)))
+    return Infeasible(tuple(z[2 * n + i] for i in range(n_ineq)))
+
+
+def fraction_lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
+    """The verdict, point or multipliers of the slack-started Fraction tableau (unchecked)."""
+    return _solve(program, slack_start=True)
+
+
+def all_artificial_lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
+    """The verdict, point or multipliers of the one-artificial-per-row Fraction tableau (unchecked)."""
+    return _solve(program, slack_start=False)
 
 
 def fraction_point_satisfies(program: LinearProgram, x: Sequence[Fraction]) -> bool:

@@ -1,23 +1,26 @@
-"""The integer-tableau ``lp_feasible`` against the Fraction tableau it replaced.
+"""The integer-tableau ``lp_feasible`` against Fraction tableaux.
 
-The program is integer inequality rows, so the two tableaux are the
-same up to one common denominator, Bland's rule makes the same pivots,
-and the results must be identical: the same ``Feasible.point`` or the
-same ``Infeasible`` multipliers. ``certify`` builds its cone and state
-programs with one helper, ``_coefficient_program``.
+The program is integer inequality rows, so the integer tableau and the
+slack-started Fraction tableau are the same up to one common
+denominator, Bland's rule makes the same pivots, and the results must be
+identical: the same ``Feasible.point`` or the same ``Infeasible``
+multipliers. The one-artificial-per-row Fraction tableau starts from
+another basis, so only its verdict must agree. ``certify`` builds its
+cone and state programs with one helper, ``_coefficient_program``.
 """
 
 import random
 
 import pytest
 
-from fraction_simplex import fraction_lp_feasible
+from fraction_simplex import all_artificial_lp_feasible, fraction_lp_feasible
 from test_exactlinalg import random_program
 from test_lattice_pipeline import CASES, stage_bases
 
-from k0mf import certify
+from k0mf import certify, exactlinalg
+from k0mf.bratteli import FiniteSystem, finite_system_to_k0
 from k0mf.certify import SearchParams, _coefficient_program, _span_meets_cone
-from k0mf.exactlinalg import Feasible, Infeasible, LinearProgram, lp_feasible
+from k0mf.exactlinalg import Feasible, Infeasible, LinearProgram, lp_feasible, verify_farkas
 
 
 def _dot(a, b):
@@ -66,6 +69,7 @@ def test_integer_programs_match_fraction_tableau():
     for p in programs:
         got = lp_feasible(p)
         assert got == fraction_lp_feasible(p)
+        assert type(got) is type(all_artificial_lp_feasible(p))
         verdicts[type(got)] += 1
     assert min(verdicts.values()) >= 30, verdicts
 
@@ -97,3 +101,87 @@ def test_cone_program_is_the_shared_helper(name, make, monkeypatch):
         rows.append(([sum(row) for row in basis], 1))
         expected = LinearProgram.build(len(basis), inequalities=rows)
         assert seen.pop() == expected == _coefficient_program(basis, [(1,) * width], nonnegative=True)
+
+
+def degenerate_cone_program(k: int, p: int) -> LinearProgram:
+    """k rows of p entries from ``random.Random(3)``, each in [-2, 2]: the
+    cone program over them, each coordinate >= 0 and the sum >= 1. Its p
+    coordinate rows have b = 0 and are met at the origin."""
+    rng = random.Random(3)
+    rows = [[rng.randint(-2, 2) for _ in range(p)] for _ in range(k)]
+    return _coefficient_program(rows, [(1,) * p], nonnegative=True)
+
+
+@pytest.mark.parametrize("k,p,bound", [(10, 40, 120), (15, 50, 300), (20, 60, 1000)])
+def test_degenerate_cone_programs_start_from_their_surplus(k, p, bound, monkeypatch):
+    """A row with b <= 0 starts from its surplus, so phase one does not
+    drive p artificials out through degenerate pivots (one artificial
+    per row made 476, 1034 and 2794 pivots here)."""
+    pivots = []
+    pivot = exactlinalg._pivot
+    monkeypatch.setattr(exactlinalg, "_pivot", lambda *args: pivots.append(args[-1]) or pivot(*args))
+    program = degenerate_cone_program(k, p)
+    res = lp_feasible(program)
+    assert isinstance(res, Infeasible) and verify_farkas(program, res)
+    assert len(pivots) <= bound, len(pivots)
+
+
+def perm_sweep_systems(count: int):
+    """1-3 random permutations of 8-20 points, the sizes of the benchmark's
+    permutation sweep."""
+    rng = random.Random(20261020)
+    out = []
+    for _ in range(count):
+        n = rng.randint(8, 20)
+        perms = []
+        for _ in range(rng.randint(1, 3)):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            perms.append(tuple(perm))
+        out.append(finite_system_to_k0(FiniteSystem(n, tuple(perms))))
+    return out
+
+
+def weighted_spans(count: int):
+    """Rows of 8-20 coordinates in the hyperplane w.v = 0 of a random
+    weight w > 0, each a sum of 1-3 multiples of w_j * e_i - w_i * e_j:
+    spans that miss the cone, and whose sum row is not zero."""
+    rng = random.Random(20261020)
+    for _ in range(count):
+        p = rng.randint(8, 20)
+        w = [rng.randint(1, 4) for _ in range(p)]
+        rows = []
+        for _ in range(rng.randint(2, p - 1)):
+            row = [0] * p
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(p), 2)
+                c = rng.randint(-2, 2)
+                row[i] += c * w[j]
+                row[j] -= c * w[i]
+            rows.append(row)
+        yield rows
+
+
+def test_cone_multipliers_are_a_strictly_positive_functional_on_the_span():
+    """The cone program's Farkas multipliers make the Stiemke
+    certificate: with t_sum the sum row's multiplier, f = t + t_sum * 1
+    vanishes on every basis row and f >= t_sum * 1 > 0. A permutation
+    system's H_t misses the cone with a zero sum row (f = 1); a weighted
+    span needs coordinate multipliers too."""
+    spans = [
+        basis
+        for system, action in perm_sweep_systems(12)
+        for _, basis in stage_bases(system, action, SearchParams().stage_max)
+        if basis
+    ]
+    spans += weighted_spans(20)
+    weighted = 0
+    for basis in spans:
+        res = lp_feasible(_coefficient_program(basis, [(1,) * len(basis[0])], nonnegative=True))
+        assert isinstance(res, Infeasible)
+        *t, t_sum = res.ineq_multipliers
+        f = [x + t_sum for x in t]
+        assert all(_dot(f, row) == 0 for row in basis)
+        assert t_sum > 0 and min(f) >= t_sum
+        weighted += any(t)
+    assert len(spans) >= 32 and weighted >= 10
