@@ -42,15 +42,18 @@ print("x + y = 0 over Z:", solved)
 print("3 in 2Z?", solve_in_lattice(IntMatrix.from_rows([[2]]), (3,)))
 
 # Exact LP feasibility over integer inequality rows (a, b), each read as
-# a.x >= b; an equality is two rows. A feasible program returns an exact
-# rational point.
+# a.x >= b; an equality is two rows. The simplex solves Farkas'
+# alternative, multipliers t >= 0 with sum(t_k * a_k) = 0 and
+# sum(t_k * b_k) = 1. When there are none, the program is feasible, and
+# the optimal duals of that tableau give an exact rational point.
 program = LinearProgram.build(1, inequalities=[([1], 1), ([-1], -1), ([1], 0)])
 result = lp_feasible(program)
 assert isinstance(result, Feasible)
 print("{x >= 1, -x >= -1, x >= 0}:", result)
 
 # An infeasible program returns a Farkas certificate: nonnegative
-# multipliers combining the constraints into 0 >= positive.
+# multipliers combining the constraints into 0 >= 1, the alternative's
+# solution itself.
 program = LinearProgram.build(1, inequalities=[([1], 1), ([-1], 0)])
 result = lp_feasible(program)
 assert isinstance(result, Infeasible)

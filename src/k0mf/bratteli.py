@@ -57,7 +57,7 @@ from .kaction import K0Action, StageMap, StationaryRule, Word
 
 SCHEMA_VERSION = 1
 
-_DECIMAL = re.compile(r"-?[0-9]+")
+DECIMAL = re.compile(r"-?[0-9]+")  # an integer as text, in documents and command-line flags
 
 
 def _decimal_int(text: str) -> int:
@@ -266,7 +266,7 @@ def _expect_int(value: Any, path: str) -> int:
     if isinstance(value, float):
         raise DocumentError(path, "floating-point numbers are not allowed")
     if isinstance(value, str):
-        if _DECIMAL.fullmatch(value):
+        if DECIMAL.fullmatch(value):
             return _decimal_int(value)
         raise DocumentError(path, f"not an integer: {value!r}")
     raise DocumentError(path, "expected an integer (number or decimal string)")

@@ -12,11 +12,14 @@ Input is read by ``bratteli``: the document by ``parse`` and a
 must also be positive within --max-stage, else it is invalid input at
 its path in the file.
 
+Integer flags and ``--perm`` entries are ASCII ``-?[0-9]+``, as in
+documents; anything else is invalid input that names the flag.
+
 Exit codes: 0 when a verdict was computed (whatever it says), 2 on
-invalid input, 3 when a soundness check failed (a witness was found
-but the state search did not rule out an invariant state faithful on
-its exclusion sets, so ``mutual_exclusion_ok`` would be false); then no
-payload is written.
+invalid input or a --json-out that cannot be written, 3 when a
+soundness check failed (a witness was found but the state search did
+not rule out an invariant state faithful on its exclusion sets, so
+``mutual_exclusion_ok`` would be false); then no payload is written.
 Human-readable summaries go to stderr; the canonical JSON payload goes
 to stdout or --json-out and is byte-identical across runs on identical
 inputs (timings are reported on stderr only). A state search whose
@@ -35,6 +38,7 @@ from functools import cache
 from typing import Any, Sequence
 
 from .bratteli import (
+    DECIMAL,
     DocumentError,
     FiniteSystem,
     Metadata,
@@ -204,6 +208,14 @@ def verdict_payload(command: str, name: str | None, verdict: Verdict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def integer(text: str) -> int:
+    """A command-line integer, ``-?[0-9]+`` (``int`` alone would also
+    take ``1_0``, ``+2``, `` 2`` and non-ASCII digits)."""
+    if not DECIMAL.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _read_document(path: str) -> SystemDocument:
     try:
         with open(path, "rb") as fh:
@@ -238,8 +250,11 @@ def _parse_sets_file(
 def _emit(payload: dict, json_out: str | None) -> None:
     blob = canonical_json_bytes(payload)
     if json_out:
-        with open(json_out, "wb") as fh:
-            fh.write(blob)
+        try:
+            with open(json_out, "wb") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            raise ValueError(f"{json_out}: cannot write: {exc.strerror}") from None
     else:
         sys.stdout.buffer.write(blob)
         sys.stdout.flush()
@@ -370,9 +385,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     perms = []
     for raw in args.perm:
         try:
-            perms.append(tuple(int(x) for x in raw.split(",")))
+            perms.append(tuple(map(integer, raw.split(","))))
         except ValueError:
-            print(f"malformed permutation: {raw!r}", file=sys.stderr)
+            print(f"malformed --perm value: {raw!r}", file=sys.stderr)
             return 2
     try:
         fs = FiniteSystem(args.points, tuple(perms))
@@ -391,12 +406,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-stage", type=int, default=SearchParams.stage_max, help="largest stage index searched (default %(default)s)")
+    p.add_argument("--max-stage", type=integer, default=SearchParams.stage_max, help="largest stage index searched (default %(default)s)")
     p.add_argument(
-        "--word-length", type=int, default=1,
+        "--word-length", type=integer, default=1,
         help="accepted and checked (>= 1) but no longer shapes the search: single letters generate every word difference (default 1)",
     )
-    p.add_argument("--height", type=int, default=SearchParams.height_bound, help="height bound for witness vectors (default %(default)s)")
+    p.add_argument("--height", type=integer, default=SearchParams.height_bound, help="height bound for witness vectors (default %(default)s)")
     p.add_argument("--json-out", type=str, default=None, help="write the canonical JSON payload here instead of stdout")
 
 
@@ -427,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chain_recurrence)
 
     p = sub.add_parser("convert", help="emit a document for a finite permutation system")
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--points", type=integer, required=True)
     p.add_argument("--perm", action="append", default=[], required=True, help="1-based images, comma separated; repeat per generator")
     p.add_argument("--name", type=str, default=None)
     p.add_argument("--json-out", type=str, default=None)

@@ -21,13 +21,13 @@ the sum, or the mass) when asked for a best point, and stops at
 ``WALK_NODE_BUDGET`` nodes, and an exact feasibility solver for
 integer inequality rows a.x >= b: a phase-one simplex with Bland's
 pivoting rule on a fraction-free integer tableau (one common
-denominator), started from the surplus of each row with b <= 0 and
-from an artificial only on a row with b > 0, returning either an exact
-rational feasible point or an exact rational Farkas certificate of
-infeasibility, each row's multiplier read from the reduced cost of its
-surplus. Both results are re-checked in integers before they are
-returned, the point or the multipliers scaled by one common
-denominator.
+denominator) of Farkas' alternative, multipliers t >= 0 with
+sum(t_k * a_k) == 0 and sum(t_k * b_k) == 1, in n + 1 rows over one
+column per inequality. A solution is the exact rational Farkas
+certificate of infeasibility; otherwise the rows' duals at the
+optimum give an exact rational feasible point. Both results are
+re-checked in integers before they are returned, the point or the
+multipliers scaled by one common denominator.
 
 Everything runs on Python ints, with Fractions only in the LP's
 rational answers; there is no floating point on any verdict path. All
@@ -676,8 +676,8 @@ class Feasible:
 class Infeasible:
     """Farkas certificate: multipliers t_k >= 0, one per inequality, with
     sum(t_k * a_k) == 0 coefficient-wise while sum(t_k * b_k) > 0, so no
-    point can satisfy every row. ``lp_feasible`` reads t_k as the final
-    phase-one reduced cost of row k's surplus column."""
+    point can satisfy every row. ``lp_feasible`` finds t as a point of
+    Farkas' alternative, where sum(t_k * b_k) == 1."""
 
     ineq_multipliers: tuple[Fraction, ...]
 
@@ -706,42 +706,37 @@ def _pivot(tab: list[list[int]], z: list[int], basis: list[int], d: int, row: in
     return p
 
 
-def _phase_one(
-    rows: list[list[int]], rhs: list[int], width: int, start: list[int | None]
-) -> tuple[list[Fraction] | None, list[int], int]:
-    """Minimise the sum of artificial variables over rows @ x == rhs, x >= 0.
+def _phase_one(rows: list[list[int]], rhs: list[int], width: int) -> tuple[list[Fraction] | None, list[int], int]:
+    """Minimise the sum of artificial variables over rows @ t == rhs, t >= 0.
 
     rows (each ``width`` long) and rhs are integers and rhs must be >= 0.
-    start[i] is a column of rows equal to the unit vector e_i, which
-    starts in the basis, or None where row i starts from an artificial
-    instead (appended after the columns of rows, in row order); only
-    those rows enter the objective. The tableau is kept all-integer
-    under one positive common denominator d (the true tableau is
-    tab / d; Bareiss/Edmonds integer pivoting), which makes the same
-    pivots as a rational tableau: ratios are compared by
+    Row i has an artificial column width + i, of cost 1, and starts from
+    the first column of rows equal to e_i, else from it. The tableau is
+    kept all-integer under one positive common denominator d (the true
+    tableau is tab / d; Bareiss/Edmonds integer pivoting), which makes
+    the same pivots as a rational tableau: ratios are compared by
     cross-multiplication and d > 0 keeps every sign. Bland's rule
     (smallest entering index; smallest basis index on ratio ties)
-    guarantees termination. Returns (point, z, d): the value of each
-    column of rows when the minimum is 0, else None, and the final
-    objective row z / d, whose entry j is column j's reduced cost.
+    guarantees termination, and the loop stops as soon as the objective
+    is 0. Returns (point, z, d): the value of each column of rows when
+    the minimum is 0, else None, and the final objective row z / d,
+    whose entry j is column j's reduced cost.
     """
-    artificial = [i for i, col in enumerate(start) if col is None]
-    na = len(artificial)
-    ncols = width + na
-    tab = [r + [0] * na + [b] for r, b in zip(rows, rhs)]
-    basis = list(start)
-    for k, i in enumerate(artificial):
-        tab[i][width + k] = 1
-        basis[i] = width + k
+    m = len(rows)
+    ncols = width + m
+    tab = [r + [0] * i + [1] + [0] * (m - 1 - i) + [b] for i, (r, b) in enumerate(zip(rows, rhs))]
+    basis = list(range(width, ncols))
+    for j, col in enumerate(zip(*rows)):  # the first column equal to e_i starts row i
+        if col.count(0) == m - 1 and 1 in col and basis[col.index(1)] >= width:
+            basis[col.index(1)] = j
     # cost 1 on each artificial, less the sum of the rows they start in
-    # (the zero row keeps every column when no row has an artificial)
-    z = [-sum(col) for col in zip([0] * (ncols + 1), *(tab[i] for i in artificial))]
-    z[width:ncols] = [0] * na
+    z = [-sum(col) for col in zip([0] * (ncols + 1), *(r for r, b in zip(tab, basis) if b >= width))]
+    z[width:ncols] = [x + 1 for x in z[width:ncols]]
     d = 1
-    while True:
+    while z[ncols]:  # the objective -z[ncols] / d is positive
         enter = next((j for j in range(ncols) if z[j] < 0), None)
         if enter is None:
-            break
+            return None, z, d
         leave = None
         for i, r in enumerate(tab):
             if r[enter] > 0:
@@ -755,8 +750,6 @@ def _phase_one(
         if leave is None:
             raise RuntimeError("phase-1 objective unbounded; input corrupted")
         d = _pivot(tab, z, basis, d, leave, enter)
-    if z[ncols] < 0:  # the objective -z[ncols] / d is positive
-        return None, z, d
     point = [Fraction(0)] * width
     for i, b in enumerate(basis):
         if b < width:
@@ -792,13 +785,14 @@ def verify_farkas(program: LinearProgram, cert: Infeasible) -> bool:
 def lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
     """Exact feasibility verdict for a system of integer inequalities.
 
-    Row k reads a_k.x - s_k == b_k with x = x+ - x- and a surplus
-    s_k >= 0. A row with b_k <= 0 is negated, -a_k.x + s_k == -b_k, so
-    its surplus column is a unit column and starts in the basis; only a
-    row with b_k > 0 gets an artificial, so rows that the origin meets
-    cost phase one no degenerate pivots. When the phase-one minimum is
-    positive, row k's Farkas multiplier is the reduced cost of s_k,
-    t_k = z[2n + k] / d, by one rule for every row.
+    Phase one runs on Farkas' alternative, t >= 0 with
+    sum(t_k * a_k) == 0 and sum(t_k * b_k) == 1: n + 1 equality rows
+    (the n coordinates of the a_k, then the b row) over one column per
+    inequality, with right-hand sides 0 and 1. A zero minimum gives t,
+    the Farkas multipliers. Otherwise the rows' duals at the optimum,
+    y_i = 1 - z[m + i] / d from the reduced costs of the artificials,
+    have y . (a_k, b_k) <= 0 for every k and y_n equal to the positive
+    minimum, so x = -y[:n] / y_n satisfies every row.
 
     A Feasible result carries a point satisfying every constraint
     exactly; an Infeasible result carries a Farkas certificate that
@@ -806,28 +800,16 @@ def lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
     """
     n = program.num_vars
     m = len(program.inequalities)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    start: list[int | None] = []
-    for k, (a, b) in enumerate(program.inequalities):
-        surplus = [0] * m  # columns x+ | x- | surplus
-        if b > 0:  # a.x - s_k == b, started from an artificial
-            surplus[k] = -1
-            rows.append([*a, *map(neg, a), *surplus])
-            start.append(None)
-        else:  # -a.x + s_k == -b, started from s_k
-            surplus[k] = 1
-            rows.append([*map(neg, a), *a, *surplus])
-            start.append(2 * n + k)
-        rhs.append(abs(b))
-    point, z, d = _phase_one(rows, rhs, 2 * n + m, start)
-    if point is not None:
-        x = tuple(point[j] - point[n + j] for j in range(n))
-        if not _point_satisfies(program, x):
-            raise AssertionError("simplex returned a non-feasible point")
-        return Feasible(x)
-    # most multipliers are 0, and Fraction(0) skips the gcd
-    cert = Infeasible(tuple(Fraction(t, d) if t else Fraction(0) for t in z[2 * n : 2 * n + m]))
-    if not verify_farkas(program, cert):
-        raise AssertionError("simplex returned an invalid Farkas certificate")
-    return cert
+    rows = [[a[j] for a, _ in program.inequalities] for j in range(n)]
+    rows.append([b for _, b in program.inequalities])
+    t, z, d = _phase_one(rows, [0] * n + [1], m)
+    if t is not None:
+        cert = Infeasible(tuple(t))
+        if not verify_farkas(program, cert):
+            raise AssertionError("simplex returned an invalid Farkas certificate")
+        return cert
+    y = [d - w for w in z[m : m + n + 1]]  # d * y
+    x = tuple(Fraction(-w, y[n]) for w in y[:n])
+    if not _point_satisfies(program, x):
+        raise AssertionError("simplex returned a non-feasible point")
+    return Feasible(x)

@@ -1,20 +1,24 @@
 """Reference oracles: the phase-one simplex over ``fractions.Fraction``.
 
-``fraction_lp_feasible`` builds the program ``k0mf.exactlinalg.lp_feasible``
-builds (x = x+ - x-, a surplus per inequality; a row with b <= 0 is
-negated and starts from its surplus, and only a row with b > 0 gets an
-artificial) and pivots by Bland's rule on a Fraction tableau, so on an
-integer program it must make the same pivots and return the same point
-or the same Farkas multipliers.
+``fraction_lp_feasible`` builds the tableau ``k0mf.exactlinalg.lp_feasible``
+builds, Farkas' alternative t >= 0 with sum(t_k * a_k) == 0 and
+sum(t_k * b_k) == 1 (n + 1 rows, one column per inequality, an
+artificial column per row; a row starts from the first column equal to
+its unit vector, else from its artificial), and pivots by Bland's rule
+on a Fraction tableau until the objective is 0 or optimal. On an
+integer program it must make the same pivots and return the same
+multipliers t or the same point x = -y[:n] / y_n, where y_i is 1 minus
+the reduced cost of row i's artificial.
 
-``all_artificial_lp_feasible`` is the tableau ``lp_feasible`` ran before
-it started rows from their surplus: every row signed so that its
-right-hand side is >= 0, and one artificial per row. Its start basis
-differs, so its point and multipliers may differ, but its verdict must
-not.
-
-Both read the Farkas multiplier of row k as the reduced cost of its
-surplus column, which is the row's phase-one dual times the row's sign.
+The two primal tableaux that ``lp_feasible`` ran before are kept as
+verdict oracles: x = x+ - x-, a surplus per inequality, pivoted to
+optimality. ``slack_started_lp_feasible`` negates a row with b <= 0 and
+starts it from its surplus, giving only a row with b > 0 an artificial;
+``all_artificial_lp_feasible`` signs every row so that its right-hand
+side is >= 0 and gives each an artificial. Their start bases and
+problems differ from the alternative's, so their points and
+multipliers may differ, but their verdicts must not. Both read the
+Farkas multiplier of row k as the reduced cost of its surplus column.
 
 ``fraction_point_satisfies`` and ``fraction_verify_farkas`` are the
 re-checks ``lp_feasible`` ran before they moved to integers: they
@@ -43,16 +47,19 @@ def _pivot(tab: list[list[Fraction]], z: list[Fraction], basis: list[int], row: 
 
 
 def _phase_one(
-    rows: list[list[Fraction]], rhs: list[Fraction], width: int, start: list[int | None]
+    rows: list[list[Fraction]], rhs: list[Fraction], width: int, start: list[int | None], alternative: bool
 ) -> tuple[list[Fraction] | None, list[Fraction]]:
     """Minimise the sum of artificial variables over rows @ x == rhs, x >= 0.
 
     rhs must be >= 0; start[i] is a unit column e_i of rows that starts
-    in the basis, or None where row i gets an artificial. Returns (the
-    point when the minimum is 0, else None; the reduced costs).
+    in the basis, or None where row i starts from an artificial. With
+    ``alternative`` every row has an artificial column (width + i) and
+    the loop stops once the objective is 0; otherwise only the rows
+    started from one have it and the loop runs to optimality. Returns
+    (the point when the minimum is 0, else None; the reduced costs).
     """
     m = len(rows)
-    artificial = [i for i in range(m) if start[i] is None]
+    artificial = list(range(m)) if alternative else [i for i in range(m) if start[i] is None]
     ncols = width + len(artificial)
     basis = list(start)
     tab = []
@@ -60,13 +67,14 @@ def _phase_one(
         unit = [Fraction(0)] * len(artificial)
         if i in artificial:
             unit[artificial.index(i)] = Fraction(1)
-            basis[i] = width + artificial.index(i)
+            if start[i] is None:
+                basis[i] = width + artificial.index(i)
         tab.append([Fraction(x) for x in rows[i]] + unit + [Fraction(rhs[i])])
     z = [Fraction(0)] * (ncols + 1)
     for j in range(ncols + 1):
         cj = Fraction(1) if width <= j < ncols else Fraction(0)
-        z[j] = cj - sum(tab[i][j] for i in artificial)
-    while True:
+        z[j] = cj - sum(tab[i][j] for i in range(m) if start[i] is None)
+    while not (alternative and z[ncols] == 0):
         enter = next((j for j in range(ncols) if z[j] < 0), None)
         if enter is None:
             break
@@ -91,7 +99,30 @@ def _phase_one(
     return point, z
 
 
-def _solve(program: LinearProgram, slack_start: bool) -> Feasible | Infeasible:
+def unit_starts(program: LinearProgram) -> list[int | None]:
+    """For each row of the alternative's tableau (the n coordinates of
+    the a_k, then the b row), the first inequality whose column
+    (a_k, b_k) is that row's unit vector, or None."""
+    columns = [(*a, b) for a, b in program.inequalities]
+    units = [tuple(int(j == i) for j in range(program.num_vars + 1)) for i in range(program.num_vars + 1)]
+    return [next((k for k, c in enumerate(columns) if c == e), None) for e in units]
+
+
+def fraction_lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
+    """The verdict, point or multipliers of the Fraction tableau of Farkas' alternative (unchecked)."""
+    n = program.num_vars
+    m = len(program.inequalities)
+    rows = [[Fraction(a[j]) for a, _ in program.inequalities] for j in range(n)]
+    rows.append([Fraction(b) for _, b in program.inequalities])
+    rhs = [Fraction(0)] * n + [Fraction(1)]
+    t, z = _phase_one(rows, rhs, m, unit_starts(program), alternative=True)
+    if t is not None:
+        return Infeasible(tuple(t))
+    y = [1 - z[m + i] for i in range(n + 1)]
+    return Feasible(tuple(-v / y[n] for v in y[:n]))
+
+
+def _primal(program: LinearProgram, slack_start: bool) -> Feasible | Infeasible:
     n = program.num_vars
     n_ineq = len(program.inequalities)
     width = 2 * n + n_ineq  # x+ | x- | surplus
@@ -105,20 +136,20 @@ def _solve(program: LinearProgram, slack_start: bool) -> Feasible | Infeasible:
         rows.append([sign * c for c in row])
         rhs.append(sign * b)
         start.append(2 * n + idx if slack_start and b <= 0 else None)
-    point, z = _phase_one(rows, rhs, width, start)
+    point, z = _phase_one(rows, rhs, width, start, alternative=False)
     if point is not None:
         return Feasible(tuple(point[j] - point[n + j] for j in range(n)))
     return Infeasible(tuple(z[2 * n + i] for i in range(n_ineq)))
 
 
-def fraction_lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
-    """The verdict, point or multipliers of the slack-started Fraction tableau (unchecked)."""
-    return _solve(program, slack_start=True)
+def slack_started_lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
+    """The verdict, point or multipliers of the slack-started primal Fraction tableau (unchecked)."""
+    return _primal(program, slack_start=True)
 
 
 def all_artificial_lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
-    """The verdict, point or multipliers of the one-artificial-per-row Fraction tableau (unchecked)."""
-    return _solve(program, slack_start=False)
+    """The verdict, point or multipliers of the one-artificial-per-row primal Fraction tableau (unchecked)."""
+    return _primal(program, slack_start=False)
 
 
 def fraction_point_satisfies(program: LinearProgram, x: Sequence[Fraction]) -> bool:

@@ -85,6 +85,44 @@ def test_negative_max_stage_is_invalid_input(tmp_path, capsys):
         assert err == "error: --max-stage must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("text", ["1_0", "+2", " 2", "2 ", "\u0662", "0x2", "2.0", ""])
+def test_integer_flags_follow_the_document_rule(text, capsys):
+    """Integer flags are ASCII ``-?[0-9]+``, like integers in documents;
+    ``int`` alone would run ``--max-stage 1_0`` with max_stage 10."""
+    doc = str(golden_path("minimal.json"))
+    for argv, flag in [
+        (["check-mf", doc, "--max-stage", text], "--max-stage"),
+        (["validate", doc, "--height", text], "--height"),
+        (["chain-recurrence", doc, "--word-length", text], "--word-length"),
+        (["convert", "--points", text, "--perm", "1,2"], "--points"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: invalid integer value: {text!r}" in captured.err
+
+
+@pytest.mark.parametrize("perm", ["+2,3,1", " 2,3,1", "2,3,1 ", "2,3,0_1", "\u0662,3,1", "2,,3,1"])
+def test_perm_entries_follow_the_document_rule(perm, capsys):
+    code, out, err = run_cli(capsys, "convert", "--points", "3", "--perm", "2,3,1", "--perm", perm)
+    assert (code, out) == (2, "")
+    assert err == f"malformed --perm value: {perm!r}\n"
+
+
+def test_unwritable_json_out_is_invalid_input(tmp_path, capsys):
+    """An output path that cannot be opened exits 2 and names it, as an
+    unreadable document does, and writes no payload anywhere."""
+    doc = str(golden_path("minimal.json"))
+    for target, reason in [(tmp_path / "missing" / "out.json", "No such file or directory"), (tmp_path, "Is a directory")]:
+        for argv in (["validate", doc], ["check-mf", doc], ["chain-recurrence", doc], ["convert", "--points", "2", "--perm", "2,1"]):
+            code, out, err = run_cli(capsys, *argv, "--json-out", str(target))
+            assert (code, out) == (2, "")
+            assert err == f"error: {target}: cannot write: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_mf_shift_violation(capsys):
     code, out, err = run_cli(
         capsys,

@@ -1,19 +1,26 @@
 """The integer-tableau ``lp_feasible`` against Fraction tableaux.
 
-The program is integer inequality rows, so the integer tableau and the
-slack-started Fraction tableau are the same up to one common
+The program is integer inequality rows, so the integer tableau of
+Farkas' alternative and its Fraction copy are the same up to one common
 denominator, Bland's rule makes the same pivots, and the results must be
 identical: the same ``Feasible.point`` or the same ``Infeasible``
-multipliers. The one-artificial-per-row Fraction tableau starts from
-another basis, so only its verdict must agree. ``certify`` builds its
-cone and state programs with one helper, ``_coefficient_program``.
+multipliers. The two primal Fraction tableaux (slack-started, and one
+artificial per row) solve another problem from another basis, so only
+their verdicts must agree. ``certify`` builds its cone and state
+programs with one helper, ``_coefficient_program``.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from fraction_simplex import all_artificial_lp_feasible, fraction_lp_feasible
+from fraction_simplex import (
+    all_artificial_lp_feasible,
+    fraction_lp_feasible,
+    slack_started_lp_feasible,
+    unit_starts,
+)
 from test_exactlinalg import random_program
 from test_lattice_pipeline import CASES, stage_bases
 
@@ -60,18 +67,62 @@ def state_program(rng: random.Random) -> LinearProgram:
     return LinearProgram.build(k, inequalities=ineqs)
 
 
+def bounded_program(rng: random.Random) -> LinearProgram:
+    """``random_program`` with x_j >= 0 for some j: each such row's column
+    (e_j, 0) is a unit vector of the alternative's tableau, so its row
+    starts from that column instead of an artificial."""
+    p = random_program(rng)
+    signs = [([int(i == j) for i in range(p.num_vars)], 0) for j in range(p.num_vars) if rng.random() < 0.6]
+    rows = list(p.inequalities)
+    for row in signs:
+        rows.insert(rng.randint(0, len(rows)), row)
+    return LinearProgram.build(p.num_vars, inequalities=rows)
+
+
+EDGE_PROGRAMS = [
+    LinearProgram.build(0),  # no rows, no unknowns
+    LinearProgram.build(3),  # no rows
+    LinearProgram.build(0, inequalities=[((), 0), ((), -2)]),  # no unknowns, 0 >= 0 and 0 >= -2
+    LinearProgram.build(0, inequalities=[((), -1), ((), 2)]),  # no unknowns, 0 >= 2
+    LinearProgram.build(2, inequalities=[([0, 0], 1)]),  # 0.x >= 1, a unit column of the b row
+    LinearProgram.build(2, inequalities=[([1, 0], 0), ([0, 0], 1), ([0, 1], 0)]),  # every row starts from a unit column
+    LinearProgram.build(2, inequalities=[([1, 0], 0), ([1, 0], 0), ([0, 0], 3)]),  # a repeated unit column
+]
+
+
 def test_integer_programs_match_fraction_tableau():
     rng = random.Random(20261018)
     programs = [cone_program(rng) for _ in range(25)]
     programs += [state_program(rng) for _ in range(60)]
     programs += [random_program(rng) for _ in range(100)]
+    programs += [bounded_program(rng) for _ in range(60)]
+    programs += EDGE_PROGRAMS
     verdicts = {Feasible: 0, Infeasible: 0}
+    unit_started = {Feasible: 0, Infeasible: 0}  # programs with a row started from a unit column
     for p in programs:
         got = lp_feasible(p)
         assert got == fraction_lp_feasible(p)
-        assert type(got) is type(all_artificial_lp_feasible(p))
+        assert type(got) is type(slack_started_lp_feasible(p)) is type(all_artificial_lp_feasible(p))
         verdicts[type(got)] += 1
+        if any(k is not None for k in unit_starts(p)):
+            unit_started[type(got)] += 1
     assert min(verdicts.values()) >= 30, verdicts
+    assert min(unit_started.values()) >= 30, unit_started
+
+
+def test_edge_programs():
+    """The verdicts and answers of the edge shapes, by hand: with no rows
+    every artificial keeps reduced cost 0, so y = 1 and x = -1."""
+    expected = [
+        Feasible(()),
+        Feasible((-1, -1, -1)),
+        Feasible(()),
+        Infeasible((0, Fraction(1, 2))),
+        Infeasible((1,)),
+        Infeasible((0, 1, 0)),
+        Infeasible((0, 0, Fraction(1, 3))),
+    ]
+    assert [lp_feasible(p) for p in EDGE_PROGRAMS] == expected
 
 
 def test_state_shapes_cover_both_verdicts():
@@ -112,11 +163,13 @@ def degenerate_cone_program(k: int, p: int) -> LinearProgram:
     return _coefficient_program(rows, [(1,) * p], nonnegative=True)
 
 
-@pytest.mark.parametrize("k,p,bound", [(10, 40, 120), (15, 50, 300), (20, 60, 1000)])
-def test_degenerate_cone_programs_start_from_their_surplus(k, p, bound, monkeypatch):
-    """A row with b <= 0 starts from its surplus, so phase one does not
-    drive p artificials out through degenerate pivots (one artificial
-    per row made 476, 1034 and 2794 pivots here)."""
+@pytest.mark.parametrize("k,p,bound", [(10, 40, 40), (15, 50, 80), (20, 60, 160), (30, 90, 1000)])
+def test_degenerate_cone_programs_pivot_on_the_alternative(k, p, bound, monkeypatch):
+    """Phase one runs on Farkas' alternative: k + 1 rows over the p + 1
+    inequalities, where each coordinate row of the cone program is one
+    column. The primal tableau (x = x+ - x-, a surplus per row, each
+    row with b = 0 started from its surplus) made 53, 155, 578 and 4263
+    pivots here; the alternative makes 35, 70, 144 and 720."""
     pivots = []
     pivot = exactlinalg._pivot
     monkeypatch.setattr(exactlinalg, "_pivot", lambda *args: pivots.append(args[-1]) or pivot(*args))
