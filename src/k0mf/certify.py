@@ -20,6 +20,14 @@ Two searches drive everything:
   unknown. The returned certificate re-verifies exactly; None follows
   a solved stage only, and a question no stage can pose raises.
 
+Both try the counting functional 1 = (1, ..., 1) before any program is
+built. A strictly positive functional that vanishes on H_t proves that
+H_t meets the cone only at 0 (Stiemke's lemma), so a stage whose basis
+rows all sum to 0 has no witness. Where 1 is invariant and at least 1 on
+the unit and on every requested element nonzero at the stage, it is
+the canonical state functional. On a finite permutation system 1 is the
+invariant faithful state: both rules decide every stage there.
+
 Both searches read the action through ``kaction.coboundary_block``, the
 matrix that sends a vector g at a word's source stage to g - w(g) at a
 target stage: H_t is generated by the columns of the one-letter blocks
@@ -196,8 +204,13 @@ def _span_meets_cone(basis_rows: list[tuple[int, ...]]) -> bool:
     Equivalent to the lattice itself meeting the cone away from zero: a
     nonnegative nonzero rational vector in the span has a positive
     integer multiple inside the lattice.
+
+    Where every basis row sums to 0 (an empty basis too), the counting
+    functional (1, ..., 1) is strictly positive and vanishes on the span,
+    so the span meets the cone only at 0 (Stiemke's lemma) and no
+    program is built: its coordinate-sum row would read 0 >= 1.
     """
-    if not basis_rows:
+    if not any(map(sum, basis_rows)):
         return False
     program = _coefficient_program(basis_rows, [(1,) * len(basis_rows[0])], nonnegative=True)
     return isinstance(lp_feasible(program), Feasible)
@@ -225,6 +238,18 @@ def _canonical_coset_vector(
     return best
 
 
+def _in_lattice(vec: Sequence[int], hermite_rows: Sequence[Sequence[int]]) -> bool:
+    """Whether ``vec`` lies in the lattice of the Hermite rows: one forward
+    reduction, each row taking its pivot coordinate into [0, pivot),
+    leaves zero (later rows vanish at earlier pivots)."""
+    rest = list(vec)
+    for row in hermite_rows:
+        p = _first_nonzero(row)
+        q = rest[p] // row[p]
+        rest = [x - q * y for x, y in zip(rest, row)]
+    return not any(rest)
+
+
 def _canonical_functional(
     kernel_rows: list[tuple[int, ...]],
     positives: list[tuple[int, ...]],
@@ -239,8 +264,18 @@ def _canonical_functional(
     coordinate sum, then lexicographic. The program and the walk read
     the same rows: one per distinct row in coefficient space (see
     ``_distinct_positives``).
+
+    The counting functional (1, ..., 1) is tried first, and is the answer
+    with no program or walk when there is a positive, every positive
+    sums to at least 1, and it lies in the kernel lattice: the zero
+    functional fails every ">= 1" row, and in the height-1 box only
+    (1, ..., 1) reaches coordinate sum n. With no positives the answer
+    is the zero functional, from the walk.
     """
     width = len(kernel_rows[0])
+    ones = (1,) * width
+    if positives and min(map(sum, positives)) >= 1 and _in_lattice(ones, kernel_rows):
+        return ones
     positives = _distinct_positives(kernel_rows, positives)
     res = lp_feasible(_coefficient_program(kernel_rows, positives, nonnegative=False))
     if isinstance(res, Infeasible):
@@ -366,11 +401,12 @@ def find_positive_coboundary(
 
     Target stages are visited in increasing order, each with one lattice,
     H_t from ``coboundary_stage_lattice``; the rational relaxation
-    decides whether H_t meets the cone at all, and only then are lattice
-    vectors enumerated by increasing height up to the height bound. A
-    None result means no witness exists in the box searched (it is not a
-    proof that none exists at all). On a stationary action the scan
-    stops at ``_last_target``.
+    decides whether H_t meets the cone at all (with no program where
+    every generator sums to 0, see ``_span_meets_cone``), and only then
+    are lattice vectors enumerated by increasing height up to the height
+    bound. A None result means no witness exists in the box searched (it
+    is not a proof that none exists at all). On a stationary action the
+    scan stops at ``_last_target``.
 
     A target whose candidate walk runs out of its node budget is
     exhausted; a candidate whose preimages' coset walk runs out of it is
@@ -382,7 +418,7 @@ def find_positive_coboundary(
             break
         lattice = coboundary_stage_lattice(action, system, target)
         basis_rows = [_dense_row(row, lattice.rows) for row in lattice.transpose().nonzeros]
-        if not basis_rows or not _span_meets_cone(basis_rows):
+        if not _span_meets_cone(basis_rows):
             continue
         source_hint = min(sm.from_stage for sm in latest_letter_maps(action, system, target))
         try:
@@ -501,7 +537,8 @@ def find_invariant_state(
     Raises ``WalkBudgetExceeded`` when the walk for the canonical
     functional of a stage runs out of its node budget; a functional
     exists there then, since the walk runs only after the exact program
-    found one, but the search returns no certificate.
+    found one, but the search returns no certificate. A stage where the
+    counting functional is the answer takes no walk, so it cannot raise.
     """
     if not elements:
         raise ValueError("the element set must be nonempty")

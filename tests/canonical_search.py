@@ -75,7 +75,7 @@ def canonical_functional(
     coeffs = [int(t * scale) for t in res.point]
     scaled = [sum(c * row[i] for c, row in zip(coeffs, kernel_rows)) for i in range(width)]
     radius = max(1, max(abs(x) for x in scaled))
-    for h in range(1, radius + 1):
+    for h in range(0, radius + 1):  # height 0 holds the answer only where there are no positives
         cands = [
             v
             for v in ball_walk(kernel_rows, h)

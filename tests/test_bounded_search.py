@@ -30,7 +30,7 @@ from test_lattice_pipeline import CASES, stage_bases
 from test_pruned_search import BASES
 
 from k0mf import certify, exactlinalg
-from k0mf.bratteli import canonical_json_bytes
+from k0mf.bratteli import canonical_json_bytes, parse
 from k0mf.certify import (
     _canonical_coset_vector,
     _canonical_functional,
@@ -131,9 +131,11 @@ def test_canonical_functional_matches_the_oracle():
 
 
 def test_the_program_and_the_walk_read_one_row_per_orbit(monkeypatch):
-    """Two orbits of two points: the unit and four basis vectors give
-    three distinct rows in the coefficients of the orbit sums."""
-    kernel = [(1, 1, 0, 0), (0, 0, 1, 1)]
+    """Two orbits of two points, the second one's sum doubled so that
+    (1, 1, 1, 1) is not in the lattice and the program is built: the
+    unit and four basis vectors give three distinct rows in the
+    coefficients of the orbit sums."""
+    kernel = [(1, 1, 0, 0), (0, 0, 2, 2)]
     positives = [(1, 1, 1, 1)] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
     assert _distinct_positives(kernel, positives) == [positives[0], positives[1], positives[3]]
     programs, walks = [], []
@@ -141,8 +143,8 @@ def test_the_program_and_the_walk_read_one_row_per_orbit(monkeypatch):
     monkeypatch.setattr(
         certify, "enumerate_lattice_points", lambda *a, **k: walks.append(k["rows"]) or enumerate_lattice_points(*a, **k)
     )
-    assert _canonical_functional(kernel, positives) == (1, 1, 1, 1)
-    assert [a for a, _ in programs[0].inequalities] == [(2, 2), (1, 0), (0, 1)]
+    assert _canonical_functional(kernel, positives) == (2, 2, 2, 2)
+    assert [a for a, _ in programs[0].inequalities] == [(2, 4), (1, 0), (0, 2)]
     assert walks == [[(positives[0], 1), (positives[1], 1), (positives[3], 1)]]
 
 
@@ -208,11 +210,27 @@ def test_the_walk_stops_at_its_budget(monkeypatch):
         list(enumerate_lattice_points(rows, 1))
 
 
+# Two stages of rank 2 joined by [[1, 1], [0, 1]], and the identity action.
+# The element (-1, 1) sums to 0 at stage 0 and steps to (0, 1) at stage 1,
+# so (1, 1) is no state at stage 0 and the state search walks there.
+LATE_POSITIVE_IDENTITY = [{"from_stage": k, "to_stage": k, "matrix": [[1, 0], [0, 1]]} for k in range(2)]
+LATE_POSITIVE = {
+    "schema_version": 1,
+    "system": {"stage_ranks": [2, 2], "connecting_maps": [[[1, 1], [0, 1]]], "unit": [1, 1]},
+    "action": {"generators": 1, "forward": [LATE_POSITIVE_IDENTITY], "inverse": [LATE_POSITIVE_IDENTITY]},
+}
+LATE_POSITIVE_SETS = {"requests": [{"elements": [{"stage": 0, "vector": [-1, 1]}], "words": [[1]]}]}
+
+
 def test_a_state_search_past_the_budget_is_unknown(tmp_path, capsys, monkeypatch):
-    doc = _identity_document(tmp_path, 6)
-    capsys.readouterr()
+    doc, sets = tmp_path / "late_positive.json", tmp_path / "sets.json"
+    doc.write_text(json.dumps(LATE_POSITIVE))
+    sets.write_text(json.dumps(LATE_POSITIVE_SETS))
+    argv = ["check-mf", str(doc), "--sets", str(sets)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["state_searches"][0]["certificate"]["functional"] == [0, 1]
     monkeypatch.setattr(exactlinalg, "WALK_NODE_BUDGET", 3)
-    code = main(["check-mf", doc])
+    code = main(argv)
     out, err = capsys.readouterr()
     assert code == 0
     payload = json.loads(out)
@@ -260,10 +278,10 @@ def test_exclusion_fails_when_its_state_walk_runs_out(shift_pair, monkeypatch):
     assert not exclusion_holds(system, action, witness, 2)
 
 
-def test_a_state_walk_past_the_budget_raises(cycle3_pair, monkeypatch):
-    system, action = cycle3_pair
-    elements, words = [LimitElement(0, (1, 0, 0))], [Word.of(1)]
-    assert find_invariant_state(system, action, elements, words, 4).functional == (1, 1, 1)
+def test_a_state_walk_past_the_budget_raises(monkeypatch):
+    system, action = parse(json.dumps(LATE_POSITIVE)).resolve()
+    elements, words = [LimitElement(0, (-1, 1))], [Word.of(1)]
+    assert find_invariant_state(system, action, elements, words, 4).functional == (0, 1)
     monkeypatch.setattr(exactlinalg, "WALK_NODE_BUDGET", 1)
     with pytest.raises(WalkBudgetExceeded, match="budget of 1 nodes"):
         find_invariant_state(system, action, elements, words, 4)

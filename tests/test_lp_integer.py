@@ -138,14 +138,18 @@ def test_state_shapes_cover_both_verdicts():
 @pytest.mark.parametrize("name,make", CASES, ids=[name for name, _ in CASES])
 def test_cone_program_is_the_shared_helper(name, make, monkeypatch):
     """``_span_meets_cone`` asks the LP for the rows it always built:
-    each coordinate >= 0, then the coordinate sum >= 1."""
+    each coordinate >= 0, then the coordinate sum >= 1. Each stage basis
+    is asked again with e_0 added, where the rows cannot all sum to 0
+    and a program is built."""
     system, action = make()
     seen = []
     monkeypatch.setattr(certify, "lp_feasible", lambda p: seen.append(p) or lp_feasible(p))
-    for _, basis in stage_bases(system, action, SearchParams().stage_max):
+    bases = [basis for _, basis in stage_bases(system, action, SearchParams().stage_max)]
+    bases += [basis + [(1,) + (0,) * (len(basis[0]) - 1)] for basis in bases if basis]
+    for basis in bases:
         _span_meets_cone(basis)
-        if not basis:
-            assert not seen  # an empty basis spans only zero; no program is built
+        if not any(map(sum, basis)):
+            assert not seen  # (1, ..., 1) vanishes on the span, an empty one too; no program is built
             continue
         width = len(basis[0])
         rows = [([row[i] for row in basis], 0) for i in range(width)]
