@@ -28,7 +28,7 @@ print("A =", a.to_rows())
 # lattice as the rows of A; each row of A is an integer combination of H's.
 h = hermite_normal_form(a)
 print("H =", h.to_rows())
-print("rows of A in the span of H:", all(solve_in_lattice(h.transpose(), a.row(i)) is not None for i in range(a.rows)))
+print("rows of A in the span of H:", all(solve_in_lattice(h.transpose(), row) is not None for row in a.to_rows()))
 
 # Smith form: S = U @ A @ V, diagonal with a divisibility chain.
 s, us, vs = smith_normal_form(a)

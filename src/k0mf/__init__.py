@@ -41,12 +41,10 @@ from .dimgroup import (
     LimitElement,
     StageRangeError,
     Tristate,
-    basis_element,
     injectivity_report,
     is_positive,
     is_zero,
     push,
-    unit_element,
 )
 from .exactlinalg import (
     Feasible,
@@ -65,10 +63,8 @@ from .kaction import (
     StageMap,
     StationaryRule,
     Word,
-    apply_word,
     coboundary,
     coboundary_stage_lattice,
-    identity_action,
     verify_action,
 )
 

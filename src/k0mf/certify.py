@@ -13,19 +13,21 @@ Two searches drive everything:
 * ``find_invariant_state`` looks for an integer functional on a stage
   lattice that is invariant under the requested words on the requested
   elements, positive on the order unit, and strictly positive on the
-  nonzero requested elements. The existence question is decided by an
-  exact rational feasibility program over the integer kernel of the
-  invariance constraints; strictness is encoded as ">= 1", which is
-  valid because the constraint functionals are homogeneous in the
-  unknown. The returned certificate re-verifies exactly; None follows
-  a solved stage only, and a question no stage can pose raises.
+  nonzero requested elements. Unless the counting functional answers
+  (below), the existence question is decided by an exact rational
+  feasibility program over the integer kernel of the invariance
+  constraints; strictness is encoded as ">= 1", which is valid because
+  the constraint functionals are homogeneous in the unknown. The
+  returned certificate re-verifies exactly; None follows a solved stage
+  only, and a question no stage can pose raises.
 
 Both try the counting functional 1 = (1, ..., 1) before any program is
 built. A strictly positive functional that vanishes on H_t proves that
 H_t meets the cone only at 0 (Stiemke's lemma), so a stage whose basis
-rows all sum to 0 has no witness. Where 1 is invariant and at least 1 on
-the unit and on every requested element nonzero at the stage, it is
-the canonical state functional. On a finite permutation system 1 is the
+rows all sum to 0 has no witness. Where every invariance difference
+sums to 0 and the unit and every requested element nonzero at the
+stage sum to at least 1, 1 is the canonical state functional, and the
+stage builds no kernel. On a finite permutation system 1 is the
 invariant faithful state: both rules decide every stage there.
 
 Both searches read the action through ``kaction.coboundary_block``, the
@@ -238,44 +240,40 @@ def _canonical_coset_vector(
     return best
 
 
-def _in_lattice(vec: Sequence[int], hermite_rows: Sequence[Sequence[int]]) -> bool:
-    """Whether ``vec`` lies in the lattice of the Hermite rows: one forward
-    reduction, each row taking its pivot coordinate into [0, pivot),
-    leaves zero (later rows vanish at earlier pivots)."""
-    rest = list(vec)
-    for row in hermite_rows:
-        p = _first_nonzero(row)
-        q = rest[p] // row[p]
-        rest = [x - q * y for x, y in zip(rest, row)]
-    return not any(rest)
-
-
 def _canonical_functional(
-    kernel_rows: list[tuple[int, ...]],
+    diffs: IntMatrix,
     positives: list[tuple[int, ...]],
 ) -> tuple[int, ...] | None:
-    """Canonical integer functional in the kernel lattice with value >= 1
-    on every listed vector.
+    """Canonical integer functional that vanishes on every row of
+    ``diffs`` and is at least 1 on every listed vector; None when there
+    is none.
 
-    An exact rational feasibility check decides existence: the value
-    constraints are homogeneous in the functional, so any rational
-    solution scales to an integer one, and the scaled solution bounds the
-    exact least-height walk. Selection is least height, then greatest
-    coordinate sum, then lexicographic. The program and the walk read
-    the same rows: one per distinct row in coefficient space (see
-    ``_distinct_positives``).
+    The counting functional (1, ..., 1) is tried first, on the rows
+    themselves, and is the answer with no kernel, program or walk when
+    there is a positive, every positive sums to at least 1, and every
+    row sums to 0: the zero functional fails every ">= 1" row, and in the
+    height-1 box only (1, ..., 1) reaches coordinate sum n. The kernel
+    lattice is saturated, so (1, ..., 1) lies in it exactly when the rows
+    vanish on it.
 
-    The counting functional (1, ..., 1) is tried first, and is the answer
-    with no program or walk when there is a positive, every positive
-    sums to at least 1, and it lies in the kernel lattice: the zero
-    functional fails every ">= 1" row, and in the height-1 box only
-    (1, ..., 1) reaches coordinate sum n. With no positives the answer
-    is the zero functional, from the walk.
+    Otherwise the functional lives in ``integer_kernel(diffs)``, and an
+    empty kernel gives None. An exact rational feasibility check decides
+    existence: the value constraints are homogeneous in the functional,
+    so any rational solution scales to an integer one, and the scaled
+    solution bounds the exact least-height walk. Selection is least
+    height, then greatest coordinate sum, then lexicographic. The
+    program and the walk read the same rows: one per distinct row in
+    coefficient space (see ``_distinct_positives``). With no positives
+    and a nonempty kernel the answer is the zero functional, from the
+    walk.
     """
-    width = len(kernel_rows[0])
+    width = diffs.cols
     ones = (1,) * width
-    if positives and min(map(sum, positives)) >= 1 and _in_lattice(ones, kernel_rows):
+    if positives and min(map(sum, positives)) >= 1 and not any(diffs.apply(ones)):
         return ones
+    kernel_rows = integer_kernel(diffs)  # with no rows: the identity rows
+    if not kernel_rows:
+        return None
     positives = _distinct_positives(kernel_rows, positives)
     res = lp_feasible(_coefficient_program(kernel_rows, positives, nonnegative=False))
     if isinstance(res, Infeasible):
@@ -538,7 +536,9 @@ def find_invariant_state(
     functional of a stage runs out of its node budget; a functional
     exists there then, since the walk runs only after the exact program
     found one, but the search returns no certificate. A stage where the
-    counting functional is the answer takes no walk, so it cannot raise.
+    counting functional is the answer (every invariance difference sums
+    to 0; see ``_canonical_functional``) builds no kernel and takes no
+    walk, so it cannot raise.
     """
     if not elements:
         raise ValueError("the element set must be nonempty")
@@ -570,10 +570,9 @@ def find_invariant_state(
                 return None  # and so would one at every later stage
             continue  # a solution here would pull back to the missed stage
         diffs = _invariance_differences(system, maps, elements, words, m)
-        kernel_rows = integer_kernel(diffs)  # with no words: the identity rows
         unit = system.unit_at(m)
         positives = [tuple(unit)] + [gv for gv, nonzero in zip(element_vecs, support) if nonzero]
-        best = _canonical_functional(kernel_rows, positives) if kernel_rows else None
+        best = _canonical_functional(diffs, positives)
         if best is None:
             if all(min(gv, default=0) >= 0 for gv in element_vecs) and _keeps_support(system, m, stage_max):
                 return None  # every later stage has this support

@@ -156,17 +156,6 @@ class LimitElement:
     vector: tuple[int, ...]
 
 
-def unit_element(system: InductiveSystem) -> LimitElement:
-    return LimitElement(0, tuple(system.unit))
-
-
-def basis_element(system: InductiveSystem, stage: int, index: int) -> LimitElement:
-    p = system.rank_at(stage)
-    if not 0 <= index < p:
-        raise ValueError("basis index out of range")
-    return LimitElement(stage, tuple(1 if j == index else 0 for j in range(p)))
-
-
 def push(system: InductiveSystem, e: LimitElement, to_stage: int) -> LimitElement:
     """Image of e at a later stage along the connecting maps."""
     if to_stage < e.stage:

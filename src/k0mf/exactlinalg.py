@@ -114,9 +114,10 @@ class IntMatrix:
     row-major entries and convert them once, by ``_sparse_rows`` over the
     nonzero positions of one ``compress`` scan (the document reader
     converts its matrices by the same function); no dense copy is kept.
-    ``entries``, ``at``, ``row``, ``column`` and ``to_rows`` derive dense
-    values from the sparse rows on each call; the Smith form is their
-    one working caller.
+    ``entries``, ``at`` and ``to_rows`` derive dense values from the
+    sparse rows on each call: ``entries`` for ``__repr__``, ``at`` and
+    ``to_rows`` for the Smith form, and ``to_rows`` for the document
+    writer in ``bratteli``.
     """
 
     __slots__ = ("rows", "cols", "nonzeros")
@@ -195,12 +196,6 @@ class IntMatrix:
 
     def at(self, i: int, j: int) -> int:
         return dict(self.nonzeros[i]).get(j, 0)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return _dense_row(self.nonzeros[i], self.cols)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(dict(row).get(j, 0) for row in self.nonzeros)
 
     def to_rows(self) -> list[list[int]]:
         return [list(_dense_row(row, self.cols)) for row in self.nonzeros]
@@ -519,7 +514,7 @@ def enumerate_lattice_points(
     *,
     nonnegative: bool = False,
     rows: Sequence[tuple[Sequence[int], int]] = (),
-    key: str | None = None,
+    key: str,
 ) -> Iterator[tuple[int, ...]]:
     """Yield vectors v = offset + sum(c_i * b_i) whose coordinates all lie
     in [-h, h], or in [0, h] when ``nonnegative``, and which satisfy
@@ -540,9 +535,6 @@ def enumerate_lattice_points(
     ``key`` picks what is yielded (a branch-and-bound in the manner of
     Land-Doig, with the walk's own running sums as bounds):
 
-    * None: every such point of the box h = ``radius``, in lexicographic
-      order (the order of (c_0, c_1, ...), since coordinate p_i grows
-      with c_i).
     * "sum" and "mass": one walk that minimises a per-coordinate cost,
       -v_j for "sum" and |v_j| for "mass", in the box h = 0, 1, ...,
       ``radius`` that first holds a point, trying candidates by the cost
@@ -579,11 +571,8 @@ def enumerate_lattice_points(
     nodes = 0
     cost = {"sum": neg, "mass": abs}.get(key)
 
-    if key is None:
-        levels: Iterable[int] = (radius,)
-    else:  # no point is shorter than the offset's fixed head
-        levels = range(max(top, 1 if key == "support" else 0), radius + 1)
-    for h in levels:
+    # no point is shorter than the offset's fixed head
+    for h in range(max(top, 1 if key == "support" else 0), radius + 1):
         low = 0 if nonnegative else -h
         if head and (min(head) < low or max(head) > h):
             return  # then it leaves every box

@@ -11,16 +11,16 @@ This module provides word maps (``word_map``: a word's letter maps
 composed by sparse products, so a word acts on a vector in one product)
 and coboundary blocks (``coboundary_block``: the matrix whose column i
 is e_i - w(e_i) pushed to a target stage, for every basis vector e_i at
-once). On these rest word application, the coboundary combination
-sum_j (g_j - a_j(g_j)) over the generators, and H_t, the finite-stage
-lattice at a target stage t generated by the one-letter blocks, each
-from its letter's latest source stage that lands by t; single letters
-generate every word difference. The state search in ``certify`` and
-its re-check take their invariance differences from word blocks. Last
-comes an itemised verifier for the order-automorphism laws (positivity,
-commuting squares, unit preservation, inverse laws). ``repeat_stage``
-says from which stage stationary data repeats, for the verifier and the
-witness search alike.
+once). On these rest the coboundary combination sum_j (g_j - a_j(g_j))
+over the generators, and H_t, the finite-stage lattice at a target
+stage t generated by the one-letter blocks, each from its letter's
+latest source stage that lands by t; single letters generate every
+word difference. The state search in ``certify`` and its re-check take
+their invariance differences from word blocks. Last comes an itemised
+verifier for the order-automorphism laws (positivity, commuting
+squares, unit preservation, inverse laws). ``repeat_stage`` says from
+which stage stationary data repeats, for the verifier and the witness
+search alike.
 """
 
 from __future__ import annotations
@@ -165,21 +165,6 @@ def word_map(action: K0Action, system: InductiveSystem, word: Word, stage: int) 
         matrix = sm.matrix if matrix is None else sm.matrix @ matrix
         k = sm.to_stage
     return StageMap(stage, k, system.transfer(stage, stage) if matrix is None else matrix)
-
-
-def apply_word(
-    action: K0Action, system: InductiveSystem, word: Word, e: LimitElement
-) -> LimitElement:
-    """Apply a word to a limit element (``word_map`` applied to its
-    vector); the rightmost letter acts first.
-
-    The empty word returns the element unchanged (pushforward is the
-    caller's concern when stages must be aligned).
-    """
-    if not word.letters:
-        return e
-    sm = word_map(action, system, word, e.stage)
-    return LimitElement(sm.to_stage, sm.matrix.apply(e.vector))
 
 
 def coboundary_block(system: InductiveSystem, sm: StageMap, target: int) -> IntMatrix:
@@ -389,23 +374,3 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                     )
                 )
     return ActionReport(tuple(items))
-
-
-def identity_action(system: InductiveSystem, generators: int = 1) -> K0Action:
-    """The trivial action: every generator acts as the identity per stage."""
-    declared = len(system.stage_ranks)
-    # with a stationary tail the rule takes over once the ranks stabilise
-    n_steps = declared - 1 if system.is_stationary else declared
-    steps = tuple(
-        StageMap(k, k, IntMatrix.identity(system.stage_ranks[k])) for k in range(n_steps)
-    )
-    rule = None
-    if system.is_stationary:
-        ident = IntMatrix.identity(system.stage_ranks[-1])
-        rule = tuple(StationaryRule(0, ident, ident) for _ in range(generators))
-    return K0Action(
-        generators,
-        tuple(steps for _ in range(generators)),
-        tuple(steps for _ in range(generators)),
-        rule,
-    )

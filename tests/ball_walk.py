@@ -3,8 +3,9 @@ before it pruned on every coordinate.
 
 ``ball_walk`` bounds each Hermite coefficient by its pivot coordinate
 alone and filters the finished vectors against the sup-norm ball at the
-leaves. The pruned walk must yield the same points in the same order,
-and its nonnegative box exactly the nonnegative ones among them.
+leaves. The pruned walk must yield the same nonzero points, and its
+nonnegative box exactly the nonnegative ones among them; the tests'
+brute-force oracles enumerate whole boxes with it.
 """
 
 from typing import Iterator, Sequence

@@ -73,7 +73,7 @@ def dense_hermite_normal_form(a: IntMatrix) -> IntMatrix:
 
 def dense_rank(a: IntMatrix) -> int:
     h = dense_hermite_normal_form(a)
-    return sum(1 for i in range(h.rows) if any(h.row(i)))
+    return sum(1 for row in h.to_rows() if any(row))
 
 
 def dense_integer_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
@@ -81,7 +81,7 @@ def dense_integer_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
     e = a.entries
     stacked = chain.from_iterable(e[j::n] + (0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n))
     h = dense_hermite_normal_form(IntMatrix(n, m + n, tuple(stacked)))
-    return [row[m:] for row in map(h.row, range(n)) if not any(row[:m])]
+    return [tuple(row[m:]) for row in h.to_rows() if not any(row[:m])]
 
 
 def dense_row_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:
@@ -92,7 +92,7 @@ def dense_row_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[
     if not vecs:
         return []
     h = dense_hermite_normal_form(IntMatrix.from_rows(vecs))
-    return [h.row(i) for i in range(h.rows) if any(h.row(i))]
+    return [tuple(row) for row in h.to_rows() if any(row)]
 
 
 def row_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:

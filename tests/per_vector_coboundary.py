@@ -17,7 +17,7 @@ from typing import Sequence
 from dense_hermite import row_basis
 from word_grid import reduced_words
 
-from k0mf.dimgroup import InductiveSystem, LimitElement, StageRangeError, basis_element, push
+from k0mf.dimgroup import InductiveSystem, LimitElement, StageRangeError, push
 from k0mf.exactlinalg import IntMatrix
 from k0mf.kaction import K0Action, Word
 
@@ -91,7 +91,8 @@ def stage_lattice(action: K0Action, system: InductiveSystem, target_stage: int) 
     vectors = []
     for letter in (s * j for j in range(1, action.generators + 1) for s in (1, -1)):
         for k in range(target_stage, -1, -1):
-            basis = [basis_element(system, k, i) for i in range(system.rank_at(k))]
+            p = system.rank_at(k)
+            basis = [LimitElement(k, tuple(int(t == i) for t in range(p))) for i in range(p)]
             try:
                 pairs = [(e, apply_letters(action, system, Word((letter,)), e)) for e in basis]
             except StageRangeError:

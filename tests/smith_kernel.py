@@ -16,5 +16,5 @@ from k0mf.exactlinalg import IntMatrix, smith_normal_form
 def smith_kernel(a: IntMatrix) -> list[tuple[int, ...]]:
     s, _, v = smith_normal_form(a)
     r = min(a.rows, a.cols)
-    kernel = [v.column(j) for j in range(a.cols) if j >= r or s.at(j, j) == 0]
+    kernel = [col for j, col in enumerate(v.transpose().to_rows()) if j >= r or s.at(j, j) == 0]
     return row_basis(kernel, a.cols)

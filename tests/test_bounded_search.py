@@ -1,9 +1,9 @@
 """One bounded walk for the three canonical searches, against the
 walk-then-filter searches it replaced (kept in ``canonical_search``).
 
-* With constraint rows, ``enumerate_lattice_points`` must yield exactly
-  the points of the unpruned ``ball_walk`` that satisfy them, in order;
-  with ``key="support"`` every nonzero point by height, leading support
+* With constraint rows, ``enumerate_lattice_points`` with
+  ``key="support"`` must yield exactly the nonzero points of the
+  unpruned ``ball_walk`` that satisfy them, by height, leading support
   and lexicographic order.
 * ``_canonical_functional``, ``_canonical_coset_vector`` and
   ``_positive_candidates`` must select the points the oracles select, on
@@ -68,10 +68,11 @@ def test_rows_keep_exactly_the_ball_points_that_satisfy_them(radius):
             (tuple(rng.randint(-2, 2) for _ in range(width)), rng.randint(-2, 2))
             for _ in range(rng.randint(1, 3))
         ]
-        want = [v for v in ball_walk(rows, radius, offset) if _holds(v, cons)]
-        assert list(enumerate_lattice_points(rows, radius, offset, rows=cons)) == want
+        want = sorted(v for v in ball_walk(rows, radius, offset) if any(v) and _holds(v, cons))
+        assert sorted(enumerate_lattice_points(rows, radius, offset, rows=cons, key="support")) == want
         nonneg = [v for v in want if min(v) >= 0]
-        assert list(enumerate_lattice_points(rows, radius, offset, nonnegative=True, rows=cons)) == nonneg
+        got = enumerate_lattice_points(rows, radius, offset, nonnegative=True, rows=cons, key="support")
+        assert sorted(got) == nonneg
 
 
 @pytest.mark.parametrize("nonnegative", [False, True])
@@ -115,6 +116,9 @@ def _positives(rng, rows, width):
 
 
 def test_canonical_functional_matches_the_oracle():
+    """Each seeded lattice's normals as the invariance differences: their
+    kernel is the lattice's saturation, and the positives moved by a
+    normal share a row with the one they were moved from."""
     rng = random.Random(31)
     outcomes = set()
     shared_rows = 0
@@ -122,30 +126,35 @@ def test_canonical_functional_matches_the_oracle():
         if width > 4:
             continue
         positives = _positives(rng, rows, width)
-        shared_rows += len(_distinct_positives(rows, positives)) < len(positives)
-        want = canonical_search.canonical_functional(rows, positives, False)
-        assert _canonical_functional(rows, positives) == want
+        normals = integer_kernel(IntMatrix.from_rows(rows))
+        diffs = IntMatrix.from_rows(normals) if normals else IntMatrix.zeros(0, width)
+        kernel = integer_kernel(diffs)
+        shared_rows += len(_distinct_positives(kernel, positives)) < len(positives)
+        want = canonical_search.canonical_functional(kernel, positives, False)
+        assert _canonical_functional(diffs, positives) == want
         outcomes.add(want is None)
     assert outcomes == {False, True}
     assert shared_rows >= 10
 
 
 def test_the_program_and_the_walk_read_one_row_per_orbit(monkeypatch):
-    """Two orbits of two points, the second one's sum doubled so that
-    (1, 1, 1, 1) is not in the lattice and the program is built: the
-    unit and four basis vectors give three distinct rows in the
-    coefficients of the orbit sums."""
-    kernel = [(1, 1, 0, 0), (0, 0, 2, 2)]
-    positives = [(1, 1, 1, 1)] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    assert _distinct_positives(kernel, positives) == [positives[0], positives[1], positives[3]]
+    """Three orbits of two points, the third one's value forced to the sum
+    of the other two, so that (1, ..., 1) is not invariant and the
+    program is built: the unit and six basis vectors give four distinct
+    rows in the coefficients of the kernel basis."""
+    diffs = IntMatrix.from_rows([[1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1], [1, 1, 1, 1, -1, -1]])
+    assert integer_kernel(diffs) == [(1, 1, 0, 0, 1, 1), (0, 0, 1, 1, 1, 1)]
+    positives = [(1,) * 6] + [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    distinct = [positives[0], positives[1], positives[3], positives[5]]
+    assert _distinct_positives(integer_kernel(diffs), positives) == distinct
     programs, walks = [], []
     monkeypatch.setattr(certify, "lp_feasible", lambda p: programs.append(p) or exactlinalg.lp_feasible(p))
     monkeypatch.setattr(
         certify, "enumerate_lattice_points", lambda *a, **k: walks.append(k["rows"]) or enumerate_lattice_points(*a, **k)
     )
-    assert _canonical_functional(kernel, positives) == (2, 2, 2, 2)
-    assert [a for a, _ in programs[0].inequalities] == [(2, 4), (1, 0), (0, 2)]
-    assert walks == [[(positives[0], 1), (positives[1], 1), (positives[3], 1)]]
+    assert _canonical_functional(diffs, positives) == (1, 1, 1, 1, 2, 2)
+    assert [a for a, _ in programs[0].inequalities] == [(4, 4), (1, 0), (0, 1), (1, 1)]
+    assert walks == [[(pos, 1) for pos in distinct]]
 
 
 def test_canonical_coset_vector_matches_the_oracle():
@@ -204,10 +213,10 @@ def _identity_document(tmp_path, points: int) -> str:
 
 def test_the_walk_stops_at_its_budget(monkeypatch):
     rows = [tuple(int(i == j) for j in range(6)) for i in range(6)]
-    assert len(list(enumerate_lattice_points(rows, 1))) == 3**6
+    assert len(list(enumerate_lattice_points(rows, 1, key="support"))) == 3**6 - 1
     monkeypatch.setattr(exactlinalg, "WALK_NODE_BUDGET", 100)
     with pytest.raises(WalkBudgetExceeded, match="budget of 100 nodes"):
-        list(enumerate_lattice_points(rows, 1))
+        list(enumerate_lattice_points(rows, 1, key="support"))
 
 
 # Two stages of rank 2 joined by [[1, 1], [0, 1]], and the identity action.

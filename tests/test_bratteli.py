@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN_NAMES, golden_path, load_golden
+from identity_action import identity_action
 
 from k0mf.bratteli import (
     BratteliDiagram,
@@ -31,7 +32,7 @@ from k0mf.certify import SearchParams
 from k0mf.cli import main, run_check, verdict_payload
 from k0mf.dimgroup import InductiveSystem, LimitElement
 from k0mf.exactlinalg import IntMatrix
-from k0mf.kaction import Word, identity_action, verify_action
+from k0mf.kaction import Word, verify_action
 
 M = IntMatrix.from_rows
 

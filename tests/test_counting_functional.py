@@ -3,14 +3,15 @@
 * ``_span_meets_cone`` answers False with no program where every basis
   row sums to 0: (1, ..., 1) is strictly positive and vanishes on the
   span (Stiemke's lemma). The LP says the same on seeded such bases.
-* ``_canonical_functional`` answers (1, ..., 1) with no program or walk
-  where there is a positive, every positive sums to at least 1, and
-  (1, ..., 1) lies in the kernel lattice; it equals the walk-then-filter
-  oracle of ``canonical_search`` where that holds, where a positive sums
-  to at most 0, where (1, ..., 1) is not in the lattice, and where there
-  are no positives.
+* ``_canonical_functional`` answers (1, ..., 1) with no kernel, program
+  or walk where there is a positive, every positive sums to at least 1,
+  and every invariance difference sums to 0; it equals the
+  walk-then-filter oracle of ``canonical_search`` on the kernel of the
+  differences where that holds, where a positive sums to at most 0,
+  where a difference does not vanish on (1, ..., 1) (one kernel then),
+  and where there are no positives.
 * So a finite permutation system, where (1, ..., 1) is the invariant
-  faithful state, is decided without an LP or a lattice walk.
+  faithful state, is decided without a kernel, an LP or a lattice walk.
 """
 
 import random
@@ -22,15 +23,26 @@ from conftest import load_golden
 
 from k0mf import certify
 from k0mf.bratteli import FiniteSystem, finite_system_to_k0
-from k0mf.certify import SearchParams, _canonical_functional, _coefficient_program, _span_meets_cone
+from k0mf.certify import (
+    SearchParams,
+    _canonical_functional,
+    _coefficient_program,
+    _span_meets_cone,
+    find_invariant_state,
+)
 from k0mf.cli import CONSISTENT, run_check
+from k0mf.dimgroup import LimitElement, push
 from k0mf.exactlinalg import Infeasible, IntMatrix, enumerate_lattice_points, integer_kernel, lp_feasible
+from k0mf.kaction import Word
+
+NONE_BUILT = {"lp": 0, "walk": 0, "kernel": 0}
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count the programs and the lattice walks ``certify`` asks for."""
-    calls = {"lp": 0, "walk": 0}
+    """Count the programs, the lattice walks and the integer kernels
+    ``certify`` asks for."""
+    calls = {"lp": 0, "walk": 0, "kernel": 0}
 
     def program(p):
         calls["lp"] += 1
@@ -40,8 +52,13 @@ def counted(monkeypatch):
         calls["walk"] += 1
         return enumerate_lattice_points(*args, **kwargs)
 
+    def kernel(a):
+        calls["kernel"] += 1
+        return integer_kernel(a)
+
     monkeypatch.setattr(certify, "lp_feasible", program)
     monkeypatch.setattr(certify, "enumerate_lattice_points", walk)
+    monkeypatch.setattr(certify, "integer_kernel", kernel)
     return calls
 
 
@@ -95,7 +112,7 @@ def test_permutation_systems_decide_without_a_program_or_a_walk(pair, counted):
     assert verdict.kind == CONSISTENT
     for cert in verdict.certificates:
         assert cert.functional == (1,) * system.rank_at(cert.stage)
-    assert counted == {"lp": 0, "walk": 0}
+    assert counted == NONE_BUILT
 
 
 def test_a_sum_zero_basis_meets_the_cone_only_at_zero(counted):
@@ -107,15 +124,14 @@ def test_a_sum_zero_basis_meets_the_cone_only_at_zero(counted):
         assert isinstance(lp_feasible(program), Infeasible)
         assert _span_meets_cone(rows) is False
     assert _span_meets_cone([]) is False
-    assert counted == {"lp": 0, "walk": 0}
+    assert counted == NONE_BUILT
 
 
-def _kernel_holding_ones(rng: random.Random, width: int) -> list[tuple[int, ...]]:
-    """The integer kernel of 0-2 rows that each sum to 0: it holds (1, ..., 1)."""
+def _differences_vanishing_on_ones(rng: random.Random, width: int) -> IntMatrix:
+    """0-2 invariance differences that each sum to 0: their kernel holds
+    (1, ..., 1)."""
     rows = _sum_zero_rows(rng, rng.randint(0, 2), width)
-    if not rows:
-        return [tuple(int(i == j) for j in range(width)) for i in range(width)]
-    return integer_kernel(IntMatrix.from_rows(rows))
+    return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, width)
 
 
 def test_ones_is_the_canonical_functional_where_it_is_feasible(counted):
@@ -123,14 +139,14 @@ def test_ones_is_the_canonical_functional_where_it_is_feasible(counted):
     checked = 0
     while checked < 40:
         width = rng.randint(1, 4)
-        kernel = _kernel_holding_ones(rng, width)
+        diffs = _differences_vanishing_on_ones(rng, width)
         positives = [tuple(rng.randint(-1, 3) for _ in range(width)) for _ in range(rng.randint(1, 4))]
-        if not kernel or min(map(sum, positives)) < 1:
+        if min(map(sum, positives)) < 1:
             continue
-        want = canonical_search.canonical_functional(kernel, positives, False)
-        assert _canonical_functional(kernel, positives) == want == (1,) * width
+        want = canonical_search.canonical_functional(integer_kernel(diffs), positives, False)
+        assert _canonical_functional(diffs, positives) == want == (1,) * width
         checked += 1
-    assert counted == {"lp": 0, "walk": 0}
+    assert counted == NONE_BUILT
 
 
 def test_a_positive_summing_to_at_most_zero_leaves_it_to_the_program():
@@ -139,40 +155,56 @@ def test_a_positive_summing_to_at_most_zero_leaves_it_to_the_program():
     checked = 0
     while checked < 40:
         width = rng.randint(2, 4)
-        kernel = _kernel_holding_ones(rng, width)
+        diffs = _differences_vanishing_on_ones(rng, width)
         positives = [tuple(rng.randint(-2, 3) for _ in range(width)) for _ in range(rng.randint(1, 4))]
-        if not kernel or min(map(sum, positives)) > 0:
+        if min(map(sum, positives)) > 0:
             continue
-        want = canonical_search.canonical_functional(kernel, positives, False)
-        assert _canonical_functional(kernel, positives) == want
+        want = canonical_search.canonical_functional(integer_kernel(diffs), positives, False)
+        assert _canonical_functional(diffs, positives) == want
         outcomes.add(want is None)
         checked += 1
     assert outcomes == {False, True}
 
 
-def test_ones_outside_the_lattice_leaves_it_to_the_program():
+def test_ones_outside_the_lattice_leaves_it_to_the_program(counted):
+    """A difference that does not sum to 0: one kernel per call, and the
+    oracle's functional, never (1, ..., 1)."""
     rng = random.Random(29)
-    kernels = [[(1, 2)], [(1, 0, 1), (0, 2, 0)], [(2, 0), (0, 1)]]
-    while len(kernels) < 30:
+    cases = [[(2, -1)], [(1, 1, -1)], [(1, 0), (0, 2)], [(1, 0)]]
+    while len(cases) < 30:
         width = rng.randint(2, 4)
-        rows = [tuple(rng.randint(-2, 2) for _ in range(width))]
-        kernel = integer_kernel(IntMatrix.from_rows(rows))
-        if kernel and sum(rows[0]):
-            kernels.append(kernel)
-    for kernel in kernels:
-        width = len(kernel[0])
-        positives = [tuple(rng.randint(0, 2) for _ in range(width)) for _ in range(rng.randint(1, 3))]
-        positives = [p for p in positives if any(p)] or [(1,) * width]
-        want = canonical_search.canonical_functional(kernel, positives, False)
-        assert _canonical_functional(kernel, positives) == want
-        assert want != (1,) * width
+        row = tuple(rng.randint(-2, 2) for _ in range(width))
+        if sum(row):
+            cases.append([row])
+    for rows in cases:
+        diffs = IntMatrix.from_rows(rows)
+        kernel = integer_kernel(diffs)
+        positives = [tuple(rng.randint(0, 2) for _ in range(diffs.cols)) for _ in range(rng.randint(1, 3))]
+        positives = [p for p in positives if any(p)] or [(1,) * diffs.cols]
+        want = canonical_search.canonical_functional(kernel, positives, False) if kernel else None
+        assert _canonical_functional(diffs, positives) == want
+        assert want != (1,) * diffs.cols
+    assert counted["kernel"] == len(cases)
+
+
+def test_a_request_whose_differences_do_not_vanish_on_ones_builds_one_kernel(counted):
+    """The right ray of the compactified shift and the shift: its
+    difference at stage 2 is the singleton {1}, which sums to 1. The one
+    stage solved builds one kernel and answers the oracle's functional."""
+    system, action = load_golden("compactified_shift.json").resolve()
+    ray = LimitElement(1, (1, 0, 0))
+    cert = find_invariant_state(system, action, [ray], [Word.of(1)], 4)
+    diffs = IntMatrix.from_rows([[0, 1, 0, 0, 0]])
+    positives = [tuple(system.unit_at(cert.stage)), push(system, ray, cert.stage).vector]
+    assert cert.stage == 2
+    assert cert.functional == canonical_search.canonical_functional(integer_kernel(diffs), positives, False)
+    assert counted["kernel"] == 1
 
 
 def test_no_positives_give_the_zero_functional():
     rng = random.Random(30)
     for _ in range(20):
         width = rng.randint(1, 4)
-        kernel = _kernel_holding_ones(rng, width)
-        if kernel:
-            want = canonical_search.canonical_functional(kernel, [], False)
-            assert _canonical_functional(kernel, []) == want == (0,) * width
+        diffs = _differences_vanishing_on_ones(rng, width)
+        want = canonical_search.canonical_functional(integer_kernel(diffs), [], False)
+        assert _canonical_functional(diffs, []) == want == (0,) * width

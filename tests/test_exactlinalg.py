@@ -26,8 +26,7 @@ def is_row_hermite(h: IntMatrix) -> bool:
     """Echelon, positive pivots, entries above each pivot in [0, pivot)."""
     last_pivot = -1
     seen_zero_row = False
-    for i in range(h.rows):
-        row = h.row(i)
+    for i, row in enumerate(h.to_rows()):
         piv_col = next((j for j, x in enumerate(row) if x), None)
         if piv_col is None:
             seen_zero_row = True
@@ -47,7 +46,7 @@ def rows_in_span(rows: IntMatrix, basis: IntMatrix) -> bool:
     """Every row of ``rows`` is an integer combination of the rows of
     ``basis``, decided by the Smith-form solver, not by Hermite form."""
     bt = basis.transpose()
-    return all(solve_in_lattice(bt, rows.row(i)) is not None for i in range(rows.rows))
+    return all(solve_in_lattice(bt, row) is not None for row in rows.to_rows())
 
 
 def check_hnf(a: IntMatrix) -> None:
@@ -59,7 +58,7 @@ def check_hnf(a: IntMatrix) -> None:
     assert rows_in_span(a, h) and rows_in_span(h, a)
     s, _, _ = smith_normal_form(a)
     smith_rank = sum(1 for i in range(min(s.rows, s.cols)) if s.at(i, i))
-    assert sum(1 for i in range(h.rows) if any(h.row(i))) == rank(a) == smith_rank
+    assert sum(1 for row in h.to_rows() if any(row)) == rank(a) == smith_rank
 
 
 def check_snf(a: IntMatrix) -> None:
@@ -187,20 +186,20 @@ def test_row_basis_canonical():
 
 def test_enumerate_lattice_points_ball():
     basis = row_basis([(1, 0, -1), (0, 1, -1)], 3)
-    pts = set(enumerate_lattice_points(basis, 1))
-    # all (a, b, c) with a + b + c = 0 and entries in [-1, 1]
+    pts = set(enumerate_lattice_points(basis, 1, key="support"))
+    # all nonzero (a, b, c) with a + b + c = 0 and entries in [-1, 1]
     expected = {
         (a, b, c)
         for a in (-1, 0, 1)
         for b in (-1, 0, 1)
         for c in (-1, 0, 1)
-        if a + b + c == 0
+        if a + b + c == 0 and (a, b, c) != (0, 0, 0)
     }
     assert pts == expected
 
 
 def test_enumerate_lattice_points_offset():
-    pts = set(enumerate_lattice_points([(1, 1)], 2, offset=(1, 0)))
+    pts = set(enumerate_lattice_points([(1, 1)], 2, offset=(1, 0), key="support"))
     assert pts == {(-1, -2), (0, -1), (1, 0), (2, 1)}
 
 

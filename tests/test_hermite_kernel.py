@@ -9,9 +9,10 @@ from conftest import GOLDEN_NAMES, load_golden
 from smith_kernel import smith_kernel
 
 from k0mf import certify
-from k0mf.certify import SearchParams, find_invariant_state
-from k0mf.cli import default_requests
+from k0mf.certify import SearchParams, exclusion_holds, find_invariant_state, find_positive_coboundary
+from k0mf.dimgroup import LimitElement
 from k0mf.exactlinalg import IntMatrix, integer_kernel, solve_in_lattice
+from k0mf.kaction import Word
 
 
 def check_kernel(a: IntMatrix, rng: random.Random) -> None:
@@ -48,16 +49,30 @@ def test_kernel_matches_smith_route_on_seeded_matrices():
 
 
 def test_kernel_matches_smith_route_on_bundled_state_requests(monkeypatch):
-    """The difference matrices of each bundled document's default state
-    request, at every stage its search builds a kernel for."""
+    """The difference matrices of state requests on the bundled documents
+    whose differences do not all vanish on (1, ..., 1), at every stage
+    their searches build a kernel for: the exclusion sets of each
+    VIOLATION document's witness, and the basis vectors of each of its
+    first three stages under the generator, its inverse and both. Where
+    (1, ..., 1) is invariant, as on every default request, no kernel is
+    built."""
     seen: list[IntMatrix] = []
     kernel = certify.integer_kernel
     monkeypatch.setattr(certify, "integer_kernel", lambda a: seen.append(a) or kernel(a))
+    params = SearchParams()
     for name in GOLDEN_NAMES:
         system, action = load_golden(name).resolve()
-        for req in default_requests(system, action):
-            find_invariant_state(system, action, req.elements, req.words, SearchParams().stage_max)
-    assert len(seen) >= len(GOLDEN_NAMES)
+        witness = find_positive_coboundary(system, action, params).witness
+        if witness is None:
+            continue
+        assert exclusion_holds(system, action, witness, params.stage_max)
+        for stage in range(3):
+            p = system.rank_at(stage)
+            basis = [LimitElement(stage, tuple(int(j == i) for j in range(p))) for i in range(p)]
+            for words in ([Word.of(1)], [Word.of(-1)], [Word.of(1), Word.of(-1)]):
+                find_invariant_state(system, action, basis, words, params.stage_max)
+    assert len(seen) >= 7
+    assert all(any(a.apply((1,) * a.cols)) for a in seen)
     rng = random.Random(2718)
     for a in seen:
         check_kernel(a, rng)

@@ -46,7 +46,7 @@ def stage_bases(system, action, stage_max):
         if not system.has_stage(target):
             break
         lattice = coboundary_stage_lattice(action, system, target)
-        yield target, [lattice.column(j) for j in range(lattice.cols)]
+        yield target, list(map(tuple, lattice.transpose().to_rows()))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ def test_pipeline_bases_equal_fresh_lattices(case, box):
             break
         lattice = coboundary_stage_lattice(action, system, target)
         assert lattice == per_vector_stage_lattice(action, system, target), target
-        bases[target] = [lattice.column(j) for j in range(lattice.cols)]
+        bases[target] = list(map(tuple, lattice.transpose().to_rows()))
     for target, source, length, cell in grid_cells(system, action, params.stage_max, longest):
         h = bases[target]
         assert row_basis(h + cell, system.rank_at(target)) == h, (target, source, length)

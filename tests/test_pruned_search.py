@@ -1,9 +1,11 @@
 """The pruned lattice walk, the integer LP re-checks, stage-by-stage
 pushes and the per-system injectivity cache against their references.
 
-* ``enumerate_lattice_points`` must yield exactly the points of the
-  unpruned walk kept in ``ball_walk``, in its order, and with
-  ``nonnegative=True`` exactly its nonnegative points, in its order.
+* ``enumerate_lattice_points`` with ``key="support"`` must yield exactly
+  the nonzero points of the unpruned walk kept in ``ball_walk``, and
+  with ``nonnegative=True`` exactly its nonzero nonnegative points; with
+  an empty basis the ``"mass"`` walk yields the offset where the box
+  holds it.
 * ``_point_satisfies`` and ``verify_farkas`` re-check in integers; they
   must agree with the ``Fraction`` re-checks kept in ``fraction_simplex``
   on seeded programs, points and certificates, and reject mutated
@@ -33,6 +35,7 @@ from ball_walk import ball_walk
 from conftest import GOLDEN_NAMES, load_golden
 from dense_hermite import row_basis
 from fraction_simplex import fraction_point_satisfies, fraction_verify_farkas
+from identity_action import identity_action
 from test_exactlinalg import random_program
 from test_lattice_pipeline import BOXES, CASES, compactified_shift
 from test_lp_integer import cone_program, state_program
@@ -56,12 +59,11 @@ from k0mf.exactlinalg import (
     LinearProgram,
     _point_satisfies,
     enumerate_lattice_points,
-    integer_kernel,
     lp_feasible,
     rank,
     verify_farkas,
 )
-from k0mf.kaction import K0Action, StageMap, StationaryRule, Word, apply_word, coboundary, identity_action, word_map
+from k0mf.kaction import K0Action, StageMap, StationaryRule, Word, coboundary, word_map
 
 
 # ---------------------------------------------------------------------------
@@ -103,22 +105,22 @@ def test_pruned_walk_yields_the_ball_walk(radius):
     rng = random.Random(radius)
     for rows, width in BASES:
         for offset in (None, tuple(rng.randint(-4, 4) for _ in range(width))):
-            want = list(ball_walk(rows, radius, offset))
-            assert list(enumerate_lattice_points(rows, radius, offset)) == want
+            want = sorted(v for v in ball_walk(rows, radius, offset) if any(v))
+            assert sorted(enumerate_lattice_points(rows, radius, offset, key="support")) == want
             nonneg = [v for v in want if min(v) >= 0]
-            assert list(enumerate_lattice_points(rows, radius, offset, nonnegative=True)) == nonneg
+            assert sorted(enumerate_lattice_points(rows, radius, offset, nonnegative=True, key="support")) == nonneg
 
 
 def test_empty_basis_yields_the_offset_when_it_is_in_the_box():
     for radius in (0, 1, 3):
         for offset in ((0, 0), (1, -1), (-1, 2), (3, 3), (2, 4)):
             want = list(ball_walk([], radius, offset))
-            assert list(enumerate_lattice_points([], radius, offset)) == want
-            assert list(enumerate_lattice_points([], radius, offset, nonnegative=True)) == [
+            assert list(enumerate_lattice_points([], radius, offset, key="mass")) == want
+            assert list(enumerate_lattice_points([], radius, offset, nonnegative=True, key="mass")) == [
                 v for v in want if min(v) >= 0
             ]
-    assert list(enumerate_lattice_points([], 2)) == []
-    assert list(enumerate_lattice_points([], 0, (0, 0, 0))) == [(0, 0, 0)]
+    assert list(enumerate_lattice_points([], 2, key="support")) == []
+    assert list(enumerate_lattice_points([], 0, (0, 0, 0), key="mass")) == [(0, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +245,10 @@ def push_every_stage(system, action, elements, words, stage_max, faithful=()):
         if not is_positive(system, g, max(stage_max, g.stage)).is_yes:
             raise ValueError("not positive")
     try:
-        images = [(gi, apply_word(action, system, w, g)) for gi, g in enumerate(elements) for w in words]
+        maps = [(gi, g, word_map(action, system, w, g.stage)) for gi, g in enumerate(elements) for w in words]
     except StageRangeError:
         return CANNOT_ASK
+    images = [(gi, LimitElement(sm.to_stage, sm.matrix.apply(g.vector))) for gi, g, sm in maps]
     first = max([g.stage for g in requested] + [img.stage for _, img in images])
     if first > stage_max or not system.has_stage(first):
         return CANNOT_ASK
@@ -257,19 +260,13 @@ def push_every_stage(system, action, elements, words, stage_max, faithful=()):
             gv = push(system, elements[gi], m).vector
             iv = push(system, img, m).vector
             diffs.append(tuple(a - b for a, b in zip(gv, iv)))
-        p = system.rank_at(m)
-        if diffs:
-            kernel_rows = integer_kernel(IntMatrix.from_rows(diffs))
-        else:
-            kernel_rows = [tuple(1 if j == i else 0 for j in range(p)) for i in range(p)]
-        if not kernel_rows:
-            continue
         positives = [tuple(system.unit_at(m))]
         for g in requested:
             gv = push(system, g, m).vector
             if any(gv):
                 positives.append(gv)
-        best = _canonical_functional(kernel_rows, positives)
+        diffs_matrix = IntMatrix.from_rows(diffs) if diffs else IntMatrix.zeros(0, system.rank_at(m))
+        best = _canonical_functional(diffs_matrix, positives)
         if best is None:
             continue
         return StateCertificate(

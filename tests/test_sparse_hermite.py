@@ -128,7 +128,7 @@ def test_rank_kernel_and_basis_match_dense_oracles(seed):
     for a in _matrices(seed):
         assert rank(a) == dense_rank(a)
         assert integer_kernel(a) == dense_integer_kernel(a)
-        vectors = [a.row(i) for i in range(a.rows)]
+        vectors = list(map(tuple, a.to_rows()))
         assert row_basis(vectors, a.cols) == dense_row_basis(vectors, a.cols)
         assert row_basis(iter(vectors), a.cols) == dense_row_basis(vectors, a.cols)
     assert row_basis([], 3) == dense_row_basis([], 3) == []
@@ -161,13 +161,12 @@ def test_coboundary_lattice_and_kernel_derive_no_dense_view(monkeypatch):
     assert dense == []
     monkeypatch.undo()
     gens = [
-        block.column(i)
+        tuple(col)
         for w in reduced_words(3, 2)
-        for block in [coboundary_block(system, word_map(action, system, w, 0), 0)]
-        for i in range(block.cols)
+        for col in coboundary_block(system, word_map(action, system, w, 0), 0).transpose().to_rows()
     ]
     assert len(gens) == 36 * 20
-    assert [lattice.column(j) for j in range(lattice.cols)] == dense_row_basis(gens, 20)
+    assert list(map(tuple, lattice.transpose().to_rows())) == dense_row_basis(gens, 20)
     assert kernel == dense_integer_kernel(lattice.transpose()) and kernel
 
 

@@ -65,13 +65,13 @@ def _pairs(seed: int):
         yield _random(rng, m, n, a_kind), _random(rng, n, q, b_kind)
 
 
-DENSE_READERS = ("at", "row", "column", "to_rows")
+DENSE_READERS = ("at", "to_rows")
 
 
 def record_dense_access(monkeypatch) -> list:
-    """Record every dense read (``entries``, ``at``, ``row``, ``column``,
-    ``to_rows``) and every matrix built from dense entries (``__init__``,
-    which ``from_rows`` also goes through) while the patch is in place."""
+    """Record every dense read (``entries``, ``at``, ``to_rows``) and every
+    matrix built from dense entries (``__init__``, which ``from_rows``
+    also goes through) while the patch is in place."""
     dense = []
 
     def wrap(name, reader):
@@ -231,8 +231,7 @@ def test_dense_and_sparse_forms_round_trip(seed):
         for mat in (a, b):
             assert mat.entries == entries
             assert mat.to_rows() == [list(entries[i * n : (i + 1) * n]) for i in range(m)]
-            assert [mat.row(i) for i in range(m)] == [entries[i * n : (i + 1) * n] for i in range(m)]
-            assert [mat.column(j) for j in range(n)] == [entries[j::n] for j in range(n)]
+            assert mat.transpose().to_rows() == [list(entries[j::n]) for j in range(n)]
             assert all(mat.at(i, j) == entries[i * n + j] for i in range(m) for j in range(n))
             assert repr(mat) == f"IntMatrix(rows={m}, cols={n}, entries={entries})"
         if m:

@@ -86,7 +86,7 @@ def cell_basis(action, system, source, target, length) -> list[tuple[int, ...]] 
         lattice = cell_lattice(action, system, source, target, length)
     except StageRangeError:
         return None
-    return [lattice.column(j) for j in range(lattice.cols)]
+    return list(map(tuple, lattice.transpose().to_rows()))
 
 
 def grid_cells(system: InductiveSystem, action: K0Action, stage_max: int, word_length: int):
