@@ -55,10 +55,7 @@ leading support and lex, and the state functional of least height,
 greatest sum and lex) are one bounded walk,
 ``exactlinalg.enumerate_lattice_points``: it goes up by height, prunes
 on the constraint rows and on the best key found so far, and leaves the
-tie-breaks to the caller. Positivity rows that coincide in the
-coefficients of the kernel basis (every basis vector of one orbit of a
-permutation system gives the same row) are kept once, for the exact
-program and the walk alike. A walk that runs out of its node budget is
+tie-breaks to the caller. A walk that runs out of its node budget is
 a non-answer: the state search gives no certificate, the witness target
 is exhausted, the candidate is skipped.
 
@@ -96,7 +93,6 @@ from .exactlinalg import (
     LinearProgram,
     WalkBudgetExceeded,
     _dense_row,
-    _zero_column,
     enumerate_lattice_points,
     integer_kernel,
     lp_feasible,
@@ -177,19 +173,6 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
-def _distinct_positives(
-    basis_rows: Sequence[Sequence[int]], positives: Sequence[Sequence[int]]
-) -> list[Sequence[int]]:
-    """The first of the ``positives`` with each row of v . p >= 1 in the
-    coefficients c of v = sum(c_i * basis_rows[i]). Positives that share
-    a row bound the same lattice vectors (on a finite system every basis
-    vector of one permutation orbit does), so one of them is enough."""
-    rows: dict[tuple[int, ...], Sequence[int]] = {}
-    for pos in positives:
-        rows.setdefault(tuple(_dot(row, pos) for row in basis_rows), pos)
-    return list(rows.values())
-
-
 def _coefficient_program(
     basis_rows: Sequence[Sequence[int]], positives: Sequence[Sequence[int]], nonnegative: bool
 ) -> LinearProgram:
@@ -245,16 +228,17 @@ def _canonical_functional(
     positives: list[tuple[int, ...]],
 ) -> tuple[int, ...] | None:
     """Canonical integer functional that vanishes on every row of
-    ``diffs`` and is at least 1 on every listed vector; None when there
-    is none.
+    ``diffs`` and is at least 1 on every vector of ``positives``; None
+    when there is none. The state search lists the unit first, so
+    ``positives`` is never empty.
 
     The counting functional (1, ..., 1) is tried first, on the rows
     themselves, and is the answer with no kernel, program or walk when
-    there is a positive, every positive sums to at least 1, and every
-    row sums to 0: the zero functional fails every ">= 1" row, and in the
-    height-1 box only (1, ..., 1) reaches coordinate sum n. The kernel
-    lattice is saturated, so (1, ..., 1) lies in it exactly when the rows
-    vanish on it.
+    every positive sums to at least 1 and every row sums to 0: the zero
+    functional fails every ">= 1" row, and in the height-1 box only
+    (1, ..., 1) reaches coordinate sum n. The kernel lattice is
+    saturated, so (1, ..., 1) lies in it exactly when the rows vanish on
+    it.
 
     Otherwise the functional lives in ``integer_kernel(diffs)``, and an
     empty kernel gives None. An exact rational feasibility check decides
@@ -262,19 +246,15 @@ def _canonical_functional(
     so any rational solution scales to an integer one, and the scaled
     solution bounds the exact least-height walk. Selection is least
     height, then greatest coordinate sum, then lexicographic. The
-    program and the walk read the same rows: one per distinct row in
-    coefficient space (see ``_distinct_positives``). With no positives
-    and a nonempty kernel the answer is the zero functional, from the
-    walk.
+    program and the walk read one row per positive.
     """
     width = diffs.cols
     ones = (1,) * width
-    if positives and min(map(sum, positives)) >= 1 and not any(diffs.apply(ones)):
+    if min(map(sum, positives)) >= 1 and not any(diffs.apply(ones)):
         return ones
     kernel_rows = integer_kernel(diffs)  # with no rows: the identity rows
     if not kernel_rows:
         return None
-    positives = _distinct_positives(kernel_rows, positives)
     res = lp_feasible(_coefficient_program(kernel_rows, positives, nonnegative=False))
     if isinstance(res, Infeasible):
         return None
@@ -475,16 +455,6 @@ def verify_state_certificate(
             raise AssertionError("certificate functional is not faithful on a nonzero element")
 
 
-def _keeps_support(system: InductiveSystem, m: int, stage_max: int) -> bool:
-    """Whether every connecting map out of stages m..stage_max - 1 has no
-    zero column: the declared ones, then the tail once. Such a map sends
-    an entrywise-nonnegative nonzero vector to a nonzero one."""
-    maps = list(system.connecting_maps[m:stage_max])
-    if system.stationary_tail is not None and stage_max > len(system.connecting_maps):
-        maps.append(system.stationary_tail)
-    return all(_zero_column(a) is None for a in maps)
-
-
 def find_invariant_state(
     system: InductiveSystem,
     action: K0Action,
@@ -518,13 +488,10 @@ def find_invariant_state(
     b = T^t b' at stage m, with b.d = b'.Td = 0, b.unit = b'.(T.unit)
     >= 1 and b.g = b'.Tg >= 1 for every g with Tg nonzero. When every
     element nonzero at a missed stage is still nonzero, b solves the
-    missed stage's program, so that stage's kernel and program are not
-    built again until an element vanishes, and none does past
-    ``dimgroup._settled_stage`` of the first stage. Nor does one when
-    every element is entrywise nonnegative at the missed stage and no
-    connecting map from there to ``stage_max`` has a zero column (such
-    a map sends a nonnegative nonzero vector to a nonzero one), so the
-    search stops at that miss.
+    missed stage's program, so a stage with the support of the last miss
+    is skipped. No element vanishes past ``dimgroup._settled_stage`` of
+    the first stage, so the search ends there (at the last declared
+    stage without a tail), or at ``stage_max`` if that comes first.
 
     Each stage the search solves builds its invariance differences with
     ``_invariance_differences``, as its re-check does. Only the
@@ -553,12 +520,11 @@ def find_invariant_state(
     if first > stage_max or not system.has_stage(first):
         where = f"past the stage bound {stage_max}" if first > stage_max else "which is not declared"
         raise StageRangeError(f"the elements and their word images meet at stage {first}, {where}")
-    settled = _settled_stage(system, first)
+    settled = _settled_stage(system, first)  # None without a tail
+    last = min(stage_max, system.last_declared_stage if settled is None else settled)
     element_vecs: list[tuple[int, ...]] = []
     missed_support: list[bool] | None = None  # nonzero elements at the last stage that missed
-    for m in range(first, stage_max + 1):
-        if not system.has_stage(m):
-            break
+    for m in range(first, last + 1):
         if m == first:
             element_vecs = [push(system, g, m).vector for g in requested]
         else:
@@ -566,16 +532,12 @@ def find_invariant_state(
             element_vecs = [step.apply(v) for v in element_vecs]
         support = [any(gv) for gv in element_vecs]
         if support == missed_support:
-            if settled is not None and m >= settled:
-                return None  # and so would one at every later stage
             continue  # a solution here would pull back to the missed stage
         diffs = _invariance_differences(system, maps, elements, words, m)
         unit = system.unit_at(m)
         positives = [tuple(unit)] + [gv for gv, nonzero in zip(element_vecs, support) if nonzero]
         best = _canonical_functional(diffs, positives)
         if best is None:
-            if all(min(gv, default=0) >= 0 for gv in element_vecs) and _keeps_support(system, m, stage_max):
-                return None  # every later stage has this support
             missed_support = support
             continue
         cert = StateCertificate(
@@ -629,9 +591,8 @@ def exclusion_holds(
     first stage that holds the sets misses. Later stages are solved
     again only where an element of the sets has vanished (see
     ``find_invariant_state``); on an injective system none vanishes, and
-    one infeasible program decides every stage. Where the sets are
-    nonnegative at that stage and no later connecting map has a zero
-    column, the search stops there without stepping to a later stage.
+    one infeasible program decides every stage, and the later ones are
+    only stepped through.
 
     False when no program could be solved (``StageRangeError``), which
     proves nothing, or when a functional exists."""

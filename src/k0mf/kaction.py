@@ -279,10 +279,11 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
     """Itemised pass/fail for the order-automorphism laws up to a horizon.
 
     Checks, per generator and stage: nonnegativity of each stage map,
-    shape agreement with the stage ranks, unit preservation, commuting
-    squares with the connecting maps, and both inverse laws (forward
-    then inverse, and inverse then forward, each equal to the plain
-    pushforward). Failures are report items, never exceptions; a
+    shape agreement with the stage ranks (a map into an undeclared stage
+    fails it; a stage without a map is not checked), unit preservation,
+    commuting squares with the connecting maps, and both inverse laws
+    (forward then inverse, and inverse then forward, each equal to the
+    plain pushforward). Failures are report items, never exceptions; a
     negative horizon is a ValueError.
 
     Stages 0..horizon are checked, but none past ``repeat_stage``: from
@@ -299,14 +300,15 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
 
     @cache
     def resolve(j: int, k: int, inv: bool) -> tuple[StageMap | None, bool]:
-        """Generator j's map out of stage k and whether its shape fits the
-        stage ranks; (None, False) without a map into a declared stage."""
+        """Generator j's map out of stage k, None without one, and whether
+        it lands at a declared stage in the shape of the stage ranks."""
         try:
             sm = action.inverse_map(j, k) if inv else action.forward_map(j, k)
-            shape = (system.rank_at(sm.to_stage), system.rank_at(k))
-        except StageRangeError:  # no map, or one into an undeclared stage
+        except StageRangeError:  # no map
             return None, False
-        return sm, (sm.matrix.rows, sm.matrix.cols) == shape
+        if not system.has_stage(sm.to_stage):
+            return sm, False
+        return sm, (sm.matrix.rows, sm.matrix.cols) == (system.rank_at(sm.to_stage), system.rank_at(k))
 
     for j in range(action.generators):
         gen = j + 1
@@ -316,6 +318,9 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
             for inv, tag in ((False, "forward"), (True, "inverse")):
                 sm, fits = resolve(j, k, inv)
                 if sm is None:
+                    continue
+                if not system.has_stage(sm.to_stage):
+                    items.append(CheckItem("shape", gen, k, False, f"{tag} map lands at undeclared stage {sm.to_stage}"))
                     continue
                 if not fits:
                     items.append(

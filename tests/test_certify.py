@@ -21,7 +21,7 @@ from k0mf.certify import (
     _positive_candidates,
     _span_meets_cone,
 )
-from k0mf.dimgroup import InductiveSystem, LimitElement
+from k0mf.dimgroup import InductiveSystem, LimitElement, push
 from k0mf.exactlinalg import IntMatrix
 from k0mf.kaction import K0Action, StageMap, Word
 
@@ -212,6 +212,44 @@ def test_state_certificate_verification_rejects_tampering(cycle3_pair):
         verify_state_certificate(system, action, replace(cert, functional=(1, 2, 1)))
     with pytest.raises(AssertionError):
         verify_state_certificate(system, action, replace(cert, unit_value=7))
+
+
+def test_witness_verification_names_each_failure(shift_pair):
+    """The bundled shift's witness, mutated so that each re-check fails
+    alone: negating the value and the preimages keeps the coboundary and
+    the height but leaves no positive value; a fifth stage whose map has
+    a zero column where the value sits keeps every check up to stage 3,
+    and the value vanishes at stage 4."""
+    system, action = shift_pair
+    w = find_positive_coboundary(system, action, SHIFT_PARAMS).witness
+    negated = replace(
+        w,
+        value=LimitElement(w.value.stage, tuple(-x for x in w.value.vector)),
+        preimages=tuple(LimitElement(g.stage, tuple(-x for x in g.vector)) for g in w.preimages),
+    )
+    with pytest.raises(AssertionError, match="^witness value is not positive at its reporting stage$"):
+        verify_witness(system, action, negated)
+    assert push(system, w.value, 3).vector == (0, 0, 1, 0, 0, 0, 0)
+    longer = InductiveSystem(
+        system.stage_ranks + (1,), system.connecting_maps + (M([[1, 1, 0, 1, 1, 1, 1]]),), system.unit
+    )
+    with pytest.raises(AssertionError, match="^witness value vanishes in the limit$"):
+        verify_witness(longer, action, replace(w, nonzero_stage=4))
+    verify_witness(longer, action, w)
+
+
+def test_state_certificate_verification_names_each_failure(cycle3_pair):
+    """The counting functional on the three-cycle, certified on (1, 0, 0):
+    a wrong recorded value is a mismatch, and (1, -1, 0), on which the
+    invariant functional is 0, makes it unfaithful."""
+    system, action = cycle3_pair
+    cert = find_invariant_state(system, action, [LimitElement(0, (1, 0, 0))], [Word.of(1)], 4)
+    assert (cert.functional, cert.element_values) == ((1, 1, 1), (1,))
+    with pytest.raises(AssertionError, match="^certificate element value mismatch$"):
+        verify_state_certificate(system, action, replace(cert, element_values=(2,)))
+    unfaithful = replace(cert, elements=(LimitElement(0, (1, -1, 0)),), element_values=(0,))
+    with pytest.raises(AssertionError, match="^certificate functional is not faithful on a nonzero element$"):
+        verify_state_certificate(system, action, unfaithful)
 
 
 # The one-generator compression check is the witness search itself;

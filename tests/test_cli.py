@@ -359,6 +359,114 @@ def test_word_images_past_the_stage_bound_are_an_unknown_with_a_reason(tmp_path,
         assert reason in captured.err
 
 
+# A one-stage system whose generator maps stage 0 into stage 1, which is not declared.
+UNDECLARED_TARGET_DOC = {
+    "schema_version": 1,
+    "system": {"stage_ranks": [1], "connecting_maps": [], "unit": [1]},
+    "action": {
+        "generators": 1,
+        "forward": [[{"from_stage": 0, "to_stage": 1, "matrix": [[5]]}]],
+        "inverse": [[{"from_stage": 0, "to_stage": 1, "matrix": [[7]]}]],
+    },
+}
+
+
+def test_a_map_into_an_undeclared_stage_fails_validation(tmp_path, capsys):
+    """Both maps fail their shape check, so validate and check-mf exit 2;
+    they used to be skipped, and validate passed with 0 checks."""
+    doc = _write(tmp_path, "doc.json", json.dumps(UNDECLARED_TARGET_DOC))
+    failures = [f"shape generator 1 stage 0: {tag} map lands at undeclared stage 1" for tag in ("forward", "inverse")]
+    code, out, err = run_cli(capsys, "validate", doc)
+    assert (code, json.loads(out)["valid"]) == (2, False)
+    assert err == "".join(f"FAIL {line}\n" for line in failures)
+    code, out, err = run_cli(capsys, "check-mf", doc)
+    assert (code, out) == (2, "")
+    assert err == "".join(f"invalid action: {line}\n" for line in failures)
+
+
+_EMPTY_ACTION = {"generators": 1, "forward": [[]], "inverse": [[]]}
+_ONE_STAGE = {"stage_ranks": [1], "connecting_maps": [], "unit": [1]}
+_THREE_STAGES = {"stage_ranks": [1, 1, 1], "connecting_maps": [[[1]], [[1]]], "unit": [1]}
+
+
+def _stage_map(source: int, target: int) -> dict:
+    return {"from_stage": source, "to_stage": target, "matrix": [[1]]}
+
+
+@pytest.mark.parametrize(
+    "document, where, reason",
+    [
+        (
+            {"diagram": {"vertex_counts": [1, 1, 1], "edge_matrices": [[[1]]]}, "action": _EMPTY_ACTION},
+            "$.diagram", "expected 2 edge matrices for 3 levels, got 1",
+        ),
+        ({"finite_system": {"points": 0, "permutations": [[]]}}, "$.finite_system", "need at least one point"),
+        (
+            {"finite_system": {"points": 2, "permutations": []}},
+            "$.finite_system", "need at least one generator permutation",
+        ),
+        (
+            {"system": {"stage_ranks": [0], "connecting_maps": [], "unit": []}, "action": _EMPTY_ACTION},
+            "$.system", "stage ranks must be >= 1",
+        ),
+        (
+            {"system": dict(_ONE_STAGE, stationary=[[1, 0]]), "action": _EMPTY_ACTION},
+            "$.system", "stationary tail must be 1x1",
+        ),
+        (
+            {"system": dict(_ONE_STAGE, stationary=[[-1]]), "action": _EMPTY_ACTION},
+            "$.system", "stationary tail has a negative entry",
+        ),
+        (
+            {"system": dict(_ONE_STAGE, unit=[1, 1]), "action": _EMPTY_ACTION},
+            "$.system", "unit length must match the stage-0 rank",
+        ),
+        (
+            {"system": _ONE_STAGE, "action": {"generators": 2, "forward": [[]], "inverse": [[]]}},
+            "$.action", "need one forward and one inverse family per generator",
+        ),
+        (
+            {"system": dict(_ONE_STAGE, stationary=[[1]]), "action": dict(_EMPTY_ACTION, stationary=[])},
+            "$.action", "need one stationary rule per generator",
+        ),
+        (
+            {"system": _THREE_STAGES, "action": dict(_EMPTY_ACTION, forward=[[_stage_map(0, 2), _stage_map(1, 1)]])},
+            "$.action", "target stages must be monotone",
+        ),
+    ],
+    ids=[
+        "diagram-edge-matrix-count", "no-points", "no-permutations", "rank-0-stage", "tail-shape",
+        "negative-tail-entry", "unit-length", "missing-family", "stationary-rule-count", "non-monotone-targets",
+    ],
+)
+def test_a_rejected_document_names_its_path(tmp_path, capsys, document, where, reason):
+    """Each object's own check, reached through the CLI: exit 2, nothing
+    on stdout, and one line on stderr with the object's path and why."""
+    doc = _write(tmp_path, "doc.json", json.dumps({"schema_version": 1, **document}))
+    assert run_cli(capsys, "validate", doc) == (2, "", f"invalid input: {where}: {reason}\n")
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "missing-document", "directory", "missing-sets"])
+def test_an_unreadable_input_names_its_path(tmp_path, capsys, case):
+    """Each exits 2 with the path and why it could not be read; the rest
+    of the message is the decoder's or the operating system's."""
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b'{"schema_version": 1, "metadata": {"name": "\xe9"}}')  # Latin-1, read before any field
+    missing = str(tmp_path / "missing.json")
+    argv, prefix = {
+        "not-utf8": (["validate", str(doc)], "invalid input: $: not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
+        "missing-document": (["validate", missing], f"invalid input: {missing}: cannot read: "),
+        "directory": (["validate", str(tmp_path)], f"invalid input: {tmp_path}: cannot read: "),
+        "missing-sets": (
+            ["check-mf", str(golden_path("cycle3.json")), "--sets", missing],
+            f"invalid input: {missing}: cannot read request sets: ",
+        ),
+    }[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_validate_names_a_bad_field_inside_an_action_stage_map(tmp_path, capsys):
     blob = json.loads(golden_path("minimal.json").read_text())
     blob["action"]["forward"][0][0]["from_stage"] = 1.5

@@ -4,12 +4,11 @@
   row sums to 0: (1, ..., 1) is strictly positive and vanishes on the
   span (Stiemke's lemma). The LP says the same on seeded such bases.
 * ``_canonical_functional`` answers (1, ..., 1) with no kernel, program
-  or walk where there is a positive, every positive sums to at least 1,
-  and every invariance difference sums to 0; it equals the
-  walk-then-filter oracle of ``canonical_search`` on the kernel of the
-  differences where that holds, where a positive sums to at most 0,
-  where a difference does not vanish on (1, ..., 1) (one kernel then),
-  and where there are no positives.
+  or walk where every positive sums to at least 1 and every invariance
+  difference sums to 0; it equals the walk-then-filter oracle of
+  ``canonical_search`` on the kernel of the differences where that
+  holds, where a positive sums to at most 0, and where a difference
+  does not vanish on (1, ..., 1) (one kernel then).
 * So a finite permutation system, where (1, ..., 1) is the invariant
   faithful state, is decided without a kernel, an LP or a lattice walk.
 """
@@ -199,12 +198,3 @@ def test_a_request_whose_differences_do_not_vanish_on_ones_builds_one_kernel(cou
     assert cert.stage == 2
     assert cert.functional == canonical_search.canonical_functional(integer_kernel(diffs), positives, False)
     assert counted["kernel"] == 1
-
-
-def test_no_positives_give_the_zero_functional():
-    rng = random.Random(30)
-    for _ in range(20):
-        width = rng.randint(1, 4)
-        diffs = _differences_vanishing_on_ones(rng, width)
-        want = canonical_search.canonical_functional(integer_kernel(diffs), [], False)
-        assert _canonical_functional(diffs, []) == want == (0,) * width

@@ -12,8 +12,8 @@ pushes and the per-system injectivity cache against their references.
   certificates.
 * ``find_invariant_state`` pushes each element and word image once and
   steps them a stage at a time, and after a miss it solves again only
-  once a requested element has vanished, and it stops at a miss where
-  no support can change; on seeded requests, on systems whose maps have
+  once a requested element has vanished, up to the stage past which no
+  support changes; on seeded requests, on systems whose maps have
   zero columns and on the exclusion sets of witnesses it must return
   what pushing everything again and solving at every stage returns.
   Where no stage up to its bound can pose the question it raises
@@ -457,22 +457,18 @@ def test_state_search_on_a_singular_tail_stops_where_nothing_more_vanishes():
     assert set(outcomes) == {"miss", "first", "later"}, outcomes
 
 
-def test_exclusion_on_a_long_shift_steps_no_map_past_its_first_miss(monkeypatch):
+def test_exclusion_on_a_long_shift_solves_no_stage_past_its_first_miss(monkeypatch):
     """A 21-stage compactified shift with speeds 2 and -3, searched up to
-    stage 20: the exclusion sets are nonnegative where they first miss,
-    and no inclusion of the shift has a zero column, so no support can
-    change and the search reads no connecting map out of that stage."""
+    stage 20: the inclusions of the shift are injective, so no element
+    of the exclusion sets vanishes past the stage where they first miss,
+    and no later stage builds a kernel."""
     system, action = compactified_shift(21, [2, -3])
     witness = find_positive_coboundary(system, action, SearchParams(stage_max=20)).witness
     elements, words = exclusion_sets(witness, action.generators)
     first = max(word_map(action, system, w, g.stage).to_stage for g in elements for w in words)
     assert system.has_stage(first + 1) and first < 20
-    steps = []
-    connecting = InductiveSystem.connecting
-    monkeypatch.setattr(InductiveSystem, "connecting", lambda s, k: steps.append(k) or connecting(s, k))
     _, kernels = _count_state_work(monkeypatch)
     assert certify.exclusion_holds(system, action, witness, 20)
-    assert steps and max(steps) < first
     assert len(kernels) == 1
 
 
@@ -575,13 +571,13 @@ def _seeded_system_with_dead_columns(rng: random.Random):
 def test_state_search_stop_agrees_with_solving_every_stage(monkeypatch):
     """Seeded systems with zero columns in their connecting maps, and
     positive requests with entries -1 to 2: the search must return what
-    solving every stage returns, both where it stops at a miss and where
-    a zero column kills an element after a nonnegative miss and a
+    solving every stage returns, both where every stage it solves misses
+    and where a zero column kills an element after a miss and a
     certificate appears only at a later stage."""
     seen = Counter()
     calls = []
-    keeps = certify._keeps_support
-    monkeypatch.setattr(certify, "_keeps_support", lambda *args: calls.append(keeps(*args)) or calls[-1])
+    canonical = certify._canonical_functional
+    monkeypatch.setattr(certify, "_canonical_functional", lambda *args: calls.append(canonical(*args)) or calls[-1])
     for seed in range(2000):
         rng = random.Random(seed)
         system, action = _seeded_system_with_dead_columns(rng)
@@ -595,11 +591,11 @@ def test_state_search_stop_agrees_with_solving_every_stage(monkeypatch):
         calls.clear()
         got = search_outcome(system, action, elements, [Word.of(1)], stage_max)
         assert got == push_every_stage(system, action, elements, [Word.of(1)], stage_max), seed
-        if got is None and True in calls:
-            seen["stopped at a miss"] += 1
-        if got is not None and False in calls:
-            seen["certificate after a nonnegative miss"] += 1
-    assert seen["stopped at a miss"] >= 20 and seen["certificate after a nonnegative miss"] >= 2, seen
+        if got is None and None in calls:
+            seen["None after a miss"] += 1
+        if got is not None and None in calls:
+            seen["certificate after a miss"] += 1
+    assert seen["None after a miss"] >= 20 and seen["certificate after a miss"] >= 2, seen
 
 
 # ---------------------------------------------------------------------------

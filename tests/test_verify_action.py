@@ -19,7 +19,7 @@ from verify_action_oracle import verify_action as oracle_verify_action
 from k0mf.bratteli import permutation_matrix
 from k0mf.dimgroup import InductiveSystem
 from k0mf.exactlinalg import IntMatrix
-from k0mf.kaction import K0Action, StageMap, StationaryRule, repeat_stage, verify_action
+from k0mf.kaction import CheckItem, K0Action, StageMap, StationaryRule, repeat_stage, verify_action
 
 M = IntMatrix.from_rows
 
@@ -182,3 +182,21 @@ def test_negative_horizon_is_an_error():
     assert not verify_action(action, system, 0).ok
     with pytest.raises(ValueError, match="horizon"):
         verify_action(action, system, -1)
+
+
+def test_a_map_into_an_undeclared_stage_fails_its_shape_check():
+    """A one-stage system whose generator maps stage 0 into stage 1, which
+    is not declared: each map is a failed shape item, not a skipped one,
+    though 5 does not even preserve the unit. A stage with no map at all
+    is still not checked."""
+    system = InductiveSystem((1,), (), (1,))
+    action = K0Action(1, ((StageMap(0, 1, M([[5]])),),), ((StageMap(0, 1, M([[7]])),),))
+    assert verify_action(action, system, 4).items == (
+        CheckItem("shape", 1, 0, False, "forward map lands at undeclared stage 1"),
+        CheckItem("shape", 1, 0, False, "inverse map lands at undeclared stage 1"),
+    )
+    assert not assert_matches_oracle(system, action, 4)
+    two_stages = InductiveSystem((1, 1), (M([[1]]),), (1,))
+    stage_zero = K0Action(1, ((StageMap(0, 0, M([[1]])),),), ((StageMap(0, 0, M([[1]])),),))
+    assert {item.stage for item in verify_action(stage_zero, two_stages, 4).items} == {0}
+    assert assert_matches_oracle(two_stages, stage_zero, 4)

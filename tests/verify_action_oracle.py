@@ -26,7 +26,8 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
     """Itemised pass/fail for the order-automorphism laws up to a horizon.
 
     Checks, per generator and stage: nonnegativity of each stage map,
-    shape agreement with the stage ranks, unit preservation, commuting
+    shape agreement with the stage ranks (a map into an undeclared stage
+    fails it), unit preservation, commuting
     squares with the connecting maps, and both inverse laws (forward
     then inverse, and inverse then forward, each equal to the plain
     pushforward). Failures are report items, never exceptions.
@@ -47,8 +48,12 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
             if not system.has_stage(k):
                 break
             for inv, tag in ((False, "forward"), (True, "inverse")):
-                sm = resolve(j, k, inv)
-                if sm is None:
+                try:
+                    sm = action.inverse_map(j, k) if inv else action.forward_map(j, k)
+                except StageRangeError:
+                    continue
+                if not system.has_stage(sm.to_stage):
+                    items.append(CheckItem("shape", gen, k, False, f"{tag} map lands at undeclared stage {sm.to_stage}"))
                     continue
                 expected = (system.rank_at(sm.to_stage), system.rank_at(k))
                 if (sm.matrix.rows, sm.matrix.cols) != expected:
