@@ -16,6 +16,7 @@ from k0mf import (
     LimitElement,
     Word,
     coboundary,
+    coboundary_generators,
     coboundary_stage_lattice,
     parse,
     verify_action,
@@ -56,10 +57,19 @@ print("coboundary of the right ray:", coboundary(action, system, [right_ray]))
 round_trip = apply(Word.of(-1), apply(Word.of(1), right_ray))
 print("apply s then s^-1:", round_trip.vector, "(= pushforward to stage", f"{round_trip.stage})")
 
-# The finite-stage coboundary lattice H_2: the columns g - a(g) of each
-# letter from its latest source stage whose image lands by stage 2 (stage
-# 1, for the shift and its inverse alike). Single letters generate
-# every word difference, so longer words add nothing. Its canonical
-# basis spans the three middle coordinates, so it meets the positive cone.
-lattice = coboundary_stage_lattice(action, system, 2)
+# The finite-stage coboundary lattice H_2 is generated by the columns
+# g - a(g) of each letter from its latest source stage whose image lands
+# by stage 2 (stage 1, for the shift and its inverse alike). Single
+# letters generate every word difference, so longer words add nothing.
+# The witness search reads the generators' sums first: where all are 0,
+# the counting functional (1, ..., 1) is strictly positive and vanishes
+# on H_2, so H_2 meets the positive cone only at 0 and is never reduced.
+# Here the right ray's generator, [1, oo) minus [2, oo), is the
+# singleton {1}, and it sums to 1.
+generators = coboundary_generators(action, system, 2)
+print("generator sums:", generators.apply((1,) * generators.cols))
+
+# Reduced, H_2's canonical basis spans the three middle coordinates, so
+# it meets the positive cone.
+lattice = coboundary_stage_lattice(generators)
 print("lattice basis columns:", [tuple(col) for col in lattice.transpose().to_rows()])

@@ -64,6 +64,7 @@ from .kaction import (
     StationaryRule,
     Word,
     coboundary,
+    coboundary_generators,
     coboundary_stage_lattice,
     verify_action,
 )

@@ -23,17 +23,20 @@ Two searches drive everything:
 
 Both try the counting functional 1 = (1, ..., 1) before any program is
 built. A strictly positive functional that vanishes on H_t proves that
-H_t meets the cone only at 0 (Stiemke's lemma), so a stage whose basis
-rows all sum to 0 has no witness. Where every invariance difference
+H_t meets the cone only at 0 (Stiemke's lemma), so a target stage whose
+lattice generators all sum to 0 has no witness, and its lattice is
+never reduced to a Hermite basis. Where every invariance difference
 sums to 0 and the unit and every requested element nonzero at the
 stage sum to at least 1, 1 is the canonical state functional, and the
 stage builds no kernel. On a finite permutation system 1 is the
-invariant faithful state: both rules decide every stage there.
+invariant faithful state: both rules decide every stage there, with no
+Hermite form at all.
 
 Both searches read the action through ``kaction.coboundary_block``, the
 matrix that sends a vector g at a word's source stage to g - w(g) at a
 target stage: H_t is generated by the columns of the one-letter blocks
-(``kaction.coboundary_stage_lattice``), a witness's preimages solve the
+(``kaction.coboundary_generators``, reduced by
+``kaction.coboundary_stage_lattice``), a witness's preimages solve the
 one-letter blocks stacked side by side, and the state search and its
 re-check get every invariance difference g - w(g) of one stage's
 elements from one sparse product per word.
@@ -55,9 +58,11 @@ leading support and lex, and the state functional of least height,
 greatest sum and lex) are one bounded walk,
 ``exactlinalg.enumerate_lattice_points``: it goes up by height, prunes
 on the constraint rows and on the best key found so far, and leaves the
-tie-breaks to the caller. A walk that runs out of its node budget is
-a non-answer: the state search gives no certificate, the witness target
-is exhausted, the candidate is skipped.
+tie-breaks to the caller. A candidate walk or a state walk that runs
+out of its node budget is a non-answer: the witness target is
+exhausted, and the state search gives no certificate. A preimages walk
+that runs out falls back to the Hermite-reduced representative of the
+coset, which is as canonical and costs one pass over the kernel rows.
 
 On a stationary action the stage ranks, connecting maps and letter maps
 repeat from stage P = ``kaction.repeat_stage`` on (the last declared
@@ -104,6 +109,7 @@ from .kaction import (
     Word,
     coboundary,
     coboundary_block,
+    coboundary_generators,
     coboundary_stage_lattice,
     latest_letter_maps,
     repeat_stage,
@@ -188,15 +194,11 @@ def _span_meets_cone(basis_rows: list[tuple[int, ...]]) -> bool:
 
     Equivalent to the lattice itself meeting the cone away from zero: a
     nonnegative nonzero rational vector in the span has a positive
-    integer multiple inside the lattice.
-
-    Where every basis row sums to 0 (an empty basis too), the counting
-    functional (1, ..., 1) is strictly positive and vanishes on the span,
-    so the span meets the cone only at 0 (Stiemke's lemma) and no
-    program is built: its coordinate-sum row would read 0 >= 1.
+    integer multiple inside the lattice. The basis must not be empty:
+    the witness search asks only where some generator of the lattice,
+    and so some basis row, sums to nonzero (see
+    ``find_positive_coboundary``).
     """
-    if not any(map(sum, basis_rows)):
-        return False
     program = _coefficient_program(basis_rows, [(1,) * len(basis_rows[0])], nonnegative=True)
     return isinstance(lp_feasible(program), Feasible)
 
@@ -214,10 +216,29 @@ def _canonical_coset_vector(
     leading support, lex). Deterministic representative for recovered
     data that prefers sparse vectors. The least-mass walk from
     ``particular``, any representative, walks the same coset points in
-    the same order (an empty kernel yields ``particular`` itself)."""
+    the same order (an empty kernel yields ``particular`` itself).
+
+    Least mass in a coset is a closest-vector problem, so the walk may
+    run out of its node budget. Then the representative is the
+    Hermite-reduced one: for each kernel row in order, subtract
+    floor(v[p] / row[p]) times the row, for p the row's pivot. The rows
+    are Hermite rows (``integer_kernel``), so every later row vanishes
+    at p, each v[p] ends in [0, row[p]), and two such points of one
+    coset differ by no nonzero lattice vector: the point is the same
+    from every representative.
+    """
     radius = max(map(abs, particular))
-    found = enumerate_lattice_points(kernel_rows, radius, particular, key="mass")
-    best = min(found, key=lambda v: (sum(map(abs, v)), _first_nonzero(v), v), default=None)
+    try:
+        found = enumerate_lattice_points(kernel_rows, radius, particular, key="mass")
+        best = min(found, key=lambda v: (sum(map(abs, v)), _first_nonzero(v), v), default=None)
+    except WalkBudgetExceeded:
+        reduced = list(particular)
+        for row in kernel_rows:
+            p = _first_nonzero(row)
+            q = reduced[p] // row[p]
+            if q:
+                reduced = [x - q * y for x, y in zip(reduced, row)]
+        return tuple(reduced)
     if best is None:
         raise AssertionError("coset enumeration missed its own representative")
     return best
@@ -304,10 +325,7 @@ def _recover_preimages(
         if solved is None:
             continue
         x0, kernel = solved
-        try:
-            stacked = _canonical_coset_vector(x0, kernel)
-        except WalkBudgetExceeded:
-            return None  # the candidate is skipped
+        stacked = _canonical_coset_vector(x0, kernel)
         return tuple(
             LimitElement(k, tuple(stacked[j * p_src : (j + 1) * p_src]))
             for j in range(r)
@@ -377,24 +395,33 @@ def find_positive_coboundary(
 ) -> WitnessSearch:
     """Scan the parameter box for a positive coboundary witness.
 
-    Target stages are visited in increasing order, each with one lattice,
-    H_t from ``coboundary_stage_lattice``; the rational relaxation
-    decides whether H_t meets the cone at all (with no program where
-    every generator sums to 0, see ``_span_meets_cone``), and only then
-    are lattice vectors enumerated by increasing height up to the height
-    bound. A None result means no witness exists in the box searched (it
-    is not a proof that none exists at all). On a stationary action the
-    scan stops at ``_last_target``.
+    Target stages are visited in increasing order. Each builds the
+    generators of H_t once (``coboundary_generators``) and first tests
+    the counting functional 1 = (1, ..., 1) on them: where every
+    generator sums to 0, 1 is strictly positive and vanishes on H_t, so
+    H_t meets the cone only at 0 (Stiemke's lemma) and the target is
+    decided with no Hermite form and no program. Otherwise some basis row
+    of H_t sums to nonzero too, as the generators are integer
+    combinations of the basis rows; H_t is reduced
+    (``coboundary_stage_lattice``), the rational relaxation decides
+    whether it meets the cone at all, and only then are lattice vectors
+    enumerated by increasing height up to the height bound. A None
+    result means no witness exists in the box searched (it is not a
+    proof that none exists at all). On a stationary action the scan
+    stops at ``_last_target``.
 
     A target whose candidate walk runs out of its node budget is
-    exhausted; a candidate whose preimages' coset walk runs out of it is
-    skipped.
+    exhausted; a candidate whose preimages' coset walk runs out of it
+    takes the Hermite-reduced preimages (``_canonical_coset_vector``).
     """
     exhausted: list[int] = []
     for target in range(_last_target(system, action, params.stage_max) + 1):
         if not system.has_stage(target):
             break
-        lattice = coboundary_stage_lattice(action, system, target)
+        generators = coboundary_generators(action, system, target)
+        if not any(generators.apply((1,) * generators.cols)):
+            continue
+        lattice = coboundary_stage_lattice(generators)
         basis_rows = [_dense_row(row, lattice.rows) for row in lattice.transpose().nonzeros]
         if not _span_meets_cone(basis_rows):
             continue

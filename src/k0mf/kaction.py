@@ -15,12 +15,15 @@ once). On these rest the coboundary combination sum_j (g_j - a_j(g_j))
 over the generators, and H_t, the finite-stage lattice at a target
 stage t generated by the one-letter blocks, each from its letter's
 latest source stage that lands by t; single letters generate every
-word difference. The state search in ``certify`` and its re-check take
-their invariance differences from word blocks. Last comes an itemised
-verifier for the order-automorphism laws (positivity, commuting
-squares, unit preservation, inverse laws). ``repeat_stage`` says from
-which stage stationary data repeats, for the verifier and the witness
-search alike.
+word difference. H_t comes in two steps: ``coboundary_generators``
+stacks the blocks' columns as rows, and ``coboundary_stage_lattice``
+reduces them to a Hermite basis, so a caller can read the generators
+(their sums, say) before it pays for the reduction. The state search
+in ``certify`` and its re-check take their invariance differences from
+word blocks. Last comes an itemised verifier for the order-automorphism
+laws (positivity, commuting squares, unit preservation, inverse laws).
+``repeat_stage`` says from which stage stationary data repeats, for the
+verifier and the witness search alike.
 """
 
 from __future__ import annotations
@@ -210,28 +213,32 @@ def latest_letter_maps(action: K0Action, system: InductiveSystem, target_stage: 
     return maps
 
 
-def coboundary_stage_lattice(action: K0Action, system: InductiveSystem, target_stage: int) -> IntMatrix:
-    """H_t, the finite-stage approximation of the coboundary subgroup at
-    target stage t.
+def coboundary_generators(action: K0Action, system: InductiveSystem, target_stage: int) -> IntMatrix:
+    """The generators of H_t, the finite-stage approximation of the
+    coboundary subgroup at target stage t, one row each.
 
-    Columns form the canonical (Hermite) basis of the subgroup generated
-    by the ``coboundary_block`` columns of each signed letter, each taken
-    from the letter's latest source stage that lands at or before t
-    (``latest_letter_maps``). Single letters generate every word
-    difference, g - ab(g) = (g - b(g)) + (b(g) - a(b(g))), and by the
-    commuting squares a block from an earlier source is the later block
-    times a connecting map, so H_t holds g - w(g) pushed to t for every
-    word w and every g whose images land by t.
+    The rows are the ``coboundary_block`` columns of each signed letter,
+    each block taken from the letter's latest source stage that lands at
+    or before t (``latest_letter_maps``), in letter order. Single letters
+    generate every word difference, g - ab(g) = (g - b(g)) + (b(g) -
+    a(b(g))), and by the commuting squares a block from an earlier
+    source is the later block times a connecting map, so the rows
+    generate g - w(g) pushed to t for every word w and every g whose
+    images land by t.
     """
     p_tgt = system.rank_at(target_stage)
     gens: list[tuple[tuple[int, int], ...]] = []
     for sm in latest_letter_maps(action, system, target_stage):
         gens.extend(coboundary_block(system, sm, target_stage).transpose().nonzeros)
-    if not gens:
-        return IntMatrix.zeros(p_tgt, 0)
-    h = hermite_normal_form(IntMatrix._of_nonzeros(len(gens), p_tgt, tuple(gens)))
+    return IntMatrix._of_nonzeros(len(gens), p_tgt, tuple(gens))
+
+
+def coboundary_stage_lattice(generators: IntMatrix) -> IntMatrix:
+    """H_t from its ``coboundary_generators``: the canonical (Hermite)
+    basis of the rows' lattice, as the columns of a matrix."""
+    h = hermite_normal_form(generators)
     basis = tuple(row for row in h.nonzeros if row)
-    return IntMatrix._of_nonzeros(len(basis), p_tgt, basis).transpose()
+    return IntMatrix._of_nonzeros(len(basis), generators.cols, basis).transpose()
 
 
 class CheckItem(NamedTuple):
@@ -283,8 +290,11 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
     fails it; a stage without a map is not checked), unit preservation,
     commuting squares with the connecting maps, and both inverse laws
     (forward then inverse, and inverse then forward, each equal to the
-    plain pushforward). Failures are report items, never exceptions; a
-    negative horizon is a ValueError.
+    plain pushforward). A generator for which no stage up to the horizon
+    poses one of the two composites gets a failed ``inverse_law`` item at
+    stage 0 for it, since nothing then shows its maps are invertible.
+    Failures are report items, never exceptions; a negative horizon is a
+    ValueError.
 
     Stages 0..horizon are checked, but none past ``repeat_stage``: from
     there on ranks, connecting maps and letter maps are the tail's, so
@@ -312,6 +322,7 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
 
     for j in range(action.generators):
         gen = j + 1
+        posed: set[str] = set()  # the inverse laws checked at some stage
         for k in range(top + 1):
             if not system.has_stage(k):
                 break
@@ -372,10 +383,16 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                     continue
                 lhs = sm2.matrix @ sm1.matrix
                 rhs = system.transfer(k, sm2.to_stage)
+                posed.add(tag)
                 items.append(
                     CheckItem(
                         "inverse_law", gen, k, lhs == rhs,
                         "" if lhs == rhs else f"{tag} composite differs from the pushforward at stage {k}",
                     )
+                )
+        for tag in ("forward-then-inverse", "inverse-then-forward"):
+            if tag not in posed:
+                items.append(
+                    CheckItem("inverse_law", gen, 0, False, f"no {tag} composite can be checked up to stage {_message_int(horizon)}")
                 )
     return ActionReport(tuple(items))

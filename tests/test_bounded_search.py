@@ -12,8 +12,9 @@ walk-then-filter searches it replaced (kept in ``canonical_search``).
   candidate order.
 * Past ``WALK_NODE_BUDGET`` nodes a state search gives no certificate
   (``UNKNOWN``, with the budget on stderr), a witness target is exhausted,
-  a candidate whose preimages cannot be made canonical is skipped, and
-  ``find_invariant_state`` raises rather than answer None.
+  ``find_invariant_state`` raises rather than answer None, and a
+  candidate's preimages take the Hermite-reduced representative of their
+  coset, one point per coset.
 * The identity permutation on 32 points, the 3**n cliff of the old
   walk, decides in well under a second.
 """
@@ -26,7 +27,7 @@ import pytest
 
 import canonical_search
 from ball_walk import ball_walk
-from test_lattice_pipeline import CASES, stage_bases
+from test_lattice_pipeline import CASES, stage_bases, unipotent_with_long_prefix
 from test_pruned_search import BASES
 
 from k0mf import certify, exactlinalg
@@ -253,20 +254,60 @@ def test_a_cell_past_the_budget_is_exhausted(shift_pair, monkeypatch):
     assert search.exhausted_targets
 
 
-def test_a_candidate_whose_coset_walk_runs_out_is_skipped(shift_pair, monkeypatch):
-    system, action = shift_pair
-    params = certify.SearchParams(stage_max=2, height_bound=2)
-    tried = []
+def _hermite_reduced(v, rows) -> bool:
+    """Whether 0 <= v[p] < row[p] at the pivot p of every row."""
+    pivots = [_first_nonzero(row) for row in rows]
+    return all(0 <= v[p] < row[p] for row, p in zip(rows, pivots))
 
-    def out_of_budget(particular, kernel_rows):
-        tried.append(particular)
-        raise WalkBudgetExceeded("stub")
 
-    monkeypatch.setattr(certify, "_canonical_coset_vector", out_of_budget)
+def test_a_candidate_whose_coset_walk_runs_out_keeps_the_hermite_representative(monkeypatch):
+    """Only the preimages' least-mass walks run out here: the search still
+    returns the first candidate as its witness, with the Hermite-reduced
+    point of the preimages' coset (verified inside the search)."""
+    system, action = unipotent_with_long_prefix()
+    params = certify.SearchParams()
+    walked = find_positive_coboundary(system, action, params).witness
+    kernels = []
+
+    def walk(basis_rows, *args, key, **kwargs):
+        if key == "mass":
+            kernels.append(basis_rows)
+            raise WalkBudgetExceeded("stub")
+        return enumerate_lattice_points(basis_rows, *args, key=key, **kwargs)
+
+    monkeypatch.setattr(certify, "enumerate_lattice_points", walk)
     search = find_positive_coboundary(system, action, params)
-    assert tried
-    assert search.witness is None
-    assert search.exhausted_targets
+    assert search.exhausted_targets == ()
+    assert search.witness.value == walked.value
+    stacked = tuple(x for g in search.witness.preimages for x in g.vector)
+    assert len(kernels) == 1 and kernels[0]
+    assert _hermite_reduced(stacked, kernels[0])
+    assert search.witness.preimages != walked.preimages
+
+
+def test_the_hermite_representative_is_one_point_per_coset(monkeypatch):
+    """With no walk budget at all, ``_canonical_coset_vector`` gives the
+    same point from every representative of a coset, reduced at every
+    pivot, and in the coset."""
+    monkeypatch.setattr(exactlinalg, "WALK_NODE_BUDGET", 0)
+    rng = random.Random(49)
+    for rows, width in BASES:
+        particular = tuple(rng.randint(-9, 9) for _ in range(width))
+        point = _canonical_coset_vector(particular, rows)
+        assert _hermite_reduced(point, rows)
+        offset = [x - y for x, y in zip(point, particular)]
+        for row in rows:  # offset is in the lattice: the rows reduce it to 0
+            p = _first_nonzero(row)
+            q, r = divmod(offset[p], row[p])
+            assert r == 0
+            offset = [x - q * y for x, y in zip(offset, row)]
+        assert not any(offset)
+        for _ in range(3):
+            shifted = list(particular)
+            for row in rows:
+                c = rng.randint(-50, 50)
+                shifted = [x + c * y for x, y in zip(shifted, row)]
+            assert _canonical_coset_vector(tuple(shifted), rows) == point
 
 
 def test_exclusion_fails_when_its_state_walk_runs_out(shift_pair, monkeypatch):

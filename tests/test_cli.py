@@ -373,9 +373,14 @@ UNDECLARED_TARGET_DOC = {
 
 def test_a_map_into_an_undeclared_stage_fails_validation(tmp_path, capsys):
     """Both maps fail their shape check, so validate and check-mf exit 2;
-    they used to be skipped, and validate passed with 0 checks."""
+    they used to be skipped, and validate passed with 0 checks. No inverse
+    law can be posed either, and that fails too."""
     doc = _write(tmp_path, "doc.json", json.dumps(UNDECLARED_TARGET_DOC))
     failures = [f"shape generator 1 stage 0: {tag} map lands at undeclared stage 1" for tag in ("forward", "inverse")]
+    failures += [
+        f"inverse_law generator 1 stage 0: no {tag} composite can be checked up to stage 4"
+        for tag in ("forward-then-inverse", "inverse-then-forward")
+    ]
     code, out, err = run_cli(capsys, "validate", doc)
     assert (code, json.loads(out)["valid"]) == (2, False)
     assert err == "".join(f"FAIL {line}\n" for line in failures)

@@ -1,8 +1,9 @@
 """The counting functional (1, ..., 1) decides a stage before any program.
 
-* ``_span_meets_cone`` answers False with no program where every basis
-  row sums to 0: (1, ..., 1) is strictly positive and vanishes on the
-  span (Stiemke's lemma). The LP says the same on seeded such bases.
+* ``find_positive_coboundary`` skips a target whose coboundary
+  generators all sum to 0, with no Hermite form and no program:
+  (1, ..., 1) is strictly positive and vanishes on H_t (Stiemke's
+  lemma). The LP says the same on seeded bases whose rows sum to 0.
 * ``_canonical_functional`` answers (1, ..., 1) with no kernel, program
   or walk where every positive sums to at least 1 and every invariance
   difference sums to 0; it equals the walk-then-filter oracle of
@@ -10,7 +11,8 @@
   holds, where a positive sums to at most 0, and where a difference
   does not vanish on (1, ..., 1) (one kernel then).
 * So a finite permutation system, where (1, ..., 1) is the invariant
-  faithful state, is decided without a kernel, an LP or a lattice walk.
+  faithful state, is decided without a Hermite form, a kernel, an LP or
+  a lattice walk.
 """
 
 import random
@@ -20,14 +22,16 @@ import pytest
 import canonical_search
 from conftest import load_golden
 
-from k0mf import certify
+from k0mf import certify, exactlinalg, kaction
 from k0mf.bratteli import FiniteSystem, finite_system_to_k0
 from k0mf.certify import (
     SearchParams,
+    WitnessSearch,
     _canonical_functional,
     _coefficient_program,
     _span_meets_cone,
     find_invariant_state,
+    find_positive_coboundary,
 )
 from k0mf.cli import CONSISTENT, run_check
 from k0mf.dimgroup import LimitElement, push
@@ -114,7 +118,24 @@ def test_permutation_systems_decide_without_a_program_or_a_walk(pair, counted):
     assert counted == NONE_BUILT
 
 
-def test_a_sum_zero_basis_meets_the_cone_only_at_zero(counted):
+@pytest.mark.parametrize("pair", [pair for _, pair in PERMUTATION_CASES], ids=[name for name, _ in PERMUTATION_CASES])
+def test_permutation_systems_reduce_no_coboundary_lattice(pair, monkeypatch):
+    """Every generator of H_0 is e_i - e_pi(i), which sums to 0, so the
+    witness search decides the one target of a permutation system
+    without a Hermite form."""
+    system, action = pair
+    forms = []
+    for module in (kaction, exactlinalg):
+        real = module.hermite_normal_form
+        monkeypatch.setattr(module, "hermite_normal_form", lambda a, real=real: forms.append(a) or real(a))
+    assert find_positive_coboundary(system, action, SearchParams()) == WitnessSearch(None, ())
+    assert forms == []
+
+
+def test_a_sum_zero_basis_meets_the_cone_only_at_zero():
+    """Stiemke's lemma, which the witness search reads off the generators
+    of H_t: the LP finds no cone point in the span of rows that all sum
+    to 0."""
     rng = random.Random(26)
     for _ in range(60):
         width = rng.randint(2, 8)
@@ -122,8 +143,6 @@ def test_a_sum_zero_basis_meets_the_cone_only_at_zero(counted):
         program = _coefficient_program(rows, [(1,) * width], nonnegative=True)
         assert isinstance(lp_feasible(program), Infeasible)
         assert _span_meets_cone(rows) is False
-    assert _span_meets_cone([]) is False
-    assert counted == NONE_BUILT
 
 
 def _differences_vanishing_on_ones(rng: random.Random, width: int) -> IntMatrix:

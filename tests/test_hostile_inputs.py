@@ -16,6 +16,7 @@ from pathlib import Path
 from k0mf.kaction import MAX_STATIONARY_SHIFT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH = SRC.parent / "bench"
 
 # The first stationary unipotent shift the benchmark generates for seed 1:
 # tail [[1, 0, 0], [0, 1, 0], [1, 1, 1]] on four declared stages, one
@@ -230,3 +231,24 @@ def test_a_wide_dense_document_on_both_reader_paths(tmp_path):
         assert cpu < 10, cpu
         payloads.append(out)
     assert payloads[0] == payloads[1]
+
+
+def test_a_wide_stationary_shift_whose_preimage_walks_run_out(tmp_path, monkeypatch):
+    """The benchmark's stationary unipotent generator at 40 sources into
+    20 sinks with two generators (rank 60, seed 1), at its box. A witness
+    candidate's preimages form a coset of a 102-row kernel, where the
+    least-mass walk runs out of its node budget; the preimages then take
+    the coset's Hermite-reduced representative. When such a candidate
+    was skipped instead, every next candidate paid for another walk of
+    about a second, and the run went on for hours."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    doc = workloads._stationary_doc("wide-stationary", random.Random(1), 40, 20, 2, 4)
+    path = tmp_path / "wide_stationary.json"
+    path.write_bytes(doc.data)
+    code, out, err, cpu = _run("check-mf", str(path), "--max-stage", "4", "--height", "4", cpu_bound=20)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["mutual_exclusion_ok"]) == ("VIOLATION", True)
+    assert cpu < 20, cpu

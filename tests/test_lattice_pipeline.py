@@ -28,6 +28,7 @@ from k0mf.kaction import (
     K0Action,
     StageMap,
     StationaryRule,
+    coboundary_generators,
     coboundary_stage_lattice,
     repeat_stage,
     verify_action,
@@ -45,7 +46,7 @@ def stage_bases(system, action, stage_max):
     for target in range(_last_target(system, action, stage_max) + 1):
         if not system.has_stage(target):
             break
-        lattice = coboundary_stage_lattice(action, system, target)
+        lattice = coboundary_stage_lattice(coboundary_generators(action, system, target))
         yield target, list(map(tuple, lattice.transpose().to_rows()))
 
 
@@ -184,9 +185,13 @@ CASES = (
 
 
 def seeded_compactified_shift(seed: int):
-    """Six declared stages, one or two generators of speeds in +-1..3."""
+    """One or two generators of speeds in +-1..3, on six declared stages,
+    or on 2 * speed + 1 where that is more: a generator of speed s poses
+    its inverse laws only on a stage k whose image k + s has a map back,
+    at k + 2s."""
     rng = random.Random(seed)
-    return compactified_shift(6, [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(1, 2))])
+    speeds = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+    return compactified_shift(max(6, 2 * max(map(abs, speeds)) + 1), speeds)
 
 
 def seeded_unipotent_shift(seed: int):
@@ -255,7 +260,7 @@ def test_pipeline_bases_equal_fresh_lattices(case, box):
     for target in range(params.stage_max + 1):
         if not system.has_stage(target):
             break
-        lattice = coboundary_stage_lattice(action, system, target)
+        lattice = coboundary_stage_lattice(coboundary_generators(action, system, target))
         assert lattice == per_vector_stage_lattice(action, system, target), target
         bases[target] = list(map(tuple, lattice.transpose().to_rows()))
     for target, source, length, cell in grid_cells(system, action, params.stage_max, longest):
@@ -277,27 +282,62 @@ def test_search_matches_rebuild_every_cell(case, box):
 
 
 def test_one_lattice_per_target_up_to_the_stationary_cap(case, box, monkeypatch):
-    """The search builds H_t once per target, from target 0 up, and
-    without a witness exactly up to the last declared target of the box,
-    or the repeat stage plus the largest shift if that comes first (stage
-    0 on every finite permutation system)."""
+    """The search builds the generators of H_t once per target, from
+    target 0 up, and without a witness exactly up to the last declared
+    target of the box, or the repeat stage plus the largest shift if that
+    comes first (stage 0 on every finite permutation system). It reduces
+    them to H_t exactly at the targets where some generator sums to a
+    nonzero value, in the same order."""
     system, action = case
     params, _ = box
-    built = []
-    real = certify.coboundary_stage_lattice
-    monkeypatch.setattr(
-        certify, "coboundary_stage_lattice", lambda a, s, t: built.append(t) or real(a, s, t)
-    )
+    built, reduced = [], []  # (target, some generator sums to nonzero, generators); targets
+    real_generators = certify.coboundary_generators
+    real_lattice = certify.coboundary_stage_lattice
+
+    def generators(a, s, t):
+        gens = real_generators(a, s, t)
+        built.append((t, any(map(sum, gens.to_rows())), gens))
+        return gens
+
+    def lattice(gens):
+        t, _, last = built[-1]
+        assert gens is last  # reduced right after it was built
+        reduced.append(t)
+        return real_lattice(gens)
+
+    monkeypatch.setattr(certify, "coboundary_generators", generators)
+    monkeypatch.setattr(certify, "coboundary_stage_lattice", lattice)
     found = find_positive_coboundary(system, action, params).witness
     cap = params.stage_max
     repeat = repeat_stage(action, system)
     if repeat is not None and action.stationary is not None:
         cap = min(cap, repeat + max(rule.shift for rule in action.stationary))
     declared = [t for t in range(cap + 1) if system.has_stage(t)]
+    targets = [t for t, _, _ in built]
     if found is None:
-        assert built == declared
+        assert targets == declared
     else:
-        assert built == declared[: found.positive_at_stage + 1]
+        assert targets == declared[: found.positive_at_stage + 1]
+    assert reduced == [t for t, nonzero, _ in built if nonzero]
+
+
+def test_generators_sum_to_zero_exactly_when_the_basis_does():
+    """What lets the search skip the reduction: the generators of H_t and
+    its Hermite basis rows are integer combinations of each other, so
+    some generator sums to a nonzero value exactly when some basis row
+    does. Both outcomes occur."""
+    seen = set()
+    for _, make in CASES + SEEDED_CASES:
+        system, action = make()
+        for target in range(7):
+            if not system.has_stage(target):
+                break
+            generators = coboundary_generators(action, system, target)
+            basis = coboundary_stage_lattice(generators).transpose()
+            nonzero = any(generators.apply((1,) * generators.cols))
+            assert nonzero == any(basis.apply((1,) * basis.cols)), target
+            seen.add(nonzero)
+    assert seen == {False, True}
 
 
 def test_lattices_past_the_cap_do_not_change():
@@ -311,7 +351,7 @@ def test_lattices_past_the_cap_do_not_change():
             continue
         stationary += 1
         cap = repeat + max(rule.shift for rule in action.stationary)
-        assert len({coboundary_stage_lattice(action, system, t) for t in range(cap, cap + 3)}) == 1
+        assert len({coboundary_stage_lattice(coboundary_generators(action, system, t)) for t in range(cap, cap + 3)}) == 1
     assert stationary >= 10
 
 

@@ -138,19 +138,17 @@ def test_state_shapes_cover_both_verdicts():
 @pytest.mark.parametrize("name,make", CASES, ids=[name for name, _ in CASES])
 def test_cone_program_is_the_shared_helper(name, make, monkeypatch):
     """``_span_meets_cone`` asks the LP for the rows it always built:
-    each coordinate >= 0, then the coordinate sum >= 1. Each stage basis
-    is asked again with e_0 added, where the rows cannot all sum to 0
-    and a program is built."""
+    each coordinate >= 0, then the coordinate sum >= 1. Each nonempty
+    stage basis is asked, rows that all sum to 0 included (the search
+    skips those before it reduces, but the program still answers), and
+    again with e_0 added."""
     system, action = make()
     seen = []
     monkeypatch.setattr(certify, "lp_feasible", lambda p: seen.append(p) or lp_feasible(p))
-    bases = [basis for _, basis in stage_bases(system, action, SearchParams().stage_max)]
-    bases += [basis + [(1,) + (0,) * (len(basis[0]) - 1)] for basis in bases if basis]
+    bases = [basis for _, basis in stage_bases(system, action, SearchParams().stage_max) if basis]
+    bases += [basis + [(1,) + (0,) * (len(basis[0]) - 1)] for basis in bases]
     for basis in bases:
         _span_meets_cone(basis)
-        if not any(map(sum, basis)):
-            assert not seen  # (1, ..., 1) vanishes on the span, an empty one too; no program is built
-            continue
         width = len(basis[0])
         rows = [([row[i] for row in basis], 0) for i in range(width)]
         rows.append(([sum(row) for row in basis], 1))

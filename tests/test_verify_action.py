@@ -187,13 +187,15 @@ def test_negative_horizon_is_an_error():
 def test_a_map_into_an_undeclared_stage_fails_its_shape_check():
     """A one-stage system whose generator maps stage 0 into stage 1, which
     is not declared: each map is a failed shape item, not a skipped one,
-    though 5 does not even preserve the unit. A stage with no map at all
-    is still not checked."""
+    though 5 does not even preserve the unit, and neither inverse law can
+    be posed. A stage with no map at all is still not checked."""
     system = InductiveSystem((1,), (), (1,))
     action = K0Action(1, ((StageMap(0, 1, M([[5]])),),), ((StageMap(0, 1, M([[7]])),),))
     assert verify_action(action, system, 4).items == (
         CheckItem("shape", 1, 0, False, "forward map lands at undeclared stage 1"),
         CheckItem("shape", 1, 0, False, "inverse map lands at undeclared stage 1"),
+        CheckItem("inverse_law", 1, 0, False, "no forward-then-inverse composite can be checked up to stage 4"),
+        CheckItem("inverse_law", 1, 0, False, "no inverse-then-forward composite can be checked up to stage 4"),
     )
     assert not assert_matches_oracle(system, action, 4)
     two_stages = InductiveSystem((1, 1), (M([[1]]),), (1,))

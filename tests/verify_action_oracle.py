@@ -30,7 +30,8 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
     fails it), unit preservation, commuting
     squares with the connecting maps, and both inverse laws (forward
     then inverse, and inverse then forward, each equal to the plain
-    pushforward). Failures are report items, never exceptions.
+    pushforward), each posed at some stage or a failed item at stage 0.
+    Failures are report items, never exceptions.
     """
     items: list[CheckItem] = []
     top = _interesting_horizon(action, system, horizon)
@@ -44,6 +45,7 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
 
     for j in range(action.generators):
         gen = j + 1
+        checked = {"forward-then-inverse": False, "inverse-then-forward": False}
         for k in range(top + 1):
             if not system.has_stage(k):
                 break
@@ -125,10 +127,15 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                     continue
                 lhs = sm2.matrix @ sm1.matrix
                 rhs = system.transfer(k, sm2.to_stage)
+                checked[tag] = True
                 items.append(
                     CheckItem(
                         "inverse_law", gen, k, lhs == rhs,
                         "" if lhs == rhs else f"{tag} composite differs from the pushforward at stage {k}",
                     )
                 )
+        for tag, seen in checked.items():
+            if not seen:
+                detail = f"no {tag} composite can be checked up to stage {horizon}"
+                items.append(CheckItem("inverse_law", gen, 0, False, detail))
     return ActionReport(tuple(items))
