@@ -26,9 +26,9 @@ the decoder met no float literal (``parse`` notes each one through the
 decoder's ``parse_float`` hook) and the text does not hold ``false``.
 NaN and the infinities are not falsy, so the type check of the nonzero
 entries rejects them. When the decoder met a float, or the text holds
-``false`` (a literal, or inside a string), every matrix entry is
-type-checked instead. Either way, a matrix that fails is walked row by
-row and entry by entry, which names the first bad field.
+``false`` (a literal, or inside a string), or a matrix fails the count,
+the matrix is walked row by row and entry by entry instead, which
+type-checks every entry and names the first bad field.
 
 Serialization is canonical: sorted keys, two-space indent, plain
 integers, trailing newline, so golden files and certificates are
@@ -280,25 +280,20 @@ def _int_vector(value: Any, path: str) -> tuple[int, ...]:
 
 
 def _int_matrix(value: Any, path: str, ints_only: bool = False) -> IntMatrix:
-    """Whole-matrix checks first (every row a list, one width, every
-    entry a plain int); only when one fails are the rows walked one by
-    one, which finds the first bad field and its path.
-
-    With ``ints_only`` (no float decoded and no ``false`` in the text)
-    the entries are checked by counting the zeros, as the module
-    docstring says."""
+    """With ``ints_only`` (no float decoded and no ``false`` in the text),
+    whole-matrix checks first: every row a list, one width, and the zero
+    count of the module docstring. Otherwise, or when one fails, the rows
+    are walked one by one, which type-checks every entry and names the
+    first bad field and its path."""
     rows = _expect_list(value, path)
-    if rows and set(map(type, rows)) == {list} and len(widths := set(map(len, rows))) == 1:
+    if ints_only and rows and set(map(type, rows)) == {list} and len(widths := set(map(len, rows))) == 1:
         flat: list = []
         for row in rows:
             flat += row  # faster than a tuple of the chained rows
-        if ints_only:
-            nonzero = list(compress(range(len(flat)), flat))
-            if set(map(type, map(flat.__getitem__, nonzero))) <= {int} and flat.count(0) == len(flat) - len(nonzero):
-                width = widths.pop()
-                return IntMatrix._of_nonzeros(len(rows), width, _sparse_rows(len(rows), width, flat, nonzero))
-        elif set(map(type, flat)) <= {int}:
-            return IntMatrix(len(rows), widths.pop(), flat)
+        nonzero = list(compress(range(len(flat)), flat))
+        if set(map(type, map(flat.__getitem__, nonzero))) <= {int} and flat.count(0) == len(flat) - len(nonzero):
+            width = widths.pop()
+            return IntMatrix._of_nonzeros(len(rows), width, _sparse_rows(len(rows), width, flat, nonzero))
     rows = [_int_vector(row, f"{path}[{i}]") for i, row in enumerate(rows)]
     if not rows:
         raise DocumentError(path, "matrix needs at least one row")

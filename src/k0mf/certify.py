@@ -35,11 +35,11 @@ Hermite form at all.
 Both searches read the action through ``kaction.coboundary_block``, the
 matrix that sends a vector g at a word's source stage to g - w(g) at a
 target stage: H_t is generated by the columns of the one-letter blocks
-(``kaction.coboundary_generators``, reduced by
-``kaction.coboundary_stage_lattice``), a witness's preimages solve the
-one-letter blocks stacked side by side, and the state search and its
-re-check get every invariance difference g - w(g) of one stage's
-elements from one sparse product per word.
+(``kaction.latest_letter_maps``, once per target, stacked and reduced
+by ``kaction.coboundary_generators`` and ``coboundary_stage_lattice``),
+a witness's preimages solve the one-letter blocks stacked side by side,
+and the state search and its re-check get every invariance difference
+g - w(g) of one stage's elements from one sparse product per word.
 
 The two are mutually exclusive by design: if a witness with value x and
 preimages g_j exists, any functional that is invariant on the positive
@@ -86,6 +86,7 @@ from .dimgroup import (
     InductiveSystem,
     LimitElement,
     StageRangeError,
+    Tristate,
     _settled_stage,
     is_positive,
     is_zero,
@@ -306,19 +307,16 @@ def _recover_preimages(
 
     Tries source stages from ``source_hint``, the least latest source of
     the target's lattice, upward; a witness produced by an inverse letter
-    may only be a coboundary of elements one stage later.
+    may only be a coboundary of elements one stage later. Stops where a
+    ``word_map`` raises, as target stages only grow with the source.
     """
     r = action.generators
     for k in range(source_hint, stage_max + 1):
-        if not system.has_stage(k):
-            break
         try:
-            maps = [action.forward_map(j, k) for j in range(r)]
+            maps = [word_map(action, system, Word.of(j + 1), k) for j in range(r)]
         except StageRangeError:
             break
         target = max([value.stage] + [sm.to_stage for sm in maps])
-        if not system.has_stage(target):
-            continue
         p_src = system.rank_at(k)
         matrix = IntMatrix.hstack([coboundary_block(system, sm, target) for sm in maps])
         solved = solve_in_lattice(matrix, push(system, value, target).vector)
@@ -333,8 +331,16 @@ def _recover_preimages(
     return None
 
 
+def _nonzero_claim(zero: Tristate) -> tuple[str, int]:
+    """(``nonzero_mode``, ``nonzero_stage``) from a zero test not yes."""
+    return ("limit", zero.at_stage) if zero.is_no else ("horizon", zero.horizon)
+
+
 def verify_witness(system: InductiveSystem, action: K0Action, w: Witness) -> None:
-    """Exact re-verification; raises AssertionError on any failure."""
+    """Exact re-verification, the stages and the nonzero claim included;
+    raises AssertionError on any failure."""
+    if not system.has_stage(w.positive_at_stage) or w.positive_at_stage < w.value.stage:
+        raise AssertionError("witness reporting stage is undeclared or precedes its value's stage")
     cb = coboundary(action, system, w.preimages)
     common = max(cb.stage, w.positive_at_stage)
     if push(system, cb, common).vector != push(system, w.value, common).vector:
@@ -346,8 +352,11 @@ def verify_witness(system: InductiveSystem, action: K0Action, w: Witness) -> Non
         raise AssertionError("witness value is not positive at its reporting stage")
     if max(abs(x) for x in w.value.vector) != w.height:
         raise AssertionError("witness height mismatch")
-    if is_zero(system, w.value, max(w.nonzero_stage, w.value.stage)).is_yes:
+    zero = is_zero(system, w.value, max(w.nonzero_stage, w.value.stage))
+    if zero.is_yes:
         raise AssertionError("witness value vanishes in the limit")
+    if (w.nonzero_mode, w.nonzero_stage) != _nonzero_claim(zero):
+        raise AssertionError("witness nonzero claim is not what its zero test gives")
 
 
 def _build_witness(
@@ -368,14 +377,7 @@ def _build_witness(
     preimages = _recover_preimages(system, action, value, source_hint, params.stage_max)
     if preimages is None:
         return None
-    witness = Witness(
-        preimages=preimages,
-        value=value,
-        positive_at_stage=target,
-        height=max(abs(x) for x in vec),
-        nonzero_mode="limit" if zero.is_no else "horizon",
-        nonzero_stage=zero.at_stage if zero.is_no else zero.horizon,
-    )
+    witness = Witness(preimages, value, target, max(map(abs, vec)), *_nonzero_claim(zero))
     verify_witness(system, action, witness)
     return witness
 
@@ -395,8 +397,9 @@ def find_positive_coboundary(
 ) -> WitnessSearch:
     """Scan the parameter box for a positive coboundary witness.
 
-    Target stages are visited in increasing order. Each builds the
-    generators of H_t once (``coboundary_generators``) and first tests
+    Target stages are visited in increasing order. Each resolves its
+    letter maps once (``latest_letter_maps``), builds the generators of
+    H_t from them (``coboundary_generators``) and first tests
     the counting functional 1 = (1, ..., 1) on them: where every
     generator sums to 0, 1 is strictly positive and vanishes on H_t, so
     H_t meets the cone only at 0 (Stiemke's lemma) and the target is
@@ -418,14 +421,15 @@ def find_positive_coboundary(
     for target in range(_last_target(system, action, params.stage_max) + 1):
         if not system.has_stage(target):
             break
-        generators = coboundary_generators(action, system, target)
+        maps = latest_letter_maps(action, system, target)
+        generators = coboundary_generators(system, maps, target)
         if not any(generators.apply((1,) * generators.cols)):
             continue
         lattice = coboundary_stage_lattice(generators)
         basis_rows = [_dense_row(row, lattice.rows) for row in lattice.transpose().nonzeros]
         if not _span_meets_cone(basis_rows):
             continue
-        source_hint = min(sm.from_stage for sm in latest_letter_maps(action, system, target))
+        source_hint = min(sm.from_stage for sm in maps)
         try:
             for cand in _positive_candidates(basis_rows, params.height_bound):
                 witness = _build_witness(system, action, cand, source_hint, target, params)
@@ -625,7 +629,7 @@ def exclusion_holds(
     proves nothing, or when a functional exists."""
     (value, *parts), words = exclusion_sets(witness, action.generators)
     try:
-        bound = max(stage_max, *(action.forward_map(j, g.stage).to_stage for j, g in enumerate(witness.preimages)))
+        bound = max(stage_max, *(action.letter_map(j + 1, g.stage).to_stage for j, g in enumerate(witness.preimages)))
         return find_invariant_state(system, action, parts, words, bound, (value,)) is None
     except (StageRangeError, WalkBudgetExceeded):
         return False  # no program was solved, or one found a functional

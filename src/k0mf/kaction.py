@@ -2,8 +2,9 @@
 
 An action of the free group on r generators is given, per generator, by
 a family of entrywise-nonnegative stage maps (stage k to stage m(k),
-with m(k) either k or a later stage, monotone in k) together with an
-explicit family of inverse-direction maps. Inverses are supplied rather
+with m(k) either k or a later stage, monotone in k, a stationary rule
+included) together with an explicit family of inverse-direction maps,
+all resolved by ``K0Action.letter_map``. Inverses are supplied rather
 than computed because stage maps need not be square; invertibility is a
 limit-level condition and supplying both directions makes it checkable.
 
@@ -15,13 +16,14 @@ once). On these rest the coboundary combination sum_j (g_j - a_j(g_j))
 over the generators, and H_t, the finite-stage lattice at a target
 stage t generated by the one-letter blocks, each from its letter's
 latest source stage that lands by t; single letters generate every
-word difference. H_t comes in two steps: ``coboundary_generators``
-stacks the blocks' columns as rows, and ``coboundary_stage_lattice``
-reduces them to a Hermite basis, so a caller can read the generators
-(their sums, say) before it pays for the reduction. The state search
-in ``certify`` and its re-check take their invariance differences from
-word blocks. Last comes an itemised verifier for the order-automorphism
-laws (positivity, commuting squares, unit preservation, inverse laws).
+word difference. H_t comes in three steps: ``latest_letter_maps``
+resolves those maps, ``coboundary_generators`` stacks their blocks'
+columns as rows, and ``coboundary_stage_lattice`` reduces them to a
+Hermite basis, so a caller can read the generators (their sums, say)
+before it pays for the reduction. The state search in ``certify`` and
+its re-check take their invariance differences from word blocks. Last
+comes an itemised verifier for the order-automorphism laws (positivity,
+commuting squares, unit preservation, inverse laws).
 ``repeat_stage`` says from which stage stationary data repeats, for the
 verifier and the witness search alike.
 """
@@ -85,37 +87,29 @@ class K0Action:
             raise ValueError("need one forward and one inverse family per generator")
         if self.stationary is not None and len(self.stationary) != self.generators:
             raise ValueError("need one stationary rule per generator")
-        for family in (*self.forward, *self.inverse):
-            for k, sm in enumerate(family):
-                if sm.from_stage != k:
-                    raise ValueError("stage maps must be contiguous from stage 0")
-            for prev, nxt in zip(family, family[1:]):
-                if nxt.to_stage < prev.to_stage:
-                    raise ValueError("target stages must be monotone")
+        rules = self.stationary or (None,) * self.generators
+        for family, rule in zip((*self.forward, *self.inverse), rules * 2):
+            if any(sm.from_stage != k for k, sm in enumerate(family)):
+                raise ValueError("stage maps must be contiguous from stage 0")
+            targets = [sm.to_stage for sm in family] + ([len(family) + rule.shift] if rule else [])
+            if any(nxt < prev for prev, nxt in zip(targets, targets[1:])):
+                raise ValueError("target stages must be monotone")
 
-    def _resolve(self, family: tuple[StageMap, ...], j: int, k: int, inverse: bool) -> StageMap:
+    def letter_map(self, letter: int, k: int) -> StageMap:
+        """The map of a signed 1-based generator index out of stage k: the
+        declared map, or past the family the stationary rule's."""
+        if letter == 0 or abs(letter) > self.generators:
+            raise ValueError(f"letter {letter} out of range")
+        j = abs(letter) - 1
+        family = self.forward[j] if letter > 0 else self.inverse[j]
         if k < 0:
             raise StageRangeError("negative stage")
         if k < len(family):
             return family[k]
-        if self.stationary is not None:
-            rule = self.stationary[j]
-            mat = rule.inverse if inverse else rule.forward
-            return StageMap(k, k + rule.shift, mat)
-        raise StageRangeError(f"generator {j + 1} has no map at stage {k}")
-
-    def forward_map(self, j: int, k: int) -> StageMap:
-        return self._resolve(self.forward[j], j, k, inverse=False)
-
-    def inverse_map(self, j: int, k: int) -> StageMap:
-        return self._resolve(self.inverse[j], j, k, inverse=True)
-
-    def letter_map(self, letter: int, k: int) -> StageMap:
-        """Resolve a signed 1-based generator index at stage k."""
-        if letter == 0 or abs(letter) > self.generators:
-            raise ValueError(f"letter {letter} out of range")
-        j = abs(letter) - 1
-        return self.forward_map(j, k) if letter > 0 else self.inverse_map(j, k)
+        if self.stationary is None:
+            raise StageRangeError(f"generator {j + 1} has no map at stage {k}")
+        rule = self.stationary[j]
+        return StageMap(k, k + rule.shift, rule.forward if letter > 0 else rule.inverse)
 
 
 @dataclass(frozen=True)
@@ -199,10 +193,13 @@ def coboundary(
 def latest_letter_maps(action: K0Action, system: InductiveSystem, target_stage: int) -> list[StageMap]:
     """Each signed letter's map (+1, -1, +2, -2, ...) out of its latest
     source stage whose map resolves and lands at or before
-    ``target_stage``; a letter with no such stage is left out."""
+    ``target_stage``; a letter with no such stage is left out. The scan
+    starts at the letter's last stage with a map, if that is earlier."""
     maps = []
     for letter in (s * j for j in range(1, action.generators + 1) for s in (1, -1)):
-        for k in range(target_stage, -1, -1):
+        family = (action.forward if letter > 0 else action.inverse)[abs(letter) - 1]
+        last = target_stage if action.stationary else min(target_stage, len(family) - 1)
+        for k in range(last, -1, -1):
             try:
                 sm = word_map(action, system, Word((letter,)), k)
             except StageRangeError:
@@ -213,22 +210,22 @@ def latest_letter_maps(action: K0Action, system: InductiveSystem, target_stage: 
     return maps
 
 
-def coboundary_generators(action: K0Action, system: InductiveSystem, target_stage: int) -> IntMatrix:
+def coboundary_generators(system: InductiveSystem, maps: Sequence[StageMap], target_stage: int) -> IntMatrix:
     """The generators of H_t, the finite-stage approximation of the
-    coboundary subgroup at target stage t, one row each.
+    coboundary subgroup at target stage t, one row each: the
+    ``coboundary_block`` columns of each of ``maps``, in order.
 
-    The rows are the ``coboundary_block`` columns of each signed letter,
-    each block taken from the letter's latest source stage that lands at
-    or before t (``latest_letter_maps``), in letter order. Single letters
-    generate every word difference, g - ab(g) = (g - b(g)) + (b(g) -
-    a(b(g))), and by the commuting squares a block from an earlier
-    source is the later block times a connecting map, so the rows
-    generate g - w(g) pushed to t for every word w and every g whose
-    images land by t.
+    Given ``latest_letter_maps`` at t (each signed letter's map from its
+    latest source stage that lands at or before t), the rows generate
+    H_t. Single letters generate every word difference, g - ab(g) =
+    (g - b(g)) + (b(g) - a(b(g))), and by the commuting squares a block
+    from an earlier source is the later block times a connecting map, so
+    the rows generate g - w(g) pushed to t for every word w and every g
+    whose images land by t.
     """
     p_tgt = system.rank_at(target_stage)
     gens: list[tuple[tuple[int, int], ...]] = []
-    for sm in latest_letter_maps(action, system, target_stage):
+    for sm in maps:
         gens.extend(coboundary_block(system, sm, target_stage).transpose().nonzeros)
     return IntMatrix._of_nonzeros(len(gens), p_tgt, tuple(gens))
 
@@ -313,7 +310,7 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
         """Generator j's map out of stage k, None without one, and whether
         it lands at a declared stage in the shape of the stage ranks."""
         try:
-            sm = action.inverse_map(j, k) if inv else action.forward_map(j, k)
+            sm = action.letter_map(-(j + 1) if inv else j + 1, k)
         except StageRangeError:  # no map
             return None, False
         if not system.has_stage(sm.to_stage):

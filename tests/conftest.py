@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from k0mf.bratteli import SystemDocument, parse
+from k0mf.kaction import coboundary_generators, latest_letter_maps
 
 
 GOLDEN_NAMES = [
@@ -15,6 +16,11 @@ GOLDEN_NAMES = [
     "two_transpositions.json",
     "diamond.json",
 ]
+
+
+def stage_generators(action, system, target):
+    """The generators of H_t, from the target's ``latest_letter_maps``."""
+    return coboundary_generators(system, latest_letter_maps(action, system, target), target)
 
 
 def golden_path(name: str) -> Path:

@@ -471,7 +471,7 @@ def test_int_matrix_whole_and_per_row_paths_agree():
     for _ in range(200):
         m, n = rng.randint(1, 6), rng.randint(0, 6)
         rows = [[rng.randint(-10**rng.randint(0, 30), 10**30) for _ in range(n)] for _ in range(m)]
-        whole = _int_matrix(rows, "$")
+        whole = _int_matrix(rows, "$", ints_only=True)
         assert whole == M(rows) and (whole.rows, whole.cols) == (m, n)
         if n:
             i, j = rng.randrange(m), rng.randrange(n)

@@ -238,6 +238,25 @@ def test_witness_verification_names_each_failure(shift_pair):
     verify_witness(longer, action, w)
 
 
+def test_witness_verification_checks_its_stages_and_nonzero_claim(shift_pair):
+    """The reporting stage must be declared and no earlier than the
+    value's stage, and (``nonzero_mode``, ``nonzero_stage``) must be what
+    the value's zero test up to ``nonzero_stage`` gives. The genuine
+    witness restated at a later reporting stage, or with a horizon past
+    the declared stages, still verifies."""
+    system, action = shift_pair
+    w = find_positive_coboundary(system, action, SHIFT_PARAMS).witness
+    assert (w.positive_at_stage, w.nonzero_mode, w.nonzero_stage) == (2, "horizon", 3)
+    verify_witness(system, action, replace(w, positive_at_stage=3))
+    verify_witness(system, action, replace(w, nonzero_stage=9))
+    for stage in (1, 9):
+        with pytest.raises(AssertionError, match="^witness reporting stage is undeclared or precedes its value's stage$"):
+            verify_witness(system, action, replace(w, positive_at_stage=stage))
+    for mode in ("limit", "bogus"):
+        with pytest.raises(AssertionError, match="^witness nonzero claim is not what its zero test gives$"):
+            verify_witness(system, action, replace(w, nonzero_mode=mode))
+
+
 def test_state_certificate_verification_names_each_failure(cycle3_pair):
     """The counting functional on the three-cycle, certified on (1, 0, 0):
     a wrong recorded value is a mismatch, and (1, -1, 0), on which the

@@ -438,10 +438,21 @@ def _stage_map(source: int, target: int) -> dict:
             {"system": _THREE_STAGES, "action": dict(_EMPTY_ACTION, forward=[[_stage_map(0, 2), _stage_map(1, 1)]])},
             "$.action", "target stages must be monotone",
         ),
+        (
+            {
+                "system": dict(_ONE_STAGE, stationary=[[1]]),
+                "action": dict(
+                    _EMPTY_ACTION, forward=[[_stage_map(0, 2)]], inverse=[[_stage_map(0, 2)]],
+                    stationary=[{"shift": 0, "forward": [[1]], "inverse": [[1]]}],
+                ),
+            },
+            "$.action", "target stages must be monotone",
+        ),
     ],
     ids=[
         "diagram-edge-matrix-count", "no-points", "no-permutations", "rank-0-stage", "tail-shape",
         "negative-tail-entry", "unit-length", "missing-family", "stationary-rule-count", "non-monotone-targets",
+        "rule-lands-before-its-family",
     ],
 )
 def test_a_rejected_document_names_its_path(tmp_path, capsys, document, where, reason):

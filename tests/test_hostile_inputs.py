@@ -252,3 +252,29 @@ def test_a_wide_stationary_shift_whose_preimage_walks_run_out(tmp_path, monkeypa
     payload = json.loads(out)
     assert (payload["verdict"], payload["mutual_exclusion_ok"]) == ("VIOLATION", True)
     assert cpu < 20, cpu
+
+
+# The bundled Fibonacci identity document with its stationary rule
+# replaced by the identity declared at stage 0 only: a prefix action on a
+# stationary tail, which has no repeat stage to stop the witness search.
+FIBONACCI_PREFIX_ACTION = {
+    "schema_version": 1,
+    "system": {"stage_ranks": [2], "connecting_maps": [], "unit": [1, 1], "stationary": [[1, 1], [1, 0]]},
+    "action": {
+        "generators": 1,
+        "forward": [[{"from_stage": 0, "to_stage": 0, "matrix": [[1, 0], [0, 1]]}]],
+        "inverse": [[{"from_stage": 0, "to_stage": 0, "matrix": [[1, 0], [0, 1]]}]],
+    },
+}
+
+
+def test_a_prefix_action_on_a_stationary_tail(tmp_path):
+    """The witness search visits every target up to 16000 here, and each
+    target reads each letter's map from the family's last stage. When the
+    latest source was found by probing every stage down from the target,
+    the run took time quadratic in the bound (minutes at 16000)."""
+    doc = _write(tmp_path, "fibonacci_prefix.json", FIBONACCI_PREFIX_ACTION)
+    code, out, err, cpu = _run("check-mf", doc, "--max-stage", "16000", cpu_bound=10)
+    assert code == 0, err
+    assert json.loads(out)["verdict"] == "CONSISTENT"
+    assert cpu < 10, cpu

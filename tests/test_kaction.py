@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import stage_generators
 from identity_action import identity_action
 from word_grid import cell_lattice, reduced_words
 
@@ -14,7 +15,6 @@ from k0mf.kaction import (
     StationaryRule,
     Word,
     coboundary,
-    coboundary_generators,
     coboundary_stage_lattice,
     verify_action,
     word_map,
@@ -131,13 +131,13 @@ def test_coboundary_additive_in_each_slot(shift_pair):
 def test_lattice_identity_action_trivial():
     system = InductiveSystem((3,), (), (1, 1, 1), IntMatrix.identity(3))
     action = identity_action(system, 1)
-    lat = coboundary_stage_lattice(coboundary_generators(action, system, 0))
+    lat = coboundary_stage_lattice(stage_generators(action, system, 0))
     assert lat.cols == 0
 
 
 def test_lattice_cycle_sum_zero(cycle3_pair):
     system, action = cycle3_pair
-    lat = coboundary_stage_lattice(coboundary_generators(action, system, 0))
+    lat = coboundary_stage_lattice(stage_generators(action, system, 0))
     cols = lat.transpose().to_rows()
     assert cols == [[1, 0, -1], [0, 1, -1]]
     for col in cols:
@@ -146,7 +146,7 @@ def test_lattice_cycle_sum_zero(cycle3_pair):
 
 def test_lattice_shift_contains_witness(shift_pair):
     system, action = shift_pair
-    lat = coboundary_stage_lattice(coboundary_generators(action, system, 2))
+    lat = coboundary_stage_lattice(stage_generators(action, system, 2))
     assert solve_in_lattice(lat, (0, 1, 0, 0, 0)) is not None
 
 
@@ -163,9 +163,9 @@ def test_lattice_monotone(shift_pair):
         return lat.transpose().to_rows()
 
     for target in range(1, system.last_declared_stage):
-        h = columns(coboundary_stage_lattice(coboundary_generators(action, system, target)))
+        h = columns(coboundary_stage_lattice(stage_generators(action, system, target)))
         # a later target: pushed basis vectors are still members
-        later = columns(coboundary_stage_lattice(coboundary_generators(action, system, target + 1)))
+        later = columns(coboundary_stage_lattice(stage_generators(action, system, target + 1)))
         for row in h:
             assert contains(later, push(system, LimitElement(target, row), target + 1).vector)
         # every cell of the word grid at this target: earlier sources, longer words
@@ -190,7 +190,7 @@ def test_all_ones_annihilates_permutation_lattices():
             rng.shuffle(p)
             perms.append(tuple(p))
         system, action = finite_system_to_k0(FiniteSystem(n, tuple(perms)))
-        lat = coboundary_stage_lattice(coboundary_generators(action, system, 0))
+        lat = coboundary_stage_lattice(stage_generators(action, system, 0))
         for col in lat.transpose().to_rows():
             assert sum(col) == 0
 
@@ -199,7 +199,7 @@ def test_word_differences_lie_in_single_letter_lattice(shift_pair):
     system, action = shift_pair
     # |w| <= 2 differences from stage 1 land inside H_3, whose single
     # letters act from stage 2 (the sources the telescoping uses)
-    lat = coboundary_stage_lattice(coboundary_generators(action, system, 3))
+    lat = coboundary_stage_lattice(stage_generators(action, system, 3))
     for word in reduced_words(1, 2):
         for idx in range(system.rank_at(1)):
             e = basis_vector(system, 1, idx)
@@ -215,7 +215,7 @@ def test_word_differences_lie_in_single_letter_lattice(shift_pair):
 
 def test_word_differences_one_stage_permutation(cycle3_pair):
     system, action = cycle3_pair
-    lat = coboundary_stage_lattice(coboundary_generators(action, system, 0))
+    lat = coboundary_stage_lattice(stage_generators(action, system, 0))
     for word in reduced_words(1, 3):
         for idx in range(3):
             e = basis_vector(system, 0, idx)
@@ -296,3 +296,35 @@ def test_action_validation():
         K0Action(1, ((StageMap(1, 1, ident),),), ((StageMap(1, 1, ident),),), None)
     with pytest.raises(ValueError):
         StageMap(1, 0, ident)
+    # a stationary rule's first map, out of stage len(family), may not
+    # land before the family's last map
+    early = (StageMap(0, 2, M([[1]])),)
+    with pytest.raises(ValueError, match="^target stages must be monotone$"):
+        K0Action(1, (early,), (early,), (StationaryRule(0, M([[1]]), M([[1]])),))
+    with pytest.raises(ValueError, match="^target stages must be monotone$"):
+        K0Action(1, ((),), (early,), (StationaryRule(0, M([[1]]), M([[1]])),))
+    K0Action(1, (early,), (early,), (StationaryRule(1, M([[1]]), M([[1]])),))  # lands at 2 as well
+
+
+def test_letter_map_resolves_declared_and_rule_maps():
+    """A positive letter reads its forward family, a negative one its
+    inverse family, and past the family the rule's map of the same
+    direction; there is no map at a negative stage, nor past the family
+    without a rule, and a letter must name a generator."""
+    forward = (StageMap(0, 1, M([[1]])), StageMap(1, 2, M([[1]])))
+    inverse = (StageMap(0, 1, M([[4]])),)
+    action = K0Action(1, (forward,), (inverse,), (StationaryRule(1, M([[2]]), M([[3]])),))
+    assert action.letter_map(1, 1) is forward[1]
+    assert action.letter_map(-1, 0) is inverse[0]
+    assert action.letter_map(1, 5) == StageMap(5, 6, M([[2]]))
+    assert action.letter_map(-1, 1) == StageMap(1, 2, M([[3]]))
+    for letter in (0, 2, -2):
+        with pytest.raises(ValueError, match=f"^letter {letter} out of range$"):
+            action.letter_map(letter, 0)
+    with pytest.raises(StageRangeError):
+        action.letter_map(1, -1)
+    prefix = K0Action(1, (forward,), (inverse,))
+    with pytest.raises(StageRangeError, match="^generator 1 has no map at stage 2$"):
+        prefix.letter_map(1, 2)
+    with pytest.raises(StageRangeError, match="^generator 1 has no map at stage 1$"):
+        prefix.letter_map(-1, 1)

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from conftest import GOLDEN_NAMES, load_golden
+from conftest import GOLDEN_NAMES, load_golden, stage_generators
 from dense_hermite import row_basis
 from per_vector_coboundary import stage_lattice as per_vector_stage_lattice
 from word_grid import grid_cells, grid_search
@@ -22,16 +22,18 @@ from word_grid import grid_cells, grid_search
 from k0mf import certify
 from k0mf.bratteli import FiniteSystem, finite_system_to_k0
 from k0mf.certify import SearchParams, _last_target, find_positive_coboundary
-from k0mf.dimgroup import InductiveSystem
+from k0mf.dimgroup import InductiveSystem, StageRangeError
 from k0mf.exactlinalg import IntMatrix
 from k0mf.kaction import (
     K0Action,
     StageMap,
     StationaryRule,
-    coboundary_generators,
+    Word,
     coboundary_stage_lattice,
+    latest_letter_maps,
     repeat_stage,
     verify_action,
+    word_map,
 )
 
 M = IntMatrix.from_rows
@@ -46,7 +48,7 @@ def stage_bases(system, action, stage_max):
     for target in range(_last_target(system, action, stage_max) + 1):
         if not system.has_stage(target):
             break
-        lattice = coboundary_stage_lattice(coboundary_generators(action, system, target))
+        lattice = coboundary_stage_lattice(stage_generators(action, system, target))
         yield target, list(map(tuple, lattice.transpose().to_rows()))
 
 
@@ -260,7 +262,7 @@ def test_pipeline_bases_equal_fresh_lattices(case, box):
     for target in range(params.stage_max + 1):
         if not system.has_stage(target):
             break
-        lattice = coboundary_stage_lattice(coboundary_generators(action, system, target))
+        lattice = coboundary_stage_lattice(stage_generators(action, system, target))
         assert lattice == per_vector_stage_lattice(action, system, target), target
         bases[target] = list(map(tuple, lattice.transpose().to_rows()))
     for target, source, length, cell in grid_cells(system, action, params.stage_max, longest):
@@ -294,8 +296,8 @@ def test_one_lattice_per_target_up_to_the_stationary_cap(case, box, monkeypatch)
     real_generators = certify.coboundary_generators
     real_lattice = certify.coboundary_stage_lattice
 
-    def generators(a, s, t):
-        gens = real_generators(a, s, t)
+    def generators(s, maps, t):
+        gens = real_generators(s, maps, t)
         built.append((t, any(map(sum, gens.to_rows())), gens))
         return gens
 
@@ -321,6 +323,71 @@ def test_one_lattice_per_target_up_to_the_stationary_cap(case, box, monkeypatch)
     assert reduced == [t for t, nonzero, _ in built if nonzero]
 
 
+def test_letter_maps_are_resolved_once_per_target(case, box, monkeypatch):
+    """The search resolves each target's letter maps once
+    (``latest_letter_maps``), and builds H_t's generators from that very
+    list, in target order."""
+    system, action = case
+    params, _ = box
+    resolved, passed = [], []  # (target, id of the maps) per call
+    real_maps = certify.latest_letter_maps
+    real_generators = certify.coboundary_generators
+
+    def letter_maps(a, s, t):
+        maps = real_maps(a, s, t)
+        resolved.append((t, id(maps)))
+        return maps
+
+    def generators(s, maps, t):
+        passed.append((t, id(maps)))
+        return real_generators(s, maps, t)
+
+    monkeypatch.setattr(certify, "latest_letter_maps", letter_maps)
+    monkeypatch.setattr(certify, "coboundary_generators", generators)
+    find_positive_coboundary(system, action, params)
+    targets = [t for t, _ in resolved]
+    assert targets == list(range(len(targets))) and targets
+    assert passed == resolved
+
+
+def fibonacci_prefix_action():
+    """The Fibonacci tail [[1, 1], [1, 0]] with the identity action
+    declared at stage 0 only: a prefix action on a stationary tail."""
+    system = InductiveSystem((2,), (), (1, 1), M([[1, 1], [1, 0]]))
+    identity = (StageMap(0, 0, IntMatrix.identity(2)),)
+    return system, K0Action(1, (identity,), (identity,))
+
+
+def every_stage_letter_maps(action, system, target_stage):
+    """``latest_letter_maps`` by probing every source stage from the
+    target down, as it was before each scan started at the letter's last
+    possible source: the oracle."""
+    maps = []
+    for letter in (s * j for j in range(1, action.generators + 1) for s in (1, -1)):
+        for k in range(target_stage, -1, -1):
+            try:
+                sm = word_map(action, system, Word((letter,)), k)
+            except StageRangeError:
+                continue
+            if sm.to_stage <= target_stage:
+                maps.append(sm)
+                break
+    return maps
+
+
+SCAN_CASES = CASES + SEEDED_CASES + [("fibonacci-prefix", fibonacci_prefix_action)]
+
+
+@pytest.mark.parametrize("make", [make for _, make in SCAN_CASES], ids=[name for name, _ in SCAN_CASES])
+def test_latest_letter_maps_match_the_every_stage_scan(make):
+    """Every stage the scan now skips has no map or one that lands past
+    the target, so the maps are the same; undeclared targets included."""
+    system, action = make()
+    assert verify_action(action, system, 8).ok
+    for target in (0, 1, 2, 3, 4, 5, 8, 13, 40):
+        assert latest_letter_maps(action, system, target) == every_stage_letter_maps(action, system, target), target
+
+
 def test_generators_sum_to_zero_exactly_when_the_basis_does():
     """What lets the search skip the reduction: the generators of H_t and
     its Hermite basis rows are integer combinations of each other, so
@@ -332,7 +399,7 @@ def test_generators_sum_to_zero_exactly_when_the_basis_does():
         for target in range(7):
             if not system.has_stage(target):
                 break
-            generators = coboundary_generators(action, system, target)
+            generators = stage_generators(action, system, target)
             basis = coboundary_stage_lattice(generators).transpose()
             nonzero = any(generators.apply((1,) * generators.cols))
             assert nonzero == any(basis.apply((1,) * basis.cols)), target
@@ -351,7 +418,7 @@ def test_lattices_past_the_cap_do_not_change():
             continue
         stationary += 1
         cap = repeat + max(rule.shift for rule in action.stationary)
-        assert len({coboundary_stage_lattice(coboundary_generators(action, system, t)) for t in range(cap, cap + 3)}) == 1
+        assert len({coboundary_stage_lattice(stage_generators(action, system, t)) for t in range(cap, cap + 3)}) == 1
     assert stationary >= 10
 
 

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from conftest import stage_generators
 from dense_hermite import dense_hermite_normal_form, dense_integer_kernel, dense_rank, dense_row_basis, row_basis
 from test_sparse_products import assert_sparse_rows, record_dense_access
 from word_grid import reduced_words
@@ -24,7 +25,7 @@ from k0mf.bratteli import FiniteSystem, finite_system_to_k0
 from k0mf.certify import find_invariant_state
 from k0mf.cli import default_requests
 from k0mf.exactlinalg import IntMatrix, hermite_normal_form, integer_kernel, rank
-from k0mf.kaction import coboundary_block, coboundary_generators, coboundary_stage_lattice, word_map
+from k0mf.kaction import coboundary_block, coboundary_stage_lattice, word_map
 
 
 def _signed(rng: random.Random, m: int, n: int, low: int = -9, high: int = 9) -> list[list[int]]:
@@ -156,7 +157,7 @@ def test_coboundary_lattice_and_kernel_derive_no_dense_view(monkeypatch):
     words of length <= 2 span."""
     system, action = _twenty_points()
     dense = record_dense_access(monkeypatch)
-    lattice = coboundary_stage_lattice(coboundary_generators(action, system, 0))
+    lattice = coboundary_stage_lattice(stage_generators(action, system, 0))
     kernel = integer_kernel(lattice.transpose())
     assert dense == []
     monkeypatch.undo()

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from conftest import GOLDEN_NAMES, load_golden
+from conftest import GOLDEN_NAMES, load_golden, stage_generators
 from per_vector_coboundary import apply_letters, invariance_differences, word_images
 from per_vector_coboundary import coboundary as per_vector_coboundary
 from per_vector_coboundary import coboundary_stage_lattice as per_vector_cell
@@ -35,7 +35,6 @@ from k0mf.kaction import (
     StageMap,
     Word,
     coboundary,
-    coboundary_generators,
     coboundary_stage_lattice,
     verify_action,
     word_map,
@@ -80,7 +79,7 @@ def test_lattices_equal_per_vector_lattices(case, stage_max):
     system, action = case
 
     def lattice(*args):
-        return coboundary_stage_lattice(coboundary_generators(*args))
+        return coboundary_stage_lattice(stage_generators(*args))
 
     for target in range(stage_max + 1):
         args = (action, system, target)
@@ -92,7 +91,7 @@ def test_three_generator_lattice_at_word_length_three():
     cell of the 186 words of length <= 3 included."""
     system, action = seeded_three_generator_system()
     for source, target in ((0, 0), (0, 2)):
-        assert coboundary_stage_lattice(coboundary_generators(action, system, target)) == per_vector_cell(action, system, source, target, 3)
+        assert coboundary_stage_lattice(stage_generators(action, system, target)) == per_vector_cell(action, system, source, target, 3)
 
 
 def test_word_maps_apply_like_their_letters(case):

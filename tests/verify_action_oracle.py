@@ -38,7 +38,7 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
 
     def resolve(j: int, k: int, inv: bool) -> StageMap | None:
         try:
-            sm = action.inverse_map(j, k) if inv else action.forward_map(j, k)
+            sm = action.letter_map(-(j + 1) if inv else j + 1, k)
         except StageRangeError:
             return None
         return sm if system.has_stage(sm.to_stage) else None
@@ -51,7 +51,7 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                 break
             for inv, tag in ((False, "forward"), (True, "inverse")):
                 try:
-                    sm = action.inverse_map(j, k) if inv else action.forward_map(j, k)
+                    sm = action.letter_map(-(j + 1) if inv else j + 1, k)
                 except StageRangeError:
                     continue
                 if not system.has_stage(sm.to_stage):
