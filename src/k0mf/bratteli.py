@@ -35,7 +35,9 @@ integers, trailing newline, so golden files and certificates are
 byte-stable.
 
 ``parse_request_sets`` reads the other JSON input, the request sets of
-``check-mf --sets``. Validation errors carry the JSON path of the
+``check-mf --sets``, under the same rules; each requested element must
+also be positive within the stage bound, else it is invalid input at
+its path in the file. Validation errors carry the JSON path of the
 offending field, once: every object goes through one field check
 (``_fields``), and a constructor's error is reported at its object only
 after every argument has been parsed (``_construct``), so no enclosing
@@ -51,13 +53,23 @@ from functools import cached_property
 from itertools import compress
 from typing import Any, Callable
 
-from .dimgroup import InductiveSystem, LimitElement
+from .dimgroup import InductiveSystem, LimitElement, is_positive
 from .exactlinalg import _CHUNK_DIGITS, IntMatrix, _decimal_str, _first_negative, _message_int, _sparse_rows, _zero_column
 from .kaction import K0Action, StageMap, StationaryRule, Word
 
 SCHEMA_VERSION = 1
 
 DECIMAL = re.compile(r"-?[0-9]+")  # an integer as text, in documents and command-line flags
+
+
+def integer(text: str) -> int:
+    """The integer of an ASCII decimal string ``-?[0-9]+`` of any length,
+    in a document or a command-line flag; ValueError on any other text
+    (``int`` alone would also take ``1_0``, ``+2``, `` 2`` and non-ASCII
+    digits)."""
+    if not DECIMAL.fullmatch(text):
+        raise ValueError(text)
+    return _decimal_int(text)
 
 
 def _decimal_int(text: str) -> int:
@@ -71,13 +83,13 @@ def _decimal_int(text: str) -> int:
     return _decimal_int(text[:half]) * 10 ** (len(text) - half) + _decimal_int(text[half:])
 
 
-def _load_json(data: str | bytes, **hooks: Callable[[str], Any]) -> Any:
+def _load_json(data: str, **hooks: Callable[[str], Any]) -> Any:
     """``json.loads`` with the decoder ``hooks``; only when an integer
     literal exceeds the interpreter's digit limit, decode again with
     ``_decimal_int`` (and the same hooks)."""
     try:
         return json.loads(data, **hooks)
-    except (json.JSONDecodeError, UnicodeDecodeError):
+    except json.JSONDecodeError:
         raise
     except ValueError:  # an integer literal past the digit limit
         return json.loads(data, parse_int=_decimal_int, **hooks)
@@ -266,9 +278,10 @@ def _expect_int(value: Any, path: str) -> int:
     if isinstance(value, float):
         raise DocumentError(path, "floating-point numbers are not allowed")
     if isinstance(value, str):
-        if DECIMAL.fullmatch(value):
-            return _decimal_int(value)
-        raise DocumentError(path, f"not an integer: {value!r}")
+        try:
+            return integer(value)
+        except ValueError:
+            raise DocumentError(path, f"not an integer: {value!r}") from None
     raise DocumentError(path, "expected an integer (number or decimal string)")
 
 
@@ -475,15 +488,18 @@ def parse(data: bytes | str) -> SystemDocument:
 
 
 def parse_request_sets(
-    data: bytes, path: str, system: InductiveSystem, action: K0Action
+    data: bytes, path: str, system: InductiveSystem, action: K0Action, stage_max: int
 ) -> list[tuple[tuple[LimitElement, ...], tuple[Word, ...]]]:
-    """The (elements, words) pairs of a request-sets file's bytes; each
-    element must name a stage of ``system`` and match its rank, and
-    each letter a signed generator of ``action``. Raises DocumentError
-    with ``path`` and the JSON path of the bad field."""
+    """The (elements, words) pairs of a request-sets file's bytes, which
+    must be UTF-8 (with no BOM), as a document's. Each element must name
+    a stage of ``system`` and match its rank, and each letter a signed
+    generator of ``action``; once the whole file has passed these checks,
+    each element must also be positive by stage ``stage_max`` (or its
+    own stage, if later). Raises DocumentError with ``path`` and the
+    JSON path of the bad field."""
     try:
-        raw = _load_json(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raw = _load_json(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DocumentError(path, f"cannot read request sets: {exc}") from None
     _fields(raw, f"{path}:$", ("requests",))
     out = []
@@ -518,6 +534,14 @@ def parse_request_sets(
         out.append((tuple(elements), tuple(words)))
     if not out:
         raise DocumentError(f"{path}:$.requests", "no requests given")
+    for i, (elements, _) in enumerate(out):
+        for j, g in enumerate(elements):
+            horizon = max(stage_max, g.stage)
+            if not is_positive(system, g, horizon).is_yes:
+                raise DocumentError(
+                    f"{path}:$.requests[{i}].elements[{j}]",
+                    f"not positive (entrywise nonnegative at no stage up to {_message_int(horizon)})",
+                )
     return out
 
 

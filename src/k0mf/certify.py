@@ -99,6 +99,7 @@ from .exactlinalg import (
     LinearProgram,
     WalkBudgetExceeded,
     _dense_row,
+    _message_int,
     enumerate_lattice_points,
     integer_kernel,
     lp_feasible,
@@ -549,8 +550,8 @@ def find_invariant_state(
     maps = {(k, w): word_map(action, system, w, k) for k in stages for w in words}
     first = max([g.stage for g in requested] + [sm.to_stage for sm in maps.values()])
     if first > stage_max or not system.has_stage(first):
-        where = f"past the stage bound {stage_max}" if first > stage_max else "which is not declared"
-        raise StageRangeError(f"the elements and their word images meet at stage {first}, {where}")
+        where = f"past the stage bound {_message_int(stage_max)}" if first > stage_max else "which is not declared"
+        raise StageRangeError(f"the elements and their word images meet at stage {_message_int(first)}, {where}")
     settled = _settled_stage(system, first)  # None without a tail
     last = min(stage_max, system.last_declared_stage if settled is None else settled)
     element_vecs: list[tuple[int, ...]] = []

@@ -8,12 +8,11 @@ reported as COMPRESSION_FOUND and a miss as NONE_FOUND), and
 ``convert`` (dualize a finite permutation system to a K0 document).
 
 Input is read by ``bratteli``: the document by ``parse`` and a
-``--sets`` file by ``parse_request_sets``; here each requested element
-must also be positive within --max-stage, else it is invalid input at
-its path in the file.
+``--sets`` file by ``parse_request_sets``.
 
-Integer flags and ``--perm`` entries are ASCII ``-?[0-9]+``, as in
-documents; anything else is invalid input that names the flag.
+Integer flags and ``--perm`` entries are read by ``bratteli.integer``:
+ASCII ``-?[0-9]+`` of any length, as in documents; anything else is
+invalid input that names the flag.
 
 Exit codes: 0 when a verdict was computed (whatever it says), 2 on
 invalid input or a --json-out that cannot be written, 3 when a
@@ -38,14 +37,13 @@ from functools import cache
 from typing import Any, Sequence
 
 from .bratteli import (
-    DECIMAL,
     DocumentError,
     FiniteSystem,
     Metadata,
     SystemDocument,
     canonical_json_bytes,
     document_payload,
-    finite_system_to_k0,
+    integer,
     parse,
     parse_request_sets,
 )
@@ -57,9 +55,9 @@ from .certify import (
     find_invariant_state,
     find_positive_coboundary,
 )
-from .dimgroup import InductiveSystem, LimitElement, StageRangeError, injectivity_report, is_positive
-from .exactlinalg import WalkBudgetExceeded
-from .kaction import K0Action, Word, verify_action
+from .dimgroup import InductiveSystem, LimitElement, StageRangeError, injectivity_report
+from .exactlinalg import WalkBudgetExceeded, _message_int
+from .kaction import ActionReport, K0Action, Word, verify_action
 
 VIOLATION = "VIOLATION"
 CONSISTENT = "CONSISTENT"
@@ -68,10 +66,7 @@ COMPRESSION_FOUND = "COMPRESSION_FOUND"
 NONE_FOUND = "NONE_FOUND"
 
 
-@dataclass(frozen=True)
-class StateRequest:
-    elements: tuple[LimitElement, ...]
-    words: tuple[Word, ...]
+Request = tuple[tuple[LimitElement, ...], tuple[Word, ...]]  # (elements, words) of one state search
 
 
 @dataclass(frozen=True)
@@ -80,63 +75,58 @@ class Verdict:
     params: SearchParams
     witness: Witness | None
     certificates: tuple[StateCertificate | None, ...]
-    requests: tuple[StateRequest, ...]
+    requests: tuple[Request, ...]
     exhausted_targets: tuple[int, ...]
     mutual_exclusion_ok: bool | None
     elapsed: float  # stderr reporting only; never serialized
     reasons: tuple[str, ...] = ()  # why a state search gave no certificate; stderr only
 
 
-def default_requests(system: InductiveSystem, action: K0Action) -> tuple[StateRequest, ...]:
+def default_requests(system: InductiveSystem, action: K0Action) -> tuple[Request, ...]:
     """One request: the stage-0 basis vectors against all generators."""
     p = system.rank_at(0)
     elements = tuple(
         LimitElement(0, tuple(1 if j == i else 0 for j in range(p))) for i in range(p)
     )
     words = tuple(Word.of(j) for j in range(1, action.generators + 1))
-    return (StateRequest(elements, words),)
+    return ((elements, words),)
 
 
 def run_check(
     system: InductiveSystem,
     action: K0Action,
     params: SearchParams,
-    requests: Sequence[StateRequest] | None = None,
+    requests: Sequence[Request] | None = None,
 ) -> Verdict:
     """Witness search; on a miss, invariant-state searches per request."""
     start = time.monotonic()
     search = find_positive_coboundary(system, action, params)
-    if search.witness is not None:
-        exclusion = exclusion_holds(system, action, search.witness, params.stage_max)
-        return Verdict(
-            kind=VIOLATION,
-            params=params,
-            witness=search.witness,
-            certificates=(),
-            requests=(),
-            exhausted_targets=search.exhausted_targets,
-            mutual_exclusion_ok=exclusion,
-            elapsed=time.monotonic() - start,
-        )
-    reqs = tuple(requests) if requests is not None else default_requests(system, action)
+    witness = search.witness
+    if witness is not None:
+        requests = ()
+    elif requests is None:
+        requests = default_requests(system, action)
     certs: list[StateCertificate | None] = []
     reasons: list[str] = []
-    for i, req in enumerate(reqs):
+    for i, (elements, words) in enumerate(requests):
         try:
-            cert = find_invariant_state(system, action, req.elements, req.words, params.stage_max)
+            cert = find_invariant_state(system, action, elements, words, params.stage_max)
         except (StageRangeError, WalkBudgetExceeded) as exc:
             cert = None
             reasons.append(f"state search {i + 1}: no certificate: {exc}")
         certs.append(cert)
-    kind = CONSISTENT if all(c is not None for c in certs) else UNKNOWN
+    if witness is not None:
+        kind, exclusion = VIOLATION, exclusion_holds(system, action, witness, params.stage_max)
+    else:
+        kind, exclusion = CONSISTENT if all(c is not None for c in certs) else UNKNOWN, None
     return Verdict(
         kind=kind,
         params=params,
-        witness=None,
+        witness=witness,
         certificates=tuple(certs),
-        requests=reqs,
+        requests=tuple(requests),
         exhausted_targets=search.exhausted_targets,
-        mutual_exclusion_ok=None,
+        mutual_exclusion_ok=exclusion,
         elapsed=time.monotonic() - start,
         reasons=tuple(reasons),
     )
@@ -194,11 +184,11 @@ def verdict_payload(command: str, name: str | None, verdict: Verdict) -> dict:
     if verdict.requests:
         payload["state_searches"] = [
             {
-                "elements": [_element_payload(e) for e in req.elements],
-                "words": [_word_payload(w) for w in req.words],
+                "elements": [_element_payload(e) for e in elements],
+                "words": [_word_payload(w) for w in words],
                 "certificate": _certificate_payload(cert) if cert else None,
             }
-            for req, cert in zip(verdict.requests, verdict.certificates)
+            for (elements, words), cert in zip(verdict.requests, verdict.certificates)
         ]
     return payload
 
@@ -208,43 +198,14 @@ def verdict_payload(command: str, name: str | None, verdict: Verdict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def integer(text: str) -> int:
-    """A command-line integer, ``-?[0-9]+`` (``int`` alone would also
-    take ``1_0``, ``+2``, `` 2`` and non-ASCII digits)."""
-    if not DECIMAL.fullmatch(text):
-        raise ValueError(text)
-    return int(text)
-
-
-def _read_document(path: str) -> SystemDocument:
+def _read(path: str, what: str) -> bytes:
+    """The bytes of the file at ``path``; one that cannot be read is
+    invalid input, named by ``path`` and ``what``."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise DocumentError(path, f"cannot read: {exc}") from None
-    return parse(data)
-
-
-def _parse_sets_file(
-    path: str, system: InductiveSystem, action: K0Action, stage_max: int
-) -> tuple[StateRequest, ...]:
-    """The requests of a ``--sets`` file; each element must also be
-    positive by stage ``stage_max`` (or its own stage, if later)."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DocumentError(path, f"cannot read request sets: {exc}") from None
-    pairs = parse_request_sets(data, path, system, action)
-    for i, (elements, _) in enumerate(pairs):
-        for j, g in enumerate(elements):
-            horizon = max(stage_max, g.stage)
-            if not is_positive(system, g, horizon).is_yes:
-                raise DocumentError(
-                    f"{path}:$.requests[{i}].elements[{j}]",
-                    f"not positive (entrywise nonnegative at no stage up to {horizon})",
-                )
-    return tuple(StateRequest(elements, words) for elements, words in pairs)
+        raise DocumentError(path, f"{what}: {exc}") from None
 
 
 def _emit(payload: dict, json_out: str | None) -> None:
@@ -270,16 +231,32 @@ def _params_from(args: argparse.Namespace) -> SearchParams:
         ("--height", args.height, 1),
     ):
         if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
+            raise ValueError(f"{flag} must be >= {least}, got {_message_int(value)}")
     return SearchParams(stage_max=args.max_stage, height_bound=args.height)
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    horizon = _params_from(args).stage_max
-    doc = _read_document(args.path)
+def _gate(
+    args: argparse.Namespace,
+) -> tuple[SystemDocument, InductiveSystem, K0Action, SearchParams, ActionReport]:
+    """Check the flags, read and resolve the document, and verify the
+    action laws up to --max-stage."""
+    params = _params_from(args)
+    doc = parse(_read(args.path, "cannot read"))
     system, action = doc.resolve()
-    report = verify_action(action, system, horizon)
-    inj = injectivity_report(system, horizon)
+    return doc, system, action, params, verify_action(action, system, params.stage_max)
+
+
+def _failed(report: ActionReport, prefix: str) -> bool:
+    """Report each failed action law on stderr after ``prefix``; True if
+    any failed."""
+    for item in report.failures():
+        print(f"{prefix}{item.check} generator {item.generator} stage {item.stage}: {item.detail}", file=sys.stderr)
+    return not report.ok
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    doc, system, _, params, report = _gate(args)
+    inj = injectivity_report(system, params.stage_max)
     payload = {
         "command": "validate",
         "valid": report.ok,
@@ -301,35 +278,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if doc.metadata.name:
         payload["document"] = doc.metadata.name
     _emit(payload, args.json_out)
-    if not report.ok:
-        for item in report.failures():
-            print(
-                f"FAIL {item.check} generator {item.generator} stage {item.stage}: {item.detail}",
-                file=sys.stderr,
-            )
+    if _failed(report, "FAIL "):
         return 2
     print(f"valid: {len(report.items)} checks passed", file=sys.stderr)
     return 0
-
-
-def _verified_input(
-    args: argparse.Namespace,
-) -> tuple[SystemDocument, InductiveSystem, K0Action, SearchParams] | None:
-    """Check the flags, read and resolve the document and verify the
-    action laws up to --max-stage; on a failed law, report it on stderr
-    and return None."""
-    params = _params_from(args)
-    doc = _read_document(args.path)
-    system, action = doc.resolve()
-    report = verify_action(action, system, params.stage_max)
-    if not report.ok:
-        for item in report.failures():
-            print(
-                f"invalid action: {item.check} generator {item.generator} stage {item.stage}: {item.detail}",
-                file=sys.stderr,
-            )
-        return None
-    return doc, system, action, params
 
 
 def _unsound(verdict: Verdict) -> bool:
@@ -345,13 +297,14 @@ def _unsound(verdict: Verdict) -> bool:
 
 
 def _cmd_check_mf(args: argparse.Namespace) -> int:
-    verified = _verified_input(args)
-    if verified is None:
+    doc, system, action, params, report = _gate(args)
+    if _failed(report, "invalid action: "):
         return 2
-    doc, system, action, params = verified
     requests = None
     if args.sets:
-        requests = _parse_sets_file(args.sets, system, action, params.stage_max)
+        requests = parse_request_sets(
+            _read(args.sets, "cannot read request sets"), args.sets, system, action, params.stage_max
+        )
     verdict = run_check(system, action, params, requests)
     if _unsound(verdict):
         return 3
@@ -359,15 +312,15 @@ def _cmd_check_mf(args: argparse.Namespace) -> int:
     _emit(payload, args.json_out)
     for reason in verdict.reasons:
         print(reason, file=sys.stderr)
-    print(f"{verdict.kind} in {verdict.elapsed:.3f}s (params: {params})", file=sys.stderr)
+    bounds = f"stage_max={_message_int(params.stage_max)}, height_bound={_message_int(params.height_bound)}"
+    print(f"{verdict.kind} in {verdict.elapsed:.3f}s (params: SearchParams({bounds}))", file=sys.stderr)
     return 0
 
 
 def _cmd_chain_recurrence(args: argparse.Namespace) -> int:
-    verified = _verified_input(args)
-    if verified is None:
+    doc, system, action, params, report = _gate(args)
+    if _failed(report, "invalid action: "):
         return 2
-    doc, system, action, params = verified
     if action.generators != 1:
         print("chain-recurrence requires a single-generator document", file=sys.stderr)
         return 2
@@ -391,7 +344,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             return 2
     try:
         fs = FiniteSystem(args.points, tuple(perms))
-        finite_system_to_k0(fs)  # force validation of the induced data
     except ValueError as exc:
         print(f"invalid finite system: {exc}", file=sys.stderr)
         return 2

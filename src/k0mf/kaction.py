@@ -107,7 +107,7 @@ class K0Action:
         if k < len(family):
             return family[k]
         if self.stationary is None:
-            raise StageRangeError(f"generator {j + 1} has no map at stage {k}")
+            raise StageRangeError(f"generator {j + 1} has no map at stage {_message_int(k)}")
         rule = self.stationary[j]
         return StageMap(k, k + rule.shift, rule.forward if letter > 0 else rule.inverse)
 
@@ -300,7 +300,7 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
     from the square and unit preservation at k.
     """
     if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+        raise ValueError(f"horizon must be >= 0, got {_message_int(horizon)}")
     repeat = repeat_stage(action, system)
     top = horizon if repeat is None else min(horizon, repeat)
     items: list[CheckItem] = []

@@ -640,11 +640,11 @@ def test_stage_map_constructor_error_is_reported_at_the_stage_map():
 def test_parse_request_sets_returns_element_and_word_pairs(cycle3_pair):
     system, action = cycle3_pair
     data = b'{"requests": [{"elements": [{"stage": 0, "vector": [1, "0", 0]}], "words": [[1, -1], [-1]]}]}'
-    assert parse_request_sets(data, "sets.json", system, action) == [
+    assert parse_request_sets(data, "sets.json", system, action, 4) == [
         ((LimitElement(0, (1, 0, 0)),), (Word(()), Word((-1,)))),
     ]
     with pytest.raises(DocumentError) as err:
-        parse_request_sets(b'{"requests": [[]]}', "sets.json", system, action)
+        parse_request_sets(b'{"requests": [[]]}', "sets.json", system, action, 4)
     assert str(err.value) == "sets.json:$.requests[0]: expected an object"
 
 

@@ -361,7 +361,7 @@ def test_height_bound_limits_candidates():
 
 
 def test_verdicts_are_parameter_relative(shift_pair):
-    from k0mf.cli import StateRequest, run_check
+    from k0mf.cli import run_check
 
     system, action = shift_pair
     # too small a box misses the witness; the default request still
@@ -370,9 +370,7 @@ def test_verdicts_are_parameter_relative(shift_pair):
     assert small.kind == "CONSISTENT"
     # a request whose word images leave the declared prefix cannot be
     # realized at any stage: honest UNKNOWN, not a claim either way
-    unreachable = StateRequest(
-        (LimitElement(3, (1, 0, 0, 0, 0, 0, 0)),), (Word.of(1),)
-    )
+    unreachable = ((LimitElement(3, (1, 0, 0, 0, 0, 0, 0)),), (Word.of(1),))
     out = run_check(
         system, action, SearchParams(stage_max=1, height_bound=2), [unreachable]
     )

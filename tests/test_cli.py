@@ -102,6 +102,15 @@ def test_integer_flags_follow_the_document_rule(text, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: invalid integer value: {text!r}" in captured.err
+    # the document rule has no length limit, so neither do the flags
+    big = "1" + "0" * 5000
+    for argv, dest in [
+        (["check-mf", doc, "--max-stage", big], "max_stage"),
+        (["validate", doc, "--height", big], "height"),
+        (["chain-recurrence", doc, "--word-length", big], "word_length"),
+        (["convert", "--points", big, "--perm", "1,2"], "points"),
+    ]:
+        assert getattr(build_parser().parse_args(argv), dest) == 10**5000
 
 
 @pytest.mark.parametrize("perm", ["+2,3,1", " 2,3,1", "2,3,1 ", "2,3,0_1", "\u0662,3,1", "2,,3,1"])
@@ -300,6 +309,17 @@ def test_check_mf_sets_file_that_is_not_utf8_is_named(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check-mf", str(golden_path("cycle3.json")), "--sets", str(sets_path))
     assert (code, out) == (2, "")
     assert err.startswith(f"invalid input: {sets_path}: cannot read request sets: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig"])
+def test_check_mf_sets_file_is_utf8_without_a_bom(tmp_path, capsys, encoding):
+    """The decoder of ``json.loads`` would detect either encoding in
+    bytes; a --sets file is read as UTF-8, as a document is."""
+    sets_path = tmp_path / "sets.json"
+    sets_path.write_bytes('{"requests": [{"elements": [{"stage": 0, "vector": [1, 0, 0]}]}]}'.encode(encoding))
+    code, out, err = run_cli(capsys, "check-mf", str(golden_path("cycle3.json")), "--sets", str(sets_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid input: {sets_path}: cannot read request sets: ") and err.count("\n") == 1
 
 
 def test_check_mf_request_without_words_keeps_its_payload(tmp_path, capsysbinary):
@@ -710,6 +730,49 @@ def test_check_mf_sets_long_integer_literal_keeps_its_path(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check-mf", str(golden_path("compactified_shift.json")), "--sets", sets)
     assert (code, out) == (2, "")
     assert err == f"invalid input: {sets}:$.requests[0].words[0][0]: letter -<integer of {_bits(big)} bits> is not a signed generator index 1..1\n"
+
+
+def test_a_stage_bound_past_the_digit_limit(tmp_path, capsys):
+    """--max-stage 10**5000 decides as --max-stage 10**9 does: the same
+    payload but for parameters.max_stage, and exit 0 after the stderr
+    summary. Its negative is rejected with its bit length."""
+    big = "1" + "0" * 5000
+    doc = _write(tmp_path, "doc.json", json.dumps(STAGE_ZERO_GENERATOR_DOC))
+    sets = _write(tmp_path, "sets.json", '{"requests": [{"elements": [{"stage": 1, "vector": [1]}], "words": [[1]]}]}')
+    for argv in (
+        ["check-mf", str(golden_path("compactified_shift.json"))],
+        ["check-mf", str(golden_path("cycle3.json"))],
+        ["chain-recurrence", str(golden_path("compactified_shift.json"))],
+        ["validate", str(golden_path("fibonacci_identity.json"))],
+        ["check-mf", doc, "--sets", sets],
+    ):
+        payloads = []
+        for bound in (big, "1000000000"):
+            code, out, err = run_cli(capsys, *argv, "--max-stage", bound)
+            assert code == 0, (argv, err)
+            payload = _load_json(out)
+            payload.get("parameters", {}).pop("max_stage", None)
+            payloads.append(payload)
+        assert payloads[0] == payloads[1], argv
+    code, out, err = run_cli(capsys, "check-mf", str(golden_path("cycle3.json")), "--max-stage", f"-{big}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-stage must be >= 0, got -<integer of {_bits(big)} bits>\n"
+
+
+def test_a_word_with_no_map_at_a_stage_past_the_digit_limit(tmp_path, capsys):
+    """A --sets element at stage 10**5000 of a stationary tail, under a
+    generator declared at stage 0 only: an UNKNOWN whose reason gives the
+    stage's bit length."""
+    big = "1" + "0" * 5000
+    system = '{"stage_ranks": [2], "connecting_maps": [], "unit": [1, 1], "stationary": [[1, 1], [1, 0]]}'
+    identity = '[[{"from_stage": 0, "to_stage": 0, "matrix": [[1, 0], [0, 1]]}]]'
+    action = '{"generators": 1, "forward": %s, "inverse": %s}' % (identity, identity)
+    doc = _write(tmp_path, "doc.json", '{"schema_version": 1, "system": %s, "action": %s}' % (system, action))
+    sets = _write(tmp_path, "sets.json", '{"requests": [{"elements": [{"stage": %s, "vector": [1, 1]}], "words": [[1]]}]}' % big)
+    code, out, err = run_cli(capsys, "check-mf", doc, "--sets", sets, "--max-stage", "3")
+    assert code == 0, err
+    assert _load_json(out)["verdict"] == "UNKNOWN"
+    assert f"state search 1: no certificate: generator 1 has no map at stage <integer of {_bits(big)} bits>\n" in err
 
 
 def test_check_mf_writes_payload_integers_past_the_digit_limit(tmp_path, capsys):

@@ -176,8 +176,8 @@ def test_state_search_derives_no_dense_view(monkeypatch):
     invariance differences stay one sparse matrix from the block products
     to the kernel, through the certificate's re-check."""
     system, action = _twenty_points()
-    (request,) = default_requests(system, action)
+    ((elements, words),) = default_requests(system, action)
     dense = record_dense_access(monkeypatch)
-    cert = find_invariant_state(system, action, request.elements, request.words, 4)
+    cert = find_invariant_state(system, action, elements, words, 4)
     assert dense == []
     assert cert is not None and cert.stage == 0
