@@ -31,7 +31,6 @@ from .certify import (
     exclusion_sets,
     find_invariant_state,
     find_positive_coboundary,
-    positive_parts,
     verify_state_certificate,
     verify_witness,
 )

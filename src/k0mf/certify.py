@@ -585,17 +585,12 @@ def find_invariant_state(
     return None
 
 
-def positive_parts(e: LimitElement) -> tuple[LimitElement, LimitElement]:
-    """Entrywise positive and negative parts, both cone elements."""
-    pos = tuple(max(x, 0) for x in e.vector)
-    neg = tuple(max(-x, 0) for x in e.vector)
-    return LimitElement(e.stage, pos), LimitElement(e.stage, neg)
-
-
 def exclusion_sets(witness: Witness, generators: int) -> tuple[tuple[LimitElement, ...], tuple[Word, ...]]:
     """Element and word sets realizing the mutual-exclusion test: the
-    witness value first, then the nonzero positive and negative parts of
-    every preimage, and one word per generator.
+    witness value first, then the entrywise positive and negative parts
+    of every preimage, each a cone element at the preimage's stage, in
+    that order and without zero parts or repeats, and one word per
+    generator.
 
     Invariance on the parts forces any candidate functional to vanish on
     the witness value, while faithfulness demands it be positive there;
@@ -603,7 +598,8 @@ def exclusion_sets(witness: Witness, generators: int) -> tuple[tuple[LimitElemen
     """
     elements: list[LimitElement] = [witness.value]
     for pre in witness.preimages:
-        for part in positive_parts(pre):
+        for sign in (1, -1):
+            part = LimitElement(pre.stage, tuple(max(sign * x, 0) for x in pre.vector))
             if any(part.vector) and part not in elements:
                 elements.append(part)
     words = tuple(Word.of(j) for j in range(1, generators + 1))

@@ -16,9 +16,14 @@ invalid input that names the flag.
 
 Exit codes: 0 when a verdict was computed (whatever it says), 2 on
 invalid input or a --json-out that cannot be written, 3 when a
-soundness check failed (a witness was found but the state search did
-not rule out an invariant state faithful on its exclusion sets, so
-``mutual_exclusion_ok`` would be false); then no payload is written.
+soundness check failed: a witness was found but the state search did
+not rule out an invariant state faithful on its exclusion sets, or an
+exact re-verification (of a witness, a state certificate or a program's
+certificate) did not hold. Every such failure is an ``AssertionError``;
+``main`` prints ``error: soundness check failed: <message>`` and writes
+no payload. Every payload with a witness carries
+``"mutual_exclusion_ok": true``, since a witness whose exclusion check
+fails is never written.
 Human-readable summaries go to stderr; the canonical JSON payload goes
 to stdout or --json-out and is byte-identical across runs on identical
 inputs (timings are reported on stderr only). A state search whose
@@ -77,7 +82,6 @@ class Verdict:
     certificates: tuple[StateCertificate | None, ...]
     requests: tuple[Request, ...]
     exhausted_targets: tuple[int, ...]
-    mutual_exclusion_ok: bool | None
     elapsed: float  # stderr reporting only; never serialized
     reasons: tuple[str, ...] = ()  # why a state search gave no certificate; stderr only
 
@@ -98,11 +102,17 @@ def run_check(
     params: SearchParams,
     requests: Sequence[Request] | None = None,
 ) -> Verdict:
-    """Witness search; on a miss, invariant-state searches per request."""
+    """Witness search; on a miss, invariant-state searches per request.
+    A witness whose exclusion check fails raises AssertionError."""
     start = time.monotonic()
     search = find_positive_coboundary(system, action, params)
     witness = search.witness
     if witness is not None:
+        if not exclusion_holds(system, action, witness, params.stage_max):
+            raise AssertionError(
+                "the state search did not rule out an invariant state faithful on the "
+                "witness's exclusion sets, which the witness rules out"
+            )
         requests = ()
     elif requests is None:
         requests = default_requests(system, action)
@@ -115,18 +125,13 @@ def run_check(
             cert = None
             reasons.append(f"state search {i + 1}: no certificate: {exc}")
         certs.append(cert)
-    if witness is not None:
-        kind, exclusion = VIOLATION, exclusion_holds(system, action, witness, params.stage_max)
-    else:
-        kind, exclusion = CONSISTENT if all(c is not None for c in certs) else UNKNOWN, None
     return Verdict(
-        kind=kind,
+        kind=VIOLATION if witness else CONSISTENT if all(c is not None for c in certs) else UNKNOWN,
         params=params,
         witness=witness,
         certificates=tuple(certs),
         requests=tuple(requests),
         exhausted_targets=search.exhausted_targets,
-        mutual_exclusion_ok=exclusion,
         elapsed=time.monotonic() - start,
         reasons=tuple(reasons),
     )
@@ -179,8 +184,8 @@ def verdict_payload(command: str, name: str | None, verdict: Verdict) -> dict:
     }
     if name is not None:
         payload["document"] = name
-    if verdict.mutual_exclusion_ok is not None:
-        payload["mutual_exclusion_ok"] = verdict.mutual_exclusion_ok
+    if verdict.witness:
+        payload["mutual_exclusion_ok"] = True  # run_check raises where it fails
     if verdict.requests:
         payload["state_searches"] = [
             {
@@ -284,18 +289,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _unsound(verdict: Verdict) -> bool:
-    """Report a failed mutual-exclusion check on stderr; True if it failed."""
-    if verdict.mutual_exclusion_ok is False:
-        print(
-            "error: soundness check failed: the state search did not rule out an invariant "
-            "state faithful on the witness's exclusion sets, which the witness rules out",
-            file=sys.stderr,
-        )
-        return True
-    return False
-
-
 def _cmd_check_mf(args: argparse.Namespace) -> int:
     doc, system, action, params, report = _gate(args)
     if _failed(report, "invalid action: "):
@@ -306,8 +299,6 @@ def _cmd_check_mf(args: argparse.Namespace) -> int:
             _read(args.sets, "cannot read request sets"), args.sets, system, action, params.stage_max
         )
     verdict = run_check(system, action, params, requests)
-    if _unsound(verdict):
-        return 3
     payload = verdict_payload("check-mf", doc.metadata.name, verdict)
     _emit(payload, args.json_out)
     for reason in verdict.reasons:
@@ -325,8 +316,6 @@ def _cmd_chain_recurrence(args: argparse.Namespace) -> int:
         print("chain-recurrence requires a single-generator document", file=sys.stderr)
         return 2
     verdict = run_check(system, action, params, requests=())
-    if _unsound(verdict):
-        return 3
     verdict = replace(verdict, kind=COMPRESSION_FOUND if verdict.kind == VIOLATION else NONE_FOUND)
     payload = verdict_payload("chain-recurrence", doc.metadata.name, verdict)
     _emit(payload, args.json_out)
@@ -414,6 +403,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: soundness check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -737,7 +737,7 @@ def _phase_one(rows: list[list[int]], rhs: list[int], width: int) -> tuple[list[
                 if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            raise RuntimeError("phase-1 objective unbounded; input corrupted")
+            raise AssertionError("phase-1 objective unbounded; input corrupted")
         d = _pivot(tab, z, basis, d, leave, enter)
     point = [Fraction(0)] * width
     for i, b in enumerate(basis):
@@ -785,7 +785,8 @@ def lp_feasible(program: LinearProgram) -> Feasible | Infeasible:
 
     A Feasible result carries a point satisfying every constraint
     exactly; an Infeasible result carries a Farkas certificate that
-    re-verifies exactly. Both are checked before returning.
+    re-verifies exactly. Both are checked before returning; a failed
+    check, like an unbounded phase one, raises AssertionError.
     """
     n = program.num_vars
     m = len(program.inequalities)

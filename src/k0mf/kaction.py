@@ -139,9 +139,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)))
-
 
 def word_map(action: K0Action, system: InductiveSystem, word: Word, stage: int) -> StageMap:
     """The map of a word out of ``stage``: its letter maps composed by
@@ -306,16 +303,21 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
     items: list[CheckItem] = []
 
     @cache
-    def resolve(j: int, k: int, inv: bool) -> tuple[StageMap | None, bool]:
-        """Generator j's map out of stage k, None without one, and whether
-        it lands at a declared stage in the shape of the stage ranks."""
+    def resolve(j: int, k: int, inv: bool) -> tuple[StageMap | None, str]:
+        """Generator j's map out of stage k, None without one, and what is
+        wrong with it: "" when it lands at a declared stage in the shape
+        of the stage ranks."""
+        tag = "inverse" if inv else "forward"
         try:
             sm = action.letter_map(-(j + 1) if inv else j + 1, k)
-        except StageRangeError:  # no map
-            return None, False
+        except StageRangeError:
+            return None, "no map"
         if not system.has_stage(sm.to_stage):
-            return sm, False
-        return sm, (sm.matrix.rows, sm.matrix.cols) == (system.rank_at(sm.to_stage), system.rank_at(k))
+            return sm, f"{tag} map lands at undeclared stage {sm.to_stage}"
+        rows, cols = system.rank_at(sm.to_stage), system.rank_at(k)
+        if (sm.matrix.rows, sm.matrix.cols) != (rows, cols):
+            return sm, f"{tag} map is {sm.matrix.rows}x{sm.matrix.cols}, expected {rows}x{cols}"
+        return sm, ""
 
     for j in range(action.generators):
         gen = j + 1
@@ -324,21 +326,12 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
             if not system.has_stage(k):
                 break
             for inv, tag in ((False, "forward"), (True, "inverse")):
-                sm, fits = resolve(j, k, inv)
+                sm, problem = resolve(j, k, inv)
                 if sm is None:
                     continue
-                if not system.has_stage(sm.to_stage):
-                    items.append(CheckItem("shape", gen, k, False, f"{tag} map lands at undeclared stage {sm.to_stage}"))
+                items.append(CheckItem("shape", gen, k, not problem, problem or tag))
+                if problem:
                     continue
-                if not fits:
-                    items.append(
-                        CheckItem(
-                            "shape", gen, k, False,
-                            f"{tag} map is {sm.matrix.rows}x{sm.matrix.cols}, expected {system.rank_at(sm.to_stage)}x{system.rank_at(k)}",
-                        )
-                    )
-                    continue
-                items.append(CheckItem("shape", gen, k, True, tag))
                 if not sm.matrix.is_nonnegative():
                     r, c, x = _first_negative(sm.matrix)
                     items.append(
@@ -359,8 +352,8 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                 )
             # commuting squares per direction
             for inv, tag in ((False, "forward"), (True, "inverse")):
-                (sm_k, fits_k), (sm_k1, fits_k1) = resolve(j, k, inv), resolve(j, k + 1, inv)
-                if not (fits_k and fits_k1):
+                (sm_k, problem_k), (sm_k1, problem_k1) = resolve(j, k, inv), resolve(j, k + 1, inv)
+                if problem_k or problem_k1:
                     continue
                 lhs = sm_k1.matrix @ system.transfer(k, k + 1)
                 rhs = system.transfer(sm_k.to_stage, sm_k1.to_stage) @ sm_k.matrix
@@ -372,11 +365,11 @@ def verify_action(action: K0Action, system: InductiveSystem, horizon: int) -> Ac
                 )
             # inverse laws: each composite must equal the pushforward
             for first_inv, tag in ((False, "forward-then-inverse"), (True, "inverse-then-forward")):
-                sm1, fits1 = resolve(j, k, first_inv)
-                if not fits1:
+                sm1, problem1 = resolve(j, k, first_inv)
+                if problem1:
                     continue
-                sm2, fits2 = resolve(j, sm1.to_stage, not first_inv)
-                if not fits2:
+                sm2, problem2 = resolve(j, sm1.to_stage, not first_inv)
+                if problem2:
                     continue
                 lhs = sm2.matrix @ sm1.matrix
                 rhs = system.transfer(k, sm2.to_stage)

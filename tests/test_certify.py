@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -8,14 +9,15 @@ from conftest import load_golden
 from dense_hermite import row_basis
 from identity_action import identity_action
 
-from k0mf.bratteli import FiniteSystem, finite_system_to_k0
+from k0mf import certify
+from k0mf.bratteli import FiniteSystem, finite_system_to_k0, parse
 from k0mf.certify import (
     SearchParams,
+    Witness,
     exclusion_holds,
     exclusion_sets,
     find_invariant_state,
     find_positive_coboundary,
-    positive_parts,
     verify_state_certificate,
     verify_witness,
     _positive_candidates,
@@ -291,12 +293,17 @@ def test_compression_check_shift_witness(shift_pair):
     assert w is not None and w.preimages == (LimitElement(1, (1, 0, 0)),)
 
 
-def test_positive_parts():
-    e = LimitElement(1, (2, -3, 0))
-    pos, neg = positive_parts(e)
-    assert pos.vector == (2, 0, 0)
-    assert neg.vector == (0, 3, 0)
-    assert tuple(p - n for p, n in zip(pos.vector, neg.vector)) == e.vector
+def test_exclusion_sets_split_each_preimage_into_its_parts():
+    """A preimage with entries of both signs gives its positive part and
+    then its negative part; zero parts and repeated parts are left out."""
+    value = LimitElement(2, (0, 1, 0, 0, 0))
+    mixed = LimitElement(1, (2, -3, 0))
+    w = Witness((mixed, LimitElement(1, (0, 0, 0)), LimitElement(1, (2, 0, 0))), value, 2, 1, "horizon", 3)
+    elements, words = exclusion_sets(w, 3)
+    assert elements == (value, LimitElement(1, (2, 0, 0)), LimitElement(1, (0, 3, 0)))
+    pos, neg = elements[1:]
+    assert tuple(p - n for p, n in zip(pos.vector, neg.vector)) == mixed.vector
+    assert words == (Word.of(1), Word.of(2), Word.of(3))
 
 
 def test_exclusion_sets_contents(shift_pair):
@@ -317,6 +324,33 @@ def test_mutual_exclusion_on_all_witnesses():
         w = find_positive_coboundary(system, action, SHIFT_PARAMS).witness
         assert w is not None
         assert exclusion_holds(system, action, w, 3)
+
+
+def test_a_lattice_whose_span_misses_the_cone_is_decided_without_a_walk(monkeypatch):
+    """One stage Z^2 with the identity tail and unit (1, 1), and one
+    shift-0 stationary rule with forward map [[0, 0], [2, 1]] and the
+    identity as inverse: H_0 is spanned by (1, -2), which sums to -1, so
+    the counting functional does not decide it, and its span meets the
+    cone only at 0. The target is decided by the cone program alone."""
+    doc = {
+        "schema_version": 1,
+        "system": {"stage_ranks": [2], "connecting_maps": [], "unit": [1, 1], "stationary": [[1, 0], [0, 1]]},
+        "action": {
+            "generators": 1,
+            "forward": [[]],
+            "inverse": [[]],
+            "stationary": [{"shift": 0, "forward": [[0, 0], [2, 1]], "inverse": [[1, 0], [0, 1]]}],
+        },
+    }
+    system, action = parse(json.dumps(doc).encode()).resolve()
+    spans, walks = [], []
+    span_meets_cone = certify._span_meets_cone
+    monkeypatch.setattr(certify, "_span_meets_cone", lambda rows: spans.append(rows) or span_meets_cone(rows))
+    monkeypatch.setattr(certify, "enumerate_lattice_points", lambda *args, **kwargs: walks.append(args) or iter(()))
+    search = find_positive_coboundary(system, action, SearchParams())
+    assert (search.witness, search.exhausted_targets) == (None, ())
+    assert spans == [[(1, -2)]]
+    assert walks == []
 
 
 def one_stage_lattice_rows(t: IntMatrix) -> list[tuple[int, ...]]:

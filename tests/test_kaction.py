@@ -42,7 +42,6 @@ def test_word_reduction():
         Word((1, -1))
     with pytest.raises(ValueError):
         Word((0,))
-    assert Word.of(1, 2).inverse().letters == (-2, -1)
 
 
 def test_reduced_words_enumeration():

@@ -18,12 +18,16 @@ change that is meant must name itself and renew the digests.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import GOLDEN_NAMES, golden_path
 
-from k0mf import cli
+from k0mf import certify, cli
 
 BOXES = {"default": [], "deep": ["--max-stage", "6", "--word-length", "3"]}
 
@@ -112,6 +116,56 @@ def test_failed_exclusion_exits_3_without_payload(capsysbinary, monkeypatch, tmp
     code, out, _ = run_bytes(capsysbinary, command, path, "--json-out", str(json_out))
     assert code == 3
     assert out == b"" and not json_out.exists()
+
+
+def _failing(message):
+    def check(*args):
+        raise AssertionError(message)
+
+    return check
+
+
+@pytest.mark.parametrize(
+    "check, document, command",
+    [
+        ("verify_witness", "compactified_shift.json", "check-mf"),
+        ("verify_witness", "compactified_shift.json", "chain-recurrence"),
+        ("verify_state_certificate", "cycle3.json", "check-mf"),
+    ],
+)
+def test_failed_reverification_exits_3_without_payload(capsysbinary, monkeypatch, tmp_path, check, document, command):
+    message = f"{check} failed on purpose"
+    monkeypatch.setattr(certify, check, _failing(message))
+    path = str(golden_path(document))
+    json_out = tmp_path / "verdict.json"
+    for extra in ([], ["--json-out", str(json_out)]):
+        code, out, err = run_bytes(capsysbinary, command, path, *extra)
+        assert (code, out) == (3, b"")
+        assert err == f"error: soundness check failed: {message}\n".encode()
+    assert not json_out.exists()
+
+
+def test_failed_reverification_exits_3_in_a_process(tmp_path):
+    """The exit code is the process's, and no traceback reaches stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys\n"
+        "from k0mf import certify, cli\n"
+        "def fail(*args):\n"
+        "    raise AssertionError('witness value is not the coboundary of its preimages')\n"
+        "certify.verify_witness = fail\n"
+        "raise SystemExit(cli.main(sys.argv[1:]))\n"
+    )
+    json_out = tmp_path / "verdict.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "check-mf", str(golden_path("compactified_shift.json")), "--json-out", str(json_out)],
+        capture_output=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == b"error: soundness check failed: witness value is not the coboundary of its preimages\n"
+    assert not json_out.exists()
 
 
 def test_held_exclusion_keeps_payload(capsysbinary, monkeypatch):

@@ -509,7 +509,7 @@ def test_exclusion_solves_a_program_past_a_small_stage_bound(monkeypatch):
     verdict = run_check(system, action, SearchParams(stage_max=4, height_bound=4))
     assert [g.stage for g in verdict.witness.preimages] == [3]
     assert coboundary(action, system, verdict.witness.preimages).stage == 6
-    assert verdict.mutual_exclusion_ok is True
+    assert verdict.kind == "VIOLATION"  # run_check raises where the exclusion check fails
     assert len(kernels) >= 1
     blob = canonical_json_bytes(verdict_payload("check-mf", None, verdict))
     assert hashlib.sha256(blob).hexdigest() == "77d3f8ca32f400d7071a8f4467b36af0ef416afb0c403b27ca4351adee7087d4"
