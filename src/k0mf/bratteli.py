@@ -48,13 +48,14 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .dimgroup import InductiveSystem, LimitElement, is_positive
-from .exactlinalg import _CHUNK_DIGITS, IntMatrix, _decimal_str, _first_negative, _message_int, _sparse_rows, _zero_column
+from .exactlinalg import _CHUNK_DIGITS, IntMatrix, _Checked, _decimal_str, _first_negative, _message_int, _sparse_rows, _zero_column
 from .kaction import K0Action, StageMap, StationaryRule, Word
 
 SCHEMA_VERSION = 1
@@ -86,7 +87,8 @@ def _decimal_int(text: str) -> int:
 def _load_json(data: str, **hooks: Callable[[str], Any]) -> Any:
     """``json.loads`` with the decoder ``hooks``; only when an integer
     literal exceeds the interpreter's digit limit, decode again with
-    ``_decimal_int`` (and the same hooks)."""
+    ``_decimal_int`` (and the same hooks). Text nested too deep for the
+    decoder raises RecursionError, which callers report as invalid JSON."""
     try:
         return json.loads(data, **hooks)
     except json.JSONDecodeError:
@@ -104,14 +106,12 @@ class DocumentError(ValueError):
         super().__init__(f"{path}: {reason}")
 
 
-@dataclass(frozen=True)
-class Metadata:
+class Metadata(NamedTuple):
     name: str | None = None
     description: str | None = None
 
 
-@dataclass(frozen=True)
-class BratteliDiagram:
+class BratteliDiagram(_Checked, namedtuple("BratteliDiagram", "vertex_counts edge_matrices stationary")):
     """Vertex counts per level and edge multiplicity matrices.
 
     ``edge_matrices[k]`` has shape (counts[k+1] x counts[k]); entry
@@ -121,23 +121,23 @@ class BratteliDiagram:
     edge (no zero columns).
     """
 
-    vertex_counts: tuple[int, ...]
-    edge_matrices: tuple[IntMatrix, ...]
-    stationary: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        counts = self.vertex_counts
-        mats = self.edge_matrices
+    def __new__(
+        cls, vertex_counts: tuple[int, ...], edge_matrices: tuple[IntMatrix, ...], stationary: bool = False
+    ) -> "BratteliDiagram":
+        counts = vertex_counts
+        mats = edge_matrices
         if not counts or any(c < 1 for c in counts):
             raise ValueError("vertex counts must be positive")
-        expected = len(counts) - 1 + (1 if self.stationary else 0)
+        expected = len(counts) - 1 + (1 if stationary else 0)
         if len(mats) != expected:
             raise ValueError(
                 f"expected {expected} edge matrices for {len(counts)} levels"
-                f"{' with a stationary tail' if self.stationary else ''}, got {len(mats)}"
+                f"{' with a stationary tail' if stationary else ''}, got {len(mats)}"
             )
         shapes = [(counts[k + 1], counts[k]) for k in range(len(counts) - 1)]
-        if self.stationary:
+        if stationary:
             shapes.append((counts[-1], counts[-1]))
         for k, (m, shape) in enumerate(zip(mats, shapes)):
             if (m.rows, m.cols) != shape:
@@ -147,24 +147,24 @@ class BratteliDiagram:
             col = _zero_column(m)
             if col is not None:
                 raise ValueError(f"edge matrix {k} has a zero column ({col}); every vertex must emit edges")
+        return tuple.__new__(cls, (vertex_counts, edge_matrices, stationary))
 
 
-@dataclass(frozen=True)
-class FiniteSystem:
+class FiniteSystem(_Checked, namedtuple("FiniteSystem", "points permutations")):
     """A finite set {1..points} with one permutation per generator."""
 
-    points: int
-    permutations: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.points < 1:
+    def __new__(cls, points: int, permutations: tuple[tuple[int, ...], ...]) -> "FiniteSystem":
+        if points < 1:
             raise ValueError("need at least one point")
-        if not self.permutations:
+        if not permutations:
             raise ValueError("need at least one generator permutation")
-        for i, perm in enumerate(self.permutations):
+        for i, perm in enumerate(permutations):
             # the length check first: ``points`` may be far too large for a range
-            if len(perm) != self.points or sorted(perm) != list(range(1, self.points + 1)):
-                raise ValueError(f"permutation {i} is not a bijection of 1..{_message_int(self.points)}")
+            if len(perm) != points or sorted(perm) != list(range(1, points + 1)):
+                raise ValueError(f"permutation {i} is not a bijection of 1..{_message_int(points)}")
+        return tuple.__new__(cls, (points, permutations))
 
 
 @dataclass(frozen=True)
@@ -455,7 +455,7 @@ def parse(data: bytes | str) -> SystemDocument:
 
     try:
         raw = _load_json(data, parse_float=note_float)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError("$", f"invalid JSON: {exc}") from None
     # a decoded False needs the literal ``false`` in the text
     ints_only = not floats and "false" not in data
@@ -499,7 +499,7 @@ def parse_request_sets(
     JSON path of the bad field."""
     try:
         raw = _load_json(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(path, f"cannot read request sets: {exc}") from None
     _fields(raw, f"{path}:$", ("requests",))
     out = []
@@ -614,14 +614,26 @@ def document_payload(doc: SystemDocument) -> dict:
     return payload
 
 
+# what ``json.dumps`` writes for a ``str`` (ASCII, with escapes)
+_quoted = json.encoder.encode_basestring_ascii
+
+
 def _json_text(value: Any, indent: str = "") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, writing integers
-    of any length in chunks."""
+    """``json.dumps(value, sort_keys=True, indent=2)`` for string keys,
+    writing integers of any length in chunks. Strings and integers go by
+    exact type (a bool is not an int here), containers by ``isinstance``
+    (a record is an array); ``json.dumps`` writes only the leftovers:
+    floats, bools, None and empty containers."""
+    kind = type(value)
+    if kind is str:
+        return _quoted(value)
+    if kind is int:
+        return _decimal_str(value)
     if isinstance(value, (dict, list, tuple)) and value:
         inner = indent + "  "
         sep = f",\n{inner}"
         if isinstance(value, dict):
-            parts = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+            parts = [f"{_quoted(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
             return f"{{\n{inner}{sep.join(parts)}\n{indent}}}"
         if set(map(type, value)) <= {int}:  # plain ints (not bools): one join
             try:
@@ -631,8 +643,6 @@ def _json_text(value: Any, indent: str = "") -> str:
         else:
             body = sep.join([_json_text(v, inner) for v in value])
         return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(value, int) and not isinstance(value, bool):
-        return _decimal_str(value)
     return json.dumps(value)
 
 

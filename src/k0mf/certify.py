@@ -76,11 +76,11 @@ zero test of a witness and the state search stop there too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from math import lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .dimgroup import (
     InductiveSystem,
@@ -98,6 +98,7 @@ from .exactlinalg import (
     IntMatrix,
     LinearProgram,
     WalkBudgetExceeded,
+    _Checked,
     _dense_row,
     _message_int,
     enumerate_lattice_points,
@@ -119,18 +120,16 @@ from .kaction import (
 )
 
 
-@dataclass(frozen=True)
-class SearchParams:
-    stage_max: int = 4
-    height_bound: int = 16
+class SearchParams(_Checked, namedtuple("SearchParams", "stage_max height_bound")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.stage_max < 0 or self.height_bound < 1:
+    def __new__(cls, stage_max: int = 4, height_bound: int = 16) -> "SearchParams":
+        if stage_max < 0 or height_bound < 1:
             raise ValueError("bad search parameters")
+        return tuple.__new__(cls, (stage_max, height_bound))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A positive-coboundary certificate.
 
     ``value`` equals the coboundary of ``preimages`` pushed to
@@ -149,8 +148,7 @@ class Witness:
     nonzero_stage: int
 
 
-@dataclass(frozen=True)
-class StateCertificate:
+class StateCertificate(NamedTuple):
     """An integer functional on a stage lattice realizing the local
     invariant-state data for the element set and word set recorded."""
 
@@ -162,8 +160,7 @@ class StateCertificate:
     element_values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WitnessSearch:
+class WitnessSearch(NamedTuple):
     """Search outcome. ``exhausted_targets`` lists the target stages
     where the rational relaxation met the cone but no certified lattice
     witness existed within the height bound; a None witness with no

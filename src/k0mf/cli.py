@@ -37,9 +37,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
 from functools import cache
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .bratteli import (
     DocumentError,
@@ -74,8 +73,7 @@ NONE_FOUND = "NONE_FOUND"
 Request = tuple[tuple[LimitElement, ...], tuple[Word, ...]]  # (elements, words) of one state search
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str
     params: SearchParams
     witness: Witness | None
@@ -316,7 +314,7 @@ def _cmd_chain_recurrence(args: argparse.Namespace) -> int:
         print("chain-recurrence requires a single-generator document", file=sys.stderr)
         return 2
     verdict = run_check(system, action, params, requests=())
-    verdict = replace(verdict, kind=COMPRESSION_FOUND if verdict.kind == VIOLATION else NONE_FOUND)
+    verdict = verdict._replace(kind=COMPRESSION_FOUND if verdict.kind == VIOLATION else NONE_FOUND)
     payload = verdict_payload("chain-recurrence", doc.metadata.name, verdict)
     _emit(payload, args.json_out)
     print(f"{verdict.kind} in {verdict.elapsed:.3f}s", file=sys.stderr)
@@ -347,12 +345,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-stage", type=integer, default=SearchParams.stage_max, help="largest stage index searched (default %(default)s)")
+    defaults = SearchParams()
+    p.add_argument("--max-stage", type=integer, default=defaults.stage_max, help="largest stage index searched (default %(default)s)")
     p.add_argument(
         "--word-length", type=integer, default=1,
         help="accepted and checked (>= 1) but no longer shapes the search: single letters generate every word difference (default 1)",
     )
-    p.add_argument("--height", type=integer, default=SearchParams.height_bound, help="height bound for witness vectors (default %(default)s)")
+    p.add_argument("--height", type=integer, default=defaults.height_bound, help="height bound for witness vectors (default %(default)s)")
     p.add_argument("--json-out", type=str, default=None, help="write the canonical JSON payload here instead of stdout")
 
 

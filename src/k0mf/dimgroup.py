@@ -16,10 +16,11 @@ stage, and everything else is "unknown" relative to the horizon used.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .exactlinalg import IntMatrix, rank
+from .exactlinalg import IntMatrix, _Checked, rank
 
 
 class StageRangeError(ValueError):
@@ -150,8 +151,7 @@ class InductiveSystem:
         return out
 
 
-@dataclass(frozen=True)
-class LimitElement:
+class LimitElement(NamedTuple):
     stage: int
     vector: tuple[int, ...]
 
@@ -165,19 +165,17 @@ def push(system: InductiveSystem, e: LimitElement, to_stage: int) -> LimitElemen
     return LimitElement(to_stage, system.push_vector(e.vector, e.stage, to_stage))
 
 
-@dataclass(frozen=True)
-class Tristate:
+class Tristate(_Checked, namedtuple("Tristate", "verdict at_stage horizon")):
     """Limit-level answer: yes/no are theorems, unknown is horizon-relative."""
 
-    verdict: str  # "yes" | "no" | "unknown"
-    at_stage: int | None
-    horizon: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.verdict not in ("yes", "no", "unknown"):
+    def __new__(cls, verdict: str, at_stage: int | None, horizon: int) -> "Tristate":
+        if verdict not in ("yes", "no", "unknown"):
             raise ValueError("bad verdict")
-        if self.at_stage is not None and self.at_stage > self.horizon:
+        if at_stage is not None and at_stage > horizon:
             raise ValueError("witness stage beyond horizon")
+        return tuple.__new__(cls, (verdict, at_stage, horizon))
 
     @property
     def is_yes(self) -> bool:
@@ -280,8 +278,7 @@ def is_zero(system: InductiveSystem, e: LimitElement, horizon: int) -> Tristate:
     return Tristate.unknown(horizon)
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     """Full-column-rank flags for each declared connecting map."""
 
     stage_flags: tuple[tuple[int, bool], ...]

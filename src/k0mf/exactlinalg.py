@@ -37,12 +37,24 @@ built on top of this module are byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import lcm
 from operator import mul, neg
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+
+
+class _Checked:
+    """The first base of a record whose ``__new__`` checks its fields, the
+    second its ``collections.namedtuple`` (the fields' types are in the
+    signature of ``__new__``): ``_replace`` then builds its copy through
+    ``__new__``, so a changed copy is checked as a new record is."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields: Iterable[Any]) -> Any:
+        return cls(*fields)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -635,8 +647,7 @@ def enumerate_lattice_points(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(NamedTuple):
     """Exact program over integer inequality rows: each (a, b) reads a.x >= b."""
 
     num_vars: int
@@ -656,13 +667,11 @@ class LinearProgram:
         return cls(num_vars, tuple(rows))
 
 
-@dataclass(frozen=True)
-class Feasible:
+class Feasible(NamedTuple):
     point: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     """Farkas certificate: multipliers t_k >= 0, one per inequality, with
     sum(t_k * a_k) == 0 coefficient-wise while sum(t_k * b_k) > 0, so no
     point can satisfy every row. ``lp_feasible`` finds t as a point of

@@ -30,24 +30,22 @@ verifier and the witness search alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from operator import add
 from typing import NamedTuple, Sequence
 
 from .dimgroup import InductiveSystem, LimitElement, StageRangeError
-from .exactlinalg import IntMatrix, _first_negative, _message_int, hermite_normal_form
+from .exactlinalg import IntMatrix, _Checked, _first_negative, _message_int, hermite_normal_form
 
 
-@dataclass(frozen=True)
-class StageMap:
-    from_stage: int
-    to_stage: int
-    matrix: IntMatrix
+class StageMap(_Checked, namedtuple("StageMap", "from_stage to_stage matrix")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.from_stage < 0 or self.to_stage < self.from_stage:
+    def __new__(cls, from_stage: int, to_stage: int, matrix: IntMatrix) -> "StageMap":
+        if from_stage < 0 or to_stage < from_stage:
             raise ValueError("stage maps must go forward (to_stage >= from_stage >= 0)")
+        return tuple.__new__(cls, (from_stage, to_stage, matrix))
 
 
 # The largest stationary shift accepted. Verifying a rule of shift s
@@ -56,44 +54,44 @@ class StageMap:
 # ships is at most 2.
 MAX_STATIONARY_SHIFT = 1024
 
-@dataclass(frozen=True)
-class StationaryRule:
+
+class StationaryRule(_Checked, namedtuple("StationaryRule", "shift forward inverse")):
     """Repeats forever past the declared steps: stage k -> k + shift."""
 
-    shift: int
-    forward: IntMatrix
-    inverse: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.shift < 0:
+    def __new__(cls, shift: int, forward: IntMatrix, inverse: IntMatrix) -> "StationaryRule":
+        if shift < 0:
             raise ValueError("stationary shift must be >= 0")
-        if self.shift > MAX_STATIONARY_SHIFT:
-            raise ValueError(
-                f"stationary shift {_message_int(self.shift)} exceeds the bound {MAX_STATIONARY_SHIFT}"
-            )
+        if shift > MAX_STATIONARY_SHIFT:
+            raise ValueError(f"stationary shift {_message_int(shift)} exceeds the bound {MAX_STATIONARY_SHIFT}")
+        return tuple.__new__(cls, (shift, forward, inverse))
 
 
-@dataclass(frozen=True)
-class K0Action:
-    generators: int
-    forward: tuple[tuple[StageMap, ...], ...]
-    inverse: tuple[tuple[StageMap, ...], ...]
-    stationary: tuple[StationaryRule, ...] | None = None
+class K0Action(_Checked, namedtuple("K0Action", "generators forward inverse stationary")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.generators < 1:
+    def __new__(
+        cls,
+        generators: int,
+        forward: tuple[tuple[StageMap, ...], ...],
+        inverse: tuple[tuple[StageMap, ...], ...],
+        stationary: tuple[StationaryRule, ...] | None = None,
+    ) -> "K0Action":
+        if generators < 1:
             raise ValueError("need at least one generator")
-        if len(self.forward) != self.generators or len(self.inverse) != self.generators:
+        if len(forward) != generators or len(inverse) != generators:
             raise ValueError("need one forward and one inverse family per generator")
-        if self.stationary is not None and len(self.stationary) != self.generators:
+        if stationary is not None and len(stationary) != generators:
             raise ValueError("need one stationary rule per generator")
-        rules = self.stationary or (None,) * self.generators
-        for family, rule in zip((*self.forward, *self.inverse), rules * 2):
+        rules = stationary or (None,) * generators
+        for family, rule in zip((*forward, *inverse), rules * 2):
             if any(sm.from_stage != k for k, sm in enumerate(family)):
                 raise ValueError("stage maps must be contiguous from stage 0")
             targets = [sm.to_stage for sm in family] + ([len(family) + rule.shift] if rule else [])
             if any(nxt < prev for prev, nxt in zip(targets, targets[1:])):
                 raise ValueError("target stages must be monotone")
+        return tuple.__new__(cls, (generators, forward, inverse, stationary))
 
     def letter_map(self, letter: int, k: int) -> StageMap:
         """The map of a signed 1-based generator index out of stage k: the
@@ -112,19 +110,19 @@ class K0Action:
         return StageMap(k, k + rule.shift, rule.forward if letter > 0 else rule.inverse)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Checked, namedtuple("Word", "letters")):
     """Reduced word in the free group: signed 1-based generator indices."""
 
-    letters: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for x in self.letters:
+    def __new__(cls, letters: tuple[int, ...]) -> "Word":
+        for x in letters:
             if x == 0:
                 raise ValueError("letters are nonzero signed generator indices")
-        for a, b in zip(self.letters, self.letters[1:]):
+        for a, b in zip(letters, letters[1:]):
             if a == -b:
                 raise ValueError("word is not reduced")
+        return tuple.__new__(cls, (letters,))
 
     @classmethod
     def of(cls, *letters: int) -> "Word":
@@ -236,8 +234,9 @@ def coboundary_stage_lattice(generators: IntMatrix) -> IntMatrix:
 
 
 class CheckItem(NamedTuple):
-    """One verified law: immutable, and a tuple, which is cheaper to
-    build than a frozen dataclass (the verifier makes one per check)."""
+    """One verified law. Like every record of this package, a NamedTuple:
+    immutable, and cheaper to build and hash than a frozen dataclass (the
+    verifier makes one per check)."""
 
     check: str
     generator: int  # 1-based; 0 for system-level checks
@@ -246,8 +245,7 @@ class CheckItem(NamedTuple):
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ActionReport:
+class ActionReport(NamedTuple):
     items: tuple[CheckItem, ...]
 
     @property

@@ -592,6 +592,49 @@ def test_long_integer_writer_matches_json_dumps():
         assert canonical_json_bytes(payload) == oracle.encode()
 
 
+def _random_text(rng: random.Random) -> str:
+    """Up to 8 characters from ASCII letters, quotes, backslashes, control
+    characters, DEL, accented and CJK letters, and astral symbols
+    (written as surrogate pairs)."""
+    alphabet = 'az"\\/\x00\x08\t\n\x1f\x7fé 中\U0001f600'
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+
+
+def _random_payload(rng: random.Random, depth: int):
+    """A JSON value: dicts with text keys, lists, tuples and records
+    (written as arrays) down to ``depth``, leaves of every kind."""
+    kind = rng.randrange(10 if depth else 6)
+    if kind == 0:
+        return rng.choice([True, False, None])
+    if kind == 1:
+        return rng.choice([0, -1, 7, -(10**30), 2**70])
+    if kind == 2:
+        return _random_text(rng)
+    if kind == 3:
+        return rng.choice([0.5, -2.25, 1e300])
+    if kind == 4:
+        return rng.choice([[], {}, ()])
+    if kind == 5:
+        return [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+    if kind == 6:
+        return LimitElement(rng.randint(0, 3), tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 3))))
+    size = rng.randint(1, 4)
+    if kind == 7:
+        return {_random_text(rng): _random_payload(rng, depth - 1) for _ in range(size)}
+    items = [_random_payload(rng, depth - 1) for _ in range(size)]
+    return items if kind == 8 else tuple(items)
+
+
+def test_writer_matches_json_dumps_on_seeded_payloads():
+    """The writer's own string and integer branches and its fallback to
+    ``json.dumps`` give json's bytes on 500 seeded payloads."""
+    rng = random.Random(20141)
+    for _ in range(500):
+        payload = _random_payload(rng, 4)
+        oracle = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert canonical_json_bytes(payload) == oracle.encode(), payload
+
+
 def test_canonical_bytes_write_integers_past_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     big = "-" + "8" * 5000

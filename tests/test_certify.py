@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -118,12 +117,12 @@ def test_witness_verification_rejects_tampering(shift_pair):
     w = find_positive_coboundary(system, action, SHIFT_PARAMS).witness
     assert w is not None
     with pytest.raises(AssertionError):
-        verify_witness(system, action, replace(w, value=LimitElement(2, (0, 0, 1, 0, 0))))
+        verify_witness(system, action, w._replace(value=LimitElement(2, (0, 0, 1, 0, 0))))
     with pytest.raises(AssertionError):
-        verify_witness(system, action, replace(w, height=5))
+        verify_witness(system, action, w._replace(height=5))
     with pytest.raises(AssertionError):
         verify_witness(
-            system, action, replace(w, preimages=(LimitElement(1, (0, 1, 0)),))
+            system, action, w._replace(preimages=(LimitElement(1, (0, 1, 0)),))
         )
 
 
@@ -211,9 +210,9 @@ def test_state_certificate_verification_rejects_tampering(cycle3_pair):
     )
     assert cert is not None
     with pytest.raises(AssertionError):
-        verify_state_certificate(system, action, replace(cert, functional=(1, 2, 1)))
+        verify_state_certificate(system, action, cert._replace(functional=(1, 2, 1)))
     with pytest.raises(AssertionError):
-        verify_state_certificate(system, action, replace(cert, unit_value=7))
+        verify_state_certificate(system, action, cert._replace(unit_value=7))
 
 
 def test_witness_verification_names_each_failure(shift_pair):
@@ -224,8 +223,7 @@ def test_witness_verification_names_each_failure(shift_pair):
     and the value vanishes at stage 4."""
     system, action = shift_pair
     w = find_positive_coboundary(system, action, SHIFT_PARAMS).witness
-    negated = replace(
-        w,
+    negated = w._replace(
         value=LimitElement(w.value.stage, tuple(-x for x in w.value.vector)),
         preimages=tuple(LimitElement(g.stage, tuple(-x for x in g.vector)) for g in w.preimages),
     )
@@ -236,7 +234,7 @@ def test_witness_verification_names_each_failure(shift_pair):
         system.stage_ranks + (1,), system.connecting_maps + (M([[1, 1, 0, 1, 1, 1, 1]]),), system.unit
     )
     with pytest.raises(AssertionError, match="^witness value vanishes in the limit$"):
-        verify_witness(longer, action, replace(w, nonzero_stage=4))
+        verify_witness(longer, action, w._replace(nonzero_stage=4))
     verify_witness(longer, action, w)
 
 
@@ -249,14 +247,14 @@ def test_witness_verification_checks_its_stages_and_nonzero_claim(shift_pair):
     system, action = shift_pair
     w = find_positive_coboundary(system, action, SHIFT_PARAMS).witness
     assert (w.positive_at_stage, w.nonzero_mode, w.nonzero_stage) == (2, "horizon", 3)
-    verify_witness(system, action, replace(w, positive_at_stage=3))
-    verify_witness(system, action, replace(w, nonzero_stage=9))
+    verify_witness(system, action, w._replace(positive_at_stage=3))
+    verify_witness(system, action, w._replace(nonzero_stage=9))
     for stage in (1, 9):
         with pytest.raises(AssertionError, match="^witness reporting stage is undeclared or precedes its value's stage$"):
-            verify_witness(system, action, replace(w, positive_at_stage=stage))
+            verify_witness(system, action, w._replace(positive_at_stage=stage))
     for mode in ("limit", "bogus"):
         with pytest.raises(AssertionError, match="^witness nonzero claim is not what its zero test gives$"):
-            verify_witness(system, action, replace(w, nonzero_mode=mode))
+            verify_witness(system, action, w._replace(nonzero_mode=mode))
 
 
 def test_state_certificate_verification_names_each_failure(cycle3_pair):
@@ -267,8 +265,8 @@ def test_state_certificate_verification_names_each_failure(cycle3_pair):
     cert = find_invariant_state(system, action, [LimitElement(0, (1, 0, 0))], [Word.of(1)], 4)
     assert (cert.functional, cert.element_values) == ((1, 1, 1), (1,))
     with pytest.raises(AssertionError, match="^certificate element value mismatch$"):
-        verify_state_certificate(system, action, replace(cert, element_values=(2,)))
-    unfaithful = replace(cert, elements=(LimitElement(0, (1, -1, 0)),), element_values=(0,))
+        verify_state_certificate(system, action, cert._replace(element_values=(2,)))
+    unfaithful = cert._replace(elements=(LimitElement(0, (1, -1, 0)),), element_values=(0,))
     with pytest.raises(AssertionError, match="^certificate functional is not faithful on a nonzero element$"):
         verify_state_certificate(system, action, unfaithful)
 

@@ -278,3 +278,23 @@ def test_a_prefix_action_on_a_stationary_tail(tmp_path):
     assert code == 0, err
     assert json.loads(out)["verdict"] == "CONSISTENT"
     assert cpu < 10, cpu
+
+
+def test_json_nested_past_the_recursion_limit_is_invalid_input(tmp_path):
+    """10**5 nested arrays, in a document and in a --sets file: the decoder
+    gives up with RecursionError, which is invalid input (exit 2 and one
+    stderr line), not a traceback."""
+    deep = "[" * 10**5 + "]" * 10**5
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"schema_version": 1, "metadata": ' + deep + "}")
+    sets = tmp_path / "deep_sets.json"
+    sets.write_text('{"requests": ' + deep + "}")
+    cycle3 = str(SRC / "k0mf" / "data" / "cycle3.json")
+    for argv, prefix in (
+        (("validate", str(doc)), "invalid input: $: invalid JSON: "),
+        (("check-mf", cycle3, "--sets", str(sets)), f"invalid input: {sets}: cannot read request sets: "),
+    ):
+        code, out, err, cpu = _run(*argv, cpu_bound=5)
+        assert (code, out) == (2, ""), err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert "Traceback" not in err

@@ -26,7 +26,6 @@ pushes and the per-system injectivity cache against their references.
 import hashlib
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -492,7 +491,7 @@ def test_exclusion_without_a_word_map_on_the_parts_proves_nothing(monkeypatch):
     program can be solved, and that is not read as "no state exists"."""
     system, action = compactified_shift(7, [-3])
     witness = find_positive_coboundary(system, action, SearchParams(stage_max=6, height_bound=4)).witness
-    moved = replace(witness, preimages=(LimitElement(4, (1,) + (0,) * (system.rank_at(4) - 1)),))
+    moved = witness._replace(preimages=(LimitElement(4, (1,) + (0,) * (system.rank_at(4) - 1)),))
     outcomes, _ = _count_state_work(monkeypatch)
     assert not certify.exclusion_holds(system, action, moved, 6)
     assert outcomes == []
