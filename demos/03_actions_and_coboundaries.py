@@ -21,7 +21,7 @@ from k0mf import (
     parse,
     verify_action,
 )
-from k0mf.kaction import latest_letter_maps, word_map
+from k0mf.kaction import coboundary_pullback, latest_letter_maps, word_map
 
 data = pathlib.Path(__file__).resolve().parents[1] / "src" / "k0mf" / "data"
 system, action = parse((data / "compactified_shift.json").read_bytes()).resolve()
@@ -62,15 +62,17 @@ print("apply s then s^-1:", round_trip.vector, "(= pushforward to stage", f"{rou
 # by stage 2 (stage 1, for the shift and its inverse alike), resolved
 # once by `latest_letter_maps`. Single letters generate every word
 # difference, so longer words add nothing.
-# The witness search reads the generators' sums first: where all are 0,
-# the counting functional (1, ..., 1) is strictly positive and vanishes
-# on H_2, so H_2 meets the positive cone only at 0 and is never reduced.
-# Here the right ray's generator, [1, oo) minus [2, oo), is the
-# singleton {1}, and it sums to 1.
+# The witness search reads the generators' sums first, as the counting
+# functional (1, ..., 1) pulled back through each letter map, with no
+# generator built: where all are 0, (1, ..., 1) is strictly positive and
+# vanishes on H_2, so H_2 meets the positive cone only at 0 and is never
+# built or reduced. Here the right ray's generator, [1, oo) minus
+# [2, oo), is the singleton {1}, and it sums to 1.
 maps = latest_letter_maps(action, system, 2)
 print("latest sources of s, s^-1:", [sm.from_stage for sm in maps])
+ones = (1,) * system.rank_at(2)
+print("generator sums, per letter:", [coboundary_pullback(system, sm, 2, ones) for sm in maps])
 generators = coboundary_generators(system, maps, 2)
-print("generator sums:", generators.apply((1,) * generators.cols))
 
 # Reduced, H_2's canonical basis spans the three middle coordinates, so
 # it meets the positive cone.

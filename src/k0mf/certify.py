@@ -22,24 +22,29 @@ Two searches drive everything:
   only, and a question no stage can pose raises.
 
 Both try the counting functional 1 = (1, ..., 1) before any program is
-built. A strictly positive functional that vanishes on H_t proves that
-H_t meets the cone only at 0 (Stiemke's lemma), so a target stage whose
-lattice generators all sum to 0 has no witness, and its lattice is
-never reduced to a Hermite basis. Where every invariance difference
-sums to 0 and the unit and every requested element nonzero at the
-stage sum to at least 1, 1 is the canonical state functional, and the
-stage builds no kernel. On a finite permutation system 1 is the
-invariant faithful state: both rules decide every stage there, with no
-Hermite form at all.
+built, pulled back through each letter or word map
+(``kaction.coboundary_pullback``) with no coboundary block built. A
+strictly positive functional that vanishes on H_t proves that H_t
+meets the cone only at 0 (Stiemke's lemma), so a target stage where 1
+pulls back to 0 through every letter map (every generator of H_t sums
+to 0) has no witness and builds no generators. Where every invariance
+difference sums to 0 and the unit and every requested element nonzero
+at the stage sum to at least 1, 1 is the canonical state functional,
+and the stage builds no difference and no kernel. On a finite
+permutation system 1 is the invariant faithful state: both rules
+decide every stage there, with no coboundary block and no Hermite form
+at all.
 
-Both searches read the action through ``kaction.coboundary_block``, the
-matrix that sends a vector g at a word's source stage to g - w(g) at a
-target stage: H_t is generated by the columns of the one-letter blocks
-(``kaction.latest_letter_maps``, once per target, stacked and reduced
-by ``kaction.coboundary_generators`` and ``coboundary_stage_lattice``),
-a witness's preimages solve the one-letter blocks stacked side by side,
-and the state search and its re-check get every invariance difference
-g - w(g) of one stage's elements from one sparse product per word.
+Otherwise the searches read the action through
+``kaction.coboundary_block``, the matrix that sends a vector g at a
+word's source stage to g - w(g) at a target stage: H_t is generated by
+the columns of the one-letter blocks (``kaction.latest_letter_maps``,
+once per target, stacked and reduced by
+``kaction.coboundary_generators`` and ``coboundary_stage_lattice``), a
+witness's preimages solve the one-letter blocks stacked side by side,
+and the state search's kernel path gets every invariance difference
+g - w(g) of one stage's elements from one sparse product per word. The
+state re-check pulls its functional back once per (stage, word) instead.
 
 The two are mutually exclusive by design: if a witness with value x and
 preimages g_j exists, any functional that is invariant on the positive
@@ -113,6 +118,7 @@ from .kaction import (
     coboundary,
     coboundary_block,
     coboundary_generators,
+    coboundary_pullback,
     coboundary_stage_lattice,
     latest_letter_maps,
     repeat_stage,
@@ -252,16 +258,8 @@ def _canonical_functional(
     when there is none. The state search lists the unit first, so
     ``positives`` is never empty.
 
-    The counting functional (1, ..., 1) is tried first, on the rows
-    themselves, and is the answer with no kernel, program or walk when
-    every positive sums to at least 1 and every row sums to 0: the zero
-    functional fails every ">= 1" row, and in the height-1 box only
-    (1, ..., 1) reaches coordinate sum n. The kernel lattice is
-    saturated, so (1, ..., 1) lies in it exactly when the rows vanish on
-    it.
-
-    Otherwise the functional lives in ``integer_kernel(diffs)``, and an
-    empty kernel gives None. An exact rational feasibility check decides
+    The functional lives in ``integer_kernel(diffs)``, and an empty
+    kernel gives None. An exact rational feasibility check decides
     existence: the value constraints are homogeneous in the functional,
     so any rational solution scales to an integer one, and the scaled
     solution bounds the exact least-height walk. Selection is least
@@ -269,9 +267,6 @@ def _canonical_functional(
     program and the walk read one row per positive.
     """
     width = diffs.cols
-    ones = (1,) * width
-    if min(map(sum, positives)) >= 1 and not any(diffs.apply(ones)):
-        return ones
     kernel_rows = integer_kernel(diffs)  # with no rows: the identity rows
     if not kernel_rows:
         return None
@@ -396,14 +391,16 @@ def find_positive_coboundary(
     """Scan the parameter box for a positive coboundary witness.
 
     Target stages are visited in increasing order. Each resolves its
-    letter maps once (``latest_letter_maps``), builds the generators of
-    H_t from them (``coboundary_generators``) and first tests
-    the counting functional 1 = (1, ..., 1) on them: where every
+    letter maps once (``latest_letter_maps``) and first tests the
+    counting functional 1 = (1, ..., 1) on the generators of H_t: 1
+    pulled back through a letter map (``coboundary_pullback``) is the
+    row of that letter's generators' sums. Where every
     generator sums to 0, 1 is strictly positive and vanishes on H_t, so
     H_t meets the cone only at 0 (Stiemke's lemma) and the target is
-    decided with no Hermite form and no program. Otherwise some basis row
-    of H_t sums to nonzero too, as the generators are integer
-    combinations of the basis rows; H_t is reduced
+    decided with no coboundary block, Hermite form or program. Otherwise
+    some basis row of H_t sums to nonzero too, as the generators are
+    integer combinations of the basis rows; the generators are built
+    from the same maps (``coboundary_generators``) and reduced
     (``coboundary_stage_lattice``), the rational relaxation decides
     whether it meets the cone at all, and only then are lattice vectors
     enumerated by increasing height up to the height bound. A None
@@ -420,10 +417,10 @@ def find_positive_coboundary(
         if not system.has_stage(target):
             break
         maps = latest_letter_maps(action, system, target)
-        generators = coboundary_generators(system, maps, target)
-        if not any(generators.apply((1,) * generators.cols)):
+        ones = (1,) * system.rank_at(target)
+        if not any(any(coboundary_pullback(system, sm, target, ones)) for sm in maps):
             continue
-        lattice = coboundary_stage_lattice(generators)
+        lattice = coboundary_stage_lattice(coboundary_generators(system, maps, target))
         basis_rows = [_dense_row(row, lattice.rows) for row in lattice.transpose().nonzeros]
         if not _span_meets_cone(basis_rows):
             continue
@@ -463,15 +460,41 @@ def _invariance_differences(
     return IntMatrix._of_nonzeros(len(rows), system.rank_at(m), rows)
 
 
+def _is_invariant(
+    system: InductiveSystem,
+    maps: dict[tuple[int, Word], StageMap],
+    elements: Sequence[LimitElement],
+    beta: Sequence[int],
+    m: int,
+) -> bool:
+    """Whether the functional ``beta`` at stage m vanishes on g - w(g)
+    for each element g and word w, given ``maps``, the ``word_map`` of
+    each (stage, word): beta is pulled back once per (stage, word)
+    (``coboundary_pullback``) and dotted with that stage's elements, with
+    no difference built. An element whose vector length is not its
+    stage's rank raises ValueError."""
+    for (k, _), sm in maps.items():
+        pulled = coboundary_pullback(system, sm, m, beta)
+        vectors = [g.vector for g in elements if g.stage == k]
+        if any(len(v) != len(pulled) for v in vectors):
+            raise ValueError("element vector length does not match its stage rank")
+        if any(pulled) and any(_dot(pulled, v) for v in vectors):
+            return False
+    return True
+
+
 def verify_state_certificate(
     system: InductiveSystem, action: K0Action, cert: StateCertificate
 ) -> None:
-    """Exact re-verification; raises AssertionError on any failure."""
+    """Exact re-verification; raises AssertionError on any failure, and
+    ValueError on an element whose vector length is not its stage's
+    rank. Invariance is read off the functional pulled back once per
+    (stage, word) (``_is_invariant``)."""
     beta = cert.functional
     m = cert.stage
     stages = dict.fromkeys(g.stage for g in cert.elements)
     maps = {(k, w): word_map(action, system, w, k) for k in stages for w in cert.words}
-    if any(_invariance_differences(system, maps, cert.elements, cert.words, m).apply(beta)):
+    if not _is_invariant(system, maps, cert.elements, beta, m):
         raise AssertionError("certificate functional is not invariant")
     unit_value = _dot(beta, system.unit_at(m))
     if unit_value != cert.unit_value or unit_value <= 0:
@@ -522,8 +545,16 @@ def find_invariant_state(
     the first stage, so the search ends there (at the last declared
     stage without a tail), or at ``stage_max`` if that comes first.
 
-    Each stage the search solves builds its invariance differences with
-    ``_invariance_differences``, as its re-check does. Only the
+    Each stage the search solves first tries the counting functional
+    1 = (1, ..., 1): it is the answer, with no coboundary block, kernel,
+    program or walk, when the unit and every element nonzero at the
+    stage sum to at least 1 and 1 pulled back once per (stage, word)
+    vanishes on the elements (``_is_invariant``, as in the re-check).
+    The zero functional fails every ">= 1" row, in the height-1 box only
+    1 reaches coordinate sum n, and the kernel lattice is saturated, so
+    1 lies in it exactly when the differences vanish on it. Elsewhere
+    the stage builds its invariance differences
+    (``_invariance_differences``) for ``_canonical_functional``. Only the
     elements are stepped, from the first stage that holds every word
     image through one connecting map per later stage, skipped ones too;
     they give the supports, positivity rows and element values.
@@ -532,9 +563,7 @@ def find_invariant_state(
     functional of a stage runs out of its node budget; a functional
     exists there then, since the walk runs only after the exact program
     found one, but the search returns no certificate. A stage where the
-    counting functional is the answer (every invariance difference sums
-    to 0; see ``_canonical_functional``) builds no kernel and takes no
-    walk, so it cannot raise.
+    counting functional is the answer takes no walk, so it cannot raise.
     """
     if not elements:
         raise ValueError("the element set must be nonempty")
@@ -562,10 +591,13 @@ def find_invariant_state(
         support = [any(gv) for gv in element_vecs]
         if support == missed_support:
             continue  # a solution here would pull back to the missed stage
-        diffs = _invariance_differences(system, maps, elements, words, m)
         unit = system.unit_at(m)
         positives = [tuple(unit)] + [gv for gv, nonzero in zip(element_vecs, support) if nonzero]
-        best = _canonical_functional(diffs, positives)
+        ones = (1,) * len(unit)
+        if min(map(sum, positives)) >= 1 and _is_invariant(system, maps, elements, ones, m):
+            best: tuple[int, ...] | None = ones
+        else:
+            best = _canonical_functional(_invariance_differences(system, maps, elements, words, m), positives)
         if best is None:
             missed_support = support
             continue

@@ -87,9 +87,7 @@ class Verdict(NamedTuple):
 def default_requests(system: InductiveSystem, action: K0Action) -> tuple[Request, ...]:
     """One request: the stage-0 basis vectors against all generators."""
     p = system.rank_at(0)
-    elements = tuple(
-        LimitElement(0, tuple(1 if j == i else 0 for j in range(p))) for i in range(p)
-    )
+    elements = tuple(LimitElement(0, (0,) * i + (1,) + (0,) * (p - 1 - i)) for i in range(p))
     words = tuple(Word.of(j) for j in range(1, action.generators + 1))
     return ((elements, words),)
 

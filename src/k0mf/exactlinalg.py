@@ -3,14 +3,14 @@
 Integer matrices held as sparse rows only (each row's nonzero entries
 as (column, value) pairs; dense input is converted once): products
 (Gustavson's row-by-row sparse product), differences, transposes,
-matrix-vector products, equality and hashing run over the nonzeros, so
-the 0/1 inclusion and permutation maps of Bratteli diagrams cost in
-proportion to their nonzeros, and dense values are derived on each
-read, which only the Smith form makes on a verdict path. The
-Hermite normal form (alone, as callers only read its rows) reduces
-sparse rows by leading column; row bases, ranks and integer kernels in
-their canonical Hermite basis (one reduction of [a^t | I], stacked from
-the sparse rows of a^t) come from it. The Smith normal form, with the
+matrix-vector and row-vector products, equality and hashing run over
+the nonzeros, so the 0/1 inclusion and permutation maps of Bratteli
+diagrams cost in proportion to their nonzeros, and dense values are
+derived on each read, which only the Smith form makes on a verdict
+path. The Hermite normal form (alone, as callers only read its rows)
+reduces sparse rows by leading column; row bases, ranks and integer
+kernels in their canonical Hermite basis (one reduction of [a^t | I],
+stacked from the sparse rows of a^t) come from it. The Smith normal form, with the
 unimodular transforms that witness it, is dense; integer linear solving
 takes only its particular solution (the kernel is that Hermite basis),
 one bounded walk over the lattice points in a box (the sup-norm ball,
@@ -119,8 +119,9 @@ class IntMatrix:
     """Integer matrix, immutable, held as sparse rows only: per row, the
     nonzero entries as (column, value) pairs, columns increasing and no
     zero value (``nonzeros``). Products, differences, transposes, stacks,
-    matrix-vector products, the Hermite form, equality and hashing read
-    and write that form, so each costs in proportion to the nonzeros.
+    matrix-vector and row-vector products, the Hermite form, equality and
+    hashing read and write that form, so each costs in proportion to the
+    nonzeros.
 
     ``IntMatrix(rows, cols, entries)`` and ``from_rows`` take dense
     row-major entries and convert them once, by ``_sparse_rows`` over the
@@ -161,6 +162,10 @@ class IntMatrix:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError("IntMatrix is immutable")
+
+    def __reduce__(self) -> tuple:
+        """Pickle and copy through ``_of_nonzeros``, as attributes cannot be set."""
+        return IntMatrix._of_nonzeros, (self.rows, self.cols, self.nonzeros)
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -274,6 +279,18 @@ class IntMatrix:
             for k, x in row:
                 acc += x * vec[k]
             out.append(acc)
+        return tuple(out)
+
+    def pull(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """Row-vector product ``vec @ self``: each row's nonzeros, scaled
+        by that row's entry of ``vec``, added into the result."""
+        if len(vec) != self.rows:
+            raise ValueError("vector length mismatch")
+        out = [0] * self.cols
+        for y, row in zip(vec, self.nonzeros):
+            if y:
+                for j, x in row:
+                    out[j] += y * x
         return tuple(out)
 
     def is_nonnegative(self) -> bool:

@@ -9,21 +9,26 @@ than computed because stage maps need not be square; invertibility is a
 limit-level condition and supplying both directions makes it checkable.
 
 This module provides word maps (``word_map``: a word's letter maps
-composed by sparse products, so a word acts on a vector in one product)
-and coboundary blocks (``coboundary_block``: the matrix whose column i
-is e_i - w(e_i) pushed to a target stage, for every basis vector e_i at
-once). On these rest the coboundary combination sum_j (g_j - a_j(g_j))
-over the generators, and H_t, the finite-stage lattice at a target
-stage t generated by the one-letter blocks, each from its letter's
-latest source stage that lands by t; single letters generate every
-word difference. H_t comes in three steps: ``latest_letter_maps``
+composed by sparse products, so a word acts on a vector in one product),
+coboundary blocks (``coboundary_block``: the matrix whose column i is
+e_i - w(e_i) pushed to a target stage, for every basis vector e_i at
+once) and their pullbacks (``coboundary_pullback``: a functional beta
+at the target times the block, from row-vector products through the
+cached transfers, with no block built). H_t is the finite-stage lattice
+at a target stage t generated by the one-letter blocks, each from its
+letter's latest source stage that lands by t; single letters generate
+every word difference. It comes in three steps: ``latest_letter_maps``
 resolves those maps, ``coboundary_generators`` stacks their blocks'
 columns as rows, and ``coboundary_stage_lattice`` reduces them to a
-Hermite basis, so a caller can read the generators (their sums, say)
-before it pays for the reduction. The state search in ``certify`` and
-its re-check take their invariance differences from word blocks. Last
-comes an itemised verifier for the order-automorphism laws (positivity,
-commuting squares, unit preservation, inverse laws).
+Hermite basis. Blocks are built only where their columns are needed:
+H_t's generators, a witness's preimage solve and the kernel path of
+the state search in ``certify``. Where a caller only evaluates one
+functional on a block (the counting functional's test in both searches
+of ``certify``, and the state certificate's re-check), it pulls the
+functional back instead, and the coboundary combination
+sum_j (g_j - a_j(g_j)) over the generators is matrix-vector products.
+Last comes an itemised verifier for the order-automorphism laws
+(positivity, commuting squares, unit preservation, inverse laws).
 ``repeat_stage`` says from which stage stationary data repeats, for the
 verifier and the witness search alike.
 """
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from operator import add
+from operator import add, sub
 from typing import NamedTuple, Sequence
 
 from .dimgroup import InductiveSystem, LimitElement, StageRangeError
@@ -171,17 +176,41 @@ def coboundary_block(system: InductiveSystem, sm: StageMap, target: int) -> IntM
     return system.transfer(sm.from_stage, target) - image
 
 
+def coboundary_pullback(
+    system: InductiveSystem, sm: StageMap, target: int, beta: Sequence[int]
+) -> tuple[int, ...]:
+    """beta @ ``coboundary_block(system, sm, target)``, built with no block:
+    beta @ transfer(k, target) - (beta @ transfer(m, target)) @ W for a
+    word's map W from stage k to stage m <= ``target``.
+
+    The stage-k row vector whose dot with g is beta(g - w(g)) at
+    ``target``. It pulls beta through the cached composite transfers, never
+    stage by stage, so a scan over targets far past k costs one
+    row-vector product per transfer; the identity transfer of a stage at
+    ``target`` is skipped, as W's shape is the stage ranks'. Raises
+    StageRangeError when m is past ``target`` and ValueError when beta's
+    length is not the target rank.
+    """
+    at_image = beta if sm.to_stage == target else system.transfer(sm.to_stage, target).pull(beta)
+    pulled = sm.matrix.pull(at_image)
+    at_source = beta if sm.from_stage == target else system.transfer(sm.from_stage, target).pull(beta)
+    return tuple(map(sub, at_source, pulled))
+
+
 def coboundary(
     action: K0Action, system: InductiveSystem, elements: Sequence[LimitElement]
 ) -> LimitElement:
-    """sum over generators j of (g_j - a_j(g_j)), at a common stage."""
+    """sum over generators j of (g_j - a_j(g_j)), at a common stage, by
+    matrix-vector products only: transfer(k, t) g_j - transfer(m, t) W g_j
+    for generator j's map W from stage k to stage m."""
     if len(elements) != action.generators:
         raise ValueError("need exactly one element per generator")
     maps = [word_map(action, system, Word.of(j + 1), g.stage) for j, g in enumerate(elements)]
     target = max(sm.to_stage for sm in maps)
     acc = [0] * system.rank_at(target)
     for sm, g in zip(maps, elements):
-        acc = list(map(add, acc, coboundary_block(system, sm, target).apply(g.vector)))
+        acc = list(map(add, acc, system.transfer(sm.from_stage, target).apply(g.vector)))
+        acc = list(map(sub, acc, system.transfer(sm.to_stage, target).apply(sm.matrix.apply(g.vector))))
     return LimitElement(target, tuple(acc))
 
 

@@ -4,12 +4,14 @@
   generators all sum to 0, with no Hermite form and no program:
   (1, ..., 1) is strictly positive and vanishes on H_t (Stiemke's
   lemma). The LP says the same on seeded bases whose rows sum to 0.
-* ``_canonical_functional`` answers (1, ..., 1) with no kernel, program
-  or walk where every positive sums to at least 1 and every invariance
-  difference sums to 0; it equals the walk-then-filter oracle of
-  ``canonical_search`` on the kernel of the differences where that
-  holds, where a positive sums to at most 0, and where a difference
-  does not vanish on (1, ..., 1) (one kernel then).
+* ``find_invariant_state`` answers (1, ..., 1) with no kernel, program
+  or walk where the unit and every nonzero element sum to at least 1
+  and every invariance difference sums to 0, and that is the
+  walk-then-filter oracle of ``canonical_search`` on the kernel of the
+  differences. ``_canonical_functional``, which the state search calls
+  only where (1, ..., 1) fails, equals the oracle where a positive sums
+  to at most 0, and where a difference does not vanish on (1, ..., 1)
+  (one kernel then).
 * So a finite permutation system, where (1, ..., 1) is the invariant
   faithful state, is decided without a Hermite form, a kernel, an LP or
   a lattice walk.
@@ -36,7 +38,7 @@ from k0mf.certify import (
 from k0mf.cli import CONSISTENT, run_check
 from k0mf.dimgroup import LimitElement, push
 from k0mf.exactlinalg import Infeasible, IntMatrix, enumerate_lattice_points, integer_kernel, lp_feasible
-from k0mf.kaction import Word
+from k0mf.kaction import Word, word_map
 
 NONE_BUILT = {"lp": 0, "walk": 0, "kernel": 0}
 
@@ -152,17 +154,44 @@ def _differences_vanishing_on_ones(rng: random.Random, width: int) -> IntMatrix:
     return IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, width)
 
 
+def _random_word(rng: random.Random, generators: int) -> Word:
+    """A reduced word of one or two letters."""
+    while True:
+        word = Word.of(*(rng.choice((1, -1)) * rng.randint(1, generators) for _ in range(rng.randint(1, 2))))
+        if len(word):
+            return word
+
+
 def test_ones_is_the_canonical_functional_where_it_is_feasible(counted):
+    """Random permutation systems of 1-4 points, with random requests of
+    nonnegative elements at stages 0 and 1 and words of one or two
+    letters: 1 sums to 0 on every invariance difference, and the unit
+    and every nonzero element sum to at least 1. The state search answers
+    1 with no kernel, program or walk, and 1 is the oracle's functional
+    on the kernel of the differences."""
     rng = random.Random(27)
     checked = 0
     while checked < 40:
         width = rng.randint(1, 4)
-        diffs = _differences_vanishing_on_ones(rng, width)
-        positives = [tuple(rng.randint(-1, 3) for _ in range(width)) for _ in range(rng.randint(1, 4))]
-        if min(map(sum, positives)) < 1:
-            continue
-        want = canonical_search.canonical_functional(integer_kernel(diffs), positives, False)
-        assert _canonical_functional(diffs, positives) == want == (1,) * width
+        perms = []
+        for _ in range(rng.randint(1, 2)):
+            perm = list(range(1, width + 1))
+            rng.shuffle(perm)
+            perms.append(tuple(perm))
+        system, action = finite_system_to_k0(FiniteSystem(width, tuple(perms)))
+        elements = [LimitElement(rng.randint(0, 1), tuple(rng.randint(0, 3) for _ in range(width))) for _ in range(rng.randint(1, 4))]
+        words = [_random_word(rng, len(perms)) for _ in range(rng.randint(1, 3))]
+        cert = find_invariant_state(system, action, elements, words, 4)
+        m = cert.stage
+        diffs = []
+        for g in elements:
+            for w in words:
+                sm = word_map(action, system, w, g.stage)
+                image = push(system, LimitElement(sm.to_stage, sm.matrix.apply(g.vector)), m).vector
+                diffs.append(tuple(x - y for x, y in zip(push(system, g, m).vector, image)))
+        positives = [system.unit_at(m)] + [push(system, g, m).vector for g in elements if any(g.vector)]
+        want = canonical_search.canonical_functional(integer_kernel(IntMatrix.from_rows(diffs)), positives, False)
+        assert cert.functional == want == (1,) * width
         checked += 1
     assert counted == NONE_BUILT
 

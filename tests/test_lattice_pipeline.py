@@ -283,22 +283,26 @@ def test_search_matches_rebuild_every_cell(case, box):
         assert new.positive_at_stage <= old.positive_at_stage
 
 
-def test_one_lattice_per_target_up_to_the_stationary_cap(case, box, monkeypatch):
-    """The search builds the generators of H_t once per target, from
-    target 0 up, and without a witness exactly up to the last declared
-    target of the box, or the repeat stage plus the largest shift if that
-    comes first (stage 0 on every finite permutation system). It reduces
-    them to H_t exactly at the targets where some generator sums to a
-    nonzero value, in the same order."""
-    system, action = case
-    params, _ = box
-    built, reduced = [], []  # (target, some generator sums to nonzero, generators); targets
+def _record_search(system, action, params, monkeypatch):
+    """Run ``find_positive_coboundary`` with its letter maps, generators
+    and lattices recorded: (the witness, [(target, maps)] per
+    ``latest_letter_maps`` call, [(target, maps, generators)] per
+    ``coboundary_generators`` call, [target] per
+    ``coboundary_stage_lattice`` call). A lattice call must reduce the
+    generators built last."""
+    resolved, built, reduced = [], [], []
+    real_maps = certify.latest_letter_maps
     real_generators = certify.coboundary_generators
     real_lattice = certify.coboundary_stage_lattice
 
+    def letter_maps(a, s, t):
+        maps = real_maps(a, s, t)
+        resolved.append((t, maps))
+        return maps
+
     def generators(s, maps, t):
         gens = real_generators(s, maps, t)
-        built.append((t, any(map(sum, gens.to_rows())), gens))
+        built.append((t, maps, gens))
         return gens
 
     def lattice(gens):
@@ -307,47 +311,50 @@ def test_one_lattice_per_target_up_to_the_stationary_cap(case, box, monkeypatch)
         reduced.append(t)
         return real_lattice(gens)
 
+    monkeypatch.setattr(certify, "latest_letter_maps", letter_maps)
     monkeypatch.setattr(certify, "coboundary_generators", generators)
     monkeypatch.setattr(certify, "coboundary_stage_lattice", lattice)
     found = find_positive_coboundary(system, action, params).witness
+    return found, resolved, built, reduced
+
+
+def test_one_lattice_per_target_up_to_the_stationary_cap(case, box, monkeypatch):
+    """The search visits every target once, from target 0 up, and without
+    a witness exactly up to the last declared target of the box, or the
+    repeat stage plus the largest shift if that comes first (stage 0 on
+    every finite permutation system). It builds the generators of H_t
+    exactly at the targets where some generator sums to a nonzero value
+    (some letter's pullback of 1 is nonzero), in the same order, and
+    reduces them to H_t right after."""
+    system, action = case
+    params, _ = box
+    found, resolved, built, reduced = _record_search(system, action, params, monkeypatch)
     cap = params.stage_max
     repeat = repeat_stage(action, system)
     if repeat is not None and action.stationary is not None:
         cap = min(cap, repeat + max(rule.shift for rule in action.stationary))
     declared = [t for t in range(cap + 1) if system.has_stage(t)]
-    targets = [t for t, _, _ in built]
+    targets = [t for t, _ in resolved]
     if found is None:
         assert targets == declared
     else:
         assert targets == declared[: found.positive_at_stage + 1]
-    assert reduced == [t for t, nonzero, _ in built if nonzero]
+    nonzero = [t for t in targets if any(map(sum, stage_generators(action, system, t).to_rows()))]
+    assert [t for t, _, _ in built] == nonzero
+    assert reduced == nonzero
 
 
 def test_letter_maps_are_resolved_once_per_target(case, box, monkeypatch):
     """The search resolves each target's letter maps once
-    (``latest_letter_maps``), and builds H_t's generators from that very
-    list, in target order."""
+    (``latest_letter_maps``), in target order, and builds H_t's
+    generators, where it builds them, from that target's very list."""
     system, action = case
     params, _ = box
-    resolved, passed = [], []  # (target, id of the maps) per call
-    real_maps = certify.latest_letter_maps
-    real_generators = certify.coboundary_generators
-
-    def letter_maps(a, s, t):
-        maps = real_maps(a, s, t)
-        resolved.append((t, id(maps)))
-        return maps
-
-    def generators(s, maps, t):
-        passed.append((t, id(maps)))
-        return real_generators(s, maps, t)
-
-    monkeypatch.setattr(certify, "latest_letter_maps", letter_maps)
-    monkeypatch.setattr(certify, "coboundary_generators", generators)
-    find_positive_coboundary(system, action, params)
+    _, resolved, built, _ = _record_search(system, action, params, monkeypatch)
     targets = [t for t, _ in resolved]
     assert targets == list(range(len(targets))) and targets
-    assert passed == resolved
+    lists = dict(resolved)
+    assert all(maps is lists[t] for t, maps, _ in built)
 
 
 def fibonacci_prefix_action():

@@ -1,9 +1,12 @@
 """Records are immutable named tuples: no dataclass but the two stateful
 classes, no attribute assignment, the constructors' checks and their
-messages, and ``_replace`` for a changed copy."""
+messages, and ``_replace`` for a changed copy. Matrices, actions and
+systems pickle and copy."""
 
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
 
 import pytest
@@ -139,3 +142,19 @@ def test_replace_derives_changed_copies(cycle3_pair):
     renamed = verdict._replace(kind="NONE_FOUND")
     assert (type(renamed), renamed.kind, verdict.kind) == (Verdict, "NONE_FOUND", "CONSISTENT")
     assert renamed._asdict() == dict(verdict._asdict(), kind="NONE_FOUND")
+
+
+def test_matrices_and_stateful_systems_round_trip(shift_pair):
+    """``IntMatrix`` pickles and copies through ``_of_nonzeros``, so a
+    stage map, an action and a resolved system (its transfer cache
+    filled) do too, and each copy is equal to its original."""
+    system, action = shift_pair
+    system.transfer(0, 2)
+    matrix = system.transfer(0, 2)
+    for original in (IntMatrix.identity(2), IntMatrix.zeros(0, 3), matrix, action.letter_map(1, 0), action, system):
+        for clone in (pickle.loads(pickle.dumps(original)), copy.copy(original), copy.deepcopy(original)):
+            assert type(clone) is type(original) and clone == original
+    clone = pickle.loads(pickle.dumps(system))
+    assert clone.transfer(0, 2) == matrix and clone.unit_at(2) == system.unit_at(2)
+    with pytest.raises(AttributeError, match="^IntMatrix is immutable$"):
+        copy.deepcopy(matrix).rows = 1
